@@ -8,7 +8,7 @@
 //! style), which costs a `√n·polylog` *per-candidate* token budget instead
 //! of `x = Θ̃(√(n/(Φ·t_mix)))` total walks probing pre-built territories.
 //!
-//! Faithful-shape reproduction (see DESIGN.md "Substitutions"):
+//! Faithful-shape reproduction:
 //!
 //! * candidates stand with probability `c·ln n/n` and draw IDs in `{1..n⁴}`;
 //! * each candidate launches `b = ⌈√n·log₂ n⌉` lazy-walk tokens of length

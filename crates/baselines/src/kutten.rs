@@ -10,8 +10,7 @@
 //! originate nothing.
 //!
 //! This is a *baseline of the same shape*, not a line-by-line reproduction
-//! of \[16\] (whose protocol suite spans several knowledge regimes; see
-//! DESIGN.md "Substitutions").
+//! of \[16\] (whose protocol suite spans several knowledge regimes).
 
 use ale_congest::{congest_budget, Incoming, Network, NodeCtx, OutCtx, Process};
 use ale_core::{CoreError, ElectionOutcome};

@@ -1,7 +1,7 @@
 //! # ale-bench — experiment harness
 //!
 //! Regenerates every table and figure of Kowalski & Mosteiro (ICDCS 2021)
-//! plus the lemma-level experiments listed in `DESIGN.md` §5. Since the
+//! plus the lemma-level experiments in the table below. Since the
 //! `ale-lab` subsystem landed, each experiment is a registered
 //! [`ale_lab::Scenario`]; the binaries in `src/bin/` are thin wrappers
 //! over `ale-lab run <scenario>`, kept for muscle memory:

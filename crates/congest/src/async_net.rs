@@ -1,37 +1,41 @@
-//! The event-driven asynchronous engine with an adversary model.
+//! The event-queue delivery policy and its adversary model.
 //!
-//! [`AsyncNetwork`] is the second execution engine behind the same
-//! [`Process`] trait: instead of the arena engine's lockstep rounds, it
-//! keeps a deterministic priority queue of **message-delivery events** on
-//! a virtual-time axis. Nodes stay tick-synchronous — every active node
-//! executes once per virtual tick — but *links* are asynchronous: a
-//! message sent at tick `t` arrives at the start of tick `t + L`, where
-//! `L ≥ 1` is drawn per message from the declared [`LatencyDist`]. An
-//! adversary ([`FaultSpec`]) may additionally crash nodes at a scheduled
-//! tick, drop messages at send time, or inject duplicate copies.
+//! [`AsyncNetwork`] is the engine [`Driver`] under the [`Events`] policy:
+//! instead of lockstep delivery, it keeps a deterministic priority queue of
+//! **message-delivery events** on a virtual-time axis. Nodes stay
+//! tick-synchronous — every active node executes once per virtual tick —
+//! but *links* are asynchronous: a message sent at tick `t` arrives at the
+//! start of tick `t + L`, where `L ≥ 1` is drawn per message from the
+//! declared [`LatencyDist`]. An adversary ([`FaultSpec`]) may additionally
+//! crash nodes at a scheduled tick, drop messages at send time, or inject
+//! duplicate copies. Validation, multi-send detection and metering are the
+//! driver's single send path, shared with
+//! [`Network`](crate::network::Network).
 //!
 //! ## Event-queue invariants
 //!
 //! * Events are ordered by `(time, seq)` where `seq` is a global send
 //!   counter — for any fixed arrival tick, delivery order equals global
 //!   send order (sender id ascending, then send order within the sender).
-//!   At **unit latency with zero faults** this reproduces the synchronous
-//!   engines' inbox order exactly, which is what makes the arena engine
-//!   ([`Network`](crate::network::Network)) the equivalence oracle for
-//!   this one: outputs, [`Metrics`], and traces are byte-identical
-//!   (pinned by `crates/congest/tests/async_equivalence.rs`).
-//! * Virtual time only moves forward: a tick pops exactly the events
-//!   scheduled for `now`, runs every active node, pushes the newly staged
-//!   events (all strictly in the future), and advances.
+//!   At **unit latency with zero faults** this reproduces the lockstep
+//!   policy's inbox order exactly, which is what makes
+//!   [`Network`](crate::network::Network) the equivalence oracle for this
+//!   one: outputs, [`Metrics`](crate::metrics::Metrics), and traces are
+//!   byte-identical (pinned by `crates/congest/tests/async_equivalence.rs`).
+//! * Virtual time only moves forward: a tick runs every active node,
+//!   queues the newly staged events (all strictly in the future), releases
+//!   the events scheduled for the next tick into the driver's inbox arena,
+//!   and advances.
 //! * **Fault atomicity**: a message's fate — dropped, delivered once, or
 //!   duplicated — is decided entirely at send time from the adversary's
 //!   own SplitMix64 streams. By construction the counters always
 //!   reconcile: `delivered == messages − dropped + duplicated`.
 //! * **Failed ticks deliver nothing**: an invalid port drops the whole
-//!   tick exactly like the synchronous engines drop a round — nothing is
-//!   staged or metered, virtual time does not advance, and the tick's
-//!   input messages are retained for inspection/retry; multi-send
-//!   violations recorded before the failure stick.
+//!   tick exactly like a failed lockstep round — nothing is queued or
+//!   metered, virtual time does not advance, and the tick's arrivals are
+//!   retained for inspection/retry; multi-send violations recorded before
+//!   the failure stick, and so do the adversary draws and `seq` values the
+//!   tick consumed.
 //!
 //! ## Determinism
 //!
@@ -39,8 +43,10 @@
 //! fixed-constant SplitMix64 streams (one for message fate, one for
 //! latency, one positional per-node draw for crash schedules), so a run
 //! is a pure function of `(graph, seed, config)` — independent of worker
-//! count, wall clock, and host. The node RNGs are the same
-//! `node_rngs` streams every engine uses.
+//! count, wall clock, and host. Nodes run in ascending id order and each
+//! send draws, in order: drop, then duplicate, then the copy's latency,
+//! then the original's latency. The node RNGs are the same `node_rngs`
+//! streams every engine uses.
 
 use std::cmp::Ordering;
 use std::cmp::Reverse;
@@ -48,11 +54,10 @@ use std::collections::BinaryHeap;
 
 use crate::error::CongestError;
 use crate::message::Payload;
-use crate::metrics::{Metrics, RoundInfo, RoundTrace};
-use crate::network::{node_rngs, splitmix64, RunStatus};
-use crate::process::{Incoming, NodeCtx, OutCtx, Process, RoundStats};
-use crate::trace::{TraceSink, TraceSlot};
-use ale_graph::{Graph, NodeId};
+use crate::network::sealed::{Policy, Staging, StagingArena};
+use crate::network::{splitmix64, Delivery, Driver};
+use crate::process::{Process, RoundStats};
+use ale_graph::Graph;
 use rand::rngs::StdRng;
 
 /// Stream-domain constants: each adversary stream hashes the construction
@@ -236,70 +241,35 @@ impl<M> Ord for Event<M> {
 /// Tick sentinel for "never crashes".
 const NEVER: u64 = u64::MAX;
 
-/// The event-driven asynchronous engine (see the [module docs](self) for
-/// the event-queue invariants and the determinism contract).
-///
-/// API surface mirrors [`Network`](crate::network::Network); `round()`
-/// reports the current virtual tick.
+/// The event-queue delivery policy (see the [module docs](self) for the
+/// event-queue invariants and the determinism contract): the adversary's
+/// streams and crash schedule, and the `(time, seq)` heap of scheduled
+/// deliveries.
 #[derive(Debug)]
-pub struct AsyncNetwork<'g, P: Process> {
-    graph: &'g Graph,
-    procs: Vec<P>,
-    rngs: Vec<StdRng>,
+pub struct Events<M> {
     config: ExecConfig,
-    /// Current virtual tick.
-    now: u64,
-    metrics: Metrics,
     /// The delivery queue: min-heap on `(time, seq)`.
-    heap: BinaryHeap<Reverse<Event<P::Msg>>>,
+    heap: BinaryHeap<Reverse<Event<M>>>,
     /// Global send counter — the event tiebreak within one arrival tick.
     seq: u64,
-    /// Per-node arrival buffers for the current tick.
-    inboxes: Vec<Vec<Incoming<P::Msg>>>,
-    /// Nodes whose inbox is non-empty this tick (cleared after a
-    /// successful tick; a failed tick leaves them for the retry).
-    filled: Vec<u32>,
-    /// True when `inboxes` already hold tick `now`'s arrivals — set by a
-    /// failed tick so the retry reruns with the same inputs instead of
-    /// re-popping the heap.
-    inboxes_ready: bool,
-    /// Reusable per-node send collection buffer.
-    outbox: Vec<(usize, P::Msg)>,
-    /// Events staged during the current tick, promoted to the heap only
-    /// if the tick commits (failed ticks stage nothing).
-    staging: Vec<Event<P::Msg>>,
-    /// Epoch-stamped port-use marks for multi-send detection (arena
-    /// style: sized to the max degree, never cleared).
-    port_marks: Vec<u64>,
-    mark: u64,
-    /// Non-halted, non-crashed node ids, ascending.
-    active: Vec<u32>,
+    /// Events staged during the current tick, queued only if the tick
+    /// commits (failed ticks queue nothing).
+    staging: Vec<Event<M>>,
     /// Scheduled crash tick per node ([`NEVER`] = none).
     crash_at: Vec<u64>,
     /// Adversary streams: message fate (drop/duplicate) and latency.
     fate: SplitMix,
     latency: SplitMix,
-    trace: Option<Vec<RoundTrace>>,
-    sink: TraceSlot,
 }
 
-impl<'g, P: Process> AsyncNetwork<'g, P> {
-    fn build(
-        graph: &'g Graph,
-        procs: Vec<P>,
-        rngs: Vec<StdRng>,
-        budget_bits: usize,
-        seed: u64,
-        config: ExecConfig,
-    ) -> Result<Self, CongestError> {
+impl<M: Payload> Events<M> {
+    fn new(n: usize, seed: u64, config: ExecConfig) -> Result<Self, CongestError> {
         config.validate()?;
-        let n = graph.n();
-        assert!(n <= u32::MAX as usize, "node ids must fit in u32");
         // Positional per-node crash draws: independent of iteration order
         // and of every other stream, so the schedule is a pure function of
         // (seed, node id, config).
         let crash_seed = splitmix64(seed ^ splitmix64(CRASH_STREAM));
-        let crash_at: Vec<u64> = (0..n)
+        let crash_at = (0..n)
             .map(|v| {
                 if config.faults.crash == 0.0 {
                     return NEVER;
@@ -312,36 +282,115 @@ impl<'g, P: Process> AsyncNetwork<'g, P> {
                 }
             })
             .collect();
-        let active = (0..n)
-            .filter(|&v| !procs[v].is_halted())
-            .map(|v| v as u32)
-            .collect();
-        let max_degree = (0..n).map(|v| graph.degree(v)).max().unwrap_or(0);
-        Ok(AsyncNetwork {
-            graph,
-            procs,
-            rngs,
+        Ok(Events {
             config,
-            now: 0,
-            metrics: Metrics::new(budget_bits),
             heap: BinaryHeap::new(),
             seq: 0,
-            inboxes: (0..n).map(|_| Vec::new()).collect(),
-            filled: Vec::new(),
-            inboxes_ready: false,
-            outbox: Vec::new(),
             staging: Vec::new(),
-            port_marks: vec![0; max_degree],
-            mark: 0,
-            active,
             crash_at,
             fate: SplitMix::new(splitmix64(seed ^ splitmix64(FATE_STREAM))),
             latency: SplitMix::new(splitmix64(seed ^ splitmix64(LATENCY_STREAM))),
-            trace: None,
-            sink: TraceSlot::attach(),
         })
     }
 
+    /// Decides the fate of a send made at tick `now` (already validated
+    /// and metered by the driver) and stages its deliveries. A dropped
+    /// message consumes exactly one fate draw and nothing else.
+    #[inline]
+    pub(crate) fn stage(
+        &mut self,
+        now: u64,
+        target: usize,
+        port: usize,
+        msg: M,
+        stats: &mut RoundStats,
+    ) {
+        let faults = self.config.faults;
+        if faults.drop > 0.0 && self.fate.chance(faults.drop) {
+            stats.dropped += 1;
+            return;
+        }
+        if faults.duplicate > 0.0 && self.fate.chance(faults.duplicate) {
+            stats.duplicated += 1;
+            self.schedule(now, target, port, msg.clone());
+        }
+        self.schedule(now, target, port, msg);
+    }
+
+    /// Draws one latency and stages the delivery under the next `seq`.
+    fn schedule(&mut self, now: u64, target: usize, port: usize, msg: M) {
+        let time = now + draw_latency(&mut self.latency, self.config.latency);
+        self.staging.push(Event {
+            time,
+            seq: self.seq,
+            target: target as u32,
+            port: port as u32,
+            msg,
+        });
+        self.seq += 1;
+    }
+}
+
+/// Draws one message latency; `Unit` consumes no randomness.
+fn draw_latency(latency: &mut SplitMix, dist: LatencyDist) -> u64 {
+    match dist {
+        LatencyDist::Unit => 1,
+        LatencyDist::Uniform { min, max } => min + latency.next_u64() % (max - min + 1),
+        LatencyDist::Geometric { p } => {
+            let mut l = 1;
+            while l < 64 && latency.next_unit() >= p {
+                l += 1;
+            }
+            l
+        }
+    }
+}
+
+impl<M: Payload> Policy<M> for Events<M> {
+    /// Crashes scheduled for this tick fire before anyone computes.
+    fn begin(&mut self, round: u64, active: &mut Vec<u32>) {
+        if self.config.faults.crash > 0.0 {
+            let crash_at = &self.crash_at;
+            active.retain(|&v| crash_at[v as usize] > round);
+        }
+    }
+
+    #[inline]
+    fn staging<'a>(&'a mut self, _arena: &'a mut StagingArena<M>) -> Staging<'a, M> {
+        Staging::Events(self)
+    }
+
+    fn abort(&mut self) {
+        self.staging.clear();
+    }
+
+    fn commit(&mut self, round: u64, arena: &mut StagingArena<M>) {
+        for ev in self.staging.drain(..) {
+            self.heap.push(Reverse(ev));
+        }
+        let next = round + 1;
+        while let Some(Reverse(ev)) = self.heap.peek() {
+            debug_assert!(ev.time >= next, "event from the past");
+            if ev.time > next {
+                break;
+            }
+            let Reverse(ev) = self.heap.pop().expect("peeked");
+            arena.push(ev.target as usize, ev.port as usize, ev.msg);
+        }
+    }
+
+    fn buffer_cap(&self, _arena_cap: usize) -> usize {
+        self.heap.capacity()
+    }
+}
+
+impl<M: Payload> Delivery<M> for Events<M> {}
+
+/// The event-driven asynchronous network: the [`Driver`] under [`Events`]
+/// delivery. `round()` reports the current virtual tick.
+pub type AsyncNetwork<'g, P> = Driver<'g, P, Events<<P as Process>::Msg>>;
+
+impl<'g, P: Process> AsyncNetwork<'g, P> {
     /// Wires explicit process instances to the graph's nodes with the
     /// default (unit latency, fault-free) configuration — the async twin
     /// of [`Network::new`](crate::network::Network::new), identical
@@ -364,9 +413,9 @@ impl<'g, P: Process> AsyncNetwork<'g, P> {
     ///
     /// # Errors
     ///
-    /// [`CongestError::ProcessCountMismatch`] on a process-count mismatch,
     /// [`CongestError::BadExecConfig`] when the configuration fails
-    /// validation.
+    /// validation, [`CongestError::ProcessCountMismatch`] on a
+    /// process-count mismatch.
     pub fn new_with(
         graph: &'g Graph,
         procs: Vec<P>,
@@ -374,14 +423,8 @@ impl<'g, P: Process> AsyncNetwork<'g, P> {
         budget_bits: usize,
         config: ExecConfig,
     ) -> Result<Self, CongestError> {
-        if procs.len() != graph.n() {
-            return Err(CongestError::ProcessCountMismatch {
-                nodes: graph.n(),
-                processes: procs.len(),
-            });
-        }
-        let rngs = node_rngs(graph.n(), seed);
-        Self::build(graph, procs, rngs, budget_bits, seed, config)
+        let events = Events::new(graph.n(), seed, config)?;
+        Self::wire(graph, procs, seed, budget_bits, events)
     }
 
     /// Builds one process per node with the factory `f` under the default
@@ -406,331 +449,28 @@ impl<'g, P: Process> AsyncNetwork<'g, P> {
         seed: u64,
         budget_bits: usize,
         config: ExecConfig,
-        mut f: F,
+        f: F,
     ) -> Result<Self, CongestError>
     where
         F: FnMut(usize, &mut StdRng) -> P,
     {
-        let n = graph.n();
-        let mut rngs = node_rngs(n, seed);
-        let procs = (0..n).map(|v| f(graph.degree(v), &mut rngs[v])).collect();
-        Self::build(graph, procs, rngs, budget_bits, seed, config)
+        let events = Events::new(graph.n(), seed, config)?;
+        Ok(Self::spawn(graph, seed, budget_bits, events, f))
     }
 
-    /// Starts recording per-round statistics from the next tick on.
-    pub fn enable_trace(&mut self) {
-        if self.trace.is_none() {
-            self.trace = Some(Vec::new());
-        }
-    }
-
-    /// The recorded per-tick trace (empty unless
-    /// [`AsyncNetwork::enable_trace`] was called).
-    pub fn trace(&self) -> &[RoundTrace] {
-        self.trace.as_deref().unwrap_or(&[])
-    }
-
-    /// Attaches a streaming per-tick observer (the async twin of
-    /// [`Network::set_trace_sink`](crate::network::Network::set_trace_sink)).
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sink.replace(sink, &self.metrics);
-    }
-
-    /// Draws one message latency; `Unit` consumes no randomness.
-    fn draw_latency(latency: &mut SplitMix, dist: LatencyDist) -> u64 {
-        match dist {
-            LatencyDist::Unit => 1,
-            LatencyDist::Uniform { min, max } => min + latency.next_u64() % (max - min + 1),
-            LatencyDist::Geometric { p } => {
-                let mut l = 1;
-                while l < 64 && latency.next_unit() >= p {
-                    l += 1;
-                }
-                l
-            }
-        }
-    }
-
-    /// Executes one virtual tick: deliver the events scheduled for `now`,
-    /// run every active node, decide each send's fate, and advance time.
-    ///
-    /// # Errors
-    ///
-    /// [`CongestError::InvalidPort`] on a protocol bug; the failed tick is
-    /// dropped wholesale — nothing staged or metered, virtual time frozen,
-    /// this tick's arrivals retained — exactly matching the synchronous
-    /// engines' failed-round semantics.
-    pub fn step(&mut self) -> Result<(), CongestError> {
-        debug_assert!(self.staging.is_empty());
-        // Deliver: pop this tick's events into the per-node buffers. A
-        // retry after a failed tick skips this — the buffers already hold
-        // tick `now`'s arrivals.
-        if !self.inboxes_ready {
-            for &v in &self.filled {
-                self.inboxes[v as usize].clear();
-            }
-            self.filled.clear();
-            while let Some(Reverse(ev)) = self.heap.peek() {
-                debug_assert!(ev.time >= self.now, "event from the past");
-                if ev.time > self.now {
-                    break;
-                }
-                let Reverse(ev) = self.heap.pop().expect("peeked");
-                let inbox = &mut self.inboxes[ev.target as usize];
-                if inbox.is_empty() {
-                    self.filled.push(ev.target);
-                }
-                inbox.push(Incoming {
-                    port: ev.port as usize,
-                    msg: ev.msg,
-                });
-            }
-            self.inboxes_ready = true;
-        }
-        // Crashes scheduled for this tick fire before anyone computes.
-        if self.config.faults.crash > 0.0 {
-            let crash_at = &self.crash_at;
-            let now = self.now;
-            self.active.retain(|&v| crash_at[v as usize] > now);
-        }
-
-        let mut stats = RoundStats::default();
-        let mut failure: Option<CongestError> = None;
-        let mut any_halted = false;
-        let drop_p = self.config.faults.drop;
-        let dup_p = self.config.faults.duplicate;
-
-        'nodes: for &v in &self.active {
-            let v = v as usize;
-            let degree = self.graph.degree(v);
-            let mut ctx = NodeCtx {
-                degree,
-                round: self.now,
-                rng: &mut self.rngs[v],
-            };
-            self.outbox.clear();
-            let mut out = OutCtx::collector(degree, &mut self.outbox);
-            self.procs[v].round(&mut ctx, &self.inboxes[v], &mut out);
-            if self.procs[v].is_halted() {
-                any_halted = true;
-            }
-            self.mark += 1;
-            for (port, msg) in self.outbox.drain(..) {
-                if port >= degree {
-                    failure = Some(CongestError::InvalidPort {
-                        node: v,
-                        port,
-                        degree,
-                    });
-                    break 'nodes;
-                }
-                if self.port_marks[port] == self.mark {
-                    self.metrics.record_multi_send();
-                } else {
-                    self.port_marks[port] = self.mark;
-                }
-                let bits = msg.bit_size();
-                stats.messages += 1;
-                stats.bits += bits as u64;
-                if bits > stats.max_bits {
-                    stats.max_bits = bits;
-                }
-                let budget = self.metrics.budget_bits;
-                if budget > 0 && bits > budget {
-                    stats.oversize += 1;
-                }
-                // Fate: decided wholly at send time. A dropped message
-                // consumes exactly one fate draw and nothing else.
-                if drop_p > 0.0 && self.fate.chance(drop_p) {
-                    stats.dropped += 1;
-                    continue;
-                }
-                let (target, arrival) = self.graph.port_and_reverse(v, port);
-                let duplicate = dup_p > 0.0 && self.fate.chance(dup_p);
-                if duplicate {
-                    stats.duplicated += 1;
-                    let l = Self::draw_latency(&mut self.latency, self.config.latency);
-                    self.staging.push(Event {
-                        time: self.now + l,
-                        seq: self.seq,
-                        target: target as u32,
-                        port: arrival as u32,
-                        msg: msg.clone(),
-                    });
-                    self.seq += 1;
-                }
-                let l = Self::draw_latency(&mut self.latency, self.config.latency);
-                self.staging.push(Event {
-                    time: self.now + l,
-                    seq: self.seq,
-                    target: target as u32,
-                    port: arrival as u32,
-                    msg,
-                });
-                self.seq += 1;
-            }
-        }
-
-        if let Some(e) = failure {
-            // Drop the partial tick: nothing staged, nothing metered,
-            // virtual time frozen, this tick's arrivals kept for the
-            // retry; multi-send violations recorded before the failure
-            // stick — matching the synchronous engines.
-            self.staging.clear();
-            self.outbox.clear();
-            let procs = &self.procs;
-            self.active.retain(|&v| !procs[v as usize].is_halted());
-            return Err(e);
-        }
-
-        if any_halted {
-            let procs = &self.procs;
-            self.active.retain(|&v| !procs[v as usize].is_halted());
-        }
-
-        for ev in self.staging.drain(..) {
-            self.heap.push(Reverse(ev));
-        }
-
-        self.metrics.record_round(&stats);
-        if let Some(trace) = self.trace.as_mut() {
-            trace.push(RoundTrace {
-                round: self.now,
-                messages: stats.messages,
-                bits: stats.bits,
-                max_bits: stats.max_bits,
-            });
-        }
-        self.sink.on_round(&RoundInfo {
-            round: self.now,
-            messages: stats.messages,
-            bits: stats.bits,
-            max_bits: stats.max_bits,
-            active: self.active.len(),
-            buffer_cap: self.heap.capacity(),
-        });
-        self.inboxes_ready = false;
-        self.now += 1;
-        Ok(())
-    }
-
-    /// Runs until every process halts (or crashes), up to `max_rounds`
-    /// ticks.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`AsyncNetwork::step`] errors.
-    pub fn run_to_halt(&mut self, max_rounds: u64) -> Result<RunStatus, CongestError> {
-        self.run_until(max_rounds, |_| false)
-    }
-
-    /// Runs exactly `rounds` ticks (or stops early if all halt).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`AsyncNetwork::step`] errors.
-    pub fn run_for(&mut self, rounds: u64) -> Result<RunStatus, CongestError> {
-        let target = self.now + rounds;
-        while self.now < target {
-            if self.all_halted() {
-                return Ok(RunStatus::AllHalted);
-            }
-            self.step()?;
-        }
-        Ok(RunStatus::RoundLimit)
-    }
-
-    /// Runs until all processes halt, `pred` becomes true (checked after
-    /// every tick), or `max_rounds` ticks elapse.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`AsyncNetwork::step`] errors.
-    pub fn run_until<F>(&mut self, max_rounds: u64, mut pred: F) -> Result<RunStatus, CongestError>
-    where
-        F: FnMut(&Self) -> bool,
-    {
-        let start = self.now;
-        loop {
-            if self.all_halted() {
-                return Ok(RunStatus::AllHalted);
-            }
-            if self.now - start >= max_rounds {
-                return Ok(RunStatus::RoundLimit);
-            }
-            self.step()?;
-            if pred(self) {
-                return Ok(RunStatus::PredicateMet);
-            }
-        }
-    }
-
-    /// True when no process can act again — every node halted or crashed.
-    /// O(1), like the arena engine's active set.
-    pub fn all_halted(&self) -> bool {
-        self.active.is_empty()
-    }
-
-    /// Number of nodes still executing (neither halted nor crashed).
-    pub fn active_count(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Current virtual tick (ticks executed so far) — the async engine's
-    /// round counter.
-    pub fn round(&self) -> u64 {
-        self.now
-    }
-
-    /// Messages currently in flight (scheduled but not yet delivered).
+    /// Messages scheduled but not yet consumed by a committed tick: the
+    /// queue plus the arrivals waiting in the inbox arena (for the next
+    /// tick, or for the retry of a failed one).
     pub fn in_flight(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Outputs of all processes, indexed by host-side node id.
-    pub fn outputs(&self) -> Vec<P::Output> {
-        self.procs.iter().map(Process::output).collect()
-    }
-
-    /// Borrows the accumulated metrics.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// A point-in-time copy of the metrics (see [`Metrics::snapshot`]).
-    pub fn metrics_snapshot(&self) -> Metrics {
-        self.metrics.snapshot()
-    }
-
-    /// Borrows a single process for inspection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn process(&self, v: NodeId) -> &P {
-        &self.procs[v]
-    }
-
-    /// Borrows all processes.
-    pub fn processes(&self) -> &[P] {
-        &self.procs
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &Graph {
-        self.graph
-    }
-}
-
-impl<P: Process> Drop for AsyncNetwork<'_, P> {
-    fn drop(&mut self) {
-        self.sink.finish(&self.metrics);
+        self.policy.heap.len() + self.in_arena.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::RunStatus;
+    use crate::process::{Incoming, NodeCtx, OutCtx};
     use ale_graph::generators;
 
     /// Broadcasts a counter for `left` ticks, summing everything heard.

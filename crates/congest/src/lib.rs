@@ -4,26 +4,29 @@
 //! (ICDCS 2021): a connected undirected network of **anonymous** nodes
 //! with port-numbered links, globally synchronous rounds, reliable
 //! communication, and an `O(log n)`-bit per-link-per-round CONGEST
-//! budget — plus an event-driven asynchronous engine that relaxes the
+//! budget — plus an event-queue delivery policy that relaxes the
 //! synchrony and reliability assumptions behind the same [`Process`]
 //! trait, for measuring degradation off the model.
 //!
 //! * [`Process`] — one node's protocol state machine; sees only its degree,
 //!   the round number, port-tagged messages, and private randomness.
 //! * [`OutCtx`] — the send handle: every send is validated, metered, and
-//!   staged into the network's flat delivery arena at the moment it
-//!   happens (see the [`process`] module docs for the `Outbox` → `OutCtx`
-//!   migration).
-//! * [`Network`] — wires processes to a graph and drives rounds on the
-//!   zero-allocation arena engine (see the [`network`] module docs for the
+//!   handed to the delivery policy at the moment it happens, on one path
+//!   for every policy (see the [`process`] module docs for the `Outbox` →
+//!   `OutCtx` migration).
+//! * [`Driver`] — the one engine driver: wires processes to a graph and
+//!   drives rounds on a zero-allocation inbox arena, generic over a sealed
+//!   [`Delivery`] policy (see the [`network`] module docs for the
 //!   compute → send → commit → deliver pipeline and the engine
-//!   invariants).
+//!   invariants). It has two names:
+//!   * [`Network`] — the driver under [`network::Lockstep`] delivery,
+//!     exactly the synchronous model;
+//!   * [`AsyncNetwork`] — the driver under [`async_net::Events`] delivery:
+//!     per-message link latencies and a crash/drop/duplicate adversary
+//!     ([`ExecConfig`]), byte-identical to [`Network`] at unit latency with
+//!     zero faults.
 //! * [`reference::ReferenceNetwork`] — the slow pre-arena engine, kept as
 //!   the equivalence oracle and benchmark baseline.
-//! * [`async_net::AsyncNetwork`] — the event-driven asynchronous engine:
-//!   per-message link latencies and a crash/drop/duplicate adversary
-//!   ([`ExecConfig`]), byte-identical to [`Network`] at unit latency with
-//!   zero faults.
 //! * [`Metrics`] — rounds, CONGEST-charged rounds, messages, and bits; the
 //!   units Theorems 1 and 3 of the paper bound. Bit-level metering is what
 //!   lets runs be compared against bit-round bounds from the literature.
@@ -74,7 +77,7 @@ pub use async_net::{AsyncNetwork, ExecConfig, FaultSpec, LatencyDist};
 pub use error::CongestError;
 pub use message::{congest_budget, Payload};
 pub use metrics::{Metrics, RoundInfo, RoundTrace};
-pub use network::{Network, RunStatus};
+pub use network::{Delivery, Driver, Network, RunStatus};
 pub use process::{Incoming, NodeCtx, OutCtx, Process};
 pub use reference::ReferenceNetwork;
 pub use testkit::{AnyNetwork, EngineKind};

@@ -1,6 +1,6 @@
 //! Round, message, and bit accounting.
 //!
-//! Two clocks are kept (see DESIGN.md, "Substitutions"):
+//! Two clocks are kept:
 //!
 //! * `rounds` — simulator steps, one per synchronous protocol round;
 //! * `congest_rounds` — CONGEST-model rounds *charged*, which exceed

@@ -1,15 +1,27 @@
-//! The synchronous network engine (flat-arena fast path).
+//! The engine driver and its lockstep delivery policy.
 //!
-//! [`Network`] couples an [`ale_graph::Graph`] with one [`Process`]
-//! per node and drives them in globally synchronous rounds, exactly the
-//! model of Section 2 of the paper: per round every node may send one
-//! message through each port; all messages are delivered before the next
-//! round; links and nodes do not fail.
+//! [`Driver`] couples an [`ale_graph::Graph`] with one [`Process`] per
+//! node and drives them round by round. It is generic over a sealed
+//! [`Delivery`] policy that decides when a sent message reaches its
+//! target's inbox:
+//!
+//! * [`Lockstep`] — exactly the model of Section 2 of the paper: per round
+//!   every node may send one message through each port; all messages are
+//!   delivered before the next round; links and nodes do not fail.
+//!   [`Network`] is the driver under this policy.
+//! * [`Events`](crate::async_net::Events) — a `(time, seq)` event queue
+//!   with per-message link latencies and a crash/drop/duplicate adversary;
+//!   [`AsyncNetwork`](crate::async_net::AsyncNetwork) is the driver under
+//!   this policy (see the [`async_net`](crate::async_net) module docs).
+//!
+//! Everything else — node RNGs, the active set, the send path and its
+//! metering, the inbox arena, traces and the `run_*` family — exists once,
+//! here, for both policies.
 //!
 //! # Engine design: zero allocation per round
 //!
 //! A round has four stages — compute, send, commit, deliver — all running
-//! on buffers owned by the network whose capacity persists across rounds:
+//! on buffers owned by the driver whose capacity persists across rounds:
 //!
 //! 1. **compute** — every *active* (non-halted) process runs
 //!    [`Process::round`] against its slice of the flat inbox arena
@@ -17,15 +29,18 @@
 //! 2. **send** — each [`OutCtx::send`] validates the port, stamps the
 //!    port-use mark (multi-send detection without a per-node `Vec<bool>`),
 //!    accumulates [`bit_size`](crate::message::Payload::bit_size) into a
-//!    stack-local per-round counter batch, and appends the message plus
-//!    its target to the staging arena through one fused
-//!    target/reverse-port lookup — counters are gathered at send time and
-//!    folded into the metrics *once per round* at commit, so commit never
-//!    rescans messages and the hot path never touches the `Metrics`
-//!    struct;
-//! 3. **commit** — a stable counting sort by target (bucket offsets from
-//!    the per-target counts accumulated during sends, then a destination
-//!    index per staged message) lays out where every message belongs;
+//!    stack-local per-round counter batch, and hands the message plus its
+//!    target (one fused target/reverse-port lookup) to the policy —
+//!    counters are gathered at send time and folded into the metrics
+//!    *once per round* at commit, so commit never rescans messages and the
+//!    hot path never touches the `Metrics` struct. [`Lockstep`] appends
+//!    the message to the staging arena; the event policy decides its fate
+//!    and latency and queues it;
+//! 3. **commit** — the policy moves every message due next round into the
+//!    staging arena (under [`Lockstep`] they are already there), then a
+//!    stable counting sort by target (bucket offsets from the per-target
+//!    counts accumulated while staging, then a destination index per
+//!    staged message) lays out where every message belongs;
 //! 4. **deliver** — the staging buffer is gathered through those indices
 //!    into the recycled inbox arena (one `Msg::clone` per delivery — a
 //!    memcpy for the `Copy`-like payloads protocols use; a payload owning
@@ -35,14 +50,14 @@
 //!    `O(active + messages)`, not `O(n)`.
 //!
 //! Halted processes leave the **active set** permanently (see the
-//! [`Process::is_halted`] invariant), making [`Network::all_halted`] O(1)
+//! [`Process::is_halted`] invariant), making [`Driver::all_halted`] O(1)
 //! and letting mostly-halted networks step in time proportional to the
 //! survivors, not the graph.
 //!
 //! # Engine invariants
 //!
-//! * **Observational equivalence.** No process can distinguish this engine
-//!   from the naive per-node-`Vec` reference implementation
+//! * **Observational equivalence.** No process can distinguish
+//!   [`Network`] from the naive per-node-`Vec` reference implementation
 //!   ([`reference::ReferenceNetwork`](crate::reference::ReferenceNetwork)):
 //!   outputs, metrics, and per-round traces are identical for identical
 //!   seeds. `crates/congest/tests/equivalence.rs` pins this.
@@ -57,12 +72,14 @@
 //! * **Halting is permanent** (see [`Process::is_halted`]).
 
 use crate::error::CongestError;
+use crate::message::Payload;
 use crate::metrics::{Metrics, RoundInfo, RoundTrace};
 use crate::process::{EngineSink, Incoming, NodeCtx, OutCtx, Process, RoundStats, Sink};
 use crate::trace::{TraceSink, TraceSlot};
 use ale_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sealed::{Policy, Staging, StagingArena};
 
 /// Why a multi-round run returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,7 +92,161 @@ pub enum RunStatus {
     RoundLimit,
 }
 
-/// A synchronous anonymous network: a graph plus one process per node.
+/// When a metered send reaches its target's inbox — the one thing the two
+/// engines differ in.
+///
+/// Sealed: implemented by [`Lockstep`] and
+/// [`Events`](crate::async_net::Events) only, so every engine keeps the
+/// driver's single send and metering path.
+pub trait Delivery<M: Payload>: Policy<M> {}
+
+/// The synchronous delivery policy: every message sent in round `r` is in
+/// its target's inbox in round `r + 1`, in sending-node order.
+#[derive(Debug)]
+pub struct Lockstep;
+
+impl<M: Payload> Policy<M> for Lockstep {
+    #[inline]
+    fn staging<'a>(&'a mut self, arena: &'a mut StagingArena<M>) -> Staging<'a, M> {
+        Staging::Lockstep(arena)
+    }
+}
+
+impl<M: Payload> Delivery<M> for Lockstep {}
+
+/// The crate-internal half of [`Delivery`]. Its items are nominally `pub`
+/// only so the public trait may name them; the module itself is not
+/// exported, which is what seals the trait.
+pub(crate) mod sealed {
+    use crate::async_net::Events;
+    use crate::message::Payload;
+    use crate::process::Incoming;
+
+    /// The per-round hooks the driver calls on its delivery policy.
+    pub trait Policy<M: Payload> {
+        /// Start of `round`, before any node computes: removes the nodes
+        /// that stop executing now from `active`.
+        fn begin(&mut self, round: u64, active: &mut Vec<u32>) {
+            let _ = (round, active);
+        }
+
+        /// Where this round's metered sends go.
+        fn staging<'a>(&'a mut self, arena: &'a mut StagingArena<M>) -> Staging<'a, M>;
+
+        /// The round failed: forgets everything it staged.
+        fn abort(&mut self) {}
+
+        /// The round committed: moves every message due in `round + 1`
+        /// into `arena`, in delivery order.
+        fn commit(&mut self, round: u64, arena: &mut StagingArena<M>) {
+            let _ = (round, arena);
+        }
+
+        /// The delivery-buffer capacity reported to trace sinks, given the
+        /// inbox arena's.
+        fn buffer_cap(&self, arena_cap: usize) -> usize {
+            arena_cap
+        }
+    }
+
+    /// Where [`OutCtx::send`](crate::process::OutCtx::send) hands a
+    /// metered message: one variant per policy, matched once per send.
+    pub enum Staging<'a, M> {
+        /// Straight into next round's staging arena.
+        Lockstep(&'a mut StagingArena<M>),
+        /// Through the adversary into the event queue.
+        Events(&'a mut Events<M>),
+    }
+
+    /// Next round's messages in arrival order, with the per-target counts
+    /// the commit-time counting sort needs.
+    #[derive(Debug)]
+    pub struct StagingArena<M> {
+        /// Messages in arrival order; gathered into the inbox arena at
+        /// commit.
+        pub(crate) msgs: Vec<Incoming<M>>,
+        /// Target node per staged message (parallel to `msgs`).
+        pub(crate) targets: Vec<u32>,
+        /// Per-target staged-message counts (non-zero only for `touched`
+        /// targets mid-round; always restored to zero by commit/abort).
+        pub(crate) counts: Vec<u32>,
+        /// Targets with staged messages this round.
+        pub(crate) touched: Vec<u32>,
+    }
+
+    impl<M> StagingArena<M> {
+        pub(crate) fn new(n: usize) -> Self {
+            StagingArena {
+                msgs: Vec::new(),
+                targets: Vec::new(),
+                counts: vec![0; n],
+                touched: Vec::new(),
+            }
+        }
+
+        /// Stages `msg` for `target`, arriving through its port `port`.
+        #[inline]
+        pub(crate) fn push(&mut self, target: usize, port: usize, msg: M) {
+            if self.counts[target] == 0 {
+                self.touched.push(target as u32);
+            }
+            self.counts[target] += 1;
+            self.targets.push(target as u32);
+            self.msgs.push(Incoming { port, msg });
+        }
+
+        /// Drops everything staged.
+        pub(crate) fn clear(&mut self) {
+            self.msgs.clear();
+            self.targets.clear();
+            for &t in &self.touched {
+                self.counts[t as usize] = 0;
+            }
+            self.touched.clear();
+        }
+    }
+}
+
+/// An anonymous network: a graph plus one process per node, driven under
+/// the delivery policy `D`. Use it through its two names, [`Network`]
+/// (lockstep rounds) and [`AsyncNetwork`](crate::async_net::AsyncNetwork)
+/// (event queue with an adversary); every method below is shared.
+#[derive(Debug)]
+pub struct Driver<'g, P: Process, D> {
+    graph: &'g Graph,
+    procs: Vec<P>,
+    rngs: Vec<StdRng>,
+    round: u64,
+    metrics: Metrics,
+    trace: Option<Vec<RoundTrace>>,
+    /// This round's inboxes: one flat buffer, grouped by receiver.
+    pub(crate) in_arena: Vec<Incoming<P::Msg>>,
+    /// Per-node inbox range into `in_arena` (CSR-style row pointers; both
+    /// zero for nodes that received nothing).
+    in_start: Vec<u32>,
+    in_end: Vec<u32>,
+    /// Next round's messages; becomes `in_arena` at commit.
+    staged: StagingArena<P::Msg>,
+    /// Commit scratch: destination index of each staged message.
+    dest: Vec<u32>,
+    /// Targets with inboxes this round (their ranges reset at commit).
+    prev_touched: Vec<u32>,
+    /// Port-use marks for multi-send detection, indexed by port and epoch-
+    /// stamped per node visit — never cleared, `max_degree` entries total.
+    port_marks: Vec<u64>,
+    mark: u64,
+    /// Executing node ids, ascending. Nodes leave when they halt (or the
+    /// policy stops them) and never return (see the `Process::is_halted`
+    /// invariant).
+    active: Vec<u32>,
+    /// When staged messages reach the inbox arena.
+    pub(crate) policy: D,
+    /// Streaming per-round observer (see [`crate::trace`]); empty unless
+    /// a sink was set explicitly or a thread-local factory was installed.
+    sink: TraceSlot,
+}
+
+/// The synchronous network: the [`Driver`] under [`Lockstep`] delivery.
 ///
 /// # Examples
 ///
@@ -108,43 +279,7 @@ pub enum RunStatus {
 /// assert!(net.outputs().iter().all(|&h| h == 4));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug)]
-pub struct Network<'g, P: Process> {
-    graph: &'g Graph,
-    procs: Vec<P>,
-    rngs: Vec<StdRng>,
-    round: u64,
-    metrics: Metrics,
-    trace: Option<Vec<RoundTrace>>,
-    /// This round's inboxes: one flat buffer, grouped by receiver.
-    in_arena: Vec<Incoming<P::Msg>>,
-    /// Per-node inbox range into `in_arena` (CSR-style row pointers; both
-    /// zero for nodes that received nothing).
-    in_start: Vec<u32>,
-    in_end: Vec<u32>,
-    /// Next round's messages in send order; becomes `in_arena` at commit.
-    staged_msgs: Vec<Incoming<P::Msg>>,
-    /// Target node per staged message (parallel to `staged_msgs`).
-    staged_targets: Vec<u32>,
-    /// Commit scratch: destination index of each staged message.
-    dest: Vec<u32>,
-    /// Per-target staged-message counts (non-zero only for `touched`
-    /// targets mid-round; always restored to zero by commit/abort).
-    counts: Vec<u32>,
-    /// Targets with staged messages this round / last round.
-    touched: Vec<u32>,
-    prev_touched: Vec<u32>,
-    /// Port-use marks for multi-send detection, indexed by port and epoch-
-    /// stamped per node visit — never cleared, `max_degree` entries total.
-    port_marks: Vec<u64>,
-    mark: u64,
-    /// Non-halted node ids, ascending. Nodes leave when they halt and
-    /// never return (see the `Process::is_halted` invariant).
-    active: Vec<u32>,
-    /// Streaming per-round observer (see [`crate::trace`]); empty unless
-    /// a sink was set explicitly or a thread-local factory was installed.
-    sink: TraceSlot,
-}
+pub type Network<'g, P> = Driver<'g, P, Lockstep>;
 
 /// SplitMix64 step, used to derive independent per-node seeds from the
 /// experiment seed without exposing node ids to protocols (and, in the
@@ -165,36 +300,6 @@ pub(crate) fn node_rngs(n: usize, seed: u64) -> Vec<StdRng> {
 }
 
 impl<'g, P: Process> Network<'g, P> {
-    fn build(graph: &'g Graph, procs: Vec<P>, rngs: Vec<StdRng>, budget_bits: usize) -> Self {
-        let n = graph.n();
-        assert!(n <= u32::MAX as usize, "node ids must fit in u32");
-        let active = (0..n)
-            .filter(|&v| !procs[v].is_halted())
-            .map(|v| v as u32)
-            .collect();
-        Network {
-            graph,
-            procs,
-            rngs,
-            round: 0,
-            metrics: Metrics::new(budget_bits),
-            trace: None,
-            in_arena: Vec::new(),
-            in_start: vec![0; n],
-            in_end: vec![0; n],
-            staged_msgs: Vec::new(),
-            staged_targets: Vec::new(),
-            dest: Vec::new(),
-            counts: vec![0; n],
-            touched: Vec::new(),
-            prev_touched: Vec::new(),
-            port_marks: vec![0; graph.max_degree()],
-            mark: 0,
-            active,
-            sink: TraceSlot::attach(),
-        }
-    }
-
     /// Wires explicit process instances to the graph's nodes.
     ///
     /// `budget_bits` is the CONGEST per-link-per-round budget used for
@@ -209,6 +314,63 @@ impl<'g, P: Process> Network<'g, P> {
         seed: u64,
         budget_bits: usize,
     ) -> Result<Self, CongestError> {
+        Self::wire(graph, procs, seed, budget_bits, Lockstep)
+    }
+
+    /// Builds one process per node with the factory `f`, which receives the
+    /// node's degree and its (already seeded) RNG — the same information the
+    /// process itself will be allowed to see.
+    pub fn from_fn<F>(graph: &'g Graph, seed: u64, budget_bits: usize, f: F) -> Self
+    where
+        F: FnMut(usize, &mut StdRng) -> P,
+    {
+        Self::spawn(graph, seed, budget_bits, Lockstep, f)
+    }
+}
+
+impl<'g, P: Process, D: Delivery<P::Msg>> Driver<'g, P, D> {
+    fn build(
+        graph: &'g Graph,
+        procs: Vec<P>,
+        rngs: Vec<StdRng>,
+        budget_bits: usize,
+        policy: D,
+    ) -> Self {
+        let n = graph.n();
+        assert!(n <= u32::MAX as usize, "node ids must fit in u32");
+        let active = (0..n)
+            .filter(|&v| !procs[v].is_halted())
+            .map(|v| v as u32)
+            .collect();
+        Driver {
+            graph,
+            procs,
+            rngs,
+            round: 0,
+            metrics: Metrics::new(budget_bits),
+            trace: None,
+            in_arena: Vec::new(),
+            in_start: vec![0; n],
+            in_end: vec![0; n],
+            staged: StagingArena::new(n),
+            dest: Vec::new(),
+            prev_touched: Vec::new(),
+            port_marks: vec![0; graph.max_degree()],
+            mark: 0,
+            active,
+            policy,
+            sink: TraceSlot::attach(),
+        }
+    }
+
+    /// Both policies' `new`: explicit processes, seeded node RNGs.
+    pub(crate) fn wire(
+        graph: &'g Graph,
+        procs: Vec<P>,
+        seed: u64,
+        budget_bits: usize,
+        policy: D,
+    ) -> Result<Self, CongestError> {
         if procs.len() != graph.n() {
             return Err(CongestError::ProcessCountMismatch {
                 nodes: graph.n(),
@@ -216,24 +378,28 @@ impl<'g, P: Process> Network<'g, P> {
             });
         }
         let rngs = node_rngs(graph.n(), seed);
-        Ok(Self::build(graph, procs, rngs, budget_bits))
+        Ok(Self::build(graph, procs, rngs, budget_bits, policy))
     }
 
-    /// Builds one process per node with the factory `f`, which receives the
-    /// node's degree and its (already seeded) RNG — the same information the
-    /// process itself will be allowed to see.
-    pub fn from_fn<F>(graph: &'g Graph, seed: u64, budget_bits: usize, mut f: F) -> Self
+    /// Both policies' `from_fn`: one process per node from `f`.
+    pub(crate) fn spawn<F>(
+        graph: &'g Graph,
+        seed: u64,
+        budget_bits: usize,
+        policy: D,
+        mut f: F,
+    ) -> Self
     where
         F: FnMut(usize, &mut StdRng) -> P,
     {
         let n = graph.n();
         let mut rngs = node_rngs(n, seed);
         let procs = (0..n).map(|v| f(graph.degree(v), &mut rngs[v])).collect();
-        Self::build(graph, procs, rngs, budget_bits)
+        Self::build(graph, procs, rngs, budget_bits, policy)
     }
 
     /// Starts recording per-round statistics (message/bit profiles) from
-    /// the next [`Network::step`] on. Cheap: one record per round.
+    /// the next [`Driver::step`] on. Cheap: one record per round.
     pub fn enable_trace(&mut self) {
         if self.trace.is_none() {
             self.trace = Some(Vec::new());
@@ -241,7 +407,7 @@ impl<'g, P: Process> Network<'g, P> {
     }
 
     /// The recorded per-round trace (empty unless
-    /// [`Network::enable_trace`] was called).
+    /// [`Driver::enable_trace`] was called).
     pub fn trace(&self) -> &[RoundTrace] {
         self.trace.as_deref().unwrap_or(&[])
     }
@@ -255,26 +421,28 @@ impl<'g, P: Process> Network<'g, P> {
         self.sink.replace(sink, &self.metrics);
     }
 
-    /// Executes one synchronous round (see the
-    /// [module docs](crate::network) for the compute → send → commit →
-    /// deliver pipeline).
+    /// Executes one round (see the [module docs](crate::network) for the
+    /// compute → send → commit → deliver pipeline). Under the event policy
+    /// a round is one virtual tick.
     ///
     /// # Errors
     ///
     /// [`CongestError::InvalidPort`] if a process addresses a port it does
     /// not have (a protocol bug surfaced as an error, never UB). The
-    /// failed round is dropped wholesale: nothing is delivered or metered
-    /// and the round counter does not advance.
+    /// failed round is dropped wholesale: nothing is delivered or metered,
+    /// the round counter does not advance, and the round's inboxes are
+    /// kept, so stepping again retries it.
     pub fn step(&mut self) -> Result<(), CongestError> {
-        debug_assert!(self.staged_msgs.is_empty() && self.touched.is_empty());
+        debug_assert!(self.staged.msgs.is_empty() && self.staged.touched.is_empty());
+        self.policy.begin(self.round, &mut self.active);
         let mut stats = RoundStats::default();
         let mut failure: Option<CongestError> = None;
         let mut any_halted = false;
 
         // Compute + send: drive every active process; sends stream into
-        // the staging arena through the node's `OutCtx`.
+        // the policy's staging through the node's `OutCtx`.
         {
-            let Network {
+            let Driver {
                 graph,
                 procs,
                 rngs,
@@ -283,13 +451,11 @@ impl<'g, P: Process> Network<'g, P> {
                 in_arena,
                 in_start,
                 in_end,
-                staged_msgs,
-                staged_targets,
-                counts,
-                touched,
+                staged,
                 port_marks,
                 mark,
                 active,
+                policy,
                 ..
             } = self;
             for &v in active.iter() {
@@ -306,16 +472,14 @@ impl<'g, P: Process> Network<'g, P> {
                     degree,
                     sink: Sink::Engine(EngineSink {
                         node: v,
+                        round: *round,
                         graph,
-                        staged_targets,
-                        staged_msgs,
-                        counts,
-                        touched,
                         marks: &mut port_marks[..degree],
                         mark: *mark,
                         metrics,
                         stats: &mut stats,
                         failure: &mut failure,
+                        staging: policy.staging(staged),
                     }),
                 };
                 procs[v].round(&mut ctx, inbox, &mut out);
@@ -334,14 +498,10 @@ impl<'g, P: Process> Network<'g, P> {
             // staging empty, round not advanced. The round's send counters
             // live only in the dropped `stats` batch, so nothing was
             // metered; multi-send violations recorded before the failure
-            // stick (they go straight to the metrics), matching the outbox
-            // engine's behavior.
-            self.staged_msgs.clear();
-            self.staged_targets.clear();
-            for &t in &self.touched {
-                self.counts[t as usize] = 0;
-            }
-            self.touched.clear();
+            // stick (they go straight to the metrics), and so do the
+            // adversary draws the round consumed.
+            self.staged.clear();
+            self.policy.abort();
             // Nodes that ran before the failure may have halted.
             let procs = &self.procs;
             self.active.retain(|&v| !procs[v as usize].is_halted());
@@ -353,45 +513,48 @@ impl<'g, P: Process> Network<'g, P> {
             self.active.retain(|&v| !procs[v as usize].is_halted());
         }
 
-        // Commit: group the staging arena by target with a stable counting
-        // sort. First retire last round's inbox ranges (their arena is
-        // about to be recycled), then lay out this round's buckets.
+        // Commit: the policy releases next round's messages into the
+        // staging arena; group them by target with a stable counting sort.
+        // First retire this round's inbox ranges (their arena is about to
+        // be recycled), then lay out next round's buckets.
+        self.policy.commit(self.round, &mut self.staged);
         for &t in &self.prev_touched {
             self.in_start[t as usize] = 0;
             self.in_end[t as usize] = 0;
         }
         self.prev_touched.clear();
 
-        let staged = self.staged_msgs.len();
+        let staged = self.staged.msgs.len();
+        let counts = &mut self.staged.counts;
         let mut acc = 0u32;
-        for &t in &self.touched {
+        for &t in &self.staged.touched {
             let t = t as usize;
-            let c = self.counts[t];
+            let c = counts[t];
             self.in_start[t] = acc;
             self.in_end[t] = acc + c;
-            self.counts[t] = acc; // reuse as the bucket write cursor
+            counts[t] = acc; // reuse as the bucket write cursor
             acc += c;
         }
-        // Stable scatter order: `order[j]` is the staging index of the
+        // Stable scatter order: `dest[j]` is the staging index of the
         // message that belongs at arena position `j`.
         self.dest.clear();
         self.dest.resize(staged, 0);
-        for (i, &t) in self.staged_targets.iter().enumerate() {
+        for (i, &t) in self.staged.targets.iter().enumerate() {
             let t = t as usize;
-            self.dest[self.counts[t] as usize] = i as u32;
-            self.counts[t] += 1;
+            self.dest[counts[t] as usize] = i as u32;
+            counts[t] += 1;
         }
-        for &t in &self.touched {
-            self.counts[t as usize] = 0;
+        for &t in &self.staged.touched {
+            counts[t as usize] = 0;
         }
-        std::mem::swap(&mut self.prev_touched, &mut self.touched);
-        self.staged_targets.clear();
+        std::mem::swap(&mut self.prev_touched, &mut self.staged.touched);
+        self.staged.targets.clear();
 
         // Deliver: gather the staging buffer into the (recycled) inbox
         // arena in delivery order. `Payload: Clone` makes this a move-free
         // gather; for the `Copy`-like payloads protocols use it compiles
         // to a permuted memcpy.
-        let staged_msgs = &self.staged_msgs;
+        let staged_msgs = &self.staged.msgs;
         self.in_arena.clear();
         self.in_arena.extend(self.dest.iter().map(|&i| {
             let m = &staged_msgs[i as usize];
@@ -400,7 +563,7 @@ impl<'g, P: Process> Network<'g, P> {
                 msg: m.msg.clone(),
             }
         }));
-        self.staged_msgs.clear();
+        self.staged.msgs.clear();
 
         // Capacity bound: when traffic collapses well below a buffer's
         // high-water mark (nodes halting, protocol going quiet), release
@@ -411,8 +574,8 @@ impl<'g, P: Process> Network<'g, P> {
         let watermark = staged.max(64) * 8;
         if self.in_arena.capacity() > watermark {
             self.in_arena.shrink_to(staged.max(64) * 2);
-            self.staged_msgs.shrink_to(staged.max(64) * 2);
-            self.staged_targets.shrink_to(staged.max(64) * 2);
+            self.staged.msgs.shrink_to(staged.max(64) * 2);
+            self.staged.targets.shrink_to(staged.max(64) * 2);
             self.dest.shrink_to(staged.max(64) * 2);
         }
 
@@ -431,7 +594,7 @@ impl<'g, P: Process> Network<'g, P> {
             bits: stats.bits,
             max_bits: stats.max_bits,
             active: self.active.len(),
-            buffer_cap: self.in_arena.capacity(),
+            buffer_cap: self.policy.buffer_cap(self.in_arena.capacity()),
         });
         self.round += 1;
         Ok(())
@@ -441,7 +604,7 @@ impl<'g, P: Process> Network<'g, P> {
     ///
     /// # Errors
     ///
-    /// Propagates [`Network::step`] errors.
+    /// Propagates [`Driver::step`] errors.
     pub fn run_to_halt(&mut self, max_rounds: u64) -> Result<RunStatus, CongestError> {
         self.run_until(max_rounds, |_| false)
     }
@@ -450,7 +613,7 @@ impl<'g, P: Process> Network<'g, P> {
     ///
     /// # Errors
     ///
-    /// Propagates [`Network::step`] errors.
+    /// Propagates [`Driver::step`] errors.
     pub fn run_for(&mut self, rounds: u64) -> Result<RunStatus, CongestError> {
         let target = self.round + rounds;
         while self.round < target {
@@ -467,7 +630,7 @@ impl<'g, P: Process> Network<'g, P> {
     ///
     /// # Errors
     ///
-    /// Propagates [`Network::step`] errors.
+    /// Propagates [`Driver::step`] errors.
     pub fn run_until<F>(&mut self, max_rounds: u64, mut pred: F) -> Result<RunStatus, CongestError>
     where
         F: FnMut(&Self) -> bool,
@@ -487,18 +650,20 @@ impl<'g, P: Process> Network<'g, P> {
         }
     }
 
-    /// True when every process reports halted — O(1): the engine keeps a
-    /// halted count instead of polling all `n` processes per round.
+    /// True when no process can act again (every node halted, or crashed
+    /// under the event policy) — O(1): the driver keeps an active set
+    /// instead of polling all `n` processes per round.
     pub fn all_halted(&self) -> bool {
         self.active.is_empty()
     }
 
-    /// Number of processes that have not halted yet.
+    /// Number of processes still executing.
     pub fn active_count(&self) -> usize {
         self.active.len()
     }
 
-    /// Current round number (rounds executed so far).
+    /// Current round number (rounds executed so far; the virtual tick
+    /// under the event policy).
     pub fn round(&self) -> u64 {
         self.round
     }
@@ -538,7 +703,7 @@ impl<'g, P: Process> Network<'g, P> {
     }
 }
 
-impl<P: Process> Drop for Network<'_, P> {
+impl<P: Process, D> Drop for Driver<'_, P, D> {
     fn drop(&mut self) {
         self.sink.finish(&self.metrics);
     }

@@ -18,10 +18,11 @@
 //! `Outbox<Msg> = Vec<(port, msg)>` that the network validated and staged
 //! afterwards — one heap allocation per node per round plus a full rescan
 //! at commit time. The current API inverts the flow: the network hands the
-//! process a send handle, [`OutCtx`], and every [`OutCtx::send`] writes
-//! straight into the network-owned, capacity-retained staging arena,
-//! accumulating bit counters and detecting multi-sends at the moment of
-//! the send (commit folds the counters into the metrics once per round).
+//! process a send handle, [`OutCtx`], and every [`OutCtx::send`] hands its
+//! message straight to the network's delivery policy (the capacity-retained
+//! staging arena, or the event queue), accumulating bit counters and
+//! detecting multi-sends at the moment of the send (commit folds the
+//! counters into the metrics once per round).
 //!
 //! Migrating an implementation is mechanical. Before:
 //!
@@ -65,6 +66,7 @@
 use crate::error::CongestError;
 use crate::message::Payload;
 use crate::metrics::Metrics;
+use crate::network::sealed::Staging;
 use ale_graph::Graph;
 use rand::rngs::StdRng;
 
@@ -102,29 +104,22 @@ pub(crate) struct RoundStats {
     /// Messages wider than the CONGEST budget, counted per message at send
     /// time (the aggregate alone could not recover the per-message test).
     pub(crate) oversize: u64,
-    /// Sends the adversary discarded this round (asynchronous engine only;
-    /// always 0 on the fault-free synchronous engines).
+    /// Sends the adversary discarded this round (event policy only; always
+    /// 0 under lockstep delivery and on the reference engine).
     pub(crate) dropped: u64,
-    /// Extra copies the adversary injected this round (asynchronous engine
-    /// only; always 0 on the fault-free synchronous engines).
+    /// Extra copies the adversary injected this round (event policy only;
+    /// always 0 under lockstep delivery and on the reference engine).
     pub(crate) duplicated: u64,
 }
 
-/// The arena engine's send path: borrowed slices of network-owned state,
-/// packed per node by [`Network::step`](crate::network::Network::step).
+/// The engine driver's send path: borrowed slices of driver-owned state,
+/// packed per node by [`Driver::step`](crate::network::Driver::step).
 pub(crate) struct EngineSink<'a, M> {
     /// Host-side sender id — used only for error diagnostics.
     pub(crate) node: usize,
+    /// The current round (virtual tick under the event policy).
+    pub(crate) round: u64,
     pub(crate) graph: &'a Graph,
-    /// Target node of every staged message, parallel to `staged_msgs`.
-    pub(crate) staged_targets: &'a mut Vec<u32>,
-    /// The staging arena: messages in send order, rewritten to delivery
-    /// order (grouped by target) at commit time.
-    pub(crate) staged_msgs: &'a mut Vec<Incoming<M>>,
-    /// Per-target message counts for the commit-time counting sort.
-    pub(crate) counts: &'a mut [u32],
-    /// Targets with at least one staged message this round.
-    pub(crate) touched: &'a mut Vec<u32>,
     /// Port-use marks for multi-send detection (`marks[p] == mark` ⇔ port
     /// `p` already used by this node this round); epoch-stamped so it is
     /// never cleared.
@@ -133,13 +128,15 @@ pub(crate) struct EngineSink<'a, M> {
     pub(crate) metrics: &'a mut Metrics,
     pub(crate) stats: &'a mut RoundStats,
     /// First protocol violation this round; once set, sends are ignored and
-    /// the network drops the whole round.
+    /// the driver drops the whole round.
     pub(crate) failure: &'a mut Option<CongestError>,
+    /// Where the delivery policy takes metered messages.
+    pub(crate) staging: Staging<'a, M>,
 }
 
 /// Where [`OutCtx::send`] writes.
 pub(crate) enum Sink<'a, M> {
-    /// The arena engine (metered, validated, staged for delivery).
+    /// The engine driver (metered, validated, handed to the policy).
     Engine(EngineSink<'a, M>),
     /// Plain collection of `(port, msg)` pairs — no metering, no
     /// validation — for unit tests and the reference engine.
@@ -152,7 +149,8 @@ pub(crate) enum Sink<'a, M> {
 /// cannot construct the engine-backed variant itself, which is what keeps
 /// the metering honest.
 ///
-/// Under the arena engine every [`OutCtx::send`]:
+/// Under the engine driver — whichever its delivery policy — every
+/// [`OutCtx::send`] takes this one path:
 ///
 /// 1. validates the port (an invalid port latches a
 ///    [`CongestError::InvalidPort`]; the message and all later sends of the
@@ -162,8 +160,10 @@ pub(crate) enum Sink<'a, M> {
 /// 3. meters the payload's [`bit_size`](crate::message::Payload::bit_size)
 ///    into the per-round counters, which commit folds into the run metrics
 ///    in one batched update;
-/// 4. stages the message in the network's flat delivery arena with a
-///    single fused target/reverse-port lookup.
+/// 4. hands the message, with its target from a single fused
+///    target/reverse-port lookup, to the delivery policy: lockstep stages
+///    it in the flat delivery arena, the event policy decides its fate and
+///    latency and queues it.
 pub struct OutCtx<'a, M: Payload> {
     pub(crate) degree: usize,
     pub(crate) sink: Sink<'a, M>,
@@ -229,12 +229,12 @@ impl<'a, M: Payload> OutCtx<'a, M> {
                     e.stats.oversize += 1;
                 }
                 let (target, arrival) = e.graph.port_and_reverse(e.node, port);
-                if e.counts[target] == 0 {
-                    e.touched.push(target as u32);
+                match &mut e.staging {
+                    Staging::Lockstep(arena) => arena.push(target, arrival, msg),
+                    Staging::Events(events) => {
+                        events.stage(e.round, target, arrival, msg, e.stats);
+                    }
                 }
-                e.counts[target] += 1;
-                e.staged_targets.push(target as u32);
-                e.staged_msgs.push(Incoming { port: arrival, msg });
             }
         }
     }

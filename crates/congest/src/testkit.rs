@@ -1,10 +1,11 @@
 //! Engine-generic test support: one constructor, every engine.
 //!
 //! The crate ships three execution engines behind the same [`Process`]
-//! trait — the arena engine ([`Network`]), the reference engine
-//! ([`ReferenceNetwork`]), and the event-driven asynchronous engine
-//! ([`AsyncNetwork`], driven here at unit latency with zero faults, the
-//! configuration under which it is byte-equivalent to the other two).
+//! trait — the engine driver under its two delivery policies, lockstep
+//! ([`Network`]) and event queue ([`AsyncNetwork`], driven here at unit
+//! latency with zero faults, the configuration under which it is
+//! byte-equivalent to the others), and the reference engine
+//! ([`ReferenceNetwork`]).
 //! Tests that construct an engine directly silently pin themselves to one
 //! of them; [`AnyNetwork`] lets the same test body loop over
 //! [`EngineKind::ALL`] so every compliance or property check covers every
@@ -12,8 +13,7 @@
 //!
 //! This is deliberately the *common* surface: the intersection of the
 //! three engines' APIs. Engine-specific knobs (fault injection, explicit
-//! [`ExecConfig`]s, arena capacity
-//! inspection) stay on the concrete types.
+//! [`ExecConfig`]s, in-flight inspection) stay on the concrete types.
 
 use crate::async_net::{AsyncNetwork, ExecConfig};
 use crate::error::CongestError;
@@ -28,12 +28,13 @@ use rand::rngs::StdRng;
 /// Which execution engine to construct.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// The zero-allocation arena engine ([`Network`]).
+    /// The engine driver under lockstep delivery ([`Network`]).
     Arena,
     /// The slow pre-arena oracle ([`ReferenceNetwork`]).
     Reference,
-    /// The event-driven engine ([`AsyncNetwork`]) at unit latency with
-    /// zero faults — its synchronous-equivalent configuration.
+    /// The engine driver under event-queue delivery ([`AsyncNetwork`]) at
+    /// unit latency with zero faults — its synchronous-equivalent
+    /// configuration.
     Async,
 }
 

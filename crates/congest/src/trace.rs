@@ -10,11 +10,15 @@
 //!
 //! Two attachment paths exist:
 //!
-//! * explicitly, via `set_trace_sink` on either engine;
+//! * explicitly, via `set_trace_sink` on every engine
+//!   ([`Network`](crate::network::Network),
+//!   [`AsyncNetwork`](crate::async_net::AsyncNetwork) and
+//!   [`ReferenceNetwork`](crate::reference::ReferenceNetwork));
 //! * ambiently, via [`install_trace_factory`]: a **thread-local** factory
 //!   consulted by every network constructor on this thread. This is how a
 //!   harness observes networks built *inside* library code it does not
-//!   control (e.g. `ale-core`'s runners construct their own `Network`).
+//!   control (e.g. `ale-core`'s runners construct their own `Network` or
+//!   `AsyncNetwork`).
 //!   The factory is thread-local on purpose — parallel workers install
 //!   factories tagged with their own trial ids without racing.
 //!
@@ -45,11 +49,12 @@ thread_local! {
     static FACTORY: RefCell<Option<Factory>> = const { RefCell::new(None) };
 }
 
-/// Installs a thread-local sink factory: every [`Network`] or
-/// [`ReferenceNetwork`] constructed on this thread attaches a fresh sink
-/// from `f` until [`clear_trace_factory`] is called.
+/// Installs a thread-local sink factory: every [`Network`],
+/// [`AsyncNetwork`] or [`ReferenceNetwork`] constructed on this thread
+/// attaches a fresh sink from `f` until [`clear_trace_factory`] is called.
 ///
 /// [`Network`]: crate::network::Network
+/// [`AsyncNetwork`]: crate::async_net::AsyncNetwork
 /// [`ReferenceNetwork`]: crate::reference::ReferenceNetwork
 pub fn install_trace_factory<F>(f: F)
 where
@@ -117,7 +122,7 @@ mod tests {
     use super::*;
     use crate::network::Network;
     use crate::process::{Incoming, NodeCtx, OutCtx, Process};
-    use crate::reference::ReferenceNetwork;
+    use crate::testkit::{AnyNetwork, EngineKind};
     use ale_graph::generators;
     use std::sync::{Arc, Mutex};
 
@@ -150,6 +155,7 @@ mod tests {
     struct Log {
         rounds: Vec<RoundInfo>,
         end: Option<Metrics>,
+        ends: usize,
     }
 
     struct Recorder(Arc<Mutex<Log>>);
@@ -158,7 +164,9 @@ mod tests {
             self.0.lock().unwrap().rounds.push(*info);
         }
         fn on_run_end(&mut self, metrics: &Metrics) {
-            self.0.lock().unwrap().end = Some(*metrics);
+            let mut log = self.0.lock().unwrap();
+            log.end = Some(*metrics);
+            log.ends += 1;
         }
     }
 
@@ -183,38 +191,47 @@ mod tests {
     }
 
     #[test]
-    fn factory_auto_attaches_on_both_engines() {
+    fn factory_auto_attaches_on_every_engine() {
         let g = generators::cycle(4).unwrap();
-        let log = Arc::new(Mutex::new(Log::default()));
-        let handle = Arc::clone(&log);
-        install_trace_factory(move || Box::new(Recorder(Arc::clone(&handle))));
-        {
-            let mut net = Network::from_fn(&g, 1, 64, |_, _| Pulse(2));
-            net.run_to_halt(100).unwrap();
-        }
-        {
-            let mut net = ReferenceNetwork::from_fn(&g, 1, 64, |_, _| Pulse(2));
-            net.run_to_halt(100).unwrap();
-        }
-        clear_trace_factory();
-        {
-            let log = log.lock().unwrap();
-            // Both engines ran the same protocol (2 sending rounds each):
-            // identical round streams except for the engine-specific
-            // buffer high-water mark.
-            assert_eq!(log.rounds.len(), 4);
-            let (arena, reference) = log.rounds.split_at(2);
-            for (a, r) in arena.iter().zip(reference) {
-                assert_eq!((a.round, a.messages, a.bits), (r.round, r.messages, r.bits));
-                assert_eq!(a.active, r.active);
+        let mut logs = Vec::new();
+        for kind in EngineKind::ALL {
+            let log = Arc::new(Mutex::new(Log::default()));
+            let handle = Arc::clone(&log);
+            install_trace_factory(move || Box::new(Recorder(Arc::clone(&handle))));
+            {
+                let mut net = AnyNetwork::from_fn(kind, &g, 1, 64, |_, _| Pulse(2));
+                net.run_to_halt(100).unwrap();
             }
-            assert!(log.end.is_some());
+            clear_trace_factory();
+            assert_eq!(log.lock().unwrap().ends, 1, "{kind}: one run end");
+            logs.push(log);
+        }
+        // Every engine ran the same protocol (2 sending rounds): identical
+        // round streams except for the engine-specific buffer high-water
+        // mark.
+        let streams: Vec<Vec<_>> = logs
+            .iter()
+            .map(|log| {
+                let log = log.lock().unwrap();
+                log.rounds
+                    .iter()
+                    .map(|r| (r.round, r.messages, r.bits, r.active))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(streams[0].len(), 2);
+        for (kind, stream) in EngineKind::ALL.iter().zip(&streams) {
+            assert_eq!(*stream, streams[0], "{kind} vs arena");
         }
         // Cleared: new networks attach nothing.
-        let mut net = Network::from_fn(&g, 1, 64, |_, _| Pulse(1));
-        net.run_to_halt(100).unwrap();
-        drop(net);
-        assert_eq!(log.lock().unwrap().rounds.len(), 4);
+        for kind in EngineKind::ALL {
+            let mut net = AnyNetwork::from_fn(kind, &g, 1, 64, |_, _| Pulse(1));
+            net.run_to_halt(100).unwrap();
+        }
+        for log in &logs {
+            let log = log.lock().unwrap();
+            assert_eq!((log.rounds.len(), log.ends), (2, 1));
+        }
     }
 
     #[test]
@@ -235,13 +252,15 @@ mod tests {
             fn output(&self) {}
         }
         let g = generators::cycle(3).unwrap();
-        let log = Arc::new(Mutex::new(Log::default()));
-        let mut net = Network::from_fn(&g, 0, 64, |_, _| Bad);
-        net.set_trace_sink(Box::new(Recorder(Arc::clone(&log))));
-        assert!(net.step().is_err());
-        drop(net);
-        let log = log.lock().unwrap();
-        assert!(log.rounds.is_empty(), "failed round must not be traced");
-        assert!(log.end.is_some());
+        for kind in EngineKind::ALL {
+            let log = Arc::new(Mutex::new(Log::default()));
+            let mut net = AnyNetwork::from_fn(kind, &g, 0, 64, |_, _| Bad);
+            net.set_trace_sink(Box::new(Recorder(Arc::clone(&log))));
+            assert!(net.step().is_err(), "{kind}");
+            drop(net);
+            let log = log.lock().unwrap();
+            assert!(log.rounds.is_empty(), "{kind}: failed round traced");
+            assert_eq!(log.ends, 1, "{kind}: one run end");
+        }
     }
 }

@@ -13,7 +13,7 @@
 //! [`IrrevocableProcess`](crate::irrevocable::process::IrrevocableProcess).
 //!
 //! Where the paper's pseudocode and prose diverge we follow the prose, which
-//! the analysis relies on (see `DESIGN.md`):
+//! the analysis relies on:
 //!
 //! * subtree sizes are reported to the parent **on change/crossing**, not
 //!   every round (prose: "once its confirmed number exceeds a threshold 2^i

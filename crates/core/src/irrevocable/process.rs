@@ -14,7 +14,7 @@
 //! 4. **Convergecast** of the largest walk ID along every broadcast tree.
 //!    Values are forwarded on change, matching the message accounting of
 //!    Theorem 1's proof (the pseudocode's retransmit-every-round variant
-//!    would inflate messages past the claimed bound; see DESIGN.md).
+//!    would inflate messages past the claimed bound).
 //! 5. **Decision**: a candidate raises its flag iff it never saw a walk ID
 //!    above its own.
 

@@ -28,7 +28,8 @@
 //! use ale_graph::generators;
 //!
 //! let g = generators::complete(4)?;
-//! // Scaled parameters keep the demo fast; see DESIGN.md for modes.
+//! // Scaled parameters keep the demo fast; the `params` module docs
+//! // describe the modes.
 //! let params = RevocableParams::paper_blind(1.0, 0.2).with_scales(0.02, 0.05, 1.0);
 //! let result = run_revocable(&g, &params, 1, 64)?;
 //! assert!(result.stabilized);
@@ -43,8 +44,11 @@ pub mod record;
 
 use crate::error::CoreError;
 use crate::outcome::ElectionOutcome;
-use ale_congest::{congest_budget, AsyncNetwork, ExecConfig, Network, RunStatus};
+use ale_congest::{
+    congest_budget, AsyncNetwork, CongestError, Delivery, Driver, ExecConfig, Network, RunStatus,
+};
 use ale_graph::Graph;
+use rand::rngs::StdRng;
 
 pub use msg::RevMsg;
 pub use params::RevocableParams;
@@ -84,6 +88,52 @@ pub fn run_revocable(
     seed: u64,
     max_k: u64,
 ) -> Result<RevocableOutcome, CoreError> {
+    drive(graph, params, max_k, |budget, spawn| {
+        Ok(Network::from_fn(graph, seed, budget, spawn))
+    })
+}
+
+/// [`run_revocable`] on the event-driven asynchronous engine: the same
+/// protocol, horizon, and stabilization oracle, but message deliveries
+/// follow `exec`'s latency distribution and its adversary may crash
+/// nodes, drop sends, or inject duplicates.
+///
+/// With `ExecConfig::default()` (unit latency, zero faults) the run is
+/// byte-identical to [`run_revocable`] — same outputs, metrics, and
+/// rounds — which is what lets fault sweeps share the synchronous runs'
+/// baselines. Under faults the protocol keeps its absorbing-state
+/// structure (certificates only improve), so the oracle still reports
+/// stabilization among the *surviving* nodes when views converge; with
+/// crashes, "all nodes" means all non-crashed nodes that still execute.
+///
+/// # Errors
+///
+/// Propagates parameter-validation, execution-config, and simulation
+/// failures.
+pub fn run_revocable_async(
+    graph: &Graph,
+    params: &RevocableParams,
+    seed: u64,
+    max_k: u64,
+    exec: &ExecConfig,
+) -> Result<RevocableOutcome, CoreError> {
+    drive(graph, params, max_k, |budget, spawn| {
+        AsyncNetwork::from_fn_with(graph, seed, budget, *exec, spawn)
+    })
+}
+
+/// The revocable driver body shared by both engines: `build` wires the
+/// network from the CONGEST budget and the per-node process factory.
+fn drive<'g, D, B>(
+    graph: &'g Graph,
+    params: &RevocableParams,
+    max_k: u64,
+    build: B,
+) -> Result<RevocableOutcome, CoreError>
+where
+    D: Delivery<RevMsg>,
+    B: FnOnce(usize, Spawn<'_>) -> Result<Driver<'g, RevocableProcess, D>, CongestError>,
+{
     params.validate()?;
     if max_k < 2 {
         return Err(CoreError::InvalidConfig {
@@ -92,11 +142,11 @@ pub fn run_revocable(
     }
     let budget = congest_budget(graph.n().max(2), params.congest_factor);
     let p = *params;
-    let mut net = Network::from_fn(graph, seed, budget, |deg, _rng| {
+    let mut net = build(budget, &mut |deg, _rng| {
         // The horizon freezes nodes before they execute estimates beyond
         // max_k, whose per-estimate cost grows like k^{2(2+ε)} (blind).
         RevocableProcess::with_horizon(p, deg, Some(max_k))
-    });
+    })?;
     let round_budget = params.rounds_through(max_k).saturating_add(64);
     let mut rounds_at_stability = None;
 
@@ -135,75 +185,8 @@ pub fn run_revocable(
     })
 }
 
-/// [`run_revocable`] on the event-driven asynchronous engine: the same
-/// protocol, horizon, and stabilization oracle, but message deliveries
-/// follow `exec`'s latency distribution and its adversary may crash
-/// nodes, drop sends, or inject duplicates.
-///
-/// With `ExecConfig::default()` (unit latency, zero faults) the run is
-/// byte-identical to [`run_revocable`] — same outputs, metrics, and
-/// rounds — which is what lets fault sweeps share the synchronous runs'
-/// baselines. Under faults the protocol keeps its absorbing-state
-/// structure (certificates only improve), so the oracle still reports
-/// stabilization among the *surviving* nodes when views converge; with
-/// crashes, "all nodes" means all non-crashed nodes that still execute.
-///
-/// # Errors
-///
-/// Propagates parameter-validation, execution-config, and simulation
-/// failures.
-pub fn run_revocable_async(
-    graph: &Graph,
-    params: &RevocableParams,
-    seed: u64,
-    max_k: u64,
-    exec: &ExecConfig,
-) -> Result<RevocableOutcome, CoreError> {
-    params.validate()?;
-    if max_k < 2 {
-        return Err(CoreError::InvalidConfig {
-            reason: "max_k must be at least 2".into(),
-        });
-    }
-    let budget = congest_budget(graph.n().max(2), params.congest_factor);
-    let p = *params;
-    let mut net = AsyncNetwork::from_fn_with(graph, seed, budget, *exec, |deg, _rng| {
-        RevocableProcess::with_horizon(p, deg, Some(max_k))
-    })?;
-    let round_budget = params.rounds_through(max_k).saturating_add(64);
-    let mut rounds_at_stability = None;
-
-    let status = net.run_until(round_budget, |n| {
-        n.round() % 16 == 0 && stabilized(&n.outputs())
-    })?;
-    let verdicts_now = net.outputs();
-    if status == RunStatus::PredicateMet && stabilized(&verdicts_now) {
-        rounds_at_stability = Some(net.round());
-    }
-
-    let verdicts = verdicts_now;
-    let leaders = verdicts
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| v.leader)
-        .map(|(i, _)| i)
-        .collect();
-    let candidates = verdicts
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| v.id.is_some())
-        .map(|(i, _)| i)
-        .collect();
-    let final_k = verdicts.iter().map(|v| v.k).max().unwrap_or(2);
-    let outcome = ElectionOutcome::new(leaders, candidates, *net.metrics(), status);
-    Ok(RevocableOutcome {
-        stabilized: rounds_at_stability.is_some(),
-        final_k,
-        rounds_at_stability,
-        verdicts,
-        outcome,
-    })
-}
+/// The per-node process factory [`drive`] hands to a network constructor.
+type Spawn<'a> = &'a mut dyn FnMut(usize, &mut StdRng) -> RevocableProcess;
 
 /// The stabilization oracle: all nodes chose IDs and share the same view.
 ///

@@ -9,7 +9,7 @@ pub enum RevMsg {
     /// Diffusion-phase broadcast: `⟨Φ, q, c, id_ldr, K_ldr⟩`.
     Diffuse {
         /// Potential value. Conceptually an exact rational with denominator
-        /// `(2k^{1+ε})^round`; carried as `f64` (see DESIGN.md) while
+        /// `(2k^{1+ε})^round`; carried as `f64` while
         /// `pot_bits` charges the paper's exact serialized width.
         potential: f64,
         /// Whether the sender has flagged the estimate as low.

@@ -17,8 +17,7 @@
 //! rounds for the blind variant), so [`RevocableParams`] also exposes
 //! **documented scale knobs** (`r_scale`, `f_scale`, `diss_scale`) that
 //! shrink the constants while preserving every functional form in `k` —
-//! the mode the shape experiments use (see DESIGN.md "Substitutions" and
-//! EXPERIMENTS.md, which reports the mode of every run).
+//! the mode the shape experiments use.
 
 use crate::error::CoreError;
 

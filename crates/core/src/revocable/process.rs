@@ -22,7 +22,7 @@
 //! black nodes start at `Φ = 1 > τ(k)`, so a per-round check would flag
 //! every node low immediately and the infection would never clear —
 //! contradicting Lemmas 5–8, which evaluate the threshold **at the end of
-//! the diffusion phase**. We check at the end (see DESIGN.md).
+//! the diffusion phase**. We check at the end.
 
 use super::msg::RevMsg;
 use super::params::RevocableParams;

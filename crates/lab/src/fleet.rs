@@ -12,7 +12,8 @@
 //!    merged once at the end — replacing the old
 //!    `Mutex<Vec<Option<T>>>`-per-result design in `ale_bench::sweep`.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 /// SplitMix64 mixing step — the workspace-standard seed expander (the
@@ -76,9 +77,11 @@ where
     let workers = effective_workers(workers).min(tasks);
     let next = AtomicUsize::new(0);
     let completed = AtomicUsize::new(0);
-    let done = AtomicBool::new(false);
 
     let mut batches: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
+        // Dropping `finished` once the workers are joined wakes the monitor
+        // at once instead of at its next tick.
+        let (finished, wake) = mpsc::channel::<()>();
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let next = &next;
@@ -105,15 +108,15 @@ where
             .collect();
 
         if let Some(report) = progress {
-            let done = &done;
             let completed = &completed;
             scope.spawn(move || {
                 // Time-based throttling: one line per 500ms tick, and only
                 // when the count moved since the last line — a stalled
                 // fleet stays quiet instead of repeating itself.
                 let mut last = 0usize;
-                while !done.load(Ordering::Relaxed) {
-                    std::thread::sleep(Duration::from_millis(500));
+                while let Err(RecvTimeoutError::Timeout) =
+                    wake.recv_timeout(Duration::from_millis(500))
+                {
                     let c = completed.load(Ordering::Relaxed);
                     if c < tasks && c != last {
                         report(c, tasks);
@@ -127,7 +130,7 @@ where
             .into_iter()
             .map(|h| h.join().expect("fleet worker panicked"))
             .collect();
-        done.store(true, Ordering::Relaxed);
+        drop(finished);
         batches
     });
 
@@ -211,5 +214,16 @@ mod tests {
         assert_eq!(out.len(), 8);
         // 8 tasks × 200ms / 4 workers ≈ 400ms ⇒ at least one 500ms-ish tick
         // is *likely* but not guaranteed; only assert it did not crash.
+    }
+
+    #[test]
+    fn progress_monitor_does_not_hold_a_finished_fleet() {
+        // The monitor ticks every 500ms; a fleet that finishes first must
+        // return without waiting out the tick.
+        let start = std::time::Instant::now();
+        let out = run_indexed_with_progress(1, 1, |i| i, Some(&|_, _| {}));
+        assert_eq!(out, vec![0]);
+        let took = start.elapsed();
+        assert!(took < Duration::from_millis(250), "took {took:?}");
     }
 }

@@ -23,8 +23,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let topology = Topology::RandomRegular { n: 12, d: 3 };
     let overlay = topology.build(5)?;
 
-    // Scaled parameters (same functional forms as the paper; see DESIGN.md
-    // "Substitutions" for the modes) keep the demo interactive.
+    // Scaled parameters (same functional forms as the paper; see
+    // `ale_core::revocable::params` for the modes) keep the demo interactive.
     let params = RevocableParams::paper_blind(1.0, 0.2).with_scales(0.02, 0.25, 1.0);
     let budget = congest_budget(overlay.n(), params.congest_factor);
     let horizon = 16u64;

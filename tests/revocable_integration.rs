@@ -5,7 +5,8 @@ use ale::core::revocable::{run_revocable, stabilized, LeaderRecord, RevocablePar
 use ale::graph::Topology;
 
 fn fast_params() -> RevocableParams {
-    // Scaled mode (see DESIGN.md): same functional forms, tractable sizes.
+    // Scaled mode (see `ale_core::revocable::params`): same functional
+    // forms, tractable sizes.
     RevocableParams::paper_blind(1.0, 0.2).with_scales(0.02, 0.25, 1.0)
 }
 
