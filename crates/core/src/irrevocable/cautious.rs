@@ -69,8 +69,8 @@ pub enum Status {
 /// parent every round; its message analysis ("a link is used a constant
 /// number of times per each change of the thresholds") implies reporting
 /// only on threshold crossings. The two readings trade message count
-/// against territory-overshoot tightness — the `ablation_cautious` bench
-/// quantifies the trade-off.
+/// against territory-overshoot tightness — the `ablation-cautious`
+/// scenario (`ale-lab run ablation-cautious`) quantifies the trade-off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReportDiscipline {
     /// Report only when the subtree crosses the current threshold — the

@@ -12,9 +12,9 @@
 //!
 //! Either side may also be a **run directory**: directories are served
 //! from the durable keyed store (`trials.db` summary rows via
-//! [`crate::store::load_summary_rows`]) instead of re-parsing CSV,
-//! falling back to the directory's `summary.csv` for pre-store runs.
-//! Incomplete (crashed) stores are refused with a `run --resume` hint.
+//! [`crate::store::load_summary_rows`]) instead of re-parsing CSV, so a
+//! directory must be a store. Incomplete (crashed) or torn stores are
+//! refused with a `run --resume` hint.
 //!
 //! The same subcommand also gates memory benchmarks: when both inputs
 //! are `BENCH_memory.json` files (the `ale-lab bench` memory suite),
@@ -336,30 +336,24 @@ enum CheckInput {
 
 /// Loads one `check` input. Run **directories** are served from the
 /// durable store ([`crate::store::load_summary_rows`] over the `s/` rows
-/// of `trials.db`), falling back to the directory's `summary.csv` only
-/// when no store is present; **files** route by content (a JSON object
-/// is a memory bench, anything else a summary CSV).
+/// of `trials.db`); **files** route by content (a JSON object is a
+/// memory bench, anything else a summary CSV).
 fn load_input(path: &Path, side: &str) -> Result<CheckInput, LabError> {
     if path.is_dir() {
-        if let Some(rows) = crate::store::load_summary_rows(path)? {
-            return Ok(CheckInput::Summary(
-                rows.into_iter()
-                    .map(|r| {
-                        (
-                            (r.point, r.metric),
-                            SummaryRow {
-                                mean: r.mean,
-                                count: r.count,
-                            },
-                        )
-                    })
-                    .collect(),
-            ));
-        }
-        let csv = path.join("summary.csv");
-        let text = std::fs::read_to_string(&csv)
-            .map_err(|e| LabError::Io(format!("{}: {e}", csv.display())))?;
-        return Ok(CheckInput::Summary(parse_summary(&text, side)?));
+        let rows = crate::store::load_summary_rows(path)?;
+        return Ok(CheckInput::Summary(
+            rows.into_iter()
+                .map(|r| {
+                    (
+                        (r.point, r.metric),
+                        SummaryRow {
+                            mean: r.mean,
+                            count: r.count,
+                        },
+                    )
+                })
+                .collect(),
+        ));
     }
     let text = std::fs::read_to_string(path)
         .map_err(|e| LabError::Io(format!("{}: {e}", path.display())))?;
@@ -373,14 +367,14 @@ fn load_input(path: &Path, side: &str) -> Result<CheckInput, LabError> {
 /// File-path front end for [`check_text`]/[`check_memory_text`] (the
 /// `ale-lab check` subcommand). Either side may be a summary CSV file,
 /// a memory-bench JSON file, or a **run directory** — directories are
-/// served from the durable store (falling back to their `summary.csv`
-/// when no `trials.db` exists), so gating no longer re-parses CSV for
+/// served from the durable store, so gating never re-parses CSV for
 /// stored runs. Incomplete (crashed) stores are rejected with a hint to
 /// `run --resume` rather than silently gating partial data.
 ///
 /// # Errors
 ///
-/// IO failures as [`LabError::Io`]; a JSON/CSV input mix or an
+/// IO failures (including a directory without `manifest.json` or
+/// `trials.db`) as [`LabError::Io`]; a JSON/CSV input mix or an
 /// incomplete/truncated store as [`LabError::BadRecord`]; otherwise as
 /// the routed checker.
 pub fn check_files(
@@ -620,12 +614,15 @@ mod tests {
         assert!(check_files(&dir, &dir, &CheckOptions::default()).is_ok());
         assert!(check_files(&dir, &dir.join("summary.csv"), &CheckOptions::default()).is_ok());
 
-        // A directory without a store falls back to its summary.csv.
+        // A directory must be a store: its summary.csv alone is refused.
         let no_db =
             std::env::temp_dir().join(format!("ale-lab-checkdir-nodb-{}", std::process::id()));
         std::fs::create_dir_all(&no_db).unwrap();
         std::fs::copy(dir.join("summary.csv"), no_db.join("summary.csv")).unwrap();
-        assert!(check_files(&no_db, &dir, &CheckOptions::default()).is_ok());
+        assert!(matches!(
+            check_files(&no_db, &dir, &CheckOptions::default()),
+            Err(LabError::Io(_))
+        ));
 
         // An incomplete (crashed) store is refused, not silently gated.
         let mut crashed = manifest.clone();

@@ -1,5 +1,5 @@
-//! The `ale-lab` command-line interface, also backing the legacy
-//! per-figure binaries (which call [`legacy_main`]).
+//! The `ale-lab` command-line interface — the single entry point for
+//! every experiment.
 //!
 //! ```text
 //! ale-lab list
@@ -599,26 +599,6 @@ pub fn main_from_env() -> i32 {
         }
         Err(e) => {
             eprintln!("ale-lab: {e}");
-            2
-        }
-    }
-}
-
-/// Entry point for the legacy per-figure binaries: `<bin> [--quick]`
-/// becomes `ale-lab run <scenario> [--quick]` with the legacy defaults
-/// (auto workers, master seed 1, scenario-default seeds).
-pub fn legacy_main(scenario: &str) -> i32 {
-    // Legacy binaries only ever took `--quick`; every flag (it and the
-    // lab's own) passes straight through to `run`.
-    let mut args = vec!["run".to_string(), scenario.to_string()];
-    args.extend(std::env::args().skip(1));
-    match run(&args) {
-        Ok(text) => {
-            emit(&text);
-            0
-        }
-        Err(e) => {
-            eprintln!("{scenario}: {e}");
             2
         }
     }

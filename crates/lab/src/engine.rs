@@ -17,8 +17,8 @@ use crate::agg::RunSummary;
 use crate::fleet;
 use crate::runners::Algorithm;
 use crate::scenario::{GridConfig, LabError, Scenario, TrialRecord};
-use crate::store::{RunConfig, RunManifest, RunWriter, TrialKey};
-use std::collections::{BTreeMap, HashMap};
+use crate::store::{validated_trials, RunConfig, RunManifest, RunWriter, TrialKey};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Everything needed to execute one run.
@@ -183,25 +183,27 @@ pub fn execute(scenario: &dyn Scenario, spec: &RunSpec) -> Result<RunOutput, Lab
 /// the [`RunSpec`] from the manifest's stored invocation config,
 /// re-expands the parameter space, verifies it hashes to the stored
 /// sweep identity, recovers every already-durable trial from the
-/// `trials.db` journal (and any valid `trials.jsonl` prefix), executes
+/// `trials.db` journal ([`crate::store::validated_trials`]), executes
 /// only the missing trials, and finishes the store — producing a
 /// directory byte-identical to an uninterrupted run, at any worker
-/// count. `workers` overrides the thread count for the remaining work
-/// only; the manifest keeps the original value.
+/// count. The derived views are never read: a lost or torn
+/// `trials.jsonl` is simply rewritten. `workers` overrides the thread
+/// count for the remaining work only; the manifest keeps the original
+/// value.
 ///
 /// # Errors
 ///
-/// [`LabError::BadArgs`] when the directory is not resumable (pre-v2
-/// manifest with no config, a merged multi-slice store, or a parameter
+/// [`LabError::BadArgs`] when the directory is not resumable (a merged
+/// store with no config or a multi-slice shard label, or a parameter
 /// space that no longer matches the stored one);
-/// [`LabError::BadRecord`] on corrupt journal/log contents; trial and
-/// IO failures propagate.
+/// [`LabError::BadRecord`] on a manifest or journal entry that fails
+/// validation; trial and IO failures propagate.
 pub fn resume(dir: &Path, workers: Option<usize>, progress: bool) -> Result<RunOutput, LabError> {
     let manifest = crate::store::load_manifest(&dir.join("manifest.json"))?;
     let Some(config) = manifest.config.clone() else {
         return Err(LabError::BadArgs(format!(
-            "{}: manifest records no invocation config (store written before resume support) — \
-             re-run the sweep instead",
+            "{}: manifest records no invocation config (a merged store whose inputs' configs \
+             disagreed) — re-run the sweep instead",
             dir.display()
         )));
     };
@@ -470,18 +472,10 @@ fn execute_inner(
                 // stamps, …) so the finished store is byte-identical to
                 // the uninterrupted run's.
                 let (w, entries) = RunWriter::resume(dir, stored)?;
-                durable = recover_durable(
-                    dir,
-                    &w,
-                    entries,
-                    scenario_name,
-                    store_hash,
-                    master,
-                    &selected,
-                    &labels,
-                    &counts,
-                    &offsets,
-                )?;
+                let journal = dir.join("trials.db");
+                for (pi, si, record) in validated_trials(&journal, stored, entries)? {
+                    durable.insert((offsets[pi] + si) as usize, record);
+                }
                 w
             }
         }),
@@ -725,124 +719,19 @@ fn verify_resumable(
     if stored.seeds != seeds_global {
         return Err(drift("seed count"));
     }
-    if stored.space_hash != 0 && stored.space_hash != hash {
+    if stored.space_hash != hash {
         return Err(drift("space hash"));
     }
     if stored.grid != labels {
         return Err(drift("grid labels"));
     }
-    if stored.effective_positions() != positions {
+    if stored.positions != positions {
         return Err(drift("grid positions"));
     }
-    if stored.effective_counts() != counts {
+    if stored.counts != counts {
         return Err(drift("per-point trial counts"));
     }
     Ok(())
-}
-
-/// Collects every already-durable trial of a resumed run, keyed by dense
-/// task index: the `trials.db` journal's recovered prefix, plus any
-/// valid `trials.jsonl` prefix (a finished store whose journal was lost,
-/// or a log truncated by the crash) — jsonl-only records are re-put into
-/// the journal so they stay durable through the resumed run too. Every
-/// record is validated against the sweep identity (key fields, derived
-/// seed, point label) before being trusted.
-#[allow(clippy::too_many_arguments)]
-fn recover_durable(
-    dir: &Path,
-    writer: &RunWriter,
-    entries: Vec<(Vec<u8>, Vec<u8>)>,
-    scenario_name: &str,
-    hash: u64,
-    master: u64,
-    selected: &[usize],
-    labels: &[String],
-    counts: &[u64],
-    offsets: &[u64],
-) -> Result<BTreeMap<usize, TrialRecord>, LabError> {
-    let mut durable: BTreeMap<usize, TrialRecord> = BTreeMap::new();
-    let pos_to_pi: HashMap<u64, usize> = selected
-        .iter()
-        .enumerate()
-        .map(|(pi, &i)| (i as u64, pi))
-        .collect();
-    let bad = |key: &[u8], why: &str| {
-        LabError::BadRecord(format!(
-            "{}/trials.db: entry '{}' {why}",
-            dir.display(),
-            String::from_utf8_lossy(key)
-        ))
-    };
-    for (key, value) in entries {
-        let k = TrialKey::decode(&key)?;
-        if k.scenario != scenario_name || k.space_hash != hash {
-            return Err(bad(&key, "belongs to a different sweep"));
-        }
-        let Some(&pi) = pos_to_pi.get(&k.position) else {
-            return Err(bad(&key, "names a grid position outside this shard"));
-        };
-        if k.seed_index >= counts[pi] {
-            return Err(bad(&key, "has a seed index beyond the point's trial count"));
-        }
-        let text =
-            std::str::from_utf8(&value).map_err(|_| bad(&key, "holds a non-UTF-8 payload"))?;
-        let record = crate::json::parse(text)
-            .map_err(LabError::BadRecord)
-            .and_then(|v| TrialRecord::from_json(&v))
-            .map_err(|e| bad(&key, &format!("does not parse: {e}")))?;
-        let seed = fleet::derive_seed(master, k.position, k.seed_index);
-        if record.seed != seed || record.point != labels[pi] {
-            return Err(bad(&key, "payload disagrees with its key (corruption)"));
-        }
-        durable.insert((offsets[pi] + k.seed_index) as usize, record);
-    }
-    let jsonl = dir.join("trials.jsonl");
-    if jsonl.exists() {
-        let (recovered, _truncated) = crate::store::load_jsonl_recover(&jsonl)?;
-        let mut task_of: HashMap<(String, u64), usize> = HashMap::new();
-        for (pi, label) in labels.iter().enumerate() {
-            for si in 0..counts[pi] {
-                let seed = fleet::derive_seed(master, selected[pi] as u64, si);
-                task_of.insert((label.clone(), seed), (offsets[pi] + si) as usize);
-            }
-        }
-        for record in recovered {
-            let Some(&task) = task_of.get(&(record.point.clone(), record.seed)) else {
-                return Err(LabError::BadRecord(format!(
-                    "{}/trials.jsonl: record for point '{}' seed {} is outside this sweep",
-                    dir.display(),
-                    record.point,
-                    record.seed
-                )));
-            };
-            match durable.entry(task) {
-                std::collections::btree_map::Entry::Occupied(slot) => {
-                    if slot.get() != &record {
-                        return Err(LabError::BadRecord(format!(
-                            "{}: trials.jsonl and trials.db disagree on point '{}' seed {}",
-                            dir.display(),
-                            record.point,
-                            record.seed
-                        )));
-                    }
-                }
-                std::collections::btree_map::Entry::Vacant(slot) => {
-                    let pi = offsets.partition_point(|&o| o <= task as u64) - 1;
-                    writer.put(
-                        &TrialKey {
-                            scenario: scenario_name.to_string(),
-                            space_hash: hash,
-                            position: selected[pi] as u64,
-                            seed_index: task as u64 - offsets[pi],
-                        },
-                        &record,
-                    )?;
-                    slot.insert(record);
-                }
-            }
-        }
-    }
-    Ok(durable)
 }
 
 #[cfg(test)]

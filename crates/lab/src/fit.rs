@@ -3,8 +3,9 @@
 //! The paper's claims are asymptotic (`Õ(√(n·t_mix/Φ))` messages, etc.),
 //! so the harness validates *exponents*: fit `log y = a·log x + b` over a
 //! parameter sweep and compare the slope `a` against the predicted power,
-//! with a tolerance absorbing the polylog factors (EXPERIMENTS.md states
-//! the tolerance next to every fit).
+//! with a tolerance absorbing the polylog factors (each scenario's
+//! "Reproduction criterion" report states its tolerance, e.g. `scaling`'s
+//! ±0.35).
 
 /// Result of an ordinary-least-squares fit on `(ln x, ln y)`.
 #[derive(Debug, Clone, Copy, PartialEq)]

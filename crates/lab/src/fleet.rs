@@ -9,8 +9,8 @@
 //!    `workers = 64` produce byte-identical output.
 //! 2. **No shared-lock hot path.** Workers pull indices from one atomic
 //!    counter and accumulate results in *per-worker batches*, which are
-//!    merged once at the end — replacing the old
-//!    `Mutex<Vec<Option<T>>>`-per-result design in `ale_bench::sweep`.
+//!    merged once at the end, rather than collected under one
+//!    `Mutex<Vec<Option<T>>>` slot per result.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};

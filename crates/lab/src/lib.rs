@@ -39,9 +39,8 @@
 //! * [`mod@bench`] — in-process microbenchmarks writing `BENCH_*.json`;
 //! * [`cli`] — the `ale-lab` binary
 //!   (`list | describe | run | export | merge | check | report | bench | serve`),
-//!   also backing the legacy per-figure binaries in `ale-bench`;
-//! * [`runners`], [`table`], [`fit`] — the shared driver/report plumbing
-//!   (moved here from `ale-bench`, which re-exports them).
+//!   the single entry point for every experiment;
+//! * [`runners`], [`table`], [`fit`] — the shared driver/report plumbing.
 //!
 //! ## Quickstart
 //!

@@ -3,20 +3,21 @@
 //! A `--shard i/k` sweep produces `k` run directories whose trial records
 //! are, by the engine's determinism contract, exactly the trials the full
 //! run would have produced for the points each shard selected. `merge`
-//! validates that the shards really belong to one logical sweep — same
-//! scenario, master seed, seed count, quick flag, resolved space, and
-//! shard divisor; distinct shard indices; disjoint grids — and that each
-//! shard is **whole**: a manifest still marked incomplete, a truncated
-//! `trials.jsonl`, or a record set that does not cover every
+//! reads each shard's `manifest.json` and `trials.db` journal — never the
+//! derived views — and validates that the shards really belong to one
+//! logical sweep — same scenario, master seed, seed count, quick flag,
+//! resolved space, and shard divisor; distinct shard indices; disjoint
+//! grids — and that each shard is **whole**: a manifest still marked
+//! incomplete, a torn journal, or a journal that does not hold every
 //! `(grid point, seed index)` key the shard's manifest promises is
 //! rejected with a diagnostic naming the shard and the missing keys
-//! (`run --resume` the shard first).
+//! (`run --resume` the shard first). Every journaled trial passes the
+//! same validator `run --resume` uses ([`store::validated_trials`]).
 //!
 //! The union itself is a store union over keys: every grid point carries
-//! its full-grid *position* (stored in v2 manifests; reconstructed from
-//! the shard arithmetic for older ones), the merged grid is the points
-//! sorted by position, and records follow their points. When all `k`
-//! shards are present that order **is** the unsharded run's, so the
+//! its full-grid *position* from its manifest, the merged grid is the
+//! points sorted by position, and records follow their keys. When all
+//! `k` shards are present that order **is** the unsharded run's, so the
 //! merged directory is byte-identical to what `--shard 0/1` would have
 //! written — `trials.jsonl`, `trials.csv`, and the compacted `trials.db`
 //! journal alike. A partial union keeps per-point positions in its
@@ -29,9 +30,9 @@
 //! shard label and the max worker count (informational).
 
 use crate::agg::RunSummary;
-use crate::fleet;
+use crate::db::{AofDb, Db as _};
 use crate::scenario::{LabError, TrialRecord};
-use crate::store::{self, RunManifest};
+use crate::store::{self, JournaledTrial, RunManifest};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
@@ -76,22 +77,6 @@ fn parse_shard_label(label: &str) -> Result<(Vec<u64>, u64), LabError> {
     Ok((indices, k))
 }
 
-/// The full-grid position of every grid entry: v2 manifests store them;
-/// for older ones, reconstruct from the shard arithmetic. A raw shard
-/// `i/k` holds positions `i, i+k, i+2k, …` in order; a pre-v2 partial
-/// merge dealt its grid round-robin over the ascending slice indices
-/// (block `b` of slice `r` at grid index `b·s + r`), which inverts to
-/// `indices[j mod s] + (j div s)·k`.
-fn grid_positions(manifest: &RunManifest, indices: &[u64], k: u64) -> Vec<u64> {
-    if manifest.positions.len() == manifest.grid.len() {
-        return manifest.positions.clone();
-    }
-    let s = indices.len();
-    (0..manifest.grid.len())
-        .map(|j| indices[j % s] + (j / s) as u64 * k)
-        .collect()
-}
-
 fn resume_hint(dir: &Path) -> String {
     format!(
         "complete it with `ale-lab run --resume {}` before merging",
@@ -99,10 +84,14 @@ fn resume_hint(dir: &Path) -> String {
     )
 }
 
-/// Loads one input directory, rejecting interrupted or torn stores: a
-/// manifest still marked incomplete, or a `trials.jsonl` whose final
-/// record was cut mid-line.
-fn load_shard(dir: &Path) -> Result<(RunManifest, Vec<TrialRecord>), LabError> {
+/// Loads one input directory's manifest and validated journal, rejecting
+/// interrupted, torn, or short stores: a manifest still marked
+/// incomplete, a `trials.db` whose final entry was cut mid-write, or a
+/// journal holding fewer trials than the manifest's Σ counts — the
+/// missing `(point, seed index)` keys are named, so a silently short
+/// shard (a kill the manifest never witnessed, a hand-edited journal)
+/// is loud.
+fn load_shard(dir: &Path) -> Result<(RunManifest, Vec<JournaledTrial>), LabError> {
     let manifest = store::load_manifest(&dir.join("manifest.json"))?;
     if !manifest.complete {
         return Err(LabError::BadRecord(format!(
@@ -111,44 +100,26 @@ fn load_shard(dir: &Path) -> Result<(RunManifest, Vec<TrialRecord>), LabError> {
             resume_hint(dir)
         )));
     }
-    let (records, truncated) = store::load_jsonl_recover(&dir.join("trials.jsonl"))?;
-    if truncated {
+    let journal = dir.join("trials.db");
+    let db = AofDb::open_read(&journal)?;
+    if db.truncated() {
         return Err(LabError::BadRecord(format!(
-            "{}: trials.jsonl is truncated mid-record — the shard lost data; {}",
+            "{}: trials.db is truncated mid-entry — the shard lost data; {}",
             dir.display(),
             resume_hint(dir)
         )));
     }
-    Ok((manifest, records))
-}
-
-/// Checks that a shard's records cover every `(grid point, seed index)`
-/// key its manifest promises — `seeds × |grid slice|` trials, each under
-/// its positionally-derived seed. Named missing keys make a silently
-/// short shard (a kill the manifest never witnessed, a hand-edited log)
-/// loud.
-fn check_shard_covers_its_keys(
-    dir: &Path,
-    manifest: &RunManifest,
-    records: &[TrialRecord],
-    positions: &[u64],
-) -> Result<(), LabError> {
-    let counts = manifest.effective_counts();
-    let mut seen: BTreeMap<&str, BTreeSet<u64>> = BTreeMap::new();
-    for r in records {
-        seen.entry(r.point.as_str()).or_default().insert(r.seed);
-    }
-    let mut missing: Vec<String> = Vec::new();
-    for ((label, &position), &count) in manifest.grid.iter().zip(positions).zip(&counts) {
-        let seeds = seen.get(label.as_str());
-        for si in 0..count {
-            let seed = fleet::derive_seed(manifest.master_seed, position, si);
-            if !seeds.is_some_and(|s| s.contains(&seed)) {
-                missing.push(format!("('{label}', seed index {si})"));
-            }
-        }
-    }
-    if !missing.is_empty() {
+    let trials = store::validated_trials(&journal, &manifest, db.iter_prefix(b"t/"))?;
+    // Validated keys are distinct and in range, so a full count is full
+    // coverage.
+    let expected: u64 = manifest.counts.iter().sum();
+    if trials.len() as u64 != expected {
+        let held: BTreeSet<(usize, u64)> = trials.iter().map(|&(pi, si, _)| (pi, si)).collect();
+        let missing: Vec<String> = (0..manifest.grid.len())
+            .flat_map(|pi| (0..manifest.counts[pi]).map(move |si| (pi, si)))
+            .filter(|key| !held.contains(key))
+            .map(|(pi, si)| format!("('{}', seed index {si})", manifest.grid[pi]))
+            .collect();
         let total = missing.len();
         let shown = missing.into_iter().take(8).collect::<Vec<_>>().join(", ");
         let more = if total > 8 { ", …" } else { "" };
@@ -159,17 +130,7 @@ fn check_shard_covers_its_keys(
             resume_hint(dir)
         )));
     }
-    let expected: u64 = counts.iter().sum();
-    if records.len() as u64 != expected {
-        return Err(LabError::BadRecord(format!(
-            "{}: shard {} holds {} records where its manifest promises {expected} — \
-             duplicated or foreign trials",
-            dir.display(),
-            manifest.shard,
-            records.len()
-        )));
-    }
-    Ok(())
+    Ok((manifest, trials))
 }
 
 /// Checks that two shard manifests describe the same logical sweep.
@@ -199,9 +160,6 @@ fn check_compatible(a: &RunManifest, b: &RunManifest, dir: &Path) -> Result<(), 
             &b.space.join("; "),
         ));
     }
-    if a.version != b.version {
-        return Err(mismatch("manifest version", &a.version, &b.version));
-    }
     Ok(())
 }
 
@@ -224,12 +182,13 @@ pub fn merge_dirs(dirs: &[PathBuf], out: Option<&Path>) -> Result<String, LabErr
     }
 
     let mut manifests: Vec<RunManifest> = Vec::new();
-    let mut all_records: Vec<TrialRecord> = Vec::new();
+    // (full-grid position, seed index, record) across every shard.
+    let mut keyed: Vec<(u64, u64, TrialRecord)> = Vec::new();
     let mut slices: Vec<Slice> = Vec::new();
     let mut points: Vec<KeyedPoint> = Vec::new();
     let mut divisor: Option<u64> = None;
     for dir in dirs {
-        let (manifest, records) = load_shard(dir)?;
+        let (manifest, trials) = load_shard(dir)?;
         let (indices, k) = parse_shard_label(&manifest.shard)?;
         match divisor {
             None => divisor = Some(k),
@@ -244,8 +203,6 @@ pub fn merge_dirs(dirs: &[PathBuf], out: Option<&Path>) -> Result<String, LabErr
         if let Some(first) = manifests.first() {
             check_compatible(first, &manifest, dir)?;
         }
-        let positions = grid_positions(&manifest, &indices, k);
-        check_shard_covers_its_keys(dir, &manifest, &records, &positions)?;
         for &index in &indices {
             if let Some(dup) = slices.iter().find(|s| s.index == index) {
                 return Err(LabError::BadArgs(format!(
@@ -259,8 +216,12 @@ pub fn merge_dirs(dirs: &[PathBuf], out: Option<&Path>) -> Result<String, LabErr
                 index,
             });
         }
-        let counts = manifest.effective_counts();
-        for ((label, &position), &count) in manifest.grid.iter().zip(&positions).zip(&counts) {
+        for ((label, &position), &count) in manifest
+            .grid
+            .iter()
+            .zip(&manifest.positions)
+            .zip(&manifest.counts)
+        {
             points.push(KeyedPoint {
                 position,
                 label: label.clone(),
@@ -268,8 +229,12 @@ pub fn merge_dirs(dirs: &[PathBuf], out: Option<&Path>) -> Result<String, LabErr
                 dir: dir.to_path_buf(),
             });
         }
+        keyed.extend(
+            trials
+                .into_iter()
+                .map(|(pi, si, record)| (manifest.positions[pi], si, record)),
+        );
         manifests.push(manifest);
-        all_records.extend(records);
     }
     let k = divisor.expect("at least two inputs loaded");
 
@@ -287,8 +252,9 @@ pub fn merge_dirs(dirs: &[PathBuf], out: Option<&Path>) -> Result<String, LabErr
             )));
         }
     }
-    // The union over keys: points sorted by full-grid position. For a
-    // complete slice set this IS the unsharded run's grid order.
+    // The union over keys: points sorted by full-grid position, records
+    // by (position, seed index). For a complete slice set this IS the
+    // unsharded run's grid and record order.
     points.sort_by_key(|p| p.position);
     for w in points.windows(2) {
         if w[0].position == w[1].position {
@@ -300,6 +266,8 @@ pub fn merge_dirs(dirs: &[PathBuf], out: Option<&Path>) -> Result<String, LabErr
             )));
         }
     }
+    keyed.sort_by_key(|&(position, si, _)| (position, si));
+    let records: Vec<TrialRecord> = keyed.into_iter().map(|(_, _, r)| r).collect();
     slices.sort_by_key(|s| s.index);
     let complete = slices.len() as u64 == k;
     let grid: Vec<String> = points.iter().map(|p| p.label.clone()).collect();
@@ -309,27 +277,6 @@ pub fn merge_dirs(dirs: &[PathBuf], out: Option<&Path>) -> Result<String, LabErr
         let indices: Vec<String> = slices.iter().map(|s| s.index.to_string()).collect();
         format!("{}/{k}", indices.join(","))
     };
-
-    // Records follow their grid points: group the (point-ordered) input
-    // records by label, then emit in merged grid order. A complete merge
-    // thereby reproduces the unsharded run's record order byte for byte.
-    let mut by_label: BTreeMap<&str, Vec<&TrialRecord>> = BTreeMap::new();
-    for r in &all_records {
-        by_label.entry(r.point.as_str()).or_default().push(r);
-    }
-    for label in by_label.keys() {
-        if !seen.contains_key(*label) {
-            return Err(LabError::BadRecord(format!(
-                "trials.jsonl contains records for '{label}', which no shard's grid lists"
-            )));
-        }
-    }
-    let mut records: Vec<TrialRecord> = Vec::new();
-    for label in &grid {
-        if let Some(rs) = by_label.get(label.as_str()) {
-            records.extend(rs.iter().map(|&r| r.clone()));
-        }
-    }
 
     let first = &manifests[0];
     let summary = RunSummary::from_records(
@@ -656,28 +603,39 @@ mod tests {
         run_with((0, 2), &s0);
         run_with((1, 2), &s1);
 
-        // Truncate s1's trial log mid-record: merge must refuse, naming
-        // the shard.
-        let log = s1.join("trials.jsonl");
-        let text = read(&log);
-        std::fs::write(&log, &text[..text.len() - 9]).unwrap();
+        // Tear s1's journal mid-entry: merge must refuse, naming the
+        // shard, although its manifest still says complete.
+        let journal = s1.join("trials.db");
+        let bytes = std::fs::read(&journal).unwrap();
+        std::fs::write(&journal, &bytes[..bytes.len() - 9]).unwrap();
         let err = merge_dirs(&[s0.clone(), s1.clone()], None).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("truncated"), "{msg}");
         assert!(msg.contains("s1"), "names the shard: {msg}");
         assert!(msg.contains("--resume"), "{msg}");
 
-        // Cleanly drop a whole record (valid JSONL, one trial short):
-        // the key-coverage check catches it and names the missing keys.
-        let keep: Vec<&str> = text.lines().collect();
-        std::fs::write(&log, format!("{}\n", keep[..keep.len() - 1].join("\n"))).unwrap();
+        // Cleanly drop a whole trial (a valid journal, one entry short):
+        // the coverage check catches it and names the missing key.
+        let (entries, _) = crate::db::scan_entries(&bytes);
+        let last_trial = entries
+            .iter()
+            .rposition(|e| e.key.starts_with(b"t/"))
+            .unwrap();
+        let mut db = AofDb::create(&journal).unwrap();
+        for (i, e) in entries.iter().enumerate() {
+            if i != last_trial {
+                db.put(&e.key, &e.value).unwrap();
+            }
+        }
+        drop(db);
         let err = merge_dirs(&[s0.clone(), s1.clone()], None).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("missing 1 trial(s)"), "{msg}");
         assert!(msg.contains("seed index 2"), "names the key: {msg}");
 
-        // Restore the log but mark the manifest incomplete: still refused.
-        std::fs::write(&log, &text).unwrap();
+        // Restore the journal but mark the manifest incomplete: still
+        // refused.
+        std::fs::write(&journal, &bytes).unwrap();
         assert!(merge_dirs(&[s0.clone(), s1.clone()], None).is_ok());
         let manifest_path = s1.join("manifest.json");
         let mut manifest = store::load_manifest(&manifest_path).unwrap();
@@ -692,6 +650,95 @@ mod tests {
         assert!(msg.contains("incomplete"), "{msg}");
         assert!(msg.contains("--resume"), "{msg}");
 
+        std::fs::remove_dir_all(&base).ok();
+    }
+
+    const VIEWS: [&str; 3] = ["trials.jsonl", "trials.csv", "summary.csv"];
+
+    #[test]
+    fn merge_reads_only_manifests_and_journals() {
+        let base = tmp("noviews");
+        let full = base.join("full");
+        run_with((0, 1), &full);
+        let shards: Vec<PathBuf> = (0..2).map(|i| base.join(format!("s{i}"))).collect();
+        for (i, dir) in shards.iter().enumerate() {
+            run_with((i as u64, 2), dir);
+        }
+        let with_views = base.join("with-views");
+        merge_dirs(&shards, Some(&with_views)).unwrap();
+        for dir in &shards {
+            for view in VIEWS {
+                std::fs::remove_file(dir.join(view)).unwrap();
+            }
+        }
+        let merged = base.join("merged");
+        let report = merge_dirs(&shards, Some(&merged)).unwrap();
+        assert!(report.contains("complete sweep"), "{report}");
+        for file in VIEWS.iter().chain(&["trials.db"]) {
+            assert_eq!(
+                std::fs::read(full.join(file)).unwrap(),
+                std::fs::read(merged.join(file)).unwrap(),
+                "{file} differs from the unsharded run"
+            );
+        }
+        for file in VIEWS.iter().chain(&["trials.db", "manifest.json"]) {
+            assert_eq!(
+                std::fs::read(with_views.join(file)).unwrap(),
+                std::fs::read(merged.join(file)).unwrap(),
+                "{file} depends on the input views"
+            );
+        }
+        std::fs::remove_dir_all(&base).ok();
+    }
+
+    #[test]
+    fn a_complete_shard_with_a_torn_journal_is_refused_until_resumed() {
+        // Resume re-expands a registered scenario, so this uses a cheap
+        // one.
+        let scenario = crate::registry::find("diffusion").expect("registered");
+        let spec = |shard: (u64, u64), out: &Path| RunSpec {
+            seeds: Some(2),
+            workers: 1,
+            grid: crate::scenario::GridConfig {
+                quick: true,
+                ..Default::default()
+            },
+            shard,
+            out: Some(out.to_path_buf()),
+            ..RunSpec::default()
+        };
+        let base = tmp("torn-complete");
+        let full = base.join("full");
+        execute(scenario.as_ref(), &spec((0, 1), &full)).unwrap();
+        let shards: Vec<PathBuf> = (0..2).map(|i| base.join(format!("s{i}"))).collect();
+        for (i, dir) in shards.iter().enumerate() {
+            execute(scenario.as_ref(), &spec((i as u64, 2), dir)).unwrap();
+        }
+        let journal = shards[1].join("trials.db");
+        let bytes = std::fs::read(&journal).unwrap();
+        std::fs::write(&journal, &bytes[..bytes.len() - 9]).unwrap();
+        assert!(
+            store::load_manifest(&shards[1].join("manifest.json"))
+                .unwrap()
+                .complete
+        );
+        let msg = merge_dirs(&shards, None).unwrap_err().to_string();
+        assert!(
+            msg.contains("truncated") && msg.contains("--resume"),
+            "{msg}"
+        );
+
+        crate::engine::resume(&shards[1], None, false).unwrap();
+        assert_eq!(std::fs::read(&journal).unwrap(), bytes, "resume repairs");
+        let merged = base.join("merged");
+        merge_dirs(&shards, Some(&merged)).unwrap();
+        for file in VIEWS.iter().chain(&["trials.db"]) {
+            assert_eq!(
+                std::fs::read(full.join(file)).unwrap(),
+                std::fs::read(merged.join(file)).unwrap(),
+                "{file} differs from the unsharded run"
+            );
+        }
         std::fs::remove_dir_all(&base).ok();
     }
 }

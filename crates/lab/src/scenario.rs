@@ -12,8 +12,7 @@
 //!   graph, compute its properties) returning the per-seed trial closure;
 //!   axis values arrive typed through [`GridPoint::view`];
 //! * a **summary** — the human-facing report built from the streamed
-//!   aggregates, reproducing what the legacy `fig_*`/`table1` binaries
-//!   printed.
+//!   aggregates: the scenario's table or figure series.
 //!
 //! Everything a trial returns is a flat, serializable [`TrialRecord`], so
 //! runs persist to JSONL, export to CSV, and compare across PRs.
@@ -569,8 +568,8 @@ pub trait Scenario: Sync {
     fn bind(&self, point: &GridPoint) -> Result<TrialFn, LabError>;
 
     /// Renders the scenario's report from the aggregated run. The default
-    /// is the generic cost table; scenarios override it to reproduce their
-    /// legacy figure/table output.
+    /// is the generic cost table; scenarios override it to render their
+    /// figure/table output.
     fn summarize(&self, run: &crate::agg::RunSummary) -> String {
         run.generic_report()
     }

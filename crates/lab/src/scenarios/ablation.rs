@@ -1,5 +1,4 @@
-//! **ablation-cautious — parent-report discipline ablation** (legacy
-//! `ablation_cautious` bin).
+//! **ablation-cautious — parent-report discipline ablation**.
 //!
 //! Runs the cautious-broadcast reporting knob both ways on the same
 //! graphs/seeds: `OnCrossing` (message-optimal, larger overshoot) vs

@@ -1,5 +1,4 @@
-//! **cautious — cautious-broadcast cost and coverage** (Lemma 1; legacy
-//! `fig_cautious` bin).
+//! **cautious — cautious-broadcast cost and coverage** (Lemma 1).
 //!
 //! Plants a single candidate, runs only the broadcast phase, and sweeps
 //! the walk-budget parameter `x`: territory should track the target

@@ -1,5 +1,4 @@
-//! **certification — certification-phase statistics** (Lemmas 6–8;
-//! legacy `fig_certification` bin).
+//! **certification — certification-phase statistics** (Lemmas 6–8).
 //!
 //! Monte-Carlo checks of the coloring lemmas with the paper's exact
 //! parameter functions, plus Lemma 7 validated at the protocol level by

@@ -1,5 +1,5 @@
 //! **diffusion — diffusion convergence vs the Lemma 4 bound** (Lemmas
-//! 3–4; legacy `fig_diffusion` bin).
+//! 3–4).
 //!
 //! Builds the diffusion matrix per family on the **sparse CSR backend**
 //! (`ale_graph::transition::diffusion_chain`, `O(m)` per step), runs the

@@ -1,5 +1,5 @@
 //! **impossibility — the pumping-wheel phenomenon** (Theorem 2,
-//! Figures 1–2; legacy `fig_impossibility` bin).
+//! Figures 1–2).
 //!
 //! Witness geometry (static), the split-brain series (stop-by-`T`
 //! protocol believing `C_{n₀}` run on `C_{f·n₀}`), and the revocable

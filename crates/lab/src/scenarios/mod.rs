@@ -1,6 +1,6 @@
-//! The built-in scenario library: every legacy `fig_*`/`table1`/ablation
-//! binary re-registered as a data-driven spec over the lab's
-//! grid × seed-fleet engine.
+//! The built-in scenario library: every table, figure, and ablation of
+//! the reproduction as a data-driven spec over the lab's grid × seed-fleet
+//! engine.
 
 use crate::scenario::LabError;
 use ale_graph::{analytic, cuts, spectral_sparse, Graph, Topology, IMPLICIT_THRESHOLD};

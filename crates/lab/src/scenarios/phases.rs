@@ -1,5 +1,4 @@
-//! **phases — the communication anatomy of one irrevocable run** (legacy
-//! `fig_phases` bin).
+//! **phases — the communication anatomy of one irrevocable run**.
 //!
 //! Traces messages per round and bins them into the protocol's three
 //! phases: the cautious-broadcast plateau, the walk burst, and the

@@ -1,5 +1,4 @@
-//! **revocable — revocable LE cost growth** (Theorem 3 / Corollary 1;
-//! legacy `fig_revocable` bin).
+//! **revocable — revocable LE cost growth** (Theorem 3 / Corollary 1).
 //!
 //! Four execution modes plus a formula-ladder extrapolation:
 //!

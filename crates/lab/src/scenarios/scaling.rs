@@ -1,5 +1,4 @@
-//! **scaling — message-complexity exponents** (Theorem 1's shape; legacy
-//! `fig_scaling` bin).
+//! **scaling — message-complexity exponents** (Theorem 1's shape).
 //!
 //! Sweeps `n` per family for this work vs the Gilbert baseline, fitting
 //! measured messages against both raw `n` and the theory quantity

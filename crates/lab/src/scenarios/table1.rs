@@ -1,4 +1,4 @@
-//! **table1 — the Table 1 shootout** (paper Table 1; legacy `table1` bin).
+//! **table1 — the Table 1 shootout** (paper Table 1).
 //!
 //! This paper's irrevocable protocol against the related-work baselines on
 //! the same graphs/seeds: success rates and median message/bit/round costs

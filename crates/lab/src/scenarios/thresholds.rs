@@ -1,5 +1,5 @@
 //! **thresholds — potential thresholds `τ(k)` across the estimate
-//! ladder** (Lemma 5; legacy `fig_thresholds` bin).
+//! ladder** (Lemma 5).
 //!
 //! Runs the diffusion for the paper's `r(k)` rounds per estimate on the
 //! **sparse CSR backend** (`ale_graph::transition::diffusion_chain`,

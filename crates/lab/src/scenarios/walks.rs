@@ -1,5 +1,4 @@
-//! **walks — random-walk hitting rates** (Lemma 2; legacy `fig_walks`
-//! bin).
+//! **walks — random-walk hitting rates** (Lemma 2).
 //!
 //! Paper regime (protocol's own budgets, 6 candidates): hit rate must be
 //! ≈ 1.00 — the Lemma 2 claim. Stress regime (pinned-small territories,

@@ -41,7 +41,7 @@ use crate::db::{scan_entries, AofDb, Db, ScannedEntry};
 use crate::json::Value;
 use crate::registry;
 use crate::scenario::{LabError, Scenario};
-use crate::store::{load_manifest, missing_trials};
+use crate::store::{load_manifest, missing_among, missing_trials};
 use ale_serve::{Body, Request, Response};
 use ale_telemetry::{
     register_counter, register_histogram, Counter, MetricSnapshot, SharedHistogram,
@@ -211,7 +211,7 @@ impl ServeApp {
         let mut entries = Vec::new();
         for run in &self.runs {
             let manifest = load_manifest(&run.dir.join("manifest.json"))?;
-            let expected: u64 = manifest.effective_counts().iter().sum();
+            let expected: u64 = manifest.counts.iter().sum();
             let missing = missing_trials(&run.dir, &manifest)?;
             entries.push(Value::obj(vec![
                 ("id".to_string(), Value::Str(run.id.clone())),
@@ -285,11 +285,15 @@ fn manifest_response(dir: &Path) -> Result<Response, LabError> {
 /// Serves the stored `s/` rows as raw bytes spliced into a JSON array,
 /// so served rows are byte-identical to the journaled ones (re-encoding
 /// floats could drift). Incomplete runs get `"complete": false` and
-/// whatever rows exist (normally none until `finish` writes them).
+/// whatever rows exist (normally none until `finish` writes them). The
+/// rows and the `"missing"` count come from one journal snapshot.
 fn summary_response(id: &str, dir: &Path) -> Result<Response, LabError> {
     let manifest = load_manifest(&dir.join("manifest.json"))?;
-    let missing = missing_trials(dir, &manifest)?;
     let db = open_journal(dir)?;
+    let missing = missing_among(
+        &manifest,
+        db.iter_prefix(b"t/").into_iter().map(|(key, _)| key),
+    );
     let mut body = Vec::new();
     write!(
         body,
@@ -334,12 +338,11 @@ fn trials_response(dir: &Path, req: &Request) -> Result<Response, LabError> {
         }
         (None, None) => {}
         (Some(point), seed) => {
-            let positions = manifest.effective_positions();
             let pos = manifest
                 .grid
                 .iter()
                 .position(|label| label == point)
-                .map(|i| positions[i])
+                .map(|i| manifest.positions[i])
                 .ok_or_else(|| {
                     LabError::BadArgs(format!("no grid point labelled '{point}' in this run"))
                 })?;
@@ -375,7 +378,8 @@ fn trials_response(dir: &Path, req: &Request) -> Result<Response, LabError> {
 
 /// The tail route: serves the journal's valid prefix from a byte
 /// cursor, long-polling while the run is in progress. See the module
-/// docs for the protocol.
+/// docs for the protocol. The batch, cursor, and `"missing"` count come
+/// from one read of the journal.
 fn tail_response(id: &str, dir: &Path, req: &Request) -> Result<Response, LabError> {
     let from: u64 = match req.query_param("from") {
         None => 0,
@@ -412,7 +416,7 @@ fn tail_response(id: &str, dir: &Path, req: &Request) -> Result<Response, LabErr
             Vec::new()
         };
         if !on_boundary || !batch.is_empty() || manifest.complete || Instant::now() >= deadline {
-            let missing = missing_trials(dir, &manifest)?;
+            let missing = missing_among(&manifest, entries.iter().map(|e| &e.key));
             let mut body = Vec::new();
             write!(
                 body,

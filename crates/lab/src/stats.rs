@@ -1,5 +1,5 @@
 //! Scalar sample statistics shared by the fleet aggregator and the
-//! legacy `ale_bench::sweep` helpers (which re-export these).
+//! algorithm drivers ([`crate::runners`]).
 
 /// Mean of a float sample.
 pub fn mean(xs: &[f64]) -> f64 {

@@ -15,15 +15,17 @@
 //!   summary.csv     — per-(point, metric) streaming statistics
 //! ```
 //!
-//! `trials.db` is the crash-safe source of truth while a run executes:
-//! every record is [`crate::db::Db::put`] under its [`TrialKey`] —
-//! `(scenario, space-hash, grid-position, seed-index)` — as soon as a
-//! worker produces it, so a killed sweep can be completed by `ale-lab run
-//! --resume` instead of restarted. The derived views (`trials.jsonl`,
+//! `trials.db` is the run's only source of truth: every record is
+//! [`crate::db::Db::put`] under its [`TrialKey`] — `(scenario,
+//! space-hash, grid-position, seed-index)` — as soon as a worker produces
+//! it, so a killed sweep can be completed by `ale-lab run --resume`
+//! instead of restarted. Resume and `merge` read trials back through one
+//! validator, [`validated_trials`]. The derived views (`trials.jsonl`,
 //! `trials.csv`, `summary.csv`) are written at [`RunWriter::finish`] via
-//! temp-file + rename, the journal is compacted to its sorted canonical
-//! form, and only then is the manifest rewritten with `complete: true` —
-//! so an interrupted run is always distinguishable from a finished one.
+//! temp-file + rename and are never read back as trial input; the journal
+//! is compacted to its sorted canonical form, and only then is the
+//! manifest rewritten with `complete: true` — so an interrupted run is
+//! always distinguishable from a finished one.
 //! Because record order is deterministic (see [`crate::engine`]), two
 //! runs with the same spec — or a killed-and-resumed run — produce
 //! byte-identical stores; the property the determinism and resume tests
@@ -34,14 +36,14 @@ use crate::db::{AofDb, Db as _};
 use crate::json::{parse, ToJson, Value};
 use crate::scenario::{LabError, TrialRecord};
 use crate::table::Table;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fs;
 use std::path::Path;
 
-/// Manifest schema version written by this tree. Version 2 added the
-/// durable-store fields: `positions`, `counts`, `config`, `space_hash`,
-/// `complete`, `git_describe` (and changed `git` to the [`git_stamp`]
-/// form).
+/// Manifest schema version written and read by this tree. Version 2
+/// added the durable-store fields: `positions`, `counts`, `config`,
+/// `space_hash`, `complete`, `git_describe` (and changed `git` to the
+/// [`git_stamp`] form); manifests of any other version are refused.
 pub const STORE_VERSION: u32 = 2;
 
 /// The raw invocation a run was launched with — enough to re-expand the
@@ -177,11 +179,10 @@ pub struct RunManifest {
     pub grid: Vec<String>,
     /// Full-grid position of each grid point, parallel to `grid` — the
     /// seed-stream discriminator and the position component of every
-    /// [`TrialKey`]. Empty in pre-v2 manifests (then position == index,
-    /// valid for unfiltered `i/k` shards).
+    /// [`TrialKey`].
     pub positions: Vec<u64>,
     /// Expected trial count per grid point, parallel to `grid` (points
-    /// may override the global `seeds`). Empty in pre-v2 manifests.
+    /// may override the global `seeds`).
     pub counts: Vec<u64>,
     /// [`git_stamp`] of the producing tree: exact short sha, `-dirty`
     /// when the work tree had uncommitted changes — the same stamp bench
@@ -194,36 +195,36 @@ pub struct RunManifest {
     pub quick: bool,
     /// Grid shard this run executed, as `"i/k"` (`"0/1"` = the whole
     /// grid). Shards of one logical sweep share the scenario, master
-    /// seed, seed count, quick flag, and resolved space — a merge tool
-    /// should verify those before unioning JSONL logs — while `grid`
-    /// lists only the labels this shard selected and `workers` may
-    /// differ per machine.
+    /// seed, seed count, quick flag, and resolved space — `merge`
+    /// verifies those before unioning journals — while `grid` lists
+    /// only the labels this shard selected and `workers` may differ per
+    /// machine.
     pub shard: String,
     /// The resolved parameter space, one `key=v1,v2,…` line per axis as
     /// reported by [`crate::params::ParamSpace::expand`] — the record of
     /// which sweep this run actually executed once `--quick`/`--param`
-    /// overrides were applied. Empty in pre-space manifests.
+    /// overrides were applied.
     pub space: Vec<String>,
     /// [`space_hash`] over (scenario, master seed, seeds, quick, space) —
-    /// the sweep identity every [`TrialKey`] embeds. 0 in pre-v2
-    /// manifests.
+    /// the sweep identity every [`TrialKey`] embeds.
     pub space_hash: u64,
-    /// The raw invocation (see [`RunConfig`]); `None` in pre-v2
-    /// manifests and in merged stores whose inputs disagreed.
+    /// The raw invocation (see [`RunConfig`]); `None` (stored as `null`)
+    /// in merged stores whose inputs' configs disagreed.
     pub config: Option<RunConfig>,
     /// `false` from [`RunWriter::create`] until [`RunWriter::finish`]
     /// rewrites the manifest — the completion marker that makes an
-    /// interrupted run distinguishable from a finished one. Pre-v2
-    /// manifests (which had no marker) parse as `true`.
+    /// interrupted run distinguishable from a finished one.
     pub complete: bool,
     /// Manifest schema version.
     pub version: u32,
 }
 
 impl RunManifest {
-    /// Builds a (complete) manifest for the current tree. The
-    /// durable-store extras (`positions`, `counts`, `config`) start
-    /// empty/none; callers that have them set the fields directly.
+    /// Builds a (complete) manifest for the current tree, as for a whole
+    /// unfiltered run: `positions` are the grid indices and every point
+    /// expects `seeds` trials. `config` starts `None`; callers that
+    /// select points, override counts, or replay an invocation set the
+    /// fields directly.
     #[allow(clippy::too_many_arguments)]
     pub fn for_run(
         scenario: &str,
@@ -241,9 +242,9 @@ impl RunManifest {
             master_seed,
             seeds,
             workers,
+            positions: (0..grid.len() as u64).collect(),
+            counts: vec![seeds; grid.len()],
             grid,
-            positions: Vec::new(),
-            counts: Vec::new(),
             git: git_stamp(),
             git_describe: git_describe(),
             quick,
@@ -256,122 +257,101 @@ impl RunManifest {
         }
     }
 
-    /// The full-grid position of each grid point: the stored `positions`
-    /// when present, else (pre-v2) the grid index — correct for
-    /// unfiltered whole runs, and the best available reconstruction for
-    /// old shards.
-    pub fn effective_positions(&self) -> Vec<u64> {
-        if self.positions.len() == self.grid.len() {
-            self.positions.clone()
-        } else {
-            (0..self.grid.len() as u64).collect()
-        }
+    /// The full-grid position of each grid point (the `positions` field).
+    pub fn effective_positions(&self) -> &[u64] {
+        &self.positions
     }
 
-    /// The expected trial count of each grid point: the stored `counts`
-    /// when present, else the global `seeds` (pre-v2 manifests could not
-    /// record per-point overrides).
-    pub fn effective_counts(&self) -> Vec<u64> {
-        if self.counts.len() == self.grid.len() {
-            self.counts.clone()
-        } else {
-            vec![self.seeds; self.grid.len()]
-        }
+    /// The expected trial count of each grid point (the `counts` field).
+    pub fn effective_counts(&self) -> &[u64] {
+        &self.counts
     }
 
-    /// Parses a manifest back from JSON.
+    /// Parses a manifest back from JSON. Every field is required
+    /// (`config` may be `null`), `version` must be [`STORE_VERSION`], and
+    /// `positions`/`counts` must be parallel to `grid`.
     ///
     /// # Errors
     ///
-    /// [`LabError::BadRecord`] on missing/ill-typed fields.
+    /// [`LabError::BadRecord`] naming the missing, ill-typed, or
+    /// inconsistent field.
     pub fn from_json(v: &Value) -> Result<RunManifest, LabError> {
+        let ill = |k: &str, what: &str| LabError::BadRecord(format!("manifest '{k}' {what}"));
         let need = |k: &str| -> Result<&Value, LabError> {
             v.get(k)
                 .ok_or_else(|| LabError::BadRecord(format!("manifest missing '{k}'")))
         };
-        let string_arr = |k: &str, items: &[Value]| -> Result<Vec<String>, LabError> {
-            items
+        let string = |k: &str| -> Result<String, LabError> {
+            need(k)?
+                .as_str()
+                .map(str::to_string)
+                .ok_or_else(|| ill(k, "is not a string"))
+        };
+        let uint = |k: &str| need(k)?.as_u64().ok_or_else(|| ill(k, "is not a u64"));
+        let boolean = |k: &str| need(k)?.as_bool().ok_or_else(|| ill(k, "is not a bool"));
+        let array = |k: &str| -> Result<&[Value], LabError> {
+            match need(k)? {
+                Value::Arr(items) => Ok(items),
+                _ => Err(ill(k, "is not an array")),
+            }
+        };
+        let strings = |k: &str| -> Result<Vec<String>, LabError> {
+            array(k)?
                 .iter()
                 .map(|i| {
                     i.as_str()
                         .map(str::to_string)
-                        .ok_or_else(|| LabError::BadRecord(format!("non-string entry in '{k}'")))
+                        .ok_or_else(|| ill(k, "holds a non-string"))
                 })
                 .collect()
         };
-        let u64_arr = |k: &str| -> Result<Vec<u64>, LabError> {
-            match v.get(k) {
-                Some(Value::Arr(items)) => items
-                    .iter()
-                    .map(|i| {
-                        i.as_u64()
-                            .ok_or_else(|| LabError::BadRecord(format!("non-u64 entry in '{k}'")))
-                    })
-                    .collect(),
-                // Absent in pre-v2 manifests.
-                None => Ok(Vec::new()),
-                Some(_) => Err(LabError::BadRecord(format!("'{k}' is not an array"))),
+        let version = uint("version")?;
+        if version != u64::from(STORE_VERSION) {
+            return Err(ill(
+                "version",
+                &format!("is {version}; this tree reads only version {STORE_VERSION}"),
+            ));
+        }
+        let grid = strings("grid")?;
+        let parallel = |k: &str| -> Result<Vec<u64>, LabError> {
+            let values = array(k)?
+                .iter()
+                .map(|i| i.as_u64().ok_or_else(|| ill(k, "holds a non-u64")))
+                .collect::<Result<Vec<u64>, _>>()?;
+            if values.len() != grid.len() {
+                return Err(ill(
+                    k,
+                    &format!(
+                        "has {} entries for {} grid points",
+                        values.len(),
+                        grid.len()
+                    ),
+                ));
             }
+            Ok(values)
         };
-        let grid = match need("grid")? {
-            Value::Arr(items) => string_arr("grid", items)?,
-            _ => return Err(LabError::BadRecord("'grid' is not an array".into())),
-        };
+        let positions = parallel("positions")?;
+        let counts = parallel("counts")?;
         Ok(RunManifest {
-            scenario: need("scenario")?
-                .as_str()
-                .ok_or_else(|| LabError::BadRecord("'scenario' not a string".into()))?
-                .to_string(),
-            master_seed: need("master_seed")?
-                .as_u64()
-                .ok_or_else(|| LabError::BadRecord("'master_seed' not a u64".into()))?,
-            seeds: need("seeds")?
-                .as_u64()
-                .ok_or_else(|| LabError::BadRecord("'seeds' not a u64".into()))?,
-            workers: need("workers")?
-                .as_u64()
-                .ok_or_else(|| LabError::BadRecord("'workers' not a u64".into()))?
-                as usize,
+            scenario: string("scenario")?,
+            master_seed: uint("master_seed")?,
+            seeds: uint("seeds")?,
+            workers: uint("workers")? as usize,
             grid,
-            positions: u64_arr("positions")?,
-            counts: u64_arr("counts")?,
-            git: need("git")?
-                .as_str()
-                .ok_or_else(|| LabError::BadRecord("'git' not a string".into()))?
-                .to_string(),
-            // Absent in pre-v2 manifests (whose 'git' WAS the describe).
-            git_describe: v
-                .get("git_describe")
-                .and_then(Value::as_str)
-                .unwrap_or("")
-                .to_string(),
-            quick: need("quick")?
-                .as_bool()
-                .ok_or_else(|| LabError::BadRecord("'quick' not a bool".into()))?,
-            // Absent in pre-shard manifests: default to the whole grid.
-            shard: v
-                .get("shard")
-                .and_then(Value::as_str)
-                .unwrap_or("0/1")
-                .to_string(),
-            // Absent in pre-space manifests: default to unrecorded.
-            space: match v.get("space") {
-                Some(Value::Arr(items)) => string_arr("space", items)?,
-                None => Vec::new(),
-                Some(_) => return Err(LabError::BadRecord("'space' is not an array".into())),
+            positions,
+            counts,
+            git: string("git")?,
+            git_describe: string("git_describe")?,
+            quick: boolean("quick")?,
+            shard: string("shard")?,
+            space: strings("space")?,
+            space_hash: uint("space_hash")?,
+            config: match need("config")? {
+                Value::Null => None,
+                c => Some(RunConfig::from_json(c)?),
             },
-            space_hash: v.get("space_hash").and_then(Value::as_u64).unwrap_or(0),
-            config: match v.get("config") {
-                Some(Value::Null) | None => None,
-                Some(c) => Some(RunConfig::from_json(c)?),
-            },
-            // Pre-v2 manifests had no completion marker; they were only
-            // ever produced by runs that reached the end.
-            complete: v.get("complete").and_then(Value::as_bool).unwrap_or(true),
-            version: need("version")?
-                .as_u64()
-                .ok_or_else(|| LabError::BadRecord("'version' not a u64".into()))?
-                as u32,
+            complete: boolean("complete")?,
+            version: STORE_VERSION,
         })
     }
 }
@@ -592,6 +572,17 @@ fn jsonl_bytes(records: &[TrialRecord]) -> Vec<u8> {
     out.into_bytes()
 }
 
+/// Each grid label's full-grid position (`positions` is parallel to
+/// `grid`).
+fn positions_by_label(manifest: &RunManifest) -> HashMap<&str, u64> {
+    manifest
+        .grid
+        .iter()
+        .map(String::as_str)
+        .zip(manifest.positions.iter().copied())
+        .collect()
+}
+
 /// Assigns every record its [`TrialKey`] from the manifest's grid:
 /// position from `positions` (parallel to `grid`), seed index by
 /// occurrence order within the point.
@@ -599,13 +590,7 @@ fn keyed_records<'a>(
     manifest: &RunManifest,
     records: &'a [TrialRecord],
 ) -> Result<Vec<(TrialKey, &'a TrialRecord)>, LabError> {
-    let positions = manifest.effective_positions();
-    let pos_of: HashMap<&str, u64> = manifest
-        .grid
-        .iter()
-        .zip(&positions)
-        .map(|(label, &pos)| (label.as_str(), pos))
-        .collect();
+    let pos_of = positions_by_label(manifest);
     let mut next_seed: HashMap<&str, u64> = HashMap::new();
     records
         .iter()
@@ -642,13 +627,7 @@ fn populate_db(
     for (key, r) in keyed_records(manifest, records)? {
         db.put(&key.encode(), r.to_json().render().as_bytes())?;
     }
-    let positions = manifest.effective_positions();
-    let pos_of: HashMap<&str, u64> = manifest
-        .grid
-        .iter()
-        .zip(&positions)
-        .map(|(label, &pos)| (label.as_str(), pos))
-        .collect();
+    let pos_of = positions_by_label(manifest);
     for (label, metric, row) in summary.summary_rows() {
         let &position = pos_of.get(label.as_str()).ok_or_else(|| {
             LabError::BadRecord(format!(
@@ -806,28 +785,9 @@ impl RunWriter {
     }
 }
 
-/// Appends records to an existing `trials.jsonl` (ad-hoc log surgery;
-/// the engine itself persists through [`RunWriter`]).
-///
-/// # Errors
-///
-/// Filesystem failures surface as [`LabError::Io`].
-pub fn append_jsonl(path: &Path, records: &[TrialRecord]) -> Result<(), LabError> {
-    use std::io::Write as _;
-    let mut file = fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| io_err(path, e))?;
-    for r in records {
-        writeln!(file, "{}", r.to_json().render()).map_err(|e| io_err(path, e))?;
-    }
-    Ok(())
-}
-
-/// Loads every record from a JSONL trial log, erroring loudly on any
-/// malformed line — including a mid-line-truncated final record. Use
-/// [`load_jsonl_recover`] when a truncated tail should be survivable.
+/// Loads every record from a JSONL trial log (a derived view — the
+/// `export` read path), erroring loudly on any malformed line, including
+/// a mid-line-truncated final record.
 ///
 /// # Errors
 ///
@@ -848,57 +808,83 @@ pub fn load_jsonl(path: &Path) -> Result<Vec<TrialRecord>, LabError> {
     Ok(records)
 }
 
-/// Loads a JSONL trial log, tolerating a truncated tail: returns the
-/// valid record prefix plus a flag reporting whether the file ended
-/// mid-record (an unparseable final line, or a final line the writer
-/// never terminated with `\n`). A malformed line *followed by further
-/// records* is still a hard error — that is corruption, not a crash
-/// tail. This is the `--resume`/`merge` read path; plain [`load_jsonl`]
-/// keeps erroring loudly.
-///
-/// # Errors
-///
-/// IO failures and malformed non-final lines.
-pub fn load_jsonl_recover(path: &Path) -> Result<(Vec<TrialRecord>, bool), LabError> {
-    let text = fs::read_to_string(path).map_err(|e| io_err(path, e))?;
-    let lines: Vec<&str> = text.lines().collect();
-    let mut records = Vec::new();
-    for (lineno, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let parsed = parse(line)
-            .map_err(LabError::BadRecord)
-            .and_then(|v| TrialRecord::from_json(&v));
-        match parsed {
-            Ok(record) => records.push(record),
-            Err(e) => {
-                let is_tail = lines[lineno + 1..].iter().all(|l| l.trim().is_empty());
-                if is_tail {
-                    return Ok((records, true));
-                }
-                return Err(LabError::BadRecord(format!(
-                    "line {}: {e} (followed by further records — corruption, not a torn tail)",
-                    lineno + 1
-                )));
-            }
-        }
-    }
-    // Every line parsed; a missing final newline still means the writer
-    // was cut (exactly at the record boundary), so flag it.
-    let truncated = !text.is_empty() && !text.ends_with('\n');
-    Ok((records, truncated))
-}
-
 /// Loads a run manifest.
 ///
 /// # Errors
 ///
-/// IO failures and malformed JSON.
+/// IO failures, malformed JSON, and manifests [`RunManifest::from_json`]
+/// rejects.
 pub fn load_manifest(path: &Path) -> Result<RunManifest, LabError> {
     let text = fs::read_to_string(path).map_err(|e| io_err(path, e))?;
     let value = parse(&text).map_err(LabError::BadRecord)?;
     RunManifest::from_json(&value)
+}
+
+/// A journaled trial accepted by [`validated_trials`]: `(grid index,
+/// seed index, record)`, the grid index pointing into the manifest's
+/// `grid`/`positions`/`counts`.
+pub type JournaledTrial = (usize, u64, TrialRecord);
+
+/// Validates a journal's `t/` entries (as [`crate::db::Db::iter_prefix`]
+/// returns them, in key order) against the run's manifest and returns
+/// them in that order — the one read path through which `run --resume`
+/// and `merge` trust journaled trials. Each entry must be a
+/// trial key of this sweep (scenario and space hash) at a position the
+/// manifest lists, with a seed index below that point's count, and its
+/// payload must parse to a record whose seed is the key's derived seed
+/// ([`crate::fleet::derive_seed`]) and whose point is the grid label.
+///
+/// # Errors
+///
+/// [`LabError::BadRecord`] naming `journal` and the first entry that
+/// fails a check.
+pub fn validated_trials(
+    journal: &Path,
+    manifest: &RunManifest,
+    entries: Vec<(Vec<u8>, Vec<u8>)>,
+) -> Result<Vec<JournaledTrial>, LabError> {
+    let index_of: HashMap<u64, usize> = manifest
+        .positions
+        .iter()
+        .enumerate()
+        .map(|(i, &position)| (position, i))
+        .collect();
+    let bad = |key: &[u8], why: &str| {
+        LabError::BadRecord(format!(
+            "{}: entry '{}' {why}",
+            journal.display(),
+            String::from_utf8_lossy(key)
+        ))
+    };
+    entries
+        .into_iter()
+        .map(|(key, value)| {
+            let k = TrialKey::decode(&key).map_err(|_| bad(&key, "is not a trial key"))?;
+            if k.scenario != manifest.scenario || k.space_hash != manifest.space_hash {
+                return Err(bad(&key, "belongs to a different sweep"));
+            }
+            let Some(&pi) = index_of.get(&k.position) else {
+                return Err(bad(
+                    &key,
+                    "names a grid position the manifest does not list",
+                ));
+            };
+            if k.seed_index >= manifest.counts[pi] {
+                return Err(bad(&key, "has a seed index beyond the point's trial count"));
+            }
+            let text =
+                std::str::from_utf8(&value).map_err(|_| bad(&key, "holds a non-UTF-8 payload"))?;
+            let record = parse(text)
+                .map_err(LabError::BadRecord)
+                .and_then(|v| TrialRecord::from_json(&v))
+                .map_err(|e| bad(&key, &format!("does not parse: {e}")))?;
+            let seed = crate::fleet::derive_seed(manifest.master_seed, k.position, k.seed_index);
+            if record.seed != seed || record.point != manifest.grid[pi] {
+                return Err(bad(&key, "payload disagrees with its key (corruption)"));
+            }
+            Ok((pi, k.seed_index, record))
+        })
+        .collect()
 }
 
 /// One summary row served from the durable store (the `summaries` read
@@ -916,37 +902,28 @@ pub struct StoredSummaryRow {
 }
 
 /// Serves a run directory's summary rows from the keyed store
-/// (`trials.db` `s/` prefix). Returns `Ok(None)` when the directory has
-/// no journal (pre-v2 store) — callers fall back to `summary.csv` — and
-/// errors loudly on an incomplete or torn store instead of serving
-/// partial statistics.
+/// (`trials.db` `s/` prefix), erroring loudly on an incomplete or torn
+/// store instead of serving partial statistics.
 ///
 /// # Errors
 ///
 /// [`LabError::BadRecord`] on an incomplete run (manifest `complete:
-/// false`), a truncated journal, or malformed rows; IO failures as
-/// [`LabError::Io`].
-pub fn load_summary_rows(dir: &Path) -> Result<Option<Vec<StoredSummaryRow>>, LabError> {
-    let manifest_path = dir.join("manifest.json");
-    if manifest_path.exists() {
-        let manifest = load_manifest(&manifest_path)?;
-        if !manifest.complete {
-            let expected: u64 = manifest.effective_counts().iter().sum();
-            let missing = missing_trials(dir, &manifest).unwrap_or(expected);
-            return Err(LabError::BadRecord(format!(
-                "{}: run is incomplete (crashed or still running; {missing} of {expected} \
-                 (point, seed-index) trials missing) — finish it with \
-                 `ale-lab run --resume {}` first",
-                dir.display(),
-                dir.display()
-            )));
-        }
+/// false`), a truncated journal, or malformed rows; a missing manifest or
+/// journal and other IO failures as [`LabError::Io`].
+pub fn load_summary_rows(dir: &Path) -> Result<Vec<StoredSummaryRow>, LabError> {
+    let manifest = load_manifest(&dir.join("manifest.json"))?;
+    if !manifest.complete {
+        let expected: u64 = manifest.counts.iter().sum();
+        let missing = missing_trials(dir, &manifest).unwrap_or(expected);
+        return Err(LabError::BadRecord(format!(
+            "{}: run is incomplete (crashed or still running; {missing} of {expected} \
+             (point, seed-index) trials missing) — finish it with \
+             `ale-lab run --resume {}` first",
+            dir.display(),
+            dir.display()
+        )));
     }
-    let db_path = dir.join("trials.db");
-    if !db_path.exists() {
-        return Ok(None);
-    }
-    let db = AofDb::open_read(&db_path)?;
+    let db = AofDb::open_read(&dir.join("trials.db"))?;
     if db.truncated() {
         return Err(LabError::BadRecord(format!(
             "{}: trials.db is truncated mid-entry — resume the run before reading summaries",
@@ -989,50 +966,63 @@ pub fn load_summary_rows(dir: &Path) -> Result<Option<Vec<StoredSummaryRow>>, La
                 .ok_or_else(|| LabError::BadRecord("summary row 'count' not a u64".into()))?,
         });
     }
-    if rows.is_empty() {
-        return Ok(None);
-    }
-    Ok(Some(rows))
+    Ok(rows)
 }
 
-/// Counts the `(point, seed-index)` trials a run directory still lacks:
-/// the manifest's expected totals (Σ per-point counts) minus the
-/// distinct valid trial keys already journaled in `trials.db` for this
-/// sweep. A missing or empty journal leaves everything missing. This is
-/// the number `check`'s `--resume` hint and the serve/tail routes both
-/// report, so the two views of "what remains" always agree.
+/// Counts the `(point, seed-index)` trials `manifest` expects that
+/// `keys` do not hold: the expected total (Σ `counts`) minus the
+/// distinct trial keys of this sweep at a listed position with an
+/// in-range seed index. Foreign or undecodable keys are skipped and a
+/// repeated key counts once, so the keys may come from a recovered
+/// journal index or straight from [`crate::db::scan_entries`], which
+/// keeps re-puts.
+pub fn missing_among<K: AsRef<[u8]>>(
+    manifest: &RunManifest,
+    keys: impl IntoIterator<Item = K>,
+) -> u64 {
+    let count_at: HashMap<u64, u64> = manifest
+        .positions
+        .iter()
+        .copied()
+        .zip(manifest.counts.iter().copied())
+        .collect();
+    let mut present: HashSet<(u64, u64)> = HashSet::new();
+    for key in keys {
+        let Ok(k) = TrialKey::decode(key.as_ref()) else {
+            continue;
+        };
+        if k.scenario == manifest.scenario
+            && k.space_hash == manifest.space_hash
+            && count_at
+                .get(&k.position)
+                .is_some_and(|&count| k.seed_index < count)
+        {
+            present.insert((k.position, k.seed_index));
+        }
+    }
+    let expected: u64 = manifest.counts.iter().sum();
+    expected.saturating_sub(present.len() as u64)
+}
+
+/// Counts the trials a run directory still lacks: [`missing_among`] the
+/// keys journaled in its `trials.db` (a torn tail excluded). A missing
+/// journal leaves everything missing. This is the number `check`'s
+/// `--resume` hint and the serve routes report, so every view of "what
+/// remains" agrees.
 ///
 /// # Errors
 ///
 /// Filesystem failures reading the journal as [`LabError::Io`].
 pub fn missing_trials(dir: &Path, manifest: &RunManifest) -> Result<u64, LabError> {
-    let positions = manifest.effective_positions();
-    let counts = manifest.effective_counts();
-    let expected: u64 = counts.iter().sum();
     let db_path = dir.join("trials.db");
     if !db_path.exists() {
-        return Ok(expected);
+        return Ok(manifest.counts.iter().sum());
     }
     let db = AofDb::open_read(&db_path)?;
-    let mut present = 0u64;
-    // iter_prefix walks the recovered index, so duplicates are already
-    // collapsed and a torn tail is already excluded.
-    for (key, _) in db.iter_prefix(b"t/") {
-        let Ok(k) = TrialKey::decode(&key) else {
-            continue;
-        };
-        if k.scenario != manifest.scenario || k.space_hash != manifest.space_hash {
-            continue;
-        }
-        let in_range = positions
-            .iter()
-            .position(|&p| p == k.position)
-            .is_some_and(|i| k.seed_index < counts[i]);
-        if in_range {
-            present += 1;
-        }
-    }
-    Ok(expected.saturating_sub(present))
+    Ok(missing_among(
+        manifest,
+        db.iter_prefix(b"t/").into_iter().map(|(key, _)| key),
+    ))
 }
 
 /// Renders records as flat CSV; extra metrics become columns (the union
@@ -1264,38 +1254,52 @@ mod tests {
     }
 
     #[test]
-    fn pre_v2_manifests_parse_with_defaults() {
+    fn manifests_missing_a_v2_key_or_out_of_shape_are_rejected() {
         let manifest =
             RunManifest::for_run("demo", 1, 2, 3, vec!["a".into()], true, "0/1", Vec::new());
-        let mut v = manifest.to_json();
-        // Simulate a manifest written before the shard/space/durable-store
-        // fields existed.
-        if let Value::Obj(pairs) = &mut v {
-            pairs.retain(|(k, _)| {
-                ![
-                    "shard",
-                    "space",
-                    "space_hash",
-                    "positions",
-                    "counts",
-                    "config",
-                    "complete",
-                    "git_describe",
-                ]
-                .contains(&k.as_str())
-            });
+        assert_eq!(manifest.effective_positions(), [0]);
+        assert_eq!(manifest.effective_counts(), [2]);
+        // Re-parses the manifest with `key` set to `value`, or dropped.
+        let edited = |key: &str, value: Option<Value>| {
+            let mut v = manifest.to_json();
+            if let Value::Obj(pairs) = &mut v {
+                pairs.retain(|(k, _)| k != key || value.is_some());
+                for (_, v) in pairs.iter_mut().filter(|(k, _)| k == key) {
+                    *v = value.clone().expect("kept keys have a value");
+                }
+            }
+            RunManifest::from_json(&v)
+        };
+        assert_eq!(edited("none", None).unwrap(), manifest);
+        // Every key a v2 manifest carries is required; the error names it.
+        for key in [
+            "positions",
+            "counts",
+            "git_describe",
+            "shard",
+            "space",
+            "space_hash",
+            "config",
+            "complete",
+            "version",
+        ] {
+            let err = edited(key, None).unwrap_err();
+            assert!(matches!(err, LabError::BadRecord(_)), "{key}: {err}");
+            assert!(err.to_string().contains(&format!("'{key}'")), "{err}");
         }
-        let back = RunManifest::from_json(&v).unwrap();
-        assert_eq!(back.shard, "0/1");
-        assert_eq!(back.space, Vec::<String>::new());
-        assert_eq!(back.scenario, "demo");
-        // Pre-v2 stores had no completion marker: they parse as complete,
-        // with index-positions and global-seeds counts.
-        assert!(back.complete);
-        assert_eq!(back.space_hash, 0);
-        assert_eq!(back.config, None);
-        assert_eq!(back.effective_positions(), vec![0]);
-        assert_eq!(back.effective_counts(), vec![2]);
+        // Only this tree's schema version parses.
+        let err = edited("version", Some(Value::UInt(1))).unwrap_err();
+        assert!(err.to_string().contains("'version' is 1"), "{err}");
+        // Positions and counts must be parallel to the grid.
+        for key in ["positions", "counts"] {
+            let err = edited(key, Some(Value::Arr(Vec::new()))).unwrap_err();
+            assert!(
+                err.to_string().contains("0 entries for 1 grid points"),
+                "{err}"
+            );
+        }
+        // A null config is a merged store whose inputs disagreed.
+        assert_eq!(edited("config", Some(Value::Null)).unwrap().config, None);
     }
 
     #[test]
@@ -1321,20 +1325,8 @@ mod tests {
         });
         let back = RunManifest::from_json(&manifest.to_json()).unwrap();
         assert_eq!(back, manifest);
-        assert_eq!(back.effective_positions(), vec![1, 3]);
-        assert_eq!(back.effective_counts(), vec![2, 5]);
-    }
-
-    #[test]
-    fn append_grows_the_log() {
-        let path =
-            std::env::temp_dir().join(format!("ale-lab-append-{}.jsonl", std::process::id()));
-        std::fs::remove_file(&path).ok();
-        let records = sample_records();
-        append_jsonl(&path, &records[..1]).unwrap();
-        append_jsonl(&path, &records[1..]).unwrap();
-        assert_eq!(load_jsonl(&path).unwrap(), records);
-        std::fs::remove_file(&path).ok();
+        assert_eq!(back.effective_positions(), [1, 3]);
+        assert_eq!(back.effective_counts(), [2, 5]);
     }
 
     #[test]
@@ -1343,44 +1335,13 @@ mod tests {
         std::fs::write(&path, "{\"scenario\": \"x\"}\n").unwrap();
         let err = load_jsonl(&path).unwrap_err();
         assert!(err.to_string().contains("line 1"));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn recover_returns_the_valid_prefix_of_a_torn_log() {
-        let path = std::env::temp_dir().join(format!("ale-lab-torn-{}.jsonl", std::process::id()));
-        let records = sample_records();
-        let text = String::from_utf8(jsonl_bytes(&records)).unwrap();
-
-        // Intact log: full records, no truncation.
-        std::fs::write(&path, &text).unwrap();
-        let (got, truncated) = load_jsonl_recover(&path).unwrap();
-        assert_eq!(got, records);
-        assert!(!truncated);
-        // Plain load still succeeds on intact logs…
-        assert!(load_jsonl(&path).is_ok());
-
-        // Mid-line truncation: the prefix survives, the flag is set, and
-        // the strict loader errors loudly.
+        // A log torn mid-record is an error too, not a shorter log.
+        let text = String::from_utf8(jsonl_bytes(&sample_records())).unwrap();
         std::fs::write(&path, &text[..text.len() - 17]).unwrap();
-        let (got, truncated) = load_jsonl_recover(&path).unwrap();
-        assert_eq!(got, records[..1]);
-        assert!(truncated);
-        assert!(load_jsonl(&path).is_err());
-
-        // Truncation exactly at the record boundary (missing final
-        // newline): the record is kept, the flag still reports a cut.
-        std::fs::write(&path, text.trim_end_matches('\n')).unwrap();
-        let (got, truncated) = load_jsonl_recover(&path).unwrap();
-        assert_eq!(got, records);
-        assert!(truncated);
-
-        // A malformed line with records after it is corruption, not a
-        // torn tail: hard error even in recovery mode.
-        let lines: Vec<&str> = text.lines().collect();
-        std::fs::write(&path, format!("{}broken\n{}\n", "", lines[1])).unwrap();
-        assert!(load_jsonl_recover(&path).is_err());
-
+        assert!(load_jsonl(&path)
+            .unwrap_err()
+            .to_string()
+            .contains("line 2"));
         std::fs::remove_file(&path).ok();
     }
 
@@ -1401,7 +1362,7 @@ mod tests {
             Vec::new(),
         );
         write_run(&dir, &manifest, &records, &summary).unwrap();
-        let rows = load_summary_rows(&dir).unwrap().expect("rows stored");
+        let rows = load_summary_rows(&dir).unwrap();
         let msgs: Vec<&StoredSummaryRow> = rows.iter().filter(|r| r.metric == "messages").collect();
         assert_eq!(msgs.len(), 2);
         let a = msgs.iter().find(|r| r.point == "cell-a").unwrap();
@@ -1436,14 +1397,117 @@ mod tests {
         assert_eq!(missing_trials(&empty, &manifest).unwrap(), 2);
         std::fs::remove_dir_all(&empty).ok();
 
-        // No journal → None (callers fall back to summary.csv).
+        // A complete manifest without its journal is not a store.
         std::fs::remove_file(dir.join("trials.db")).unwrap();
         write_atomic(
             &dir.join("manifest.json"),
             (manifest.to_json().render_pretty() + "\n").as_bytes(),
         )
         .unwrap();
-        assert_eq!(load_summary_rows(&dir).unwrap(), None);
+        assert!(matches!(load_summary_rows(&dir), Err(LabError::Io(_))));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Writes the sample run, re-seeded as the engine would have seeded
+    /// it (master seed 1), and returns its directory, manifest and
+    /// records.
+    fn sample_store(tag: &str) -> (std::path::PathBuf, RunManifest, Vec<TrialRecord>) {
+        let dir = std::env::temp_dir().join(format!("ale-lab-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut records = sample_records();
+        for (position, r) in records.iter_mut().enumerate() {
+            r.seed = crate::fleet::derive_seed(1, position as u64, 0);
+        }
+        let manifest = RunManifest::for_run(
+            "demo",
+            1,
+            1,
+            1,
+            vec!["cell-a".into(), "cell-b".into()],
+            false,
+            "0/1",
+            Vec::new(),
+        );
+        write_run(&dir, &manifest, &records, &sample_summary(&records)).unwrap();
+        (dir, manifest, records)
+    }
+
+    #[test]
+    fn missing_among_scanned_keys_equals_missing_trials() {
+        let (dir, mut manifest, _) = sample_store("missing-among");
+        manifest.counts = vec![3, 2];
+        let journal = dir.join("trials.db");
+        // Re-put a journaled key, append a new one, then tear a third.
+        let (entries, _) = crate::db::scan_entries(&std::fs::read(&journal).unwrap());
+        let first = entries.iter().find(|e| e.key.starts_with(b"t/")).unwrap();
+        let key = |position, seed_index| TrialKey {
+            scenario: "demo".into(),
+            space_hash: manifest.space_hash,
+            position,
+            seed_index,
+        };
+        let mut db = AofDb::open(&journal).unwrap();
+        db.put(&first.key, &first.value).unwrap();
+        db.put(&key(0, 1).encode(), b"{}").unwrap();
+        db.put(&key(1, 1).encode(), b"{}").unwrap();
+        drop(db);
+        let data = std::fs::read(&journal).unwrap();
+        std::fs::write(&journal, &data[..data.len() - 3]).unwrap();
+
+        let data = std::fs::read(&journal).unwrap();
+        let (scanned, _) = crate::db::scan_entries(&data);
+        let repeats = scanned.iter().filter(|e| e.key == first.key).count();
+        assert_eq!(repeats, 2, "scan_entries keeps the re-put");
+        let from_scan = missing_among(&manifest, scanned.iter().map(|e| &e.key));
+        // Expected 5; present: (0,0), (1,0), (0,1). The torn (1,1) and
+        // the duplicate do not count.
+        assert_eq!(from_scan, 2);
+        assert_eq!(missing_trials(&dir, &manifest).unwrap(), from_scan);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn validated_trials_reject_entries_that_disagree_with_the_manifest() {
+        let (dir, manifest, records) = sample_store("validate");
+        let journal = dir.join("trials.db");
+        let entries = AofDb::open_read(&journal).unwrap().iter_prefix(b"t/");
+        let trials = validated_trials(&journal, &manifest, entries.clone()).unwrap();
+        let keys: Vec<(usize, u64)> = trials.iter().map(|&(pi, si, _)| (pi, si)).collect();
+        assert_eq!(keys, [(0, 0), (1, 0)]);
+        assert_eq!(trials[1].2, records[1]);
+
+        let (key, value) = entries[0].clone();
+        let k = TrialKey::decode(&key).unwrap();
+        let moved = |k: TrialKey| vec![(k.encode(), value.clone())];
+        let rejected = |entries: Vec<(Vec<u8>, Vec<u8>)>, why: &str| {
+            let err = validated_trials(&journal, &manifest, entries).unwrap_err();
+            assert!(err.to_string().contains(why), "{why}: {err}");
+            assert!(err.to_string().contains("trials.db"), "{err}");
+        };
+        let foreign = TrialKey {
+            space_hash: k.space_hash ^ 1,
+            ..k.clone()
+        };
+        rejected(moved(foreign), "different sweep");
+        let unlisted = TrialKey {
+            position: 7,
+            ..k.clone()
+        };
+        rejected(moved(unlisted), "does not list");
+        let beyond = TrialKey {
+            seed_index: 1,
+            ..k.clone()
+        };
+        rejected(moved(beyond), "beyond the point's trial count");
+        rejected(vec![(key.clone(), b"{".to_vec())], "does not parse");
+        // Cell-a's record filed under cell-b's position: seed and label
+        // disagree with the key.
+        let swapped = TrialKey {
+            position: 1,
+            ..k.clone()
+        };
+        rejected(moved(swapped), "disagrees with its key");
+        rejected(vec![(b"t/nope".to_vec(), value.clone())], "not a trial key");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,5 +1,5 @@
-//! Table/series emitters: markdown for EXPERIMENTS.md, CSV and JSON for
-//! downstream plotting.
+//! Table/series emitters: markdown for the scenario reports, CSV and JSON
+//! for downstream plotting.
 
 use crate::json::ToJson;
 use std::fmt::Write as _;

@@ -134,6 +134,42 @@ fn resume_completes_torn_runs_and_resume_usage_errors_exit_two() {
 }
 
 #[test]
+fn a_store_whose_manifest_lacks_a_v2_key_exits_two() {
+    // Every reader of a store parses its manifest strictly: one without
+    // `positions` is refused, since trial keys cannot be placed without it.
+    let dir = std::env::temp_dir().join(format!("ale-lab-exit-strict-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let p = dir.to_string_lossy().to_string();
+    assert_eq!(
+        exit_code(&[
+            "run",
+            "diffusion",
+            "--quick",
+            "--quiet",
+            "--seeds",
+            "1",
+            "--workers",
+            "1",
+            "--out",
+            &p
+        ]),
+        0
+    );
+    let path = dir.join("manifest.json");
+    let mut manifest = ale_lab::json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    if let ale_lab::json::Value::Obj(pairs) = &mut manifest {
+        pairs.retain(|(key, _)| key != "positions");
+    }
+    std::fs::write(&path, manifest.render_pretty() + "\n").unwrap();
+    let out = ale_lab(&["check", &p, "--baseline", &p]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("'positions'"));
+    assert_eq!(exit_code(&["merge", &p, &p]), 2);
+    assert_eq!(exit_code(&["run", "--resume", &p, "--quiet"]), 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn serve_usage_errors_exit_two() {
     // No run directory, a directory that does not exist, and a
     // directory without a store are all usage errors, reported before

@@ -118,7 +118,8 @@ fn killed_runs_resume_byte_identical_at_any_worker_count() {
     }
 
     // Crash state C: journal lost entirely but a JSONL prefix survived —
-    // the surviving records are re-journaled, the rest recomputed.
+    // resume never reads the view, so every trial is recomputed and the
+    // torn `trials.jsonl` is simply rewritten.
     let dir = tmp("jsonl-only");
     std::fs::create_dir_all(&dir).unwrap();
     for (name, bytes) in &baseline {

@@ -178,7 +178,7 @@ fn message_growth_slower_than_gilbert_on_cycles() {
 }
 
 #[test]
-#[ignore = "several seconds per run; exercised by `cargo test --release -- --ignored` and the table1/fig_scaling binaries"]
+#[ignore = "several seconds per run; exercised by `cargo test --release -- --ignored` and the `ale-lab run table1`/`scaling` scenarios"]
 fn message_crossover_on_larger_cycles() {
     // Calibration data (release, 6 seeds): gilbert/this-work message ratio
     // 0.70 at C12, 0.91 at C32, ≥ 1.28 at C40/C64 — the predicted

@@ -45,9 +45,10 @@ fn revocable_protocol_fixes_rings_without_knowledge() {
     // The revocable protocol's cost on cycles is the full force of
     // Corollary 1 (the diffusion term grows like (4n)²/i(G)² = Θ(n⁴) on
     // rings), so the contrast demo runs on the largest tractable ring:
-    // C12, whose stabilizing estimate is k* = 8. Larger rings are
-    // documented as out of simulation reach in EXPERIMENTS.md — that cost
-    // *is* the paper's Theorem 3/Corollary 1 statement, reproduced.
+    // C12, whose stabilizing estimate is k* = 8. Larger rings are out of
+    // simulation reach (the `impossibility` scenario's revocable contrast
+    // stays at a tractable size too) — that cost *is* the paper's
+    // Theorem 3/Corollary 1 statement, reproduced.
     // Seed 0 takes the common path (choose at k ≤ 8, stabilize in ~50k
     // rounds); occasional seeds abstain at k = 8 and pay one k = 16 ladder
     // (~6M rounds) before the horizon drain stabilizes them — correct but
