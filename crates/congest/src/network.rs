@@ -54,6 +54,31 @@
 //! and letting mostly-halted networks step in time proportional to the
 //! survivors, not the graph.
 //!
+//! # Quiet-round fast-forward
+//!
+//! A round with nothing in flight in which no process would act is pure
+//! bookkeeping. Under [`Lockstep`], [`Driver::run_to_halt`] and
+//! [`Driver::run_for`] skip such rounds: at the top of each iteration,
+//! if this round's inbox arena is empty, they ask every active process
+//! for [`Process::quiet_until`] (stopping at the first that answers the
+//! current round) and jump to the smallest answer, capped at the run's
+//! round limit. Each skipped round is recorded exactly as an empty
+//! [`Driver::step`] records it — one [`Metrics`] round, one
+//! [`RoundTrace`] when tracing, and one [`RoundInfo`] for the trace sink
+//! with zero messages, the unchanged active count and the unchanged
+//! buffer capacity — so no observer can tell a skipped round from an
+//! executed one. The default `quiet_until` answers the current round, so
+//! a process that does not implement it is stepped every round.
+//!
+//! Three paths never skip: [`Driver::step`] executes exactly one round;
+//! [`Driver::run_until`] checks its predicate after every round, and the
+//! predicate may inspect the round; and the
+//! [`Events`](crate::async_net::Events) policy holds messages and draws
+//! crash schedules between rounds, so an empty arena does not mean an
+//! idle network. The
+//! [`ReferenceNetwork`](crate::reference::ReferenceNetwork) oracle
+//! executes every round too, which is what lets it check the skip.
+//!
 //! # Engine invariants
 //!
 //! * **Observational equivalence.** No process can distinguish
@@ -110,6 +135,10 @@ impl<M: Payload> Policy<M> for Lockstep {
     fn staging<'a>(&'a mut self, arena: &'a mut StagingArena<M>) -> Staging<'a, M> {
         Staging::Lockstep(arena)
     }
+
+    fn fast_forwards(&self) -> bool {
+        true
+    }
 }
 
 impl<M: Payload> Delivery<M> for Lockstep {}
@@ -146,6 +175,13 @@ pub(crate) mod sealed {
         /// inbox arena's.
         fn buffer_cap(&self, arena_cap: usize) -> usize {
             arena_cap
+        }
+
+        /// Whether the driver may skip quiet rounds: true only for a
+        /// policy that holds nothing between rounds and draws nothing per
+        /// round, so an empty inbox arena means nothing is in flight.
+        fn fast_forwards(&self) -> bool {
+            false
         }
     }
 
@@ -600,16 +636,32 @@ impl<'g, P: Process, D: Delivery<P::Msg>> Driver<'g, P, D> {
         Ok(())
     }
 
-    /// Runs until every process halts, up to `max_rounds`.
+    /// Runs until every process halts, up to `max_rounds`. Skips quiet
+    /// rounds under [`Lockstep`] (see the
+    /// [module docs](crate::network#quiet-round-fast-forward)).
     ///
     /// # Errors
     ///
     /// Propagates [`Driver::step`] errors.
     pub fn run_to_halt(&mut self, max_rounds: u64) -> Result<RunStatus, CongestError> {
-        self.run_until(max_rounds, |_| false)
+        let limit = self.round.saturating_add(max_rounds);
+        loop {
+            if self.all_halted() {
+                return Ok(RunStatus::AllHalted);
+            }
+            if self.round >= limit {
+                return Ok(RunStatus::RoundLimit);
+            }
+            self.skip_quiet_rounds(limit);
+            if self.round < limit {
+                self.step()?;
+            }
+        }
     }
 
     /// Runs exactly `rounds` rounds (or stops early if all processes halt).
+    /// Skips quiet rounds under [`Lockstep`] (see the
+    /// [module docs](crate::network#quiet-round-fast-forward)).
     ///
     /// # Errors
     ///
@@ -620,13 +672,59 @@ impl<'g, P: Process, D: Delivery<P::Msg>> Driver<'g, P, D> {
             if self.all_halted() {
                 return Ok(RunStatus::AllHalted);
             }
-            self.step()?;
+            self.skip_quiet_rounds(target);
+            if self.round < target {
+                self.step()?;
+            }
         }
         Ok(RunStatus::RoundLimit)
     }
 
+    /// With nothing in flight, advances to the first round before `limit`
+    /// in which some active process could act — the smallest
+    /// [`Process::quiet_until`] answer — recording every skipped round
+    /// exactly as [`Driver::step`] records an empty one. Returns at once
+    /// under a policy that does not fast-forward, when this round's inbox
+    /// arena holds a message, or when an active process would act now.
+    fn skip_quiet_rounds(&mut self, limit: u64) {
+        if !self.policy.fast_forwards() || !self.in_arena.is_empty() {
+            return;
+        }
+        let round = self.round;
+        let mut until = limit;
+        for &v in &self.active {
+            until = until.min(self.procs[v as usize].quiet_until(round));
+            if until <= round {
+                return;
+            }
+        }
+        // The commit that emptied the arena already applied step()'s
+        // shrink check for zero staged messages, so an empty step would
+        // leave its capacity, and thus the reported buffer_cap, alone.
+        let buffer_cap = self.policy.buffer_cap(self.in_arena.capacity());
+        while self.round < until {
+            self.metrics.record_round(&RoundStats::default());
+            if let Some(trace) = self.trace.as_mut() {
+                trace.push(RoundTrace {
+                    round: self.round,
+                    ..RoundTrace::default()
+                });
+            }
+            self.sink.on_round(&RoundInfo {
+                round: self.round,
+                messages: 0,
+                bits: 0,
+                max_bits: 0,
+                active: self.active.len(),
+                buffer_cap,
+            });
+            self.round += 1;
+        }
+    }
+
     /// Runs until all processes halt, `pred` becomes true (checked after
-    /// every round), or `max_rounds` elapse.
+    /// every round), or `max_rounds` elapse. Never skips a round: the
+    /// predicate sees every one.
     ///
     /// # Errors
     ///
@@ -990,6 +1088,224 @@ mod tests {
         net.run_to_halt(100).unwrap();
         assert_eq!(net.active_count(), 0);
         assert!(net.all_halted());
+    }
+
+    /// Acts only in its scripted rounds and declares every other round
+    /// quiet: in a `busy` round it draws from its RNG and sends the draw on
+    /// port 0 (`BURST` copies in round `BURST_ROUND`, to grow the inbox
+    /// arena past its shrink watermark); it halts in round `halt_at`.
+    /// Every draw and every delivery is logged, so the log is the
+    /// process's whole observable history.
+    #[derive(Debug)]
+    struct Scripted {
+        busy: Vec<u64>,
+        halt_at: Option<u64>,
+        log: Vec<(u64, u64)>,
+        halted: bool,
+    }
+
+    const BURST_ROUND: u64 = 30;
+    const BURST: usize = 150;
+
+    impl Process for Scripted {
+        type Msg = u64;
+        type Output = Vec<(u64, u64)>;
+
+        fn round(
+            &mut self,
+            ctx: &mut NodeCtx<'_>,
+            inbox: &[Incoming<u64>],
+            out: &mut OutCtx<'_, u64>,
+        ) {
+            for m in inbox {
+                self.log.push((ctx.round, m.msg));
+            }
+            if self.busy.contains(&ctx.round) {
+                let draw = ctx.rng.gen::<u64>() >> 40;
+                self.log.push((ctx.round, draw));
+                let copies = if ctx.round == BURST_ROUND { BURST } else { 1 };
+                for _ in 0..copies {
+                    out.send(0, draw);
+                }
+            }
+            if self.halt_at == Some(ctx.round) {
+                self.halted = true;
+            }
+        }
+
+        fn is_halted(&self) -> bool {
+            self.halted
+        }
+
+        fn quiet_until(&self, round: u64) -> u64 {
+            let busy = self.busy.iter().copied().filter(|&r| r >= round);
+            let halt = self.halt_at.filter(|&r| r >= round);
+            busy.chain(halt).min().unwrap_or(u64::MAX)
+        }
+
+        fn output(&self) -> Vec<(u64, u64)> {
+            self.log.clone()
+        }
+    }
+
+    fn scripted_network(g: &Graph) -> Network<'_, Scripted> {
+        let mut v = 0u64;
+        Network::from_fn(g, 11, 64, |_, _| {
+            let p = Scripted {
+                busy: vec![0, 5 + 7 * v, 6 + 7 * v, BURST_ROUND, 52 + v],
+                halt_at: v.is_multiple_of(2).then_some(70 + v),
+                log: Vec::new(),
+                halted: false,
+            };
+            v += 1;
+            p
+        })
+    }
+
+    /// Records the full per-round stream a trace sink sees.
+    struct Collect(std::sync::Arc<std::sync::Mutex<Vec<RoundInfo>>>);
+
+    impl TraceSink for Collect {
+        fn on_round(&mut self, info: &RoundInfo) {
+            self.0.lock().expect("sink lock").push(*info);
+        }
+    }
+
+    type RunView = (
+        Vec<Vec<(u64, u64)>>,
+        Metrics,
+        Vec<RoundTrace>,
+        Vec<RoundInfo>,
+    );
+
+    /// Drives a fresh scripted network with `drive` and returns everything
+    /// an observer can see of the run.
+    fn observe(g: &Graph, drive: impl FnOnce(&mut Network<'_, Scripted>)) -> RunView {
+        let infos = std::sync::Arc::default();
+        let mut net = scripted_network(g);
+        net.enable_trace();
+        net.set_trace_sink(Box::new(Collect(std::sync::Arc::clone(&infos))));
+        drive(&mut net);
+        let (outputs, metrics, trace) = (net.outputs(), *net.metrics(), net.trace().to_vec());
+        drop(net);
+        let infos = std::mem::take(&mut *infos.lock().expect("sink lock"));
+        (outputs, metrics, trace, infos)
+    }
+
+    #[test]
+    fn fast_forward_matches_a_manual_step_loop() {
+        let g = generators::cycle(5).unwrap();
+        let manual = |rounds: u64| {
+            move |net: &mut Network<'_, Scripted>| {
+                while !net.all_halted() && net.round() < rounds {
+                    net.step().unwrap();
+                }
+            }
+        };
+        // run_to_halt: the odd nodes never halt, so the run hits the cap.
+        let skipped = observe(&g, |net| {
+            assert_eq!(net.run_to_halt(90).unwrap(), RunStatus::RoundLimit);
+        });
+        assert_eq!(skipped, observe(&g, manual(90)));
+        assert_eq!(skipped.1.rounds, 90);
+        assert!(skipped.3.iter().any(|i| i.buffer_cap > 512));
+        // run_for, resumed mid-window and again across the halts.
+        let skipped = observe(&g, |net| {
+            assert_eq!(net.run_for(8).unwrap(), RunStatus::RoundLimit);
+            assert_eq!(net.run_for(60).unwrap(), RunStatus::RoundLimit);
+            assert_eq!(net.run_for(20).unwrap(), RunStatus::RoundLimit);
+        });
+        assert_eq!(skipped, observe(&g, manual(88)));
+        // Every node halts once the odd ones are given a halt round too.
+        let halting = |net: &mut Network<'_, Scripted>| {
+            for v in 0..5 {
+                net.procs[v].halt_at = Some(70 + v as u64);
+            }
+        };
+        let skipped = observe(&g, |net| {
+            halting(net);
+            assert_eq!(net.run_to_halt(1000).unwrap(), RunStatus::AllHalted);
+        });
+        assert_eq!(
+            skipped,
+            observe(&g, |net| {
+                halting(net);
+                manual(1000)(net);
+            })
+        );
+        assert_eq!(skipped.1.rounds, 75);
+    }
+
+    /// Declares every round quiet. Its call counter is the probe: a driver
+    /// that skips calls `round` zero times, one that steps calls it every
+    /// round.
+    #[derive(Debug, Default)]
+    struct Sleeper {
+        calls: u64,
+    }
+
+    impl Process for Sleeper {
+        type Msg = u64;
+        type Output = u64;
+
+        fn round(&mut self, _: &mut NodeCtx<'_>, _: &[Incoming<u64>], _: &mut OutCtx<'_, u64>) {
+            self.calls += 1;
+        }
+
+        fn quiet_until(&self, _round: u64) -> u64 {
+            u64::MAX
+        }
+
+        fn output(&self) -> u64 {
+            self.calls
+        }
+    }
+
+    #[test]
+    fn a_process_quiet_forever_runs_to_the_round_limit_without_being_called() {
+        let g = generators::cycle(4).unwrap();
+        for run_for in [true, false] {
+            let mut net = Network::from_fn(&g, 0, 64, |_, _| Sleeper::default());
+            net.enable_trace();
+            let status = if run_for {
+                net.run_for(7)
+            } else {
+                net.run_to_halt(7)
+            };
+            assert_eq!(status.unwrap(), RunStatus::RoundLimit);
+            assert_eq!(net.round(), 7);
+            assert_eq!(net.metrics().rounds, 7);
+            assert_eq!(net.metrics().congest_rounds, 7);
+            assert_eq!(net.trace().len(), 7);
+            assert!(net.outputs().iter().all(|&calls| calls == 0));
+        }
+    }
+
+    #[test]
+    fn run_until_and_the_event_policy_step_every_round() {
+        let g = generators::cycle(4).unwrap();
+        let mut net = Network::from_fn(&g, 0, 64, |_, _| Sleeper::default());
+        let status = net.run_until(100, |n| n.round() >= 5).unwrap();
+        assert_eq!(status, RunStatus::PredicateMet);
+        assert_eq!(net.round(), 5);
+        assert!(net.outputs().iter().all(|&calls| calls == 5));
+        let mut evented = crate::AsyncNetwork::from_fn(&g, 0, 64, |_, _| Sleeper::default());
+        assert_eq!(evented.run_for(7).unwrap(), RunStatus::RoundLimit);
+        assert!(evented.outputs().iter().all(|&calls| calls == 7));
+
+        // Against a scripted run: run_until stops where stepping would.
+        let g = generators::cycle(5).unwrap();
+        let until = observe(&g, |net| {
+            let status = net.run_until(1000, |n| n.round() >= 13).unwrap();
+            assert_eq!(status, RunStatus::PredicateMet);
+            assert_eq!(net.round(), 13);
+        });
+        let stepped = observe(&g, |net| {
+            for _ in 0..13 {
+                net.step().unwrap();
+            }
+        });
+        assert_eq!(until, stepped);
     }
 
     #[test]

@@ -259,7 +259,8 @@ impl<'a, M: Payload> OutCtx<'a, M> {
 /// The simulator drives every process in lock-step: each round it calls
 /// [`Process::round`] with the messages that arrived and a send handle for
 /// the messages to deliver next round. Round 0 is called with an empty
-/// inbox (it plays the role of `init`).
+/// inbox (it plays the role of `init`). The lockstep driver may leave out
+/// a round the process declared quiet through [`Process::quiet_until`].
 pub trait Process {
     /// Message payload type.
     type Msg: Payload;
@@ -288,6 +289,25 @@ pub trait Process {
     /// reporting halted.
     fn is_halted(&self) -> bool {
         false
+    }
+
+    /// The first round `≥ round` in which this process, receiving nothing,
+    /// could act — change state, draw from its RNG, send, or halt. The
+    /// default, `round`, promises nothing.
+    ///
+    /// **Contract.** The lockstep driver asks only when this process's
+    /// inbox for `round` is empty and no message is in flight anywhere.
+    /// The answer must be a pure function of state, like
+    /// [`Process::is_halted`], and an `r ≥ round` such that calling
+    /// [`Process::round`] with an empty inbox in each round of
+    /// `round..r` would leave the process exactly as it is: no state
+    /// change, no RNG draw, no send, no halt. When every active process
+    /// answers past `round`, [`Network`](crate::network::Network)'s
+    /// `run_to_halt` and `run_for` skip to the smallest answer, recording
+    /// each skipped round exactly as an empty round (see the
+    /// [module docs](crate::network#quiet-round-fast-forward)).
+    fn quiet_until(&self, round: u64) -> u64 {
+        round
     }
 
     /// The process's current output (may change over time for revocable

@@ -12,7 +12,11 @@
 //! * **equivalence testing** — `crates/congest/tests/equivalence.rs` pins
 //!   that the arena engine is observationally identical (outputs, metrics,
 //!   per-round traces) on seeded graphs, including mid-run halts and the
-//!   invalid-port drop-the-round path;
+//!   invalid-port drop-the-round path. It never skips a round: its
+//!   `run_*` methods call every process in every round and ignore
+//!   [`Process::quiet_until`], which is what lets `tests/quiet_rounds.rs`
+//!   check the arena's
+//!   [quiet-round fast-forward](crate::network#quiet-round-fast-forward);
 //! * **benchmarking** — `benches/simulator.rs` measures the arena engine's
 //!   speedup against this baseline.
 //!

@@ -205,6 +205,36 @@ impl ExecState {
         self.threshold
     }
 
+    /// True when [`ExecState::step`] would send nothing, draw nothing and
+    /// leave the state unchanged — the negation of every guard under which
+    /// `step` acts. Quiescence lasts until the next
+    /// [`ExecState::on_message`].
+    pub fn is_quiescent(&self) -> bool {
+        if self.status == Status::Stopped {
+            return !self.pending_stop;
+        }
+        let subtree = self.subtree();
+        let report_pending = self.discipline == ReportDiscipline::OnChange
+            && !self.is_root
+            && self.last_reported != Some(subtree);
+        let busy = self.threshold >= self.final_threshold
+            || subtree >= self.threshold
+            || report_pending
+            || !self.pending_confirm.is_empty()
+            || (self.status == Status::Active
+                && (!self.avail.is_empty() || self.sizes.keys().any(|p| self.is_paused_child(p))));
+        !busy
+    }
+
+    /// Whether an active node re-activates the confirmed child on `port`:
+    /// it was last told neither to grow nor to stop.
+    fn is_paused_child(&self, port: &Port) -> bool {
+        !matches!(
+            self.believed.get(port),
+            Some(Believed::Active) | Some(Believed::Stopped)
+        )
+    }
+
     /// Handles one received message for this execution.
     pub fn on_message(&mut self, port: Port, body: &CbBody) {
         match body {
@@ -314,12 +344,7 @@ impl ExecState {
             self.sizes
                 .keys()
                 .copied()
-                .filter(|p| {
-                    !matches!(
-                        self.believed.get(p),
-                        Some(Believed::Active) | Some(Believed::Stopped)
-                    )
-                })
+                .filter(|p| self.is_paused_child(p))
                 .collect()
         } else {
             // Passive nodes still legitimize freshly reported growth that
@@ -573,6 +598,59 @@ mod tests {
             !out.iter().any(|(_, b)| matches!(b, CbBody::Size(_))),
             "OnCrossing must not report below threshold: {out:?}"
         );
+    }
+
+    /// Random `on_message`/`step` walks over fresh states: whenever the
+    /// predicate holds, a step must be a no-op — nothing sent, the state's
+    /// rendering unchanged, the RNG untouched.
+    #[test]
+    fn quiescent_states_step_to_themselves() {
+        use rand::{Rng, RngCore};
+        let (mut quiet, mut busy) = (0, 0);
+        for seed in 0..200 {
+            let mut script = StdRng::seed_from_u64(seed);
+            let degree = script.gen_range(1..6);
+            let final_threshold = script.gen_range(2..40);
+            let mut state = if script.gen_bool(0.3) {
+                ExecState::new_root(seed, degree, final_threshold)
+            } else {
+                ExecState::new_member(seed, 0, degree, final_threshold)
+            };
+            if script.gen_bool(0.5) {
+                state.set_discipline(ReportDiscipline::OnChange);
+            }
+            let mut r = StdRng::seed_from_u64(seed ^ 0xA5A5);
+            for _ in 0..60 {
+                if state.is_quiescent() {
+                    quiet += 1;
+                    let (mut stepped, mut r2) = (state.clone(), r.clone());
+                    assert!(stepped.step(&mut r2).is_empty(), "seed {seed}: {state:?}");
+                    assert_eq!(format!("{stepped:?}"), format!("{state:?}"), "seed {seed}");
+                    assert_eq!(r2.next_u64(), r.clone().next_u64(), "seed {seed}");
+                } else {
+                    busy += 1;
+                }
+                if script.gen_bool(0.5) {
+                    state.step(&mut r);
+                } else if script.gen_bool(0.1) {
+                    // Off the protocol's paths: growth whose confirmation
+                    // is already done, so the OnChange report guard is
+                    // the only one left to hold the state busy.
+                    state.pending_confirm.clear();
+                } else {
+                    let port = script.gen_range(0..degree);
+                    let body = match script.gen_range(0..20u32) {
+                        0..=4 => CbBody::Invite,
+                        5..=9 => CbBody::Size(script.gen_range(1..12)),
+                        10..=14 => CbBody::Activate,
+                        15..=18 => CbBody::Deactivate,
+                        _ => CbBody::Stop,
+                    };
+                    state.on_message(port, &body);
+                }
+            }
+        }
+        assert!(quiet > 500 && busy > 500, "quiet {quiet}, busy {busy}");
     }
 
     #[test]

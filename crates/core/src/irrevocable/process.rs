@@ -60,7 +60,6 @@ pub struct IrrevocableProcess {
     exec_order: Vec<u64>,
     execs: BTreeMap<u64, ExecState>,
     buffers: BTreeMap<u64, Vec<(Port, CbBody)>>,
-    overflow_execs: u64,
     // Random walks (phase 3).
     tokens: u64,
     walk_id_max: Option<u64>,
@@ -92,7 +91,6 @@ impl IrrevocableProcess {
             exec_order: Vec::new(),
             execs: BTreeMap::new(),
             buffers: BTreeMap::new(),
-            overflow_execs: 0,
             tokens: 0,
             walk_id_max: if candidate { Some(id) } else { None },
             parent_ports: BTreeSet::new(),
@@ -129,10 +127,11 @@ impl IrrevocableProcess {
         self.tokens
     }
 
-    /// Executions this node could not schedule into super-round slots
-    /// (would require more parallel candidates than `4c·log n`; zero whp).
+    /// Executions this node joined but cannot schedule into super-round
+    /// slots: only the first `4c·log n` of `exec_order` are ever stepped
+    /// (zero whp).
     pub fn overflow_executions(&self) -> u64 {
-        self.overflow_execs
+        (self.exec_order.len() as u64).saturating_sub(self.params.slots)
     }
 
     fn phase(&self, round: u64) -> Phase {
@@ -203,13 +202,9 @@ impl IrrevocableProcess {
             self.exec_order.push(self.id);
         }
         let slot = (round % self.params.slots) as usize;
-        if slot >= self.exec_order.len() {
-            if self.exec_order.len() > self.params.slots as usize {
-                self.overflow_execs = (self.exec_order.len() as u64) - self.params.slots;
-            }
+        let Some(&src) = self.exec_order.get(slot) else {
             return;
-        }
-        let src = self.exec_order[slot];
+        };
         let state = self.execs.get_mut(&src).expect("exec_order tracks execs");
         if let Some(pending) = self.buffers.remove(&src) {
             for (port, body) in pending {
@@ -219,6 +214,29 @@ impl IrrevocableProcess {
         for (port, body) in state.step(rng) {
             out.send(port, IrrMsg::Cb { src, body });
         }
+    }
+
+    /// The first broadcast round from `round` on whose slot steps an
+    /// execution that would act — one with buffered messages or a
+    /// non-quiescent state — or the start of the walk phase if none will.
+    /// Only the first `slots` executions of `exec_order` are ever stepped.
+    fn next_busy_slot(&self, round: u64) -> u64 {
+        let slots = self.params.slots;
+        let super_round = round - round % slots;
+        self.exec_order
+            .iter()
+            .take(slots as usize)
+            .enumerate()
+            .filter(|(_, src)| self.buffers.contains_key(src) || !self.execs[src].is_quiescent())
+            .map(|(slot, _)| {
+                let r = super_round + slot as u64;
+                if r < round {
+                    r + slots
+                } else {
+                    r
+                }
+            })
+            .fold(self.params.broadcast_rounds, u64::min)
     }
 
     fn walk_round(&mut self, first: bool, rng: &mut StdRng, out: &mut OutCtx<'_, IrrMsg>) {
@@ -309,6 +327,28 @@ impl Process for IrrevocableProcess {
 
     fn is_halted(&self) -> bool {
         self.halted
+    }
+
+    /// Mirrors `round`'s guards phase by phase: round 0, the first walk
+    /// round at a candidate, the first convergecast round and the decision
+    /// round always act; otherwise a broadcast round acts only in a busy
+    /// slot, a walk round only with resident tokens, and a convergecast
+    /// round only with an unforwarded walk ID.
+    fn quiet_until(&self, round: u64) -> u64 {
+        let p = &self.params;
+        let walk = p.broadcast_rounds;
+        let converge = walk + p.walk_rounds;
+        match self.phase(round) {
+            Phase::Broadcast if round > 0 => self.next_busy_slot(round),
+            Phase::Walk if !(round == walk && self.candidate) && self.tokens == 0 => converge,
+            Phase::Converge
+                if round > converge
+                    && (self.walk_id_max.is_none() || self.walk_id_max == self.last_converged) =>
+            {
+                converge + p.converge_rounds
+            }
+            _ => round,
+        }
     }
 
     fn output(&self) -> NodeVerdict {
@@ -550,6 +590,33 @@ mod tests {
         assert!(loser.is_halted());
         assert!(!loser.output().leader);
         assert_eq!(loser.output().observed_walk_max, Some(999));
+    }
+
+    #[test]
+    fn executions_past_the_slots_are_reported_as_overflow() {
+        // Every node of a complete(12) is a candidate, but c = 0.25 leaves
+        // only ⌈4c·log₂ 12⌉ = 4 slots per super-round, so each node joins
+        // more executions than it can ever step.
+        let g = ale_graph::generators::complete(12).unwrap();
+        let mut cfg = IrrevocableConfig::from_knowledge(NetworkKnowledge {
+            n: 12,
+            tmix: 200,
+            phi: 1.0,
+        });
+        cfg.c = 0.25;
+        assert_eq!(cfg.slots(), 4);
+        let procs = (0..12)
+            .map(|v| {
+                IrrevocableProcess::with_candidacy(cfg.protocol_params(11).unwrap(), v + 1, true)
+            })
+            .collect();
+        let mut net = ale_congest::Network::new(&g, procs, 1, 64).unwrap();
+        net.run_for(cfg.broadcast_rounds()).unwrap();
+        for p in net.processes() {
+            let joined = p.known_sources().len() as u64;
+            assert!(joined > 4, "joined {joined}");
+            assert_eq!(p.overflow_executions(), joined - 4);
+        }
     }
 
     #[test]
