@@ -1,12 +1,11 @@
-//! The `ale-lab bench` subcommand: in-process microbenchmarks seeding the
-//! repo's perf trajectory.
+//! The `ale-lab bench` subcommand: the repo's microbench ledger, the one
+//! place engine and kernel costs are timed in isolation (end-to-end and
+//! per-layer costs of real sweeps are the standalone `benchmark/`
+//! package's job).
 //!
-//! Mirrors the two criterion benches in `crates/bench/benches`
-//! (`simulator.rs`, `diffusion.rs`) but runs in-process with plain
-//! [`Instant`] timing, so one binary can emit machine-comparable numbers
-//! without a bench harness: warm up once, estimate the per-iteration
-//! cost, then measure `clamp(budget / cost, 3, 100)` iterations — the
-//! same strategy the workspace's criterion shim uses.
+//! Cases run in-process with plain [`Instant`] timing: warm up once,
+//! estimate the per-iteration cost, then measure
+//! `clamp(budget / cost, 3, 100)` iterations.
 //!
 //! Output is three JSON files in the chosen directory (default: the
 //! current directory, i.e. the repo root in CI):
@@ -14,8 +13,10 @@
 //! * `BENCH_memory.json` — resident-set growth (bytes/node) of the
 //!   large-n revocable engine on ladder tori, sampled from
 //!   `/proc/self/status` around graph and engine construction;
-//! * `BENCH_simulator.json` — CONGEST round throughput, arena vs
-//!   reference engine (dense gossip + the mostly-halted beacon tail);
+//! * `BENCH_simulator.json` — CONGEST round throughput: dense gossip on
+//!   the lockstep arena, the reference oracle and the event-queue
+//!   policy (the same messages on all three), plus the mostly-halted
+//!   beacon tail on arena vs reference;
 //! * `BENCH_diffusion.json` — `Avg` diffusion steps, dense matrix vs
 //!   sparse CSR backend on tori.
 //!
@@ -29,7 +30,9 @@
 
 use crate::json::Value;
 use crate::scenario::LabError;
-use ale_congest::{congest_budget, Incoming, Network, NodeCtx, OutCtx, Process, ReferenceNetwork};
+use ale_congest::{
+    congest_budget, AsyncNetwork, Incoming, Network, NodeCtx, OutCtx, Process, ReferenceNetwork,
+};
 use ale_core::revocable::{RevocableParams, RevocableProcess};
 use ale_graph::{transition, Topology};
 use ale_markov::MarkovChain;
@@ -90,8 +93,7 @@ fn suite_json(suite: &str, quick: bool, cases: &[Case]) -> Value {
     ])
 }
 
-/// All-ports gossip: the simulator-overhead yardstick (mirrors the
-/// criterion bench's `Gossip`).
+/// All-ports gossip: the simulator-overhead yardstick.
 #[derive(Debug, Clone)]
 struct Gossip(u64);
 
@@ -170,6 +172,19 @@ fn simulator_cases(quick: bool, budget: Duration) -> Result<Vec<Case>, LabError>
     });
     cases.push(Case {
         id: format!("dense-gossip-100-rounds/reference/{n}"),
+        iters,
+        wall_ms_per_iter: ms,
+    });
+    // Unit latency, no faults: the event queue delivers exactly the
+    // arena's messages, so the two cases' ratio is the per-message cost
+    // of the `(time, seq)` heap.
+    let (iters, ms) = time_case(budget, || {
+        let mut net = AsyncNetwork::from_fn(&graph, 1, 64, |_d, _r| Gossip(1));
+        net.run_for(100).expect("gossip run");
+        std::hint::black_box(net.metrics().messages);
+    });
+    cases.push(Case {
+        id: format!("dense-gossip-100-rounds/events/{n}"),
         iters,
         wall_ms_per_iter: ms,
     });

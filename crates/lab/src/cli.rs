@@ -93,12 +93,9 @@ RUN OPTIONS:
                       parameter space (see `ale-lab describe <scenario>`);
                       repeatable, validated — unknown keys and unparseable
                       values exit 2. New sweeps need no code. The
-                      engine-level pseudo-axis seeds-per-point=N sets
-                      the per-point seed count like --seeds (exactly
-                      one positive integer; conflicts with --seeds);
-                      graph-seed=S1,S2 sweeps the random-topology
-                      build seed (distinct u64s), multiplying every
-                      grid point per listed seed
+                      engine-level pseudo-axis graph-seed=S1,S2 sweeps
+                      the random-topology build seed (distinct u64s),
+                      multiplying every grid point per listed seed
     --n A,B,...       sugar for --param n=A,B — engages the scenario's
                       size ladder (diffusion/thresholds/walks/revocable
                       build sparse large-n ladders)

@@ -75,50 +75,6 @@ pub struct RunOutput {
     pub report: String,
 }
 
-/// Splits the engine-level `seeds-per-point` pseudo-axis out of the grid
-/// config: returns the config without it plus the parsed count, if given.
-///
-/// # Errors
-///
-/// [`LabError::BadArgs`] when the key is repeated, carries anything but
-/// exactly one value, or the value is not a positive integer — the same
-/// exit-2 contract real `--param` axes have.
-fn extract_seeds_per_point(grid: &GridConfig) -> Result<(GridConfig, Option<u64>), LabError> {
-    let mut cfg = grid.clone();
-    let mut seeds: Option<u64> = None;
-    let mut rest = Vec::with_capacity(cfg.params.len());
-    for (key, values) in std::mem::take(&mut cfg.params) {
-        if key != "seeds-per-point" {
-            rest.push((key, values));
-            continue;
-        }
-        if seeds.is_some() {
-            return Err(LabError::BadArgs(
-                "parameter 'seeds-per-point' given more than once".into(),
-            ));
-        }
-        let [value] = values.as_slice() else {
-            return Err(LabError::BadArgs(format!(
-                "--param seeds-per-point: expected exactly one value, got {}",
-                values.len()
-            )));
-        };
-        let parsed: u64 = value.parse().map_err(|_| {
-            LabError::BadArgs(format!(
-                "--param seeds-per-point: '{value}' is not an unsigned integer"
-            ))
-        })?;
-        if parsed == 0 {
-            return Err(LabError::BadArgs(
-                "--param seeds-per-point must be at least 1".into(),
-            ));
-        }
-        seeds = Some(parsed);
-    }
-    cfg.params = rest;
-    Ok((cfg, seeds))
-}
-
 /// Extracts the engine-level `graph-seed` pseudo-axis: `--param
 /// graph-seed=s1,s2` multiplies every grid point per listed
 /// random-topology build seed (scenarios read it through
@@ -287,23 +243,10 @@ fn execute_inner(
         .attr("master_seed", spec.master_seed)
         .attr("quick", spec.grid.quick);
 
-    // `seeds-per-point` is an engine-level pseudo-axis: `--param
-    // seeds-per-point=N` sets the per-point seed count exactly like
-    // `--seeds N`, but rides the `--param` channel so declarative sweep
-    // invocations need no dedicated flag. It is extracted (and validated
-    // with the same BadArgs/exit-2 contract as real axes) before space
-    // expansion — scenarios do not declare it.
-    let (grid_cfg, seeds_param) = extract_seeds_per_point(&spec.grid)?;
-    if seeds_param.is_some() && spec.seeds.is_some() {
-        return Err(LabError::BadArgs(
-            "--param seeds-per-point conflicts with --seeds (give one)".into(),
-        ));
-    }
-    // The replayable config keeps `graph-seed` (unlike `seeds-per-point`,
-    // which `resume` re-injects via `--seeds`): a resumed run must
+    // The replayable config keeps `graph-seed`: a resumed run must
     // re-multiply the grid exactly as the original invocation did.
-    let config_params = grid_cfg.params.clone();
-    let (grid_cfg, graph_seeds) = extract_graph_seeds(&grid_cfg)?;
+    let config_params = spec.grid.params.clone();
+    let (grid_cfg, graph_seeds) = extract_graph_seeds(&spec.grid)?;
 
     let expand_span = ale_telemetry::Span::begin("expand");
     let expansion = scenario.space().expand(&grid_cfg)?;
@@ -383,7 +326,6 @@ fn execute_inner(
 
     let seeds_global = spec
         .seeds
-        .or(seeds_param)
         .unwrap_or_else(|| scenario.default_seeds(grid_cfg.quick));
     if seeds_global == 0 {
         return Err(LabError::BadArgs("--seeds must be at least 1".into()));
@@ -969,66 +911,6 @@ mod tests {
             },
         );
         assert!(matches!(err, Err(LabError::BadArgs(_))));
-    }
-
-    fn seeds_param_spec(values: &[&str]) -> RunSpec {
-        RunSpec {
-            grid: GridConfig {
-                params: vec![(
-                    "seeds-per-point".into(),
-                    values.iter().map(|v| v.to_string()).collect(),
-                )],
-                ..GridConfig::default()
-            },
-            ..RunSpec::default()
-        }
-    }
-
-    #[test]
-    fn seeds_per_point_param_sets_the_global_seed_count() {
-        let out = execute(&Synthetic, &seeds_param_spec(&["2"])).unwrap();
-        // p0: 2 seeds from the pseudo-axis; p1 keeps its override of 3.
-        assert_eq!(out.summary.points[0].trials, 2);
-        assert_eq!(out.summary.points[1].trials, 3);
-        // Identical to the same run via --seeds, record for record.
-        let flagged = execute(
-            &Synthetic,
-            &RunSpec {
-                seeds: Some(2),
-                ..RunSpec::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(out.records, flagged.records);
-    }
-
-    #[test]
-    fn seeds_per_point_param_is_validated() {
-        for values in [
-            &["0"][..],      // zero seeds
-            &["x"][..],      // not an integer
-            &["2", "3"][..], // multi-value: one count, not a sweep axis
-            &[][..],         // empty value list
-        ] {
-            let err = execute(&Synthetic, &seeds_param_spec(values));
-            assert!(matches!(err, Err(LabError::BadArgs(_))), "{values:?}");
-        }
-        // Repeated key.
-        let mut spec = seeds_param_spec(&["2"]);
-        spec.grid
-            .params
-            .push(("seeds-per-point".into(), vec!["3".into()]));
-        assert!(matches!(
-            execute(&Synthetic, &spec),
-            Err(LabError::BadArgs(_))
-        ));
-        // Conflict with --seeds.
-        let mut spec = seeds_param_spec(&["2"]);
-        spec.seeds = Some(4);
-        assert!(matches!(
-            execute(&Synthetic, &spec),
-            Err(LabError::BadArgs(_))
-        ));
     }
 
     fn graph_seed_spec(values: &[&str]) -> RunSpec {

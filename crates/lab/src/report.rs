@@ -14,7 +14,8 @@
 //! 2. **Per-point throughput** — from `point` spans: trials, messages,
 //!    rounds, messages/s and rounds/s;
 //! 3. **Histograms and counters** — the final snapshot of each, with
-//!    log-2 bucket bars for the histograms.
+//!    log-2 bucket bars for the histograms. Per-run counters (those
+//!    tagged with a `trial`) are summed over the runs instead.
 
 use crate::json::Value;
 use crate::scenario::LabError;
@@ -124,9 +125,15 @@ pub fn report_file(path: &Path) -> Result<String, LabError> {
                 }
             }
             "counter" => {
-                // Counters are cumulative: the last sample wins.
+                // A counter tagged with a `trial` holds one network run's
+                // total (`engine-rounds`), so those add up; an untagged
+                // one is cumulative and its last sample wins.
                 if let Some(value) = v.get("value").and_then(Value::as_u64) {
-                    counters.insert(name.to_string(), value);
+                    if attr_u64("trial").is_some() {
+                        *counters.entry(name.to_string()).or_default() += value;
+                    } else {
+                        counters.insert(name.to_string(), value);
+                    }
                 }
             }
             "hist" => {
@@ -215,7 +222,7 @@ pub fn report_file(path: &Path) -> Result<String, LabError> {
     // 3. Counters and histograms (final snapshots).
     if !counters.is_empty() {
         let _ = writeln!(out);
-        out.push_str("counters (final):\n");
+        out.push_str("counters (final; per-run totals summed):\n");
         for (name, value) in &counters {
             let _ = writeln!(out, "  {name} = {value}");
         }
@@ -272,6 +279,22 @@ mod tests {
             report.contains("histogram trial_wall_us (2 samples"),
             "{report}"
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn per_run_counters_sum_and_cumulative_counters_keep_the_last_sample() {
+        let path = tmp("counters.jsonl");
+        let lines = [
+            r#"{"ev":"counter","name":"engine-rounds","ts_us":10,"value":601,"attrs":{"trial":0,"messages":5}}"#,
+            r#"{"ev":"counter","name":"trials_completed","ts_us":11,"value":1,"attrs":{}}"#,
+            r#"{"ev":"counter","name":"engine-rounds","ts_us":20,"value":399,"attrs":{"trial":1,"messages":7}}"#,
+            r#"{"ev":"counter","name":"trials_completed","ts_us":21,"value":2,"attrs":{}}"#,
+        ];
+        std::fs::write(&path, lines.join("\n")).unwrap();
+        let report = report_file(&path).unwrap();
+        assert!(report.contains("engine-rounds = 1000"), "{report}");
+        assert!(report.contains("trials_completed = 2"), "{report}");
         std::fs::remove_file(&path).ok();
     }
 

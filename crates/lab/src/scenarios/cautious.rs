@@ -59,6 +59,11 @@ impl Scenario for Cautious {
             |ctx| {
                 let topo = ctx.topology("topo")?;
                 let x = ctx.int("x")?;
+                if x == 0 {
+                    return Err(LabError::BadArgs(
+                        "--param x=0: the walk budget must be at least 1".into(),
+                    ));
+                }
                 Ok(Some(
                     GridPoint::new(format!("{topo}/x={x}"))
                         .on(topo)

@@ -85,6 +85,11 @@ impl Scenario for Diffusion {
             |ctx| {
                 let topo = ctx.topology("topo")?;
                 let gamma = ctx.float("gamma")?;
+                if !(gamma.is_finite() && gamma > 0.0) {
+                    return Err(LabError::BadArgs(format!(
+                        "--param gamma={gamma}: the convergence target must be finite and positive"
+                    )));
+                }
                 let mut p = GridPoint::new(format!("{topo}/gamma={gamma}"))
                     .on(topo)
                     .knowing(Knowledge::Blind);

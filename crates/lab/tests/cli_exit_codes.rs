@@ -66,6 +66,25 @@ fn usage_errors_exit_two() {
         2
     );
     assert_eq!(exit_code(&["run", "revocable", "--param", "latency=0"]), 2);
+    // Values that parse but sit outside an axis's range: a non-positive
+    // convergence target (its Lemma 4 bound would be vacuous) and a zero
+    // walk budget. `seeds-per-point` is no axis at all: `--seeds` is the
+    // one way to set the seed count. `--quick` bounds the run should one
+    // of these be accepted.
+    for args in [
+        ["run", "diffusion", "--quick", "--param", "gamma=0"],
+        ["run", "diffusion", "--quick", "--param", "gamma=-1"],
+        ["run", "cautious", "--quick", "--param", "x=0"],
+        [
+            "run",
+            "diffusion",
+            "--quick",
+            "--param",
+            "seeds-per-point=2",
+        ],
+    ] {
+        assert_eq!(exit_code(&args), 2, "{args:?}");
+    }
     // --n / --topo parse failures are usage errors too.
     assert_eq!(exit_code(&["run", "diffusion", "--n", "many"]), 2);
     assert_eq!(exit_code(&["run", "diffusion", "--topo", "klein:4"]), 2);

@@ -1,5 +1,5 @@
 //! Baseline shootout across topologies — a miniature, narrated version of
-//! the `table1` experiment binary.
+//! the `table1` scenario (`ale-lab run table1`).
 //!
 //! For each topology class the example runs every algorithm on the same
 //! seeds and prints a compact cost table, annotating *why* the ordering
@@ -9,9 +9,9 @@
 
 use ale::graph::Topology;
 
-/// The bench crate is not a dependency of the umbrella crate (it is the
-/// harness, not the library), so this example carries its own tiny driver.
-mod ale_bench_shim {
+/// A small runner that calls each protocol's entry point directly, without
+/// the lab's scenario registry, so the example reads top to bottom.
+mod shootout {
     use ale::baselines::flood_max::{run_flood_max, FloodMaxConfig};
     use ale::baselines::gilbert::{run_gilbert, GilbertConfig};
     use ale::baselines::kutten::{run_kutten, KuttenConfig};
@@ -83,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
 
     for (topo, story) in scenarios {
-        let bench = ale_bench_shim::Bench::new(topo, 1)?;
+        let bench = shootout::Bench::new(topo, 1)?;
         println!("\n== {topo}: {story}");
         println!(
             "   n = {}, m = {}, D = {}, t_mix ≤ {}, Φ ≈ {:.3}",
