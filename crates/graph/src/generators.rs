@@ -39,7 +39,7 @@ pub const IMPLICIT_THRESHOLD: usize = 100_000;
 /// assert_eq!(g.m(), 8);
 /// # Ok::<(), ale_graph::GraphError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Topology {
     /// Cycle `C_n` (n ≥ 3): the paper's impossibility arena.
     Cycle {

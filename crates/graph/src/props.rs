@@ -13,7 +13,7 @@ use crate::cuts;
 use crate::error::GraphError;
 use crate::generators::Topology;
 use crate::graph::Graph;
-use crate::spectral_sparse;
+use crate::spectral_sparse::{self, POWER_ITERS, POWER_TOL};
 use ale_markov::{mixing, MarkovChain};
 use std::fmt;
 
@@ -84,10 +84,6 @@ pub struct GraphProps {
 
 /// Size limit for the exact `O(n³ log t)` mixing-time computation.
 const EXACT_MIXING_LIMIT: usize = 128;
-/// Iteration budget for sparse power iteration.
-const POWER_ITERS: usize = 5_000_000;
-/// Convergence tolerance for sparse power iteration.
-const POWER_TOL: f64 = 1e-11;
 
 impl GraphProps {
     /// Computes all properties, without family hints.
@@ -109,6 +105,8 @@ impl GraphProps {
         Self::compute_inner(g, &analytic::hints(topology))
     }
 
+    /// The one `λ₂` power iteration behind every spectral field: the
+    /// gap it yields also feeds the spectral `t_mix` bound.
     fn compute_inner(g: &Graph, hints: &AnalyticHints) -> Result<Self, GraphError> {
         let n = g.n();
         let lambda2 = spectral_sparse::lambda2_lazy(g, POWER_TOL, POWER_ITERS)?;
@@ -157,18 +155,18 @@ impl GraphProps {
             match mixing::mixing_time_exact(&chain, 1 << 34) {
                 Ok(t) => (t, Method::Exact),
                 Err(_) => (
-                    spectral_sparse::mixing_time_upper(g, POWER_TOL, POWER_ITERS)?,
+                    spectral_sparse::mixing_time_upper(g, gap)?,
                     Method::Spectral,
                 ),
             }
         } else if let Some(t) = hints.tmix_upper {
             // Both the hint and the spectral bound are upper bounds; take
             // the tighter one when both are cheap to get.
-            let spectral = spectral_sparse::mixing_time_upper(g, POWER_TOL, POWER_ITERS)?;
+            let spectral = spectral_sparse::mixing_time_upper(g, gap)?;
             (t.min(spectral), Method::Analytic)
         } else {
             (
-                spectral_sparse::mixing_time_upper(g, POWER_TOL, POWER_ITERS)?,
+                spectral_sparse::mixing_time_upper(g, gap)?,
                 Method::Spectral,
             )
         };
@@ -281,6 +279,43 @@ mod tests {
         assert!(e.to_string().contains("spectral"));
         assert_eq!(Method::Exact.to_string(), "exact");
         assert_eq!(Method::Analytic.to_string(), "analytic");
+    }
+
+    #[test]
+    fn props_bits_are_pinned() {
+        // One graph per t_mix path past the exact limit: the analytic hint
+        // (min'd with the spectral bound) and the pure spectral bound, both
+        // from the gap of the single λ₂ iteration.
+        let cycle = Topology::Cycle { n: 256 };
+        let p = GraphProps::compute_for(&cycle.build(1).unwrap(), &cycle).unwrap();
+        assert_eq!(
+            p.lambda2.to_bits(),
+            0x3feffec42a535362,
+            "λ₂ = {}",
+            p.lambda2
+        );
+        assert_eq!((p.tmix, p.tmix_method), (41_423, Method::Analytic));
+
+        let rings = Topology::RingOfCliques { cliques: 32, k: 8 };
+        let p = GraphProps::compute_for(&rings.build(1).unwrap(), &rings).unwrap();
+        assert_eq!((p.tmix, p.tmix_method), (23_779, Method::Spectral));
+
+        let expander = Topology::RandomRegular { n: 256, d: 4 };
+        let p = GraphProps::compute_for(&expander.build(1).unwrap(), &expander).unwrap();
+        assert_eq!(
+            p.lambda2.to_bits(),
+            0x3fedb89887924f38,
+            "λ₂ = {}",
+            p.lambda2
+        );
+        assert_eq!((p.tmix, p.tmix_method), (88, Method::Spectral));
+        assert_eq!(
+            p.conductance,
+            Estimate {
+                value: 0.07121633073031663,
+                method: Method::Spectral,
+            }
+        );
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!   policy (the same messages on all three), plus the mostly-halted
 //!   beacon tail on arena vs reference;
 //! * `BENCH_diffusion.json` — `Avg` diffusion steps, dense matrix vs
-//!   sparse CSR backend on tori.
+//!   sparse CSR backend on tori, plus the sparse `λ₂` power iteration
+//!   that prices bind on `diffusion --n` ladders (`lambda2/sparse/…`).
 //!
 //! Timing schema: `{"suite", "git", "quick", "cases": [{"id", "iters",
 //! "wall_ms_per_iter"}]}`; the memory suite's cases carry `{"id", "n",
@@ -34,6 +35,7 @@ use ale_congest::{
     congest_budget, AsyncNetwork, Incoming, Network, NodeCtx, OutCtx, Process, ReferenceNetwork,
 };
 use ale_core::revocable::{RevocableParams, RevocableProcess};
+use ale_graph::spectral_sparse::{self, POWER_ITERS, POWER_TOL};
 use ale_graph::{transition, Topology};
 use ale_markov::MarkovChain;
 use std::fmt::Write as _;
@@ -381,6 +383,19 @@ fn diffusion_cases(quick: bool, budget: Duration) -> Result<Vec<Case>, LabError>
             wall_ms_per_iter: ms,
         });
     }
+
+    // One whole `λ₂` iteration under the harness budget, on the 4-regular
+    // graph `diffusion --n` binds (graph seed 0).
+    let n = if quick { 1000 } else { 5000 };
+    let graph = Topology::RandomRegular { n, d: 4 }.build(0)?;
+    let (iters, ms) = time_case(budget, || {
+        spectral_sparse::lambda2_lazy(&graph, POWER_TOL, POWER_ITERS).expect("λ₂ converges");
+    });
+    cases.push(Case {
+        id: format!("lambda2/sparse/rregular:{n}"),
+        iters,
+        wall_ms_per_iter: ms,
+    });
     Ok(cases)
 }
 

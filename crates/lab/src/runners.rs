@@ -7,7 +7,10 @@ use ale_baselines::kutten::{run_kutten, KuttenConfig};
 use ale_core::irrevocable::{run_irrevocable, IrrevocableConfig};
 use ale_core::{CoreError, ElectionOutcome};
 use ale_graph::{Graph, GraphProps, NetworkKnowledge, Topology};
+use ale_telemetry::Span;
+use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The algorithms compared in the Table 1 experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,7 +61,8 @@ impl fmt::Display for Algorithm {
 }
 
 /// Pre-computed per-graph context shared by all algorithms (so property
-/// computation is paid once per sweep point, not once per trial).
+/// computation is paid once per graph, not once per trial; see
+/// [`GraphContexts`] for the per-run memo).
 #[derive(Debug, Clone)]
 pub struct GraphContext {
     /// The topology that generated the graph.
@@ -78,10 +82,14 @@ impl GraphContext {
     ///
     /// Propagates generation/property failures.
     pub fn build(topology: Topology, graph_seed: u64) -> Result<Self, CoreError> {
-        let span = ale_telemetry::Span::begin("graph-build").attr("topology", topology.to_string());
+        let span = Span::begin("graph-build").attr("topology", topology.to_string());
         let graph = topology.build(graph_seed)?;
-        let span = span.attr("n", graph.n());
+        drop(span.attr("n", graph.n()));
+        let mut span = Span::begin("graph-props")
+            .attr("topology", topology.to_string())
+            .attr("n", graph.n());
         let props = GraphProps::compute_for(&graph, &topology)?;
+        span.set_attr("tmix_method", props.tmix_method.to_string());
         drop(span);
         let knowledge = NetworkKnowledge::from_props(&props);
         Ok(GraphContext {
@@ -122,6 +130,50 @@ impl GraphContext {
                 run_flood_max(&self.graph, &cfg, seed)
             }
         }
+    }
+}
+
+/// One slot of [`GraphContexts`]: empty until its key's first build
+/// succeeds.
+type ContextSlot = Arc<Mutex<Option<Arc<GraphContext>>>>;
+
+/// A run's [`GraphContext`]s, memoized by (topology, graph seed): every
+/// grid point of the run that names the same graph binds one shared
+/// context, so each graph is built and its properties computed once per
+/// run rather than once per point.
+///
+/// Scenarios hold one as a field, and [`crate::registry::find`] builds a
+/// fresh scenario value for every run, so the memo never outlives a run.
+/// Under the engine's parallel bind each key builds at most once (later
+/// callers wait on the key's slot) while distinct keys build
+/// concurrently. A failed build returns its error and leaves the slot
+/// empty, so nothing failed is cached.
+#[derive(Debug, Default)]
+pub struct GraphContexts {
+    slots: Mutex<BTreeMap<(Topology, u64), ContextSlot>>,
+}
+
+impl GraphContexts {
+    /// The context of `topology` built at `graph_seed`, built on first
+    /// request.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`GraphContext::build`] failures.
+    pub fn get(&self, topology: Topology, graph_seed: u64) -> Result<Arc<GraphContext>, CoreError> {
+        // Every update under either lock is one insert or assignment, so a
+        // lock poisoned by a panicking build still guards valid data.
+        let slot = {
+            let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+            Arc::clone(slots.entry((topology, graph_seed)).or_default())
+        };
+        let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(ctx) = slot.as_ref() {
+            return Ok(Arc::clone(ctx));
+        }
+        let ctx = Arc::new(GraphContext::build(topology, graph_seed)?);
+        *slot = Some(Arc::clone(&ctx));
+        Ok(ctx)
     }
 }
 
@@ -222,6 +274,39 @@ mod tests {
         assert_eq!(cell.trials, 5);
         assert!(cell.success_rate() >= 0.0 && cell.success_rate() <= 1.0);
         assert!(cell.median_messages >= 0.0);
+    }
+
+    #[test]
+    fn contexts_build_once_per_key() {
+        let contexts = GraphContexts::default();
+        let cycle = Topology::Cycle { n: 12 };
+        let a = contexts.get(cycle, 1).unwrap();
+        assert!(Arc::ptr_eq(&a, &contexts.get(cycle, 1).unwrap()));
+        assert!(!Arc::ptr_eq(&a, &contexts.get(cycle, 2).unwrap()));
+        let again = GraphContext::build(cycle, 1).unwrap();
+        assert_eq!(a.props, again.props);
+        // Concurrent first requests for one key share one build.
+        let barrier = std::sync::Barrier::new(4);
+        let racing: Vec<Arc<GraphContext>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        contexts.get(cycle, 7).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(racing.iter().all(|c| Arc::ptr_eq(c, &racing[0])));
+        // Failures are returned, not cached: the slot stays empty.
+        let bad = Topology::RandomRegular { n: 5, d: 5 };
+        assert!(contexts.get(bad, 0).is_err());
+        assert!(contexts.get(bad, 0).is_err());
+        assert!(contexts.slots.lock().unwrap()[&(bad, 0)]
+            .lock()
+            .unwrap()
+            .is_none());
     }
 
     #[test]

@@ -7,19 +7,24 @@
 
 use crate::agg::RunSummary;
 use crate::params::{Axis, Block, ParamSpace};
+use crate::runners::GraphContexts;
 use crate::scenario::{GridPoint, Knowledge, LabError, Scenario, TrialFn, TrialRecord};
 use crate::table::Table;
 use ale_congest::{congest_budget, Network};
 use ale_core::irrevocable::{
     run_irrevocable, IrrevocableConfig, IrrevocableProcess, ReportDiscipline,
 };
-use ale_graph::{GraphProps, NetworkKnowledge, Topology};
+use ale_graph::Topology;
 
 const GRAPH_SEED: u64 = 3;
 const ELECTION_GRAPH_SEED: u64 = 1;
 
-/// The report-discipline ablation scenario.
-pub struct AblationCautious;
+/// The report-discipline ablation scenario. Both disciplines on a graph
+/// share one graph context through the run's memo.
+#[derive(Default)]
+pub struct AblationCautious {
+    contexts: GraphContexts,
+}
 
 const DISCIPLINES: [(ReportDiscipline, &str); 2] = [
     (ReportDiscipline::OnCrossing, "OnCrossing"),
@@ -126,22 +131,21 @@ impl Scenario for AblationCautious {
         let discipline = discipline_from(view.knob("discipline").unwrap_or(0.0));
         let part = view.knob("part").unwrap_or(1.0);
         if part == 1.0 {
-            let graph = topo.build(view.graph_seed(GRAPH_SEED))?;
-            let props = GraphProps::compute_for(&graph, &topo)?;
-            let knowledge = NetworkKnowledge::from_props(&props);
-            let mut cfg = IrrevocableConfig::from_knowledge(knowledge);
+            let ctx = self.contexts.get(topo, view.graph_seed(GRAPH_SEED))?;
+            let mut cfg = IrrevocableConfig::from_knowledge(ctx.knowledge);
             cfg.report_discipline = discipline;
-            let budget = congest_budget(knowledge.n, cfg.congest_factor);
+            let budget = congest_budget(ctx.knowledge.n, cfg.congest_factor);
             let target = cfg.final_threshold() as f64;
             let point = point.clone();
             Ok(Box::new(move |seed| {
+                let graph = &ctx.graph;
                 let procs: Vec<IrrevocableProcess> = (0..graph.n())
                     .map(|v| {
                         let p = cfg.protocol_params(graph.degree(v))?;
                         Ok(IrrevocableProcess::with_candidacy(p, 1 + v as u64, v == 0))
                     })
                     .collect::<Result<_, LabError>>()?;
-                let mut net = Network::new(&graph, procs, seed, budget)?;
+                let mut net = Network::new(graph, procs, seed, budget)?;
                 net.run_for(cfg.broadcast_rounds())?;
                 let territory = net
                     .processes()
@@ -156,12 +160,14 @@ impl Scenario for AblationCautious {
                 Ok(r)
             }))
         } else {
-            let graph = topo.build(view.graph_seed(ELECTION_GRAPH_SEED))?;
-            let mut cfg = IrrevocableConfig::derive_for(&graph, &topo)?;
+            let ctx = self
+                .contexts
+                .get(topo, view.graph_seed(ELECTION_GRAPH_SEED))?;
+            let mut cfg = IrrevocableConfig::from_knowledge(ctx.knowledge);
             cfg.report_discipline = discipline;
             let point = point.clone();
             Ok(Box::new(move |seed| {
-                let outcome = run_irrevocable(&graph, &cfg, seed)?;
+                let outcome = run_irrevocable(&ctx.graph, &cfg, seed)?;
                 let mut r = TrialRecord::new("ablation-cautious", &point, seed);
                 r.absorb_metrics(&outcome.metrics);
                 r.leaders = outcome.leader_count() as u64;
@@ -234,7 +240,9 @@ mod tests {
 
     #[test]
     fn grid_covers_both_parts_and_disciplines() {
-        let grid = AblationCautious.grid(&GridConfig::default()).unwrap();
+        let grid = AblationCautious::default()
+            .grid(&GridConfig::default())
+            .unwrap();
         assert_eq!(grid.len(), 8);
         assert_eq!(
             grid.iter()

@@ -8,16 +8,21 @@
 use crate::agg::RunSummary;
 use crate::fit::power_fit;
 use crate::params::{Axis, Block, ParamSpace};
+use crate::runners::GraphContexts;
 use crate::scenario::{GridPoint, Knowledge, LabError, Scenario, TrialFn, TrialRecord};
 use crate::table::Table;
 use ale_congest::{congest_budget, Network};
 use ale_core::irrevocable::{IrrevocableConfig, IrrevocableProcess};
-use ale_graph::{GraphProps, NetworkKnowledge, Topology};
+use ale_graph::Topology;
 
 const GRAPH_SEED: u64 = 3;
 
-/// The cautious-broadcast scenario.
-pub struct Cautious;
+/// The cautious-broadcast scenario. Every `x` of a topology shares one
+/// graph context through the run's memo.
+#[derive(Default)]
+pub struct Cautious {
+    contexts: GraphContexts,
+}
 
 impl Scenario for Cautious {
     fn name(&self) -> &'static str {
@@ -77,9 +82,8 @@ impl Scenario for Cautious {
         let view = point.view();
         let topo = view.topology()?;
         let x = view.int("x")?;
-        let graph = topo.build(view.graph_seed(GRAPH_SEED))?;
-        let props = GraphProps::compute_for(&graph, &topo)?;
-        let knowledge = NetworkKnowledge::from_props(&props);
+        let ctx = self.contexts.get(topo, view.graph_seed(GRAPH_SEED))?;
+        let knowledge = ctx.knowledge;
         let cfg = IrrevocableConfig::from_knowledge(knowledge);
         let budget = congest_budget(knowledge.n, cfg.congest_factor);
         let target = (x as f64 * knowledge.tmix as f64 * knowledge.phi)
@@ -92,6 +96,7 @@ impl Scenario for Cautious {
             params.final_threshold = target as u64;
             // Plant exactly one candidate at node 0 (host-side planting;
             // the processes themselves stay anonymous).
+            let graph = &ctx.graph;
             let procs: Vec<IrrevocableProcess> = (0..graph.n())
                 .map(|v| {
                     let mut p = params;
@@ -99,7 +104,7 @@ impl Scenario for Cautious {
                     IrrevocableProcess::with_candidacy(p, 1 + v as u64, v == 0)
                 })
                 .collect();
-            let mut net = Network::new(&graph, procs, seed, budget)?;
+            let mut net = Network::new(graph, procs, seed, budget)?;
             net.run_for(cfg.broadcast_rounds())?;
             let territory = net
                 .processes()
@@ -186,7 +191,7 @@ mod tests {
 
     #[test]
     fn grid_sweeps_x_per_topology() {
-        let grid = Cautious
+        let grid = Cautious::default()
             .grid(&crate::scenario::GridConfig {
                 quick: true,
                 ..Default::default()

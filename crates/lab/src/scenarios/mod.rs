@@ -3,7 +3,8 @@
 //! engine.
 
 use crate::scenario::LabError;
-use ale_graph::{analytic, cuts, spectral_sparse, Graph, Topology, IMPLICIT_THRESHOLD};
+use ale_graph::spectral_sparse::{self, POWER_ITERS, POWER_TOL};
+use ale_graph::{analytic, cuts, Graph, Topology, IMPLICIT_THRESHOLD};
 
 mod ablation;
 mod cautious;
@@ -34,7 +35,13 @@ pub use walks::Walks;
 /// form when the topology has one, and the spectral lower bound
 /// `i(G) ≥ gap·d_min` otherwise. This is what lets the diffusion-family
 /// scenarios price their Lemma 4/5 bounds on 20 000-node graphs where the
-/// exact oracle is unreachable.
+/// exact oracle is unreachable. The spectral fallback runs in a
+/// `graph-props` telemetry span.
+///
+/// # Errors
+///
+/// [`LabError::Graph`] when the spectral fallback's power iteration does
+/// not converge.
 pub(crate) fn isoperimetric_estimate(graph: &Graph, topo: &Topology) -> Result<f64, LabError> {
     if let Ok(v) = cuts::isoperimetric_exact(graph) {
         return Ok(v);
@@ -42,8 +49,12 @@ pub(crate) fn isoperimetric_estimate(graph: &Graph, topo: &Topology) -> Result<f
     if let Some(v) = analytic::hints(topo).isoperimetric {
         return Ok(v);
     }
-    let gap = spectral_sparse::lazy_spectral_gap(graph, 1e-11, 5_000_000)
-        .map_err(|e| LabError::BadArgs(format!("spectral i(G) fallback: {e}")))?;
+    let span = ale_telemetry::Span::begin("graph-props")
+        .attr("topology", topo.to_string())
+        .attr("n", graph.n())
+        .attr("isoperimetric_method", "spectral");
+    let gap = spectral_sparse::lazy_spectral_gap(graph, POWER_TOL, POWER_ITERS)?;
+    drop(span);
     let d_min = (0..graph.n()).map(|v| graph.degree(v)).min().unwrap_or(1);
     Ok((gap * d_min as f64).max(f64::MIN_POSITIVE))
 }

@@ -7,7 +7,7 @@
 use crate::agg::RunSummary;
 use crate::fit::power_fit;
 use crate::params::{Axis, Block, ParamSpace};
-use crate::runners::{Algorithm, GraphContext};
+use crate::runners::{Algorithm, GraphContexts};
 use crate::scenario::{GridPoint, Knowledge, LabError, Scenario, TrialFn, TrialRecord};
 use crate::table::Table;
 use ale_graph::Topology;
@@ -15,8 +15,12 @@ use ale_graph::Topology;
 const GRAPH_SEED: u64 = 1;
 const ALGS: [Algorithm; 2] = [Algorithm::ThisWork, Algorithm::Gilbert];
 
-/// The scaling scenario.
-pub struct Scaling;
+/// The scaling scenario. Both algorithms of a size share one graph
+/// context through the run's memo.
+#[derive(Default)]
+pub struct Scaling {
+    contexts: GraphContexts,
+}
 
 /// Theorem 1's explicit message quantity (see the module docs).
 fn theory_q(n: f64, tmix: f64, phi: f64) -> f64 {
@@ -100,7 +104,7 @@ impl Scenario for Scaling {
         let view = point.view();
         let topo = view.topology()?;
         let alg = view.algorithm()?;
-        let ctx = GraphContext::build(topo, view.graph_seed(GRAPH_SEED))?;
+        let ctx = self.contexts.get(topo, view.graph_seed(GRAPH_SEED))?;
         let q = theory_q(
             ctx.props.n as f64,
             ctx.knowledge.tmix as f64,
@@ -223,7 +227,7 @@ mod tests {
 
     #[test]
     fn grid_pairs_algorithms_per_size() {
-        let grid = Scaling
+        let grid = Scaling::default()
             .grid(&crate::scenario::GridConfig {
                 quick: true,
                 ..Default::default()

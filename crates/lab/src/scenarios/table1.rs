@@ -6,7 +6,7 @@
 
 use crate::agg::RunSummary;
 use crate::params::{Axis, Block, ParamSpace};
-use crate::runners::{Algorithm, GraphContext};
+use crate::runners::{Algorithm, GraphContexts};
 use crate::scenario::{GridPoint, Knowledge, LabError, Scenario, TrialFn, TrialRecord};
 use crate::table::Table;
 use ale_graph::Topology;
@@ -14,8 +14,12 @@ use ale_graph::Topology;
 /// Graph seed shared by every Table 1 cell (same graph across algorithms).
 const GRAPH_SEED: u64 = 1;
 
-/// The Table 1 scenario.
-pub struct Table1;
+/// The Table 1 scenario. Its five algorithms share one graph context per
+/// topology through the run's memo.
+#[derive(Default)]
+pub struct Table1 {
+    contexts: GraphContexts,
+}
 
 /// The standard comparison suite at size `n`: every family from the
 /// paper's Table 1 whose shape constraints admit `n`.
@@ -113,7 +117,7 @@ impl Scenario for Table1 {
         let view = point.view();
         let topo = view.topology()?;
         let alg = view.algorithm()?;
-        let ctx = GraphContext::build(topo, view.graph_seed(GRAPH_SEED))?;
+        let ctx = self.contexts.get(topo, view.graph_seed(GRAPH_SEED))?;
         let point = point.clone();
         Ok(Box::new(move |seed| {
             let outcome = ctx.run(alg, seed)?;
@@ -186,7 +190,7 @@ mod tests {
 
     #[test]
     fn grid_covers_every_algorithm_per_topology() {
-        let grid = Table1
+        let grid = Table1::default()
             .grid(&crate::scenario::GridConfig {
                 quick: true,
                 ..Default::default()
@@ -200,7 +204,7 @@ mod tests {
 
     #[test]
     fn n_override_builds_the_suite() {
-        let grid = Table1
+        let grid = Table1::default()
             .grid(&crate::scenario::GridConfig {
                 ns: vec![16],
                 ..Default::default()
@@ -212,7 +216,7 @@ mod tests {
 
     #[test]
     fn algo_param_narrows_the_grid_with_validation() {
-        let grid = Table1
+        let grid = Table1::default()
             .grid(&crate::scenario::GridConfig {
                 quick: true,
                 params: vec![("algo".into(), vec!["this-work".into()])],
@@ -224,7 +228,7 @@ mod tests {
             .iter()
             .all(|p| p.algorithm == Some(Algorithm::ThisWork)));
         assert!(matches!(
-            Table1.grid(&crate::scenario::GridConfig {
+            Table1::default().grid(&crate::scenario::GridConfig {
                 params: vec![("algo".into(), vec!["nonesuch".into()])],
                 ..Default::default()
             }),

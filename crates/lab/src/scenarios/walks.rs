@@ -13,11 +13,12 @@
 
 use crate::agg::RunSummary;
 use crate::params::{Axis, Block, ParamSpace};
+use crate::runners::GraphContexts;
 use crate::scenario::{GridPoint, Knowledge, LabError, Scenario, TrialFn, TrialRecord};
 use crate::table::Table;
 use ale_congest::{congest_budget, Network};
 use ale_core::irrevocable::{IrrevocableConfig, IrrevocableProcess};
-use ale_graph::{transition, GraphProps, NetworkKnowledge, Topology};
+use ale_graph::{transition, Topology};
 use ale_markov::mixing;
 
 const GRAPH_SEED: u64 = 9;
@@ -25,8 +26,12 @@ const GRAPH_SEED: u64 = 9;
 /// regime's many knee points would multiply an already-large CONGEST cost).
 const LARGE_N: usize = 2048;
 
-/// The walk-hitting scenario.
-pub struct Walks;
+/// The walk-hitting scenario. Both regimes' points on a topology share one
+/// graph context through the run's memo.
+#[derive(Default)]
+pub struct Walks {
+    contexts: GraphContexts,
+}
 
 impl Scenario for Walks {
     fn name(&self) -> &'static str {
@@ -110,9 +115,8 @@ impl Scenario for Walks {
     fn bind(&self, point: &GridPoint) -> Result<TrialFn, LabError> {
         let view = point.view();
         let topo = view.topology()?;
-        let graph = topo.build(view.graph_seed(GRAPH_SEED))?;
-        let props = GraphProps::compute_for(&graph, &topo)?;
-        let knowledge = NetworkKnowledge::from_props(&props);
+        let ctx = self.contexts.get(topo, view.graph_seed(GRAPH_SEED))?;
+        let (graph, knowledge) = (&ctx.graph, ctx.knowledge);
         let cfg = IrrevocableConfig::from_knowledge(knowledge);
         let budget = congest_budget(knowledge.n, cfg.congest_factor);
         let paper_x = cfg.x();
@@ -121,7 +125,7 @@ impl Scenario for Walks {
         // bundle's t_mix with the cheap multi-start sampling estimator
         // (`O(t·m)` on the sparse backend) and report it alongside.
         let tmix_sampled = if graph.n() > LARGE_N {
-            transition::lazy_walk_chain(&graph).ok().and_then(|chain| {
+            transition::lazy_walk_chain(graph).ok().and_then(|chain| {
                 let starts = mixing::sample_starts(graph.n(), 3, GRAPH_SEED);
                 let cap = knowledge.tmix.saturating_mul(8).max(1 << 12);
                 mixing::mixing_time_multi_start(&chain, &starts, cap)
@@ -145,6 +149,7 @@ impl Scenario for Walks {
         };
         let point = point.clone();
         Ok(Box::new(move |seed| {
+            let graph = &ctx.graph;
             let n = graph.n();
             let mut params = cfg.protocol_params(1)?;
             params.x = x;
@@ -166,7 +171,7 @@ impl Scenario for Walks {
                     IrrevocableProcess::with_candidacy(p, id, is_cand)
                 })
                 .collect();
-            let mut net = Network::new(&graph, procs, seed, budget)?;
+            let mut net = Network::new(graph, procs, seed, budget)?;
             let total_rounds =
                 params.broadcast_rounds + params.walk_rounds + params.converge_rounds + 1;
             net.run_to_halt(total_rounds + 4)?;
@@ -261,7 +266,7 @@ mod tests {
 
     #[test]
     fn grid_has_both_regimes() {
-        let grid = Walks.grid(&GridConfig::default()).unwrap();
+        let grid = Walks::default().grid(&GridConfig::default()).unwrap();
         assert_eq!(grid.len(), 2 * (4 + 5));
         assert!(grid.iter().any(|p| p.label.contains("/paper/")));
         assert!(grid.iter().any(|p| p.label.contains("/stress/")));
@@ -269,7 +274,7 @@ mod tests {
 
     #[test]
     fn ns_override_is_paper_regime_expanders_only() {
-        let grid = Walks
+        let grid = Walks::default()
             .grid(&GridConfig {
                 ns: vec![20_000],
                 ..GridConfig::default()

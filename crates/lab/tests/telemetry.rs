@@ -6,7 +6,9 @@
 //! 2. per-trial event subsequences are deterministic at any worker count
 //!    (after stripping wall-clock attributes);
 //! 3. the store output is byte-identical with telemetry on and off —
-//!    telemetry is a pure side-channel.
+//!    telemetry is a pure side-channel;
+//! 4. a run builds one graph context per (topology, graph seed), at any
+//!    worker count, and the next run builds its own.
 //!
 //! Telemetry has process-global state (one installed sink), so every
 //! test serializes on one mutex.
@@ -16,7 +18,8 @@ use ale_graph::Topology;
 use ale_lab::engine::{execute, RunSpec};
 use ale_lab::json::{self, ToJson, Value};
 use ale_lab::params::{Axis, Block, ParamSpace};
-use ale_lab::scenario::{GridPoint, LabError, Scenario, TrialFn, TrialRecord};
+use ale_lab::registry;
+use ale_lab::scenario::{GridConfig, GridPoint, LabError, Scenario, TrialFn, TrialRecord};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -265,4 +268,57 @@ fn telemetry_never_perturbs_the_store() {
     assert!(traced.join("telemetry.jsonl").exists());
     assert!(!plain.join("telemetry.jsonl").exists());
     std::fs::remove_dir_all(&base).ok();
+}
+
+#[test]
+fn a_run_builds_one_context_per_graph() {
+    let _guard = SERIAL.lock().unwrap();
+    let mut records: Vec<Vec<TrialRecord>> = Vec::new();
+    // Each run looks table1 up afresh, as the CLI does, so the second run
+    // shows the memo does not outlive its run.
+    for workers in [1, 4] {
+        let path = tmp(&format!("contexts-{workers}.jsonl"));
+        let table1 = registry::find("table1").expect("table1 is registered");
+        let spec = RunSpec {
+            workers,
+            telemetry: Some(path.clone()),
+            grid: GridConfig {
+                quick: true,
+                ..GridConfig::default()
+            },
+            ..RunSpec::default()
+        };
+        let out = execute(table1.as_ref(), &spec).unwrap();
+        let events = parse_lines(&path);
+        let spans = |name: &str| -> Vec<String> {
+            events
+                .iter()
+                .filter(|e| str_of(e, "ev") == Some("span") && str_of(e, "name") == Some(name))
+                .map(|e| {
+                    let attrs = e.get("attrs").expect("attrs");
+                    str_of(attrs, "topology")
+                        .expect("topology attr")
+                        .to_string()
+                })
+                .collect()
+        };
+        // 3 quick topologies x 5 algorithms: one build per topology.
+        let mut builds = spans("graph-build");
+        builds.sort_unstable();
+        assert_eq!(
+            builds,
+            ["complete(n=32)", "cycle(n=16)", "hypercube(d=5)"],
+            "workers = {workers}"
+        );
+        let mut props = spans("graph-props");
+        props.sort_unstable();
+        assert_eq!(props, builds, "workers = {workers}");
+        assert_eq!(out.records.len(), 15 * 10);
+        records.push(out.records);
+        std::fs::remove_file(&path).ok();
+    }
+    assert_eq!(
+        records[0], records[1],
+        "records differ across worker counts"
+    );
 }
