@@ -131,11 +131,6 @@ pub fn isoperimetric_exact(g: &Graph) -> Result<f64, GraphError> {
         // so take whichever side is small (both sides' ratios are covered
         // across the enumeration, but checking the small side here is exact
         // and cheap).
-        let small = size.min(n - size);
-        if small == 0 || 2 * small > n {
-            // Skip sides larger than n/2; their complements appear as other
-            // masks (or as this mask's other side when small == size).
-        }
         let cut = crossing_edges(g, in_s);
         let side = if 2 * size <= n { size } else { n - size };
         if side > 0 && 2 * side <= n {

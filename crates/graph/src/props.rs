@@ -319,6 +319,31 @@ mod tests {
     }
 
     #[test]
+    fn exact_tmix_is_pinned() {
+        // Table 1's n = 64 suite at graph seed 1: every family is within
+        // the exact limit. The ring of cliques is irregular, so it takes
+        // the stationary-distribution branch of the exact computation.
+        for (topology, tmix) in [
+            (Topology::Complete { n: 64 }, 7),
+            (Topology::Hypercube { dim: 6 }, 15),
+            (Topology::RandomRegular { n: 64, d: 4 }, 29),
+            (
+                Topology::Grid2d {
+                    rows: 8,
+                    cols: 8,
+                    torus: true,
+                },
+                29,
+            ),
+            (Topology::RingOfCliques { cliques: 8, k: 8 }, 367),
+            (Topology::Cycle { n: 64 }, 582),
+        ] {
+            let p = GraphProps::compute_for(&topology.build(1).unwrap(), &topology).unwrap();
+            assert_eq!((p.tmix, p.tmix_method), (tmix, Method::Exact), "{topology}");
+        }
+    }
+
+    #[test]
     fn tmix_exact_on_exactly_computable_sizes() {
         let g = generators::hypercube(4).unwrap(); // n = 16
         let p = GraphProps::compute(&g).unwrap();

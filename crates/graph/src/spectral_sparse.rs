@@ -1,8 +1,9 @@
 //! Sparse spectral computations that scale to large graphs.
 //!
-//! The dense Jacobi/power tools in `ale-markov` cost `O(n²)` memory; for the
-//! larger networks in the experiment sweeps we instead run power iteration
-//! against the **normalized lazy walk operator** in `O(m)` per step:
+//! `ale-markov`'s dense Jacobi oracle costs `O(n²)` memory and `O(n³)` per
+//! sweep; for the networks in the experiment sweeps we instead run power
+//! iteration against the **normalized lazy walk operator** in `O(m)` per
+//! step:
 //!
 //! `N = ½I + ½ D^{-1/2} A D^{-1/2}`
 //!
@@ -207,7 +208,7 @@ mod tests {
         // Dense oracle via the symmetric normalized operator is only easy
         // for regular graphs (P itself symmetric); use those in tests.
         let chain = MarkovChain::lazy_random_walk(&g.adjacency()).unwrap();
-        spectral::jacobi_eigen(chain.as_dense().expect("dense-built chain"), 300)
+        spectral::jacobi_eigen(&chain.transition().to_dense(), 300)
             .unwrap()
             .values[1]
     }

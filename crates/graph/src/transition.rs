@@ -3,11 +3,11 @@
 //!
 //! A transition matrix built from a graph has exactly `n + 2m` non-zero
 //! entries (one self-loop plus the edge endpoints), so the CSR form costs
-//! `O(m)` memory and `O(m)` per chain step — versus `O(n²)` dense. Every
-//! consumer that builds its chain from an [`ale_graph::Graph`](crate::Graph)
-//! should come through here: the resulting [`MarkovChain`] automatically
-//! runs on the sparse backend, which is what lets the `diffusion` /
-//! `thresholds` scenario sweeps reach tens of thousands of nodes.
+//! `O(m)` memory and `O(m)` per chain step — versus `O(n²)` dense, which is
+//! what lets the `diffusion` / `thresholds` scenario sweeps reach tens of
+//! thousands of nodes. The rows come from the same
+//! `ale_markov::chain::{lazy_walk_row, diffusion_row}` that
+//! [`MarkovChain`]'s adjacency-list constructors use.
 //!
 //! [`normalized_lazy_csr`] builds the symmetric operator
 //! `N = ½I + ½D^{-1/2}AD^{-1/2}` that [`crate::spectral_sparse`] iterates —
@@ -38,7 +38,7 @@ fn numeric(context: &str, e: MarkovError) -> GraphError {
 /// let p = transition::lazy_walk_csr(&g);
 /// assert_eq!(p.rows(), 8);
 /// assert_eq!(p.nnz(), 8 + 2 * 8); // n self-loops + 2m edge entries
-/// assert!(p.is_row_stochastic());
+/// assert!(p.stochastic_violation().is_none());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn lazy_walk_csr(g: &Graph) -> CsrMatrix {
@@ -93,7 +93,7 @@ pub fn normalized_lazy_csr(g: &Graph) -> CsrMatrix {
     CsrMatrix::from_row_entries(n, rows).expect("validated graph yields a well-formed CSR")
 }
 
-/// Sparse-backed lazy random walk chain over `g` — `O(m)` per step.
+/// Lazy random walk chain over `g` — `O(m)` per step.
 ///
 /// # Errors
 ///
@@ -106,7 +106,6 @@ pub fn normalized_lazy_csr(g: &Graph) -> CsrMatrix {
 /// use ale_graph::{generators, transition};
 /// let g = generators::grid2d(4, 4, true)?;
 /// let chain = transition::lazy_walk_chain(&g)?;
-/// assert!(chain.is_sparse());
 /// assert!(chain.transition().is_doubly_stochastic());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -114,7 +113,7 @@ pub fn lazy_walk_chain(g: &Graph) -> Result<MarkovChain, GraphError> {
     MarkovChain::from_csr(lazy_walk_csr(g)).map_err(|e| numeric("lazy walk chain", e))
 }
 
-/// Sparse-backed diffusion chain over `g` — `O(m)` per step.
+/// Diffusion chain over `g` — `O(m)` per step.
 ///
 /// # Errors
 ///
@@ -129,33 +128,28 @@ mod tests {
     use crate::generators;
 
     #[test]
-    fn lazy_walk_csr_matches_dense_constructor() {
+    fn lazy_walk_csr_matches_adjacency_constructor() {
         for g in [
             generators::cycle(9).unwrap(),
             generators::star(7).unwrap(),
             generators::grid2d(3, 4, false).unwrap(),
         ] {
-            let sparse = lazy_walk_csr(&g);
-            let dense = MarkovChain::lazy_random_walk(&g.adjacency()).unwrap();
-            assert_eq!(
-                sparse.to_dense(),
-                dense.transition().to_dense(),
-                "n = {}",
-                g.n()
-            );
-            assert_eq!(sparse.nnz(), g.n() + 2 * g.m());
+            let csr = lazy_walk_csr(&g);
+            let chain = MarkovChain::lazy_random_walk(&g.adjacency()).unwrap();
+            assert_eq!(csr, *chain.transition(), "n = {}", g.n());
+            assert_eq!(csr.nnz(), g.n() + 2 * g.m());
         }
     }
 
     #[test]
-    fn diffusion_csr_matches_dense_constructor() {
+    fn diffusion_csr_matches_adjacency_constructor() {
         let g = generators::hypercube(3).unwrap();
         let alpha = 0.1;
-        let sparse = diffusion_csr(&g, alpha).unwrap();
-        let dense = MarkovChain::diffusion(&g.adjacency(), alpha).unwrap();
-        assert_eq!(sparse.to_dense(), dense.transition().to_dense());
-        assert!(sparse.is_symmetric());
-        assert!(sparse.is_doubly_stochastic());
+        let csr = diffusion_csr(&g, alpha).unwrap();
+        let chain = MarkovChain::diffusion(&g.adjacency(), alpha).unwrap();
+        assert_eq!(csr, *chain.transition());
+        assert_eq!(csr.transpose(), csr);
+        assert!(csr.is_doubly_stochastic());
     }
 
     #[test]
@@ -170,24 +164,23 @@ mod tests {
     }
 
     #[test]
-    fn chains_are_sparse_and_valid() {
+    fn chains_are_valid() {
         let g = generators::grid2d(5, 5, true).unwrap();
         let walk = lazy_walk_chain(&g).unwrap();
-        assert!(walk.is_sparse());
-        assert!(walk.transition().is_row_stochastic());
+        assert!(walk.transition().is_doubly_stochastic());
         let diff = diffusion_chain(&g, 0.05).unwrap();
-        assert!(diff.is_sparse());
-        assert!(diff.transition().is_symmetric());
+        assert_eq!(diff.transition().transpose(), *diff.transition());
     }
 
     #[test]
     fn normalized_operator_is_symmetric_with_sqrt_deg_principal() {
         let g = generators::star(9).unwrap();
         let n_op = normalized_lazy_csr(&g);
-        assert!(n_op.is_symmetric());
+        assert_eq!(n_op.transpose(), n_op);
         // N · √deg = √deg (eigenvalue 1).
         let sqrt_deg: Vec<f64> = (0..g.n()).map(|v| (g.degree(v) as f64).sqrt()).collect();
-        let out = n_op.mul_vec(&sqrt_deg).unwrap();
+        let mut out = vec![0.0; g.n()];
+        n_op.mul_vec_into(&sqrt_deg, &mut out).unwrap();
         for (a, b) in out.iter().zip(&sqrt_deg) {
             assert!((a - b).abs() < 1e-12);
         }

@@ -37,7 +37,6 @@ use ale_congest::{
 use ale_core::revocable::{RevocableParams, RevocableProcess};
 use ale_graph::spectral_sparse::{self, POWER_ITERS, POWER_TOL};
 use ale_graph::{transition, Topology};
-use ale_markov::MarkovChain;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -347,18 +346,19 @@ fn diffusion_cases(quick: bool, budget: Duration) -> Result<Vec<Case>, LabError>
     };
     let potential =
         |n: usize| -> Vec<f64> { (0..n).map(|i| if i % 7 == 0 { 0.0 } else { 1.0 }).collect() };
-    let markov = |e: ale_markov::MarkovError| LabError::BadArgs(format!("bench chain: {e}"));
     let mut cases = Vec::new();
 
+    // The dense form of the same diffusion operator: the `O(n²)` step the
+    // sparse cases are measured against.
     let dense_sides: &[usize] = if quick { &[8] } else { &[8, 32] };
     for &side in dense_sides {
         let graph = torus(side).build(1)?;
         let n = graph.n();
-        let chain = MarkovChain::diffusion(&graph.adjacency(), ALPHA).map_err(markov)?;
+        let dense = transition::diffusion_csr(&graph, ALPHA)?.to_dense();
         let pot = potential(n);
         let mut out = vec![0.0; n];
         let (iters, ms) = time_case(budget, || {
-            chain.step_into(&pot, &mut out).expect("dense step");
+            dense.vec_mul_into(&pot, &mut out).expect("dense step");
         });
         cases.push(Case {
             id: format!("step/dense/torus:{side}x{side}"),

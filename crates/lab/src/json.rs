@@ -388,11 +388,6 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         .map_err(|_| format!("invalid number at byte {start}"))
 }
 
-/// Serializes any [`ToJson`] value to pretty JSON.
-pub fn to_json_pretty<T: ToJson>(value: &T) -> String {
-    value.to_json().render_pretty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -90,7 +90,7 @@ pub use agg::RunSummary;
 pub use engine::{execute, RunOutput, RunSpec};
 pub use fit::{exponent_close, power_fit, PowerFit};
 pub use params::{Axis, AxisKind, AxisValue, Block, ParamSpace, When};
-pub use runners::{Algorithm, CellSummary, GraphContext};
+pub use runners::{Algorithm, GraphContext};
 pub use scenario::{GridConfig, GridPoint, Knowledge, LabError, PointView, Scenario, TrialRecord};
 pub use table::Table;
 

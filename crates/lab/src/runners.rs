@@ -177,75 +177,6 @@ impl GraphContexts {
     }
 }
 
-/// Aggregated cost/success summary for one (graph, algorithm) cell.
-#[derive(Debug, Clone)]
-pub struct CellSummary {
-    /// Algorithm.
-    pub algorithm: Algorithm,
-    /// Trials run.
-    pub trials: usize,
-    /// Trials with exactly one leader.
-    pub unique: usize,
-    /// Median messages.
-    pub median_messages: f64,
-    /// Median payload bits.
-    pub median_bits: f64,
-    /// Median CONGEST-charged rounds.
-    pub median_congest_rounds: f64,
-}
-
-impl CellSummary {
-    /// Summarizes a batch of outcomes.
-    pub fn from_outcomes(algorithm: Algorithm, outcomes: &[ElectionOutcome]) -> Self {
-        let msgs: Vec<f64> = outcomes.iter().map(|o| o.metrics.messages as f64).collect();
-        let bits: Vec<f64> = outcomes.iter().map(|o| o.metrics.bits as f64).collect();
-        let rounds: Vec<f64> = outcomes
-            .iter()
-            .map(|o| o.metrics.congest_rounds as f64)
-            .collect();
-        CellSummary {
-            algorithm,
-            trials: outcomes.len(),
-            unique: outcomes.iter().filter(|o| o.is_successful()).count(),
-            median_messages: crate::stats::median(&msgs),
-            median_bits: crate::stats::median(&bits),
-            median_congest_rounds: crate::stats::median(&rounds),
-        }
-    }
-
-    /// Success rate in `[0, 1]`.
-    pub fn success_rate(&self) -> f64 {
-        if self.trials == 0 {
-            0.0
-        } else {
-            self.unique as f64 / self.trials as f64
-        }
-    }
-}
-
-impl crate::json::ToJson for CellSummary {
-    fn to_json(&self) -> crate::json::Value {
-        use crate::json::Value;
-        Value::obj([
-            (
-                "algorithm".to_string(),
-                Value::Str(self.algorithm.to_string()),
-            ),
-            ("trials".to_string(), Value::UInt(self.trials as u64)),
-            ("unique".to_string(), Value::UInt(self.unique as u64)),
-            (
-                "median_messages".to_string(),
-                Value::Num(self.median_messages),
-            ),
-            ("median_bits".to_string(), Value::Num(self.median_bits)),
-            (
-                "median_congest_rounds".to_string(),
-                Value::Num(self.median_congest_rounds),
-            ),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,18 +193,6 @@ mod tests {
             );
             assert!(o.metrics.rounds > 0);
         }
-    }
-
-    #[test]
-    fn summary_statistics() {
-        let ctx = GraphContext::build(Topology::Hypercube { dim: 3 }, 0).unwrap();
-        let outcomes: Vec<_> = (0..5)
-            .map(|s| ctx.run(Algorithm::Kutten, s).unwrap())
-            .collect();
-        let cell = CellSummary::from_outcomes(Algorithm::Kutten, &outcomes);
-        assert_eq!(cell.trials, 5);
-        assert!(cell.success_rate() >= 0.0 && cell.success_rate() <= 1.0);
-        assert!(cell.median_messages >= 0.0);
     }
 
     #[test]

@@ -95,6 +95,11 @@ impl Scenario for Thresholds {
             |ctx| {
                 let topo = ctx.topology("topo")?;
                 let k = ctx.int("k")?;
+                if k < 2 {
+                    return Err(LabError::BadArgs(format!(
+                        "--param k={k}: the size-estimate ladder starts at k = 2"
+                    )));
+                }
                 let mut p = GridPoint::new(format!("{topo}/k={k}"))
                     .on(topo)
                     .knowing(Knowledge::Blind);

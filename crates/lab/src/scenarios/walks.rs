@@ -83,6 +83,11 @@ impl Scenario for Walks {
                         return Ok(None);
                     }
                     let x = ctx.int("x")?;
+                    if x == 0 {
+                        return Err(LabError::BadArgs(
+                            "--param x=0: the stress regime needs at least 1 walk".into(),
+                        ));
+                    }
                     Ok(Some(
                         GridPoint::new(format!("{topo}/stress/x={x}"))
                             .on(topo)

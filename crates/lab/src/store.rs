@@ -257,16 +257,6 @@ impl RunManifest {
         }
     }
 
-    /// The full-grid position of each grid point (the `positions` field).
-    pub fn effective_positions(&self) -> &[u64] {
-        &self.positions
-    }
-
-    /// The expected trial count of each grid point (the `counts` field).
-    pub fn effective_counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// Parses a manifest back from JSON. Every field is required
     /// (`config` may be `null`), `version` must be [`STORE_VERSION`], and
     /// `positions`/`counts` must be parallel to `grid`.
@@ -1257,8 +1247,8 @@ mod tests {
     fn manifests_missing_a_v2_key_or_out_of_shape_are_rejected() {
         let manifest =
             RunManifest::for_run("demo", 1, 2, 3, vec!["a".into()], true, "0/1", Vec::new());
-        assert_eq!(manifest.effective_positions(), [0]);
-        assert_eq!(manifest.effective_counts(), [2]);
+        assert_eq!(manifest.positions, [0]);
+        assert_eq!(manifest.counts, [2]);
         // Re-parses the manifest with `key` set to `value`, or dropped.
         let edited = |key: &str, value: Option<Value>| {
             let mut v = manifest.to_json();
@@ -1325,8 +1315,8 @@ mod tests {
         });
         let back = RunManifest::from_json(&manifest.to_json()).unwrap();
         assert_eq!(back, manifest);
-        assert_eq!(back.effective_positions(), [1, 3]);
-        assert_eq!(back.effective_counts(), [2, 5]);
+        assert_eq!(back.positions, [1, 3]);
+        assert_eq!(back.counts, [2, 5]);
     }
 
     #[test]

@@ -67,14 +67,18 @@ fn usage_errors_exit_two() {
     );
     assert_eq!(exit_code(&["run", "revocable", "--param", "latency=0"]), 2);
     // Values that parse but sit outside an axis's range: a non-positive
-    // convergence target (its Lemma 4 bound would be vacuous) and a zero
-    // walk budget. `seeds-per-point` is no axis at all: `--seeds` is the
-    // one way to set the seed count. `--quick` bounds the run should one
-    // of these be accepted.
+    // convergence target (its Lemma 4 bound would be vacuous), a zero
+    // walk budget or walk count, and a size estimate below the ladder's
+    // first rung (tau(k) is undefined there). `seeds-per-point` is no
+    // axis at all: `--seeds` is the one way to set the seed count.
+    // `--quick` bounds the run should one of these be accepted.
     for args in [
         ["run", "diffusion", "--quick", "--param", "gamma=0"],
         ["run", "diffusion", "--quick", "--param", "gamma=-1"],
         ["run", "cautious", "--quick", "--param", "x=0"],
+        ["run", "walks", "--quick", "--param", "x=0"],
+        ["run", "thresholds", "--quick", "--param", "k=0"],
+        ["run", "thresholds", "--quick", "--param", "k=1"],
         [
             "run",
             "diffusion",

@@ -172,7 +172,7 @@ fn served_views_match_the_store_byte_for_byte() {
 
     // Trials stream as JSONL in key order, byte-identical to the store.
     let stored_trials = stored_values(&dir, b"t/");
-    let expected_total: u64 = manifest.effective_counts().iter().sum();
+    let expected_total: u64 = manifest.counts.iter().sum();
     assert_eq!(stored_trials.len() as u64, expected_total);
     let (status, head, body) = get(addr, "/runs/q/trials");
     assert_eq!(status, 200);
@@ -194,7 +194,7 @@ fn served_views_match_the_store_byte_for_byte() {
         body.split(|&b| b == b'\n')
             .filter(|l| !l.is_empty())
             .count() as u64,
-        manifest.effective_counts()[0]
+        manifest.counts[0]
     );
     let (status, _, body) = get(addr, &format!("/runs/q/trials?point={label}&seed=0"));
     assert_eq!(status, 200);
@@ -334,7 +334,7 @@ fn tail_serves_the_valid_prefix_of_a_killed_run_and_follows_resume() {
         assert!(arr(tail.get("records").unwrap()).is_empty());
     }
     let manifest = load_manifest(&manifest_path).unwrap();
-    let expected_total: u64 = manifest.effective_counts().iter().sum();
+    let expected_total: u64 = manifest.counts.iter().sum();
     let full = get_json(addr, "/runs/t1/tail?from=0");
     assert_eq!(full.get("complete").unwrap().as_bool(), Some(true));
     assert_eq!(full.get("missing").unwrap().as_u64(), Some(0));

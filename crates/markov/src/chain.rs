@@ -13,22 +13,20 @@
 //! `i`, which makes its stationary distribution uniform — the fact Lemma 3
 //! rests on.
 //!
-//! A chain stores its matrix as a [`Transition`], so the same `MarkovChain`
-//! API runs on a dense [`Matrix`] or a sparse [`crate::CsrMatrix`]. The
-//! `*_sparse` constructors (and the `Graph`-taking helpers in `ale-graph`)
-//! produce the CSR backend, whose `step` costs `O(m)` — the representation
-//! the large-n scenario sweeps depend on.
+//! A chain stores its matrix as a [`CsrMatrix`], so [`MarkovChain::step`]
+//! costs `O(nnz)` — `O(m)` on an `m`-edge graph, which is what the large-n
+//! scenario sweeps depend on. The adjacency-list constructors here and the
+//! `Graph`-taking helpers in `ale-graph` build their rows through the
+//! shared [`lazy_walk_row`] and [`diffusion_row`].
 
 use crate::error::MarkovError;
-use crate::matrix::{vecops, CsrMatrix, Matrix, EPS};
-use crate::transition::Transition;
+use crate::matrix::{vecops, CsrMatrix, EPS};
 
 /// CSR row entries of the lazy random walk at node `i` with neighbors
 /// `nbrs`: the self-loop `½` plus `½/deg` per neighbor.
 ///
-/// Shared by [`MarkovChain::lazy_random_walk_sparse`] and the
-/// `Graph`-taking constructors in `ale-graph`, so the two build paths
-/// cannot drift.
+/// Shared by [`MarkovChain::lazy_random_walk`] and the `Graph`-taking
+/// constructors in `ale-graph`, so the two build paths cannot drift.
 ///
 /// # Panics
 ///
@@ -46,7 +44,7 @@ pub fn lazy_walk_row(i: usize, nbrs: &[usize]) -> Vec<(usize, f64)> {
 /// CSR row entries of the diffusion matrix at node `i`: `α` per neighbor
 /// and `1 − α·deg(i)` on the diagonal (clamped at 0 within tolerance).
 ///
-/// Shared by [`MarkovChain::diffusion_sparse`] and the `Graph`-taking
+/// Shared by [`MarkovChain::diffusion`] and the `Graph`-taking
 /// constructors in `ale-graph`.
 ///
 /// # Errors
@@ -70,7 +68,7 @@ pub fn diffusion_row(
     Ok(entries)
 }
 
-/// A finite Markov chain given by a row-stochastic transition matrix.
+/// A finite Markov chain given by a row-stochastic CSR transition matrix.
 ///
 /// # Examples
 ///
@@ -82,26 +80,23 @@ pub fn diffusion_row(
 /// let chain = MarkovChain::lazy_random_walk(&adj)?;
 /// assert_eq!(chain.len(), 3);
 /// assert!(chain.transition().is_doubly_stochastic());
-///
-/// // The same chain on the sparse backend agrees step for step.
-/// let sparse = MarkovChain::lazy_random_walk_sparse(&adj)?;
-/// assert_eq!(chain.step(&[1.0, 0.0, 0.0])?, sparse.step(&[1.0, 0.0, 0.0])?);
+/// assert_eq!(chain.step(&[1.0, 0.0, 0.0])?, vec![0.5, 0.25, 0.25]);
 /// # Ok::<(), ale_markov::MarkovError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct MarkovChain {
-    p: Transition,
+    p: CsrMatrix,
 }
 
 impl MarkovChain {
-    /// Wraps an explicit transition matrix in either representation.
+    /// Wraps an explicit CSR transition matrix.
     ///
     /// # Errors
     ///
     /// Returns [`MarkovError::NotSquare`] for non-square input and
     /// [`MarkovError::NotStochastic`] when a row does not describe a
     /// probability distribution.
-    pub fn from_transition(p: Transition) -> Result<Self, MarkovError> {
+    pub fn from_csr(p: CsrMatrix) -> Result<Self, MarkovError> {
         if !p.is_square() {
             return Err(MarkovError::NotSquare {
                 rows: p.rows(),
@@ -114,84 +109,37 @@ impl MarkovChain {
         Ok(MarkovChain { p })
     }
 
-    /// Wraps an explicit dense transition matrix.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`MarkovChain::from_transition`].
-    pub fn from_matrix(p: Matrix) -> Result<Self, MarkovError> {
-        Self::from_transition(Transition::Dense(p))
-    }
-
-    /// Wraps an explicit CSR transition matrix.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`MarkovChain::from_transition`].
-    pub fn from_csr(p: CsrMatrix) -> Result<Self, MarkovError> {
-        Self::from_transition(Transition::Sparse(p))
-    }
-
-    /// Builds the lazy random walk `P = ½I + ½D⁻¹A` over an adjacency list
-    /// on the dense backend.
+    /// Builds the lazy random walk `P = ½I + ½D⁻¹A` over an adjacency list.
     ///
     /// This is exactly the walk used by the paper's random-walk probing: the
     /// token stays put with probability ½ and otherwise moves to a uniformly
-    /// random neighbor. For large sparse graphs use
-    /// [`MarkovChain::lazy_random_walk_sparse`].
+    /// random neighbor.
     ///
     /// # Errors
     ///
     /// Returns [`MarkovError::Empty`] for an empty graph or if any node has
     /// no neighbors (the walk would be undefined there).
     pub fn lazy_random_walk(adj: &[Vec<usize>]) -> Result<Self, MarkovError> {
-        if adj.is_empty() {
-            return Err(MarkovError::Empty);
-        }
-        let n = adj.len();
-        let mut p = Matrix::zeros(n, n);
-        for (i, nbrs) in adj.iter().enumerate() {
-            if nbrs.is_empty() {
-                return Err(MarkovError::Empty);
-            }
-            p[(i, i)] = 0.5;
-            let w = 0.5 / nbrs.len() as f64;
-            for &j in nbrs {
-                p[(i, j)] += w;
-            }
-        }
-        MarkovChain::from_matrix(p)
-    }
-
-    /// Builds the lazy random walk on the CSR sparse backend: `O(m)` memory
-    /// and `O(m)` per [`MarkovChain::step`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`MarkovChain::lazy_random_walk`].
-    pub fn lazy_random_walk_sparse(adj: &[Vec<usize>]) -> Result<Self, MarkovError> {
-        if adj.is_empty() {
-            return Err(MarkovError::Empty);
-        }
-        let n = adj.len();
-        let mut rows = Vec::with_capacity(n);
-        for (i, nbrs) in adj.iter().enumerate() {
-            if nbrs.is_empty() {
-                return Err(MarkovError::Empty);
-            }
-            rows.push(lazy_walk_row(i, nbrs));
-        }
-        MarkovChain::from_csr(CsrMatrix::from_row_entries(n, rows)?)
+        let rows = adj
+            .iter()
+            .enumerate()
+            .map(|(i, nbrs)| {
+                if nbrs.is_empty() {
+                    Err(MarkovError::Empty)
+                } else {
+                    Ok(lazy_walk_row(i, nbrs))
+                }
+            })
+            .collect::<Result<_, _>>()?;
+        MarkovChain::from_csr(CsrMatrix::from_row_entries(adj.len(), rows)?)
     }
 
     /// Builds the diffusion matrix `S` of the `Avg` procedure: `s_ij = α`
-    /// for every edge `{i, j}` and `s_ii = 1 − α·deg(i)`, on the dense
-    /// backend.
+    /// for every edge `{i, j}` and `s_ii = 1 − α·deg(i)`.
     ///
     /// With `α = 1/(2k^{1+ε})` this is the potential-averaging step in
     /// Algorithm 7 line 8 of the paper. `S` is symmetric (hence doubly
-    /// stochastic) whenever `α·deg(i) ≤ 1` for every node. For large sparse
-    /// graphs use [`MarkovChain::diffusion_sparse`].
+    /// stochastic) whenever `α·deg(i) ≤ 1` for every node.
     ///
     /// # Errors
     ///
@@ -199,42 +147,12 @@ impl MarkovChain {
     /// [`MarkovError::NotStochastic`] if `α·deg(i) > 1` for some node
     /// (negative self-loop probability).
     pub fn diffusion(adj: &[Vec<usize>], alpha: f64) -> Result<Self, MarkovError> {
-        if adj.is_empty() {
-            return Err(MarkovError::Empty);
-        }
-        let n = adj.len();
-        let mut p = Matrix::zeros(n, n);
-        for (i, nbrs) in adj.iter().enumerate() {
-            let self_weight = 1.0 - alpha * nbrs.len() as f64;
-            if self_weight < -EPS {
-                return Err(MarkovError::NotStochastic {
-                    row: i,
-                    sum: self_weight,
-                });
-            }
-            p[(i, i)] = self_weight.max(0.0);
-            for &j in nbrs {
-                p[(i, j)] += alpha;
-            }
-        }
-        MarkovChain::from_matrix(p)
-    }
-
-    /// Builds the diffusion matrix on the CSR sparse backend.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`MarkovChain::diffusion`].
-    pub fn diffusion_sparse(adj: &[Vec<usize>], alpha: f64) -> Result<Self, MarkovError> {
-        if adj.is_empty() {
-            return Err(MarkovError::Empty);
-        }
-        let n = adj.len();
-        let mut rows = Vec::with_capacity(n);
-        for (i, nbrs) in adj.iter().enumerate() {
-            rows.push(diffusion_row(i, nbrs, alpha)?);
-        }
-        MarkovChain::from_csr(CsrMatrix::from_row_entries(n, rows)?)
+        let rows = adj
+            .iter()
+            .enumerate()
+            .map(|(i, nbrs)| diffusion_row(i, nbrs, alpha))
+            .collect::<Result<_, _>>()?;
+        MarkovChain::from_csr(CsrMatrix::from_row_entries(adj.len(), rows)?)
     }
 
     /// Number of states.
@@ -247,34 +165,12 @@ impl MarkovChain {
         self.len() == 0
     }
 
-    /// Borrows the transition matrix (either backend).
-    pub fn transition(&self) -> &Transition {
+    /// Borrows the transition matrix.
+    pub fn transition(&self) -> &CsrMatrix {
         &self.p
     }
 
-    /// Borrows the dense matrix when this chain uses the dense backend.
-    pub fn as_dense(&self) -> Option<&Matrix> {
-        self.p.as_dense()
-    }
-
-    /// Borrows the CSR matrix when this chain uses the sparse backend.
-    pub fn as_sparse(&self) -> Option<&CsrMatrix> {
-        self.p.as_sparse()
-    }
-
-    /// `true` when the chain runs on the CSR backend.
-    pub fn is_sparse(&self) -> bool {
-        self.p.is_sparse()
-    }
-
-    /// Consumes the chain and returns the transition matrix.
-    pub fn into_transition(self) -> Transition {
-        self.p
-    }
-
-    /// Evolves a distribution one step: returns `µ·P`.
-    ///
-    /// Costs `O(nnz)` — `O(m)` on the sparse backend, `O(n²)` dense.
+    /// Evolves a distribution one step: returns `µ·P` in `O(nnz)`.
     ///
     /// # Errors
     ///
@@ -295,39 +191,10 @@ impl MarkovChain {
 
     /// Checks irreducibility: the support digraph of `P` must be strongly
     /// connected. For the symmetric chains used in this workspace this is
-    /// plain graph connectivity. Costs `O(nnz)` on either backend.
+    /// plain graph connectivity. Costs `O(nnz)`.
     pub fn is_irreducible(&self) -> bool {
-        let n = self.len();
-        if n == 0 {
-            return false;
-        }
-        // Forward reachability from state 0.
-        if !Self::all_reachable(&self.p, n) {
-            return false;
-        }
         // Backward reachability = forward reachability in the transpose.
-        match &self.p {
-            Transition::Dense(m) => Self::all_reachable(&Transition::Dense(m.transpose()), n),
-            Transition::Sparse(m) => Self::all_reachable(&Transition::Sparse(m.transpose()), n),
-        }
-    }
-
-    /// DFS over `p`'s support from state 0; `true` when every state is hit.
-    fn all_reachable(p: &Transition, n: usize) -> bool {
-        let mut seen = vec![false; n];
-        let mut stack = vec![0usize];
-        seen[0] = true;
-        let mut count = 1usize;
-        while let Some(u) = stack.pop() {
-            for (v, w) in p.row_entries(u) {
-                if w > EPS && !seen[v] {
-                    seen[v] = true;
-                    count += 1;
-                    stack.push(v);
-                }
-            }
-        }
-        count == n
+        !self.is_empty() && all_reachable(&self.p) && all_reachable(&self.p.transpose())
     }
 
     /// Checks aperiodicity via the sufficient condition used throughout the
@@ -376,9 +243,30 @@ impl MarkovChain {
     }
 }
 
+/// DFS over `p`'s support from state 0; `true` when every state is hit.
+fn all_reachable(p: &CsrMatrix) -> bool {
+    let n = p.rows();
+    let mut seen = vec![false; n];
+    let mut stack = vec![0usize];
+    seen[0] = true;
+    let mut count = 1usize;
+    while let Some(u) = stack.pop() {
+        let (cols, vals) = p.row(u);
+        for (&v, &w) in cols.iter().zip(vals) {
+            if w > EPS && !seen[v] {
+                seen[v] = true;
+                count += 1;
+                stack.push(v);
+            }
+        }
+    }
+    count == n
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::test_csr as csr;
 
     fn path3() -> Vec<Vec<usize>> {
         vec![vec![1], vec![0, 2], vec![1]]
@@ -391,7 +279,6 @@ mod tests {
     #[test]
     fn lazy_walk_rows_stochastic_and_lazy() {
         let c = MarkovChain::lazy_random_walk(&path3()).unwrap();
-        assert!(c.transition().is_row_stochastic());
         for i in 0..3 {
             assert!((c.transition().get(i, i) - 0.5).abs() < 1e-12);
         }
@@ -404,7 +291,7 @@ mod tests {
     fn lazy_walk_regular_graph_is_doubly_stochastic() {
         let c = MarkovChain::lazy_random_walk(&triangle()).unwrap();
         assert!(c.transition().is_doubly_stochastic());
-        assert!(c.transition().is_symmetric());
+        assert_eq!(c.transition().transpose(), *c.transition());
     }
 
     #[test]
@@ -412,33 +299,23 @@ mod tests {
         let adj = vec![vec![1], vec![0], vec![]];
         assert!(MarkovChain::lazy_random_walk(&adj).is_err());
         assert!(MarkovChain::lazy_random_walk(&[]).is_err());
-        assert!(MarkovChain::lazy_random_walk_sparse(&adj).is_err());
-        assert!(MarkovChain::lazy_random_walk_sparse(&[]).is_err());
-    }
-
-    #[test]
-    fn sparse_constructors_match_dense() {
-        for adj in [path3(), triangle()] {
-            let dense = MarkovChain::lazy_random_walk(&adj).unwrap();
-            let sparse = MarkovChain::lazy_random_walk_sparse(&adj).unwrap();
-            assert!(sparse.is_sparse() && !dense.is_sparse());
-            assert_eq!(
-                sparse.transition().to_dense(),
-                dense.transition().to_dense()
-            );
-            let dd = MarkovChain::diffusion(&adj, 0.25).unwrap();
-            let ds = MarkovChain::diffusion_sparse(&adj, 0.25).unwrap();
-            assert_eq!(ds.transition().to_dense(), dd.transition().to_dense());
-        }
     }
 
     #[test]
     fn diffusion_is_symmetric_doubly_stochastic() {
         let c = MarkovChain::diffusion(&path3(), 0.25).unwrap();
-        assert!(c.transition().is_symmetric());
+        assert_eq!(c.transition().transpose(), *c.transition());
         assert!(c.transition().is_doubly_stochastic());
         assert_eq!(c.transition().get(0, 1), 0.25);
         assert_eq!(c.transition().get(1, 1), 0.5);
+    }
+
+    #[test]
+    fn diffusion_rejects_empty_graph() {
+        assert!(matches!(
+            MarkovChain::diffusion(&[], 0.25),
+            Err(MarkovError::Empty)
+        ));
     }
 
     #[test]
@@ -448,57 +325,38 @@ mod tests {
             MarkovChain::diffusion(&path3(), 0.75),
             Err(MarkovError::NotStochastic { row: 1, .. })
         ));
-        assert!(matches!(
-            MarkovChain::diffusion_sparse(&path3(), 0.75),
-            Err(MarkovError::NotStochastic { row: 1, .. })
-        ));
     }
 
     #[test]
-    fn from_matrix_validates() {
-        let bad = Matrix::from_rows(&[vec![0.5, 0.4], vec![0.5, 0.5]]).unwrap();
+    fn from_csr_validates() {
         assert!(matches!(
-            MarkovChain::from_matrix(bad.clone()),
+            MarkovChain::from_csr(csr(&[vec![0.5, 0.4], vec![0.5, 0.5]])),
             Err(MarkovError::NotStochastic { row: 0, .. })
         ));
         assert!(matches!(
-            MarkovChain::from_csr(CsrMatrix::from_dense(&bad)),
-            Err(MarkovError::NotStochastic { row: 0, .. })
-        ));
-        let rect = Matrix::zeros(2, 3);
-        assert!(matches!(
-            MarkovChain::from_matrix(rect),
+            MarkovChain::from_csr(csr(&[vec![0.5, 0.5, 0.0], vec![0.0, 0.5, 0.5]])),
             Err(MarkovError::NotSquare { .. })
         ));
     }
 
     #[test]
     fn irreducibility_detects_disconnection() {
-        let p = Matrix::from_rows(&[
+        let p = csr(&[
             vec![1.0, 0.0, 0.0],
             vec![0.0, 0.5, 0.5],
             vec![0.0, 0.5, 0.5],
-        ])
-        .unwrap();
-        let c = MarkovChain::from_matrix(p.clone()).unwrap();
-        assert!(!c.is_irreducible());
-        let cs = MarkovChain::from_csr(CsrMatrix::from_dense(&p)).unwrap();
-        assert!(!cs.is_irreducible());
-        let c2 = MarkovChain::lazy_random_walk(&path3()).unwrap();
-        assert!(c2.is_irreducible());
-        let c3 = MarkovChain::lazy_random_walk_sparse(&path3()).unwrap();
-        assert!(c3.is_irreducible());
+        ]);
+        assert!(!MarkovChain::from_csr(p).unwrap().is_irreducible());
+        let c = MarkovChain::lazy_random_walk(&path3()).unwrap();
+        assert!(c.is_irreducible());
     }
 
     #[test]
     fn irreducibility_needs_both_directions() {
         // 0 → 1 but 1 only returns to itself: reducible despite forward
         // reachability from 0.
-        let p = Matrix::from_rows(&[vec![0.5, 0.5], vec![0.0, 1.0]]).unwrap();
-        let c = MarkovChain::from_matrix(p.clone()).unwrap();
-        assert!(!c.is_irreducible());
-        let cs = MarkovChain::from_csr(CsrMatrix::from_dense(&p)).unwrap();
-        assert!(!cs.is_irreducible());
+        let p = csr(&[vec![0.5, 0.5], vec![0.0, 1.0]]);
+        assert!(!MarkovChain::from_csr(p).unwrap().is_irreducible());
     }
 
     #[test]
@@ -506,21 +364,14 @@ mod tests {
         assert!(MarkovChain::lazy_random_walk(&triangle())
             .unwrap()
             .has_self_loop());
-        assert!(MarkovChain::lazy_random_walk_sparse(&triangle())
-            .unwrap()
-            .has_self_loop());
     }
 
     #[test]
     fn stationary_uniform_on_doubly_stochastic() {
-        for c in [
-            MarkovChain::diffusion(&triangle(), 0.2).unwrap(),
-            MarkovChain::diffusion_sparse(&triangle(), 0.2).unwrap(),
-        ] {
-            let pi = c.stationary_distribution(1e-12, 10_000).unwrap();
-            for x in pi {
-                assert!((x - 1.0 / 3.0).abs() < 1e-9);
-            }
+        let c = MarkovChain::diffusion(&triangle(), 0.2).unwrap();
+        let pi = c.stationary_distribution(1e-12, 10_000).unwrap();
+        for x in pi {
+            assert!((x - 1.0 / 3.0).abs() < 1e-9);
         }
     }
 
@@ -536,8 +387,7 @@ mod tests {
 
     #[test]
     fn stationary_rejects_reducible() {
-        let p = Matrix::identity(2);
-        let c = MarkovChain::from_matrix(p).unwrap();
+        let c = MarkovChain::from_csr(csr(&[vec![1.0, 0.0], vec![0.0, 1.0]])).unwrap();
         assert!(matches!(
             c.stationary_distribution(1e-9, 100),
             Err(MarkovError::Reducible)
@@ -546,17 +396,13 @@ mod tests {
 
     #[test]
     fn step_moves_mass() {
-        for c in [
-            MarkovChain::lazy_random_walk(&path3()).unwrap(),
-            MarkovChain::lazy_random_walk_sparse(&path3()).unwrap(),
-        ] {
-            let mu = c.step(&[1.0, 0.0, 0.0]).unwrap();
-            assert!((mu[0] - 0.5).abs() < 1e-12);
-            assert!((mu[1] - 0.5).abs() < 1e-12);
-            assert_eq!(mu[2], 0.0);
-            let mut out = vec![0.0; 3];
-            c.step_into(&[1.0, 0.0, 0.0], &mut out).unwrap();
-            assert_eq!(out, mu);
-        }
+        let c = MarkovChain::lazy_random_walk(&path3()).unwrap();
+        let mu = c.step(&[1.0, 0.0, 0.0]).unwrap();
+        assert!((mu[0] - 0.5).abs() < 1e-12);
+        assert!((mu[1] - 0.5).abs() < 1e-12);
+        assert_eq!(mu[2], 0.0);
+        let mut out = vec![0.0; 3];
+        c.step_into(&[1.0, 0.0, 0.0], &mut out).unwrap();
+        assert_eq!(out, mu);
     }
 }

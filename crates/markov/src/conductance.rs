@@ -16,7 +16,7 @@
 //! lemma-level experiments.
 
 use crate::error::MarkovError;
-use crate::transition::Transition;
+use crate::matrix::CsrMatrix;
 
 /// Maximum state count accepted by the exact (exponential) computations.
 pub const BRUTE_FORCE_LIMIT: usize = 22;
@@ -43,7 +43,7 @@ pub const BRUTE_FORCE_LIMIT: usize = 22;
 /// assert!((phi - 0.5).abs() < 1e-12);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn chain_conductance_exact(p: &Transition) -> Result<f64, MarkovError> {
+pub fn chain_conductance_exact(p: &CsrMatrix) -> Result<f64, MarkovError> {
     if !p.is_square() {
         return Err(MarkovError::NotSquare {
             rows: p.rows(),
@@ -82,7 +82,8 @@ pub fn chain_conductance_exact(p: &Transition) -> Result<f64, MarkovError> {
             v
         };
         for &i in &members {
-            for (j, w) in p.row_entries(i) {
+            let (cols, vals) = p.row(i);
+            for (&j, &w) in cols.iter().zip(vals) {
                 if !in_s[j] {
                     crossing += w;
                 }
@@ -106,7 +107,7 @@ pub fn chain_conductance_exact(p: &Transition) -> Result<f64, MarkovError> {
 ///
 /// Same conditions as [`chain_conductance_exact`], plus
 /// [`MarkovError::DimensionMismatch`] if `pi.len() != n`.
-pub fn chain_conductance_general(p: &Transition, pi: &[f64]) -> Result<f64, MarkovError> {
+pub fn chain_conductance_general(p: &CsrMatrix, pi: &[f64]) -> Result<f64, MarkovError> {
     if !p.is_square() {
         return Err(MarkovError::NotSquare {
             rows: p.rows(),
@@ -145,7 +146,8 @@ pub fn chain_conductance_general(p: &Transition, pi: &[f64]) -> Result<f64, Mark
             if in_s[i] {
                 pi_s += pi[i];
             }
-            for (j, w) in p.row_entries(i) {
+            let (cols, vals) = p.row(i);
+            for (&j, &w) in cols.iter().zip(vals) {
                 if in_s[i] && !in_s[j] {
                     q_out += pi[i] * w;
                 } else if !in_s[i] && in_s[j] {
@@ -179,8 +181,8 @@ pub fn cheeger_band(phi: f64, lambda2: f64) -> (bool, bool) {
 mod tests {
     use super::*;
     use crate::chain::MarkovChain;
-    use crate::matrix::{CsrMatrix, Matrix};
-    use crate::spectral::lambda2_power;
+    use crate::matrix::test_csr;
+    use crate::spectral::jacobi_eigen;
 
     fn lazy(adj: &[Vec<usize>]) -> MarkovChain {
         MarkovChain::lazy_random_walk(adj).unwrap()
@@ -188,6 +190,10 @@ mod tests {
 
     fn cycle_adj(n: usize) -> Vec<Vec<usize>> {
         (0..n).map(|i| vec![(i + n - 1) % n, (i + 1) % n]).collect()
+    }
+
+    fn identity(n: usize) -> CsrMatrix {
+        CsrMatrix::from_row_entries(n, (0..n).map(|i| vec![(i, 1.0)]).collect()).unwrap()
     }
 
     #[test]
@@ -223,46 +229,25 @@ mod tests {
 
     #[test]
     fn rejects_oversized_input() {
-        let p = Transition::from(Matrix::identity(BRUTE_FORCE_LIMIT + 1));
-        assert!(chain_conductance_exact(&p).is_err());
+        assert!(chain_conductance_exact(&identity(BRUTE_FORCE_LIMIT + 1)).is_err());
     }
 
     #[test]
     fn rejects_trivial_input() {
-        assert!(chain_conductance_exact(&Transition::from(Matrix::identity(1))).is_err());
-        assert!(chain_conductance_exact(&Transition::from(Matrix::zeros(2, 3))).is_err());
-    }
-
-    #[test]
-    fn sparse_backend_matches_dense() {
-        let adj = cycle_adj(8);
-        let dense = lazy(&adj);
-        let sparse = MarkovChain::lazy_random_walk_sparse(&adj).unwrap();
-        assert_eq!(
-            chain_conductance_exact(dense.transition()).unwrap(),
-            chain_conductance_exact(sparse.transition()).unwrap()
-        );
-        let pi = vec![1.0 / 8.0; 8];
-        assert_eq!(
-            chain_conductance_general(dense.transition(), &pi).unwrap(),
-            chain_conductance_general(sparse.transition(), &pi).unwrap()
-        );
+        assert!(chain_conductance_exact(&identity(1)).is_err());
+        let rect = CsrMatrix::from_row_entries(3, vec![vec![], vec![]]).unwrap();
+        assert!(chain_conductance_exact(&rect).is_err());
     }
 
     #[test]
     fn disconnected_chain_has_zero_conductance() {
-        let p = Matrix::from_rows(&[
+        let p = test_csr(&[
             vec![1.0, 0.0, 0.0, 0.0],
             vec![0.0, 1.0, 0.0, 0.0],
             vec![0.0, 0.0, 0.5, 0.5],
             vec![0.0, 0.0, 0.5, 0.5],
-        ])
-        .unwrap();
-        let phi = chain_conductance_exact(&Transition::from(p.clone())).unwrap();
-        assert_eq!(phi, 0.0);
-        let phi_sparse =
-            chain_conductance_exact(&Transition::from(CsrMatrix::from_dense(&p))).unwrap();
-        assert_eq!(phi_sparse, 0.0);
+        ]);
+        assert_eq!(chain_conductance_exact(&p).unwrap(), 0.0);
     }
 
     #[test]
@@ -275,7 +260,9 @@ mod tests {
         ] {
             let c = lazy(&adj);
             let phi = chain_conductance_exact(c.transition()).unwrap();
-            let l2 = lambda2_power(c.transition(), 1e-12, 1_000_000).unwrap();
+            let l2 = jacobi_eigen(&c.transition().to_dense(), 200)
+                .unwrap()
+                .values[1];
             let (lo, hi) = cheeger_band(phi, l2);
             assert!(lo, "Cheeger lower bound violated: phi={phi}, l2={l2}");
             assert!(hi, "Cheeger upper bound violated: phi={phi}, l2={l2}");
@@ -284,7 +271,6 @@ mod tests {
 
     #[test]
     fn general_dimension_check() {
-        let p = Transition::from(Matrix::identity(3));
-        assert!(chain_conductance_general(&p, &[0.5, 0.5]).is_err());
+        assert!(chain_conductance_general(&identity(3), &[0.5, 0.5]).is_err());
     }
 }

@@ -14,17 +14,17 @@
 //!   pivoting over a single flat buffer) for small non-target blocks —
 //!   exact, `O(k³)`; and
 //! * **Gauss–Seidel sweeps** ([`expected_hitting_times_iterative`]) over
-//!   the chain's [`crate::Transition`], `O(nnz)` per sweep on either
-//!   backend — the path that scales to the large sparse chains. The
-//!   iteration matrix is substochastic on every row that can reach a
-//!   target, so the sweeps converge monotonically from below.
+//!   the chain's CSR rows, `O(nnz)` per sweep — the path that scales to
+//!   the large sparse chains. The iteration matrix is substochastic on
+//!   every row that can reach a target, so the sweeps converge
+//!   monotonically from below.
 
 use crate::chain::MarkovChain;
 use crate::error::MarkovError;
 use crate::matrix::Matrix;
 
 /// Non-target block size up to which [`expected_hitting_times`] uses the
-/// direct dense solver; larger sparse systems go through Gauss–Seidel.
+/// direct dense solver; larger systems go through Gauss–Seidel.
 pub const DIRECT_SOLVE_LIMIT: usize = 2048;
 
 /// Default tolerance for the Gauss–Seidel path of
@@ -52,7 +52,11 @@ pub const GS_MAX_SWEEPS: usize = 1_000_000;
 ///
 /// ```
 /// use ale_markov::{hitting, Matrix};
-/// let a = Matrix::from_rows(&[vec![2.0, 1.0], vec![1.0, 3.0]])?;
+/// let mut a = Matrix::identity(2);
+/// a[(0, 0)] = 2.0;
+/// a[(0, 1)] = 1.0;
+/// a[(1, 0)] = 1.0;
+/// a[(1, 1)] = 3.0;
 /// let x = hitting::solve(&a, &[5.0, 10.0])?;
 /// assert!((x[0] - 1.0).abs() < 1e-12);
 /// assert!((x[1] - 3.0).abs() < 1e-12);
@@ -142,9 +146,9 @@ pub fn solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, MarkovError> {
 ///
 /// Returns `h` with `h[i] = 0` for targets and the expected step count
 /// otherwise. Dispatches on problem size: non-target blocks up to
-/// [`DIRECT_SOLVE_LIMIT`] states use the exact direct solver (built from
-/// the chain's stored entries, so dense- and sparse-backed chains agree
-/// bit for bit); larger blocks use Gauss–Seidel sweeps at [`GS_TOL`].
+/// [`DIRECT_SOLVE_LIMIT`] states use the exact direct solver, built from
+/// the chain's stored entries; larger blocks use Gauss–Seidel sweeps at
+/// [`GS_TOL`].
 ///
 /// # Errors
 ///
@@ -194,7 +198,8 @@ pub fn expected_hitting_times(
     let mut a = Matrix::zeros(k, k);
     for (ri, &i) in others.iter().enumerate() {
         a[(ri, ri)] = 1.0;
-        for (j, q) in p.row_entries(i) {
+        let (cols, vals) = p.row(i);
+        for (&j, &q) in cols.iter().zip(vals) {
             let ci = index_of[j];
             if ci != usize::MAX {
                 a[(ri, ci)] -= q;
@@ -213,8 +218,8 @@ pub fn expected_hitting_times(
 /// `h_i ← 1 + Σ_j p_ij·h_j` over non-target states (targets pinned at 0)
 /// until the largest per-state update falls below `tol`.
 ///
-/// Each sweep costs `O(nnz)` via [`crate::Transition::row_entries`] — on a
-/// sparse chain over an `m`-edge graph that is `O(m)`, which is what makes
+/// Each sweep costs `O(nnz)` — on a chain over an `m`-edge graph that is
+/// `O(m)`, which is what makes
 /// hitting-time computation feasible at the tens-of-thousands-of-nodes
 /// scale. Starting from `h = 0`, iterates increase monotonically towards
 /// the true solution.
@@ -249,8 +254,9 @@ pub fn expected_hitting_times_iterative(
             if is_target[i] {
                 continue;
             }
+            let (cols, vals) = p.row(i);
             let mut acc = 1.0;
-            for (j, q) in p.row_entries(i) {
+            for (&j, &q) in cols.iter().zip(vals) {
                 acc += q * h[j];
             }
             let d = (acc - h[i]).abs();
@@ -272,16 +278,15 @@ pub fn expected_hitting_times_iterative(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain::MarkovChain;
+    use crate::matrix::{test_csr, test_dense};
 
     #[test]
     fn solve_known_system() {
-        let a = Matrix::from_rows(&[
+        let a = test_dense(&[
             vec![3.0, 2.0, -1.0],
             vec![2.0, -2.0, 4.0],
             vec![-1.0, 0.5, -1.0],
-        ])
-        .unwrap();
+        ]);
         let x = solve(&a, &[1.0, -2.0, 0.0]).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-10);
         assert!((x[1] + 2.0).abs() < 1e-10);
@@ -296,7 +301,7 @@ mod tests {
 
     #[test]
     fn singular_system_is_detected() {
-        let a = Matrix::from_rows(&[vec![1.0, 1.0], vec![2.0, 2.0]]).unwrap();
+        let a = test_dense(&[vec![1.0, 1.0], vec![2.0, 2.0]]);
         assert!(matches!(
             solve(&a, &[1.0, 2.0]),
             Err(MarkovError::NotConverged { .. })
@@ -305,19 +310,18 @@ mod tests {
 
     #[test]
     fn nan_input_errors_instead_of_panicking() {
-        let a = Matrix::from_rows(&[vec![f64::NAN, 1.0], vec![1.0, 1.0]]).unwrap();
+        let a = test_dense(&[vec![f64::NAN, 1.0], vec![1.0, 1.0]]);
         assert!(matches!(
             solve(&a, &[1.0, 2.0]),
             Err(MarkovError::NotConverged { .. })
         ));
-        let all_nan =
-            Matrix::from_rows(&[vec![f64::NAN, f64::NAN], vec![f64::NAN, f64::NAN]]).unwrap();
+        let all_nan = test_dense(&[vec![f64::NAN, f64::NAN], vec![f64::NAN, f64::NAN]]);
         assert!(solve(&all_nan, &[1.0, 2.0]).is_err());
     }
 
     #[test]
     fn pivoting_handles_zero_leading_entry() {
-        let a = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]).unwrap();
+        let a = test_dense(&[vec![0.0, 1.0], vec![1.0, 0.0]]);
         let x = solve(&a, &[3.0, 7.0]).unwrap();
         assert!((x[0] - 7.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
@@ -342,33 +346,24 @@ mod tests {
     }
 
     #[test]
-    fn iterative_matches_direct_on_both_backends() {
+    fn iterative_matches_direct() {
         let adj: Vec<Vec<usize>> = (0..10).map(|i| vec![(i + 9) % 10, (i + 1) % 10]).collect();
-        let dense = MarkovChain::lazy_random_walk(&adj).unwrap();
-        let sparse = MarkovChain::lazy_random_walk_sparse(&adj).unwrap();
-        let direct = expected_hitting_times(&dense, &[0]).unwrap();
-        for chain in [&dense, &sparse] {
-            let gs = expected_hitting_times_iterative(chain, &[0], 1e-13, 1_000_000).unwrap();
-            for (a, b) in direct.iter().zip(&gs) {
-                assert!((a - b).abs() < 1e-9, "direct {a} vs GS {b}");
-            }
-        }
-        // The dispatching entry point agrees on the sparse backend too.
-        let via_dispatch = expected_hitting_times(&sparse, &[0]).unwrap();
-        for (a, b) in direct.iter().zip(&via_dispatch) {
-            assert!((a - b).abs() < 1e-9);
+        let chain = MarkovChain::lazy_random_walk(&adj).unwrap();
+        let direct = expected_hitting_times(&chain, &[0]).unwrap();
+        let gs = expected_hitting_times_iterative(&chain, &[0], 1e-13, 1_000_000).unwrap();
+        for (a, b) in direct.iter().zip(&gs) {
+            assert!((a - b).abs() < 1e-9, "direct {a} vs GS {b}");
         }
     }
 
     #[test]
     fn iterative_reports_non_convergence_for_unreachable_targets() {
-        let p = Matrix::from_rows(&[
+        let p = test_csr(&[
             vec![1.0, 0.0, 0.0],
             vec![0.0, 0.5, 0.5],
             vec![0.0, 0.5, 0.5],
-        ])
-        .unwrap();
-        let chain = MarkovChain::from_matrix(p).unwrap();
+        ]);
+        let chain = MarkovChain::from_csr(p).unwrap();
         // State 0 never reaches {1}: hitting time infinite; GS cannot settle.
         assert!(matches!(
             expected_hitting_times_iterative(&chain, &[1], 1e-10, 5_000),

@@ -1,23 +1,27 @@
 //! # ale-markov — Markov-chain and linear-algebra substrate
 //!
-//! Dense and CSR sparse matrices, finite Markov chains, spectral analysis,
-//! mixing times, and chain conductance — the mathematical substrate behind
-//! the graph properties (`ale-graph`) and protocol analyses (`ale-core`) of
-//! this workspace's reproduction of Kowalski & Mosteiro, *Time and
-//! Communication Complexity of Leader Election in Anonymous Networks*
-//! (ICDCS 2021).
+//! Finite Markov chains on CSR sparse matrices, mixing and hitting times,
+//! chain conductance, and the dense linear algebra of the exact oracles —
+//! the mathematical substrate behind the graph properties (`ale-graph`) and
+//! protocol analyses (`ale-core`) of this workspace's reproduction of
+//! Kowalski & Mosteiro, *Time and Communication Complexity of Leader
+//! Election in Anonymous Networks* (ICDCS 2021).
 //!
 //! The paper's algorithms take the network's mixing time `t_mix` and
 //! conductance `Φ` as inputs (Theorem 1) and its analysis reasons about the
 //! diffusion matrix of the `Avg` procedure (Lemmas 3–4). This crate provides
-//! exact and spectral implementations of all of those quantities.
+//! exact and iterative implementations of those quantities.
 //!
-//! Chains store their matrix as a [`Transition`] with a dense ([`Matrix`])
-//! or sparse ([`CsrMatrix`]) backend. Iterative paths — [`MarkovChain::step`],
-//! power iteration, Gauss–Seidel hitting-time sweeps, Monte-Carlo walks —
-//! run on either backend; on a chain built from an `m`-edge graph the
-//! sparse backend pays `O(m)` per step instead of `O(n²)`, which is what
-//! lets the scenario sweeps reach tens of thousands of nodes.
+//! Every [`MarkovChain`] stores its transition matrix as a [`CsrMatrix`]:
+//! chain steps, Gauss–Seidel hitting-time sweeps, conductance scans and
+//! Monte-Carlo walks cost `O(nnz)` — `O(m)` on an `m`-edge graph — which is
+//! what lets the scenario sweeps reach tens of thousands of nodes. The
+//! dense [`Matrix`] is the arithmetic of the algorithms whose work is a
+//! dense product: exact mixing ([`mixing::mixing_time_exact`] raises the
+//! chain to powers), Jacobi eigendecomposition ([`spectral::jacobi_eigen`])
+//! and the direct hitting-time solve ([`hitting::solve`]). The harness's
+//! `λ₂`, spectral gap and spectral `t_mix` bound live in
+//! `ale_graph::spectral_sparse`.
 //!
 //! ## Quickstart
 //!
@@ -29,13 +33,14 @@
 //! let chain = MarkovChain::lazy_random_walk(&adj)?;
 //!
 //! let t_mix = mixing::mixing_time_exact(&chain, 1 << 20)?;
-//! let gap = spectral::spectral_gap(chain.transition())?;
 //! assert!(t_mix >= 1);
-//! assert!(gap > 0.0);
+//! // The cycle is vertex-transitive: one O(m)-per-step walk from any
+//! // start gives the same value.
+//! assert_eq!(mixing::mixing_time_from_state(&chain, 0, 1 << 20)?, t_mix);
 //!
-//! // The same chain on the sparse backend: O(m) per step.
-//! let sparse = MarkovChain::lazy_random_walk_sparse(&adj)?;
-//! assert_eq!(mixing::mixing_time_from_state(&sparse, 0, 1 << 20)?, t_mix);
+//! // λ₂ from the Jacobi oracle on the dense form (lazy C4: 1/2).
+//! let eig = spectral::jacobi_eigen(&chain.transition().to_dense(), 200)?;
+//! assert!((eig.values[1] - 0.5).abs() < 1e-9);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -50,13 +55,11 @@ pub mod matrix;
 pub mod mixing;
 pub mod simulate;
 pub mod spectral;
-pub mod transition;
 
 pub use chain::MarkovChain;
 pub use error::MarkovError;
 pub use matrix::{vecops, CsrMatrix, Matrix};
 pub use spectral::Eigen;
-pub use transition::Transition;
 
 #[cfg(test)]
 mod crate_tests {
@@ -67,7 +70,6 @@ mod crate_tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Matrix>();
         assert_send_sync::<CsrMatrix>();
-        assert_send_sync::<Transition>();
         assert_send_sync::<MarkovChain>();
         assert_send_sync::<MarkovError>();
         assert_send_sync::<Eigen>();

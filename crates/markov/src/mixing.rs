@@ -7,24 +7,28 @@
 //! attained at point masses, the condition is equivalent to every **row** of
 //! `Pᵗ` being within `1/(2n)` of the stationary distribution in max-norm.
 //!
-//! Three methods are provided:
+//! Two methods are provided:
 //!
 //! * [`mixing_time_exact`] — doubling + binary search on matrix powers,
 //!   exact per the definition, cost `O(n³ log t_mix)`. Matrix powering is
-//!   inherently dense, so sparse-backed chains are densified through the
-//!   [`crate::transition::DENSIFY_LIMIT`] guard;
+//!   inherently dense, so the CSR chain is densified, up to 2048 states;
+//!   and
 //! * [`mixing_time_from_state`] — iterative: evolves a single point mass
 //!   with [`MarkovChain::step_into`] until it is within `1/(2n)` of the
-//!   stationary distribution. Runs in `O(t·nnz)` on either backend — the
-//!   large-n path; on vertex-transitive chains (torus, ring, hypercube)
-//!   the result equals the exact mixing time; and
-//! * [`mixing_time_spectral_upper`] — the reversible-chain bound
-//!   `|Pᵗ(i,j) − 1/n| ≤ λ₂ᵗ` for symmetric doubly-stochastic `P`, giving
-//!   `t_mix ≤ ⌈ln(2n)/(1 − λ₂)⌉`, cheap enough for large graphs.
+//!   stationary distribution. Runs in `O(t·nnz)` — the large-n path; on
+//!   vertex-transitive chains (torus, ring, hypercube) the result equals
+//!   the exact mixing time.
+//!
+//! The spectral upper bound on `t_mix` that the harness uses past the
+//! exact limit is `ale_graph::spectral_sparse::mixing_time_upper`.
 
 use crate::chain::MarkovChain;
 use crate::error::MarkovError;
 use crate::matrix::{vecops, Matrix};
+
+/// Largest state count [`mixing_time_exact`] densifies (a `2048²` dense
+/// matrix is 32 MiB; the next power of two is 128 MiB).
+const DENSIFY_LIMIT: usize = 2048;
 
 /// Maximum over rows of the max-norm distance between `Pᵗ` rows and the
 /// stationary distribution `pi`.
@@ -52,9 +56,9 @@ fn max_row_distance(pt: &Matrix, pi: &[f64]) -> f64 {
 /// * [`MarkovError::Reducible`] if the chain cannot mix at all.
 /// * [`MarkovError::NotConverged`] if `cap` is exceeded before mixing; the
 ///   `iterations` field carries the cap.
-/// * [`MarkovError::DimensionMismatch`] when a sparse-backed chain exceeds
-///   [`crate::transition::DENSIFY_LIMIT`] states (matrix powering would
-///   allocate `O(n²)`); use [`mixing_time_from_state`] or the spectral
+/// * [`MarkovError::DimensionMismatch`] when the chain has more than 2048
+///   states (matrix powering would allocate `O(n²)`; the `expected` field
+///   carries the limit); use [`mixing_time_from_state`] or the spectral
 ///   bound at that scale.
 ///
 /// # Examples
@@ -78,8 +82,13 @@ pub fn mixing_time_exact(chain: &MarkovChain, cap: u64) -> Result<u64, MarkovErr
     if !chain.is_irreducible() {
         return Err(MarkovError::Reducible);
     }
-    let p = chain.transition().to_dense_checked()?;
-    let pi = if p.is_doubly_stochastic() {
+    if n > DENSIFY_LIMIT {
+        return Err(MarkovError::DimensionMismatch {
+            expected: DENSIFY_LIMIT,
+            found: n,
+        });
+    }
+    let pi = if chain.transition().is_doubly_stochastic() {
         vec![1.0 / n as f64; n]
     } else {
         chain.stationary_distribution(1e-13, 1_000_000)?
@@ -87,7 +96,7 @@ pub fn mixing_time_exact(chain: &MarkovChain, cap: u64) -> Result<u64, MarkovErr
     let target = 1.0 / (2.0 * n as f64);
 
     // Doubling phase: find k with P^(2^k) mixed.
-    let mut power_matrices: Vec<Matrix> = vec![p]; // P^(2^0)
+    let mut power_matrices: Vec<Matrix> = vec![chain.transition().to_dense()]; // P^(2^0)
     let mut t: u64 = 1;
     if max_row_distance(&power_matrices[0], &pi) <= target {
         return Ok(1);
@@ -143,12 +152,12 @@ fn power_from_binary(powers: &[Matrix], e: u64) -> Result<Matrix, MarkovError> {
 /// First round `t` at which the point mass on `start` is mixed:
 /// `‖e_start·Pᵗ − π‖_∞ ≤ 1/(2n)`.
 ///
-/// This is the iterative, backend-generic form of the mixing-time
-/// computation: it runs in `O(t·nnz)` via [`MarkovChain::step_into`], so a
-/// sparse chain on an `m`-edge graph pays `O(m)` per round — the method of
-/// choice at the tens-of-thousands-of-nodes scale where matrix powering is
-/// out of reach. On vertex-transitive chains (torus, ring, hypercube,
-/// complete graph) every start state is equivalent, so the result equals
+/// This is the iterative form of the mixing-time computation: it runs in
+/// `O(t·nnz)` via [`MarkovChain::step_into`], so a chain on an `m`-edge
+/// graph pays `O(m)` per round — the method of choice at the
+/// tens-of-thousands-of-nodes scale where matrix powering is out of reach.
+/// On vertex-transitive chains (torus, ring, hypercube, complete graph)
+/// every start state is equivalent, so the result equals
 /// the exact mixing time of [`mixing_time_exact`]; in general it is the
 /// exact first mixed round for this start state, a lower bound on the
 /// worst-case mixing time.
@@ -169,12 +178,10 @@ fn power_from_binary(powers: &[Matrix], e: u64) -> Result<Matrix, MarkovError> {
 /// ```
 /// use ale_markov::{MarkovChain, mixing};
 /// let adj: Vec<Vec<usize>> = (0..8).map(|i| vec![(i + 7) % 8, (i + 1) % 8]).collect();
-/// let dense = MarkovChain::lazy_random_walk(&adj)?;
-/// let sparse = MarkovChain::lazy_random_walk_sparse(&adj)?;
-/// let t = mixing::mixing_time_from_state(&dense, 0, 1 << 20)?;
-/// assert_eq!(t, mixing::mixing_time_from_state(&sparse, 0, 1 << 20)?);
+/// let chain = MarkovChain::lazy_random_walk(&adj)?;
+/// let t = mixing::mixing_time_from_state(&chain, 0, 1 << 20)?;
 /// // The cycle is vertex-transitive: equals the exact mixing time.
-/// assert_eq!(t, mixing::mixing_time_exact(&dense, 1 << 20)?);
+/// assert_eq!(t, mixing::mixing_time_exact(&chain, 1 << 20)?);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn mixing_time_from_state(
@@ -267,9 +274,9 @@ pub fn sample_starts(n: usize, count: usize, seed: u64) -> Vec<usize> {
 /// bound on the worst-case `t_mix`; the max over a sample tightens that
 /// bound on families that are *not* vertex-transitive (stars, barbells,
 /// random regular graphs), where a single arbitrary start can be far
-/// from the slowest one. Cost is `O(t·nnz)` per start on either backend
-/// — the cheap estimator of choice at the tens-of-thousands-of-nodes
-/// scale where [`mixing_time_exact`]'s matrix powering is out of reach.
+/// from the slowest one. Cost is `O(t·nnz)` per start — the cheap
+/// estimator of choice at the tens-of-thousands-of-nodes scale where
+/// [`mixing_time_exact`]'s matrix powering is out of reach.
 /// Pair with [`sample_starts`] for a deterministic sample.
 ///
 /// # Errors
@@ -307,29 +314,6 @@ pub fn mixing_time_multi_start(
     Ok(worst)
 }
 
-/// Spectral upper bound on mixing time for symmetric doubly-stochastic
-/// chains: `t_mix ≤ ⌈ln(2n)/(1 − λ₂)⌉`.
-///
-/// Derived from `|Pᵗ(i,j) − 1/n| ≤ λ₂ᵗ` (reversible chain with uniform
-/// stationary distribution) and `ln(1/λ) ≥ 1 − λ`.
-///
-/// # Panics
-///
-/// Panics if `lambda2` is not in `[0, 1)` or `n == 0` — both indicate caller
-/// bugs rather than data-dependent failures.
-pub fn mixing_time_spectral_upper(lambda2: f64, n: usize) -> u64 {
-    assert!(n > 0, "graph must be non-empty");
-    assert!(
-        (0.0..1.0).contains(&lambda2),
-        "lambda2 must be in [0,1), got {lambda2}"
-    );
-    if n == 1 {
-        return 0;
-    }
-    let gap = 1.0 - lambda2;
-    ((2.0 * n as f64).ln() / gap).ceil() as u64
-}
-
 /// Checks the Montenegro–Tetali band `1/Φ ≤ t_mix ≤ c/Φ²` the paper cites
 /// (\[24\]); returns the pair of violated-side flags `(below, above)` so tests
 /// can assert both directions with an explicit slack constant.
@@ -345,6 +329,7 @@ pub fn mixing_band_check(tmix: f64, phi: f64, slack_lo: f64, slack_hi: f64) -> (
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::test_csr;
 
     fn lazy(adj: &[Vec<usize>]) -> MarkovChain {
         MarkovChain::lazy_random_walk(adj).unwrap()
@@ -360,11 +345,16 @@ mod tests {
             .collect()
     }
 
+    fn identity_chain(n: usize) -> MarkovChain {
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|i| (0..n).map(|j| if i == j { 1.0 } else { 0.0 }).collect())
+            .collect();
+        MarkovChain::from_csr(test_csr(&rows)).unwrap()
+    }
+
     #[test]
     fn singleton_mixes_instantly() {
-        let p = Matrix::identity(1);
-        let c = MarkovChain::from_matrix(p).unwrap();
-        assert_eq!(mixing_time_exact(&c, 100).unwrap(), 0);
+        assert_eq!(mixing_time_exact(&identity_chain(1), 100).unwrap(), 0);
     }
 
     #[test]
@@ -394,13 +384,14 @@ mod tests {
         let t = mixing_time_exact(&c, 1 << 22).unwrap();
         let n = 10;
         let pi = vec![1.0 / n as f64; n];
-        let p = c.as_dense().expect("dense-built chain");
-        let pt = p.power(t as u32).unwrap();
+        let p = c.transition().to_dense();
+        let power = |e: u64| (0..e).fold(Matrix::identity(n), |acc, _| acc.multiply(&p).unwrap());
+        let pt = power(t);
         assert!(max_row_distance(&pt, &pi) <= 1.0 / (2.0 * n as f64) + 1e-12);
-        let pt1 = p.power(t as u32 + 3).unwrap();
+        let pt1 = power(t + 3);
         assert!(max_row_distance(&pt1, &pi) <= 1.0 / (2.0 * n as f64) + 1e-12);
         if t > 1 {
-            let pt_less = p.power(t as u32 - 1).unwrap();
+            let pt_less = power(t - 1);
             assert!(
                 max_row_distance(&pt_less, &pi) > 1.0 / (2.0 * n as f64),
                 "t_mix must be minimal"
@@ -419,43 +410,22 @@ mod tests {
 
     #[test]
     fn reducible_chain_rejected() {
-        let p = Matrix::identity(3);
-        let c = MarkovChain::from_matrix(p).unwrap();
         assert!(matches!(
-            mixing_time_exact(&c, 100),
+            mixing_time_exact(&identity_chain(3), 100),
             Err(MarkovError::Reducible)
         ));
     }
 
     #[test]
-    fn spectral_upper_bound_dominates_exact() {
-        for n in [4usize, 8, 12] {
-            let c = lazy(&cycle_adj(n));
-            let exact = mixing_time_exact(&c, 1 << 24).unwrap();
-            let l2 = crate::spectral::lambda2_power(c.transition(), 1e-12, 1_000_000).unwrap();
-            let upper = mixing_time_spectral_upper(l2, n);
-            assert!(
-                upper >= exact,
-                "spectral bound {upper} below exact {exact} for C{n}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "lambda2 must be in [0,1)")]
-    fn spectral_upper_rejects_bad_lambda() {
-        mixing_time_spectral_upper(1.5, 4);
-    }
-
-    #[test]
-    fn exact_runs_on_small_sparse_chains() {
-        let adj = cycle_adj(12);
-        let dense = lazy(&adj);
-        let sparse = MarkovChain::lazy_random_walk_sparse(&adj).unwrap();
-        assert_eq!(
-            mixing_time_exact(&dense, 1 << 24).unwrap(),
-            mixing_time_exact(&sparse, 1 << 24).unwrap()
-        );
+    fn exact_refuses_chains_past_the_densify_limit() {
+        let c = lazy(&cycle_adj(DENSIFY_LIMIT + 1));
+        assert!(matches!(
+            mixing_time_exact(&c, 1 << 40),
+            Err(MarkovError::DimensionMismatch {
+                expected: DENSIFY_LIMIT,
+                ..
+            })
+        ));
     }
 
     #[test]
@@ -479,13 +449,11 @@ mod tests {
             mixing_time_from_state(&c, 0, 2),
             Err(MarkovError::NotConverged { .. })
         ));
-        let reducible = MarkovChain::from_matrix(Matrix::identity(3)).unwrap();
         assert!(matches!(
-            mixing_time_from_state(&reducible, 0, 100),
+            mixing_time_from_state(&identity_chain(3), 0, 100),
             Err(MarkovError::Reducible)
         ));
-        let singleton = MarkovChain::from_matrix(Matrix::identity(1)).unwrap();
-        assert_eq!(mixing_time_from_state(&singleton, 0, 1).unwrap(), 0);
+        assert_eq!(mixing_time_from_state(&identity_chain(1), 0, 1).unwrap(), 0);
     }
 
     #[test]

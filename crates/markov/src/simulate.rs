@@ -3,9 +3,8 @@
 //! The exact machinery ([`crate::hitting`], [`crate::mixing`]) covers small
 //! state spaces; this module samples trajectories directly — the
 //! cross-check used by tests (MC ≈ exact) and a complement to the exact
-//! methods at scale. Sampling walks the chain's stored row entries
-//! ([`crate::Transition::row_entries`]), so one step costs `O(deg)` on a
-//! sparse-backed chain instead of `O(n)` — simulating a walk on a
+//! methods at scale. Sampling walks the chain's stored CSR row entries, so
+//! one step costs `O(deg)` instead of `O(n)` — simulating a walk on a
 //! 20 000-node bounded-degree graph touches a handful of entries per step.
 
 use crate::chain::MarkovChain;
@@ -27,18 +26,18 @@ pub fn step_state(chain: &MarkovChain, i: usize, rng: &mut StdRng) -> Result<usi
             found: i,
         });
     }
-    let p = chain.transition();
+    let (cols, vals) = chain.transition().row(i);
     let mut u: f64 = rng.gen();
     let mut last_support = None;
-    for (j, w) in p.row_entries(i) {
+    for (&j, &w) in cols.iter().zip(vals) {
         u -= w;
         if u <= 0.0 {
             return Ok(j);
         }
         last_support = Some(j);
     }
-    // Rounding slack: the row sums to 1 within EPS; land on the last
-    // positive-probability state.
+    // Rounding slack: the row sums to 1 within EPS; land on the row's
+    // last stored state.
     last_support.ok_or(MarkovError::Empty)
 }
 
@@ -170,23 +169,6 @@ mod tests {
             let d = w[0].abs_diff(w[1]);
             assert!(d == 0 || d == 1 || d == 5, "illegal transition {w:?}");
         }
-    }
-
-    #[test]
-    fn sparse_backend_walks_identically() {
-        let adj: Vec<Vec<usize>> = (0..9).map(|i| vec![(i + 8) % 9, (i + 1) % 9]).collect();
-        let dense = MarkovChain::lazy_random_walk(&adj).unwrap();
-        let sparse = MarkovChain::lazy_random_walk_sparse(&adj).unwrap();
-        // Same stored entries in the same order → identical branch
-        // decisions, hence bit-identical trajectories per seed.
-        assert_eq!(
-            trajectory(&dense, 3, 200, 42).unwrap(),
-            trajectory(&sparse, 3, 200, 42).unwrap()
-        );
-        assert_eq!(
-            estimate_hitting_time(&dense, 0, &[4], 500, 10_000, 7).unwrap(),
-            estimate_hitting_time(&sparse, 0, &[4], 500, 10_000, 7).unwrap()
-        );
     }
 
     #[test]

@@ -1,19 +1,16 @@
-//! Spectral tools for symmetric matrices: Jacobi eigendecomposition and
-//! power iteration with deflation.
+//! Jacobi eigendecomposition of symmetric matrices.
 //!
 //! The second-largest eigenvalue `λ₂` of a lazy-walk or diffusion matrix
 //! controls mixing (Lemma 4 of the paper uses
 //! `r ≥ log(n/γ)/log(1/λ₁)` with `log 1/λ ≥ 1 − λ` and the Cheeger-type
-//! bound `1 − λ ≥ φ²/2` from Sinclair–Jerrum). This module computes `λ₂`
-//! either exactly (cyclic Jacobi, reliable for the symmetric matrices we
-//! build) or iteratively (power iteration deflated against the known
-//! all-ones principal eigenvector of doubly-stochastic matrices). The
-//! power iteration runs against a [`Transition`], so it costs `O(nnz)` per
-//! iteration on sparse-backed chains; Jacobi is inherently dense.
+//! bound `1 − λ ≥ φ²/2` from Sinclair–Jerrum). [`jacobi_eigen`] computes
+//! every eigenvalue exactly on the dense form of a small chain
+//! (`chain.transition().to_dense()`). It is the oracle that the harness's
+//! sparse `λ₂` power iteration, `ale_graph::spectral_sparse::lambda2_lazy`,
+//! is tested against.
 
 use crate::error::MarkovError;
-use crate::matrix::{vecops, Matrix};
-use crate::transition::Transition;
+use crate::matrix::Matrix;
 
 /// Result of a full symmetric eigendecomposition.
 ///
@@ -43,7 +40,11 @@ pub struct Eigen {
 ///
 /// ```
 /// use ale_markov::{Matrix, spectral};
-/// let m = Matrix::from_rows(&[vec![2.0, 1.0], vec![1.0, 2.0]])?;
+/// let mut m = Matrix::identity(2);
+/// m[(0, 0)] = 2.0;
+/// m[(1, 1)] = 2.0;
+/// m[(0, 1)] = 1.0;
+/// m[(1, 0)] = 1.0;
 /// let eig = spectral::jacobi_eigen(&m, 100)?;
 /// assert!((eig.values[0] - 3.0).abs() < 1e-10);
 /// assert!((eig.values[1] - 1.0).abs() < 1e-10);
@@ -145,118 +146,15 @@ fn sorted_eigen(a: Matrix, v: Matrix) -> Eigen {
     Eigen { values, vectors }
 }
 
-/// Second-largest eigenvalue of a **symmetric doubly-stochastic** matrix by
-/// power iteration deflated against the all-ones principal eigenvector.
-///
-/// Returns `λ₂` (by algebraic value; for lazy matrices all eigenvalues are
-/// non-negative so this is also the second-largest modulus).
-///
-/// # Errors
-///
-/// * [`MarkovError::NotSquare`] / [`MarkovError::Empty`] on malformed input.
-/// * [`MarkovError::NotConverged`] when the eigengap is too small for the
-///   iteration budget; callers should fall back to [`jacobi_eigen`].
-///
-/// # Examples
-///
-/// ```
-/// use ale_markov::{MarkovChain, spectral};
-/// let adj = vec![vec![1, 2], vec![0, 2], vec![0, 1]];
-/// let c = MarkovChain::lazy_random_walk(&adj)?;
-/// let l2 = spectral::lambda2_power(c.transition(), 1e-10, 100_000)?;
-/// // Lazy triangle: eigenvalues are 1, 1/4, 1/4.
-/// assert!((l2 - 0.25).abs() < 1e-6);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn lambda2_power(p: &Transition, tol: f64, max_iters: usize) -> Result<f64, MarkovError> {
-    if !p.is_square() {
-        return Err(MarkovError::NotSquare {
-            rows: p.rows(),
-            cols: p.cols(),
-        });
-    }
-    let n = p.rows();
-    if n == 0 {
-        return Err(MarkovError::Empty);
-    }
-    if n == 1 {
-        return Ok(0.0);
-    }
-    // Deterministic, non-uniform start vector orthogonal to 1.
-    let mut v: Vec<f64> = (0..n).map(|i| (i as f64 + 1.0).sin()).collect();
-    project_off_ones(&mut v);
-    let norm = vecops::norm_l2(&v);
-    if norm == 0.0 {
-        return Err(MarkovError::Empty);
-    }
-    for x in v.iter_mut() {
-        *x /= norm;
-    }
-    let mut lambda = 0.0;
-    for it in 0..max_iters {
-        let mut w = p.mul_vec(&v)?;
-        project_off_ones(&mut w);
-        let norm = vecops::norm_l2(&w);
-        if norm < 1e-300 {
-            // The matrix annihilates everything orthogonal to 1: λ₂ = 0.
-            return Ok(0.0);
-        }
-        for x in w.iter_mut() {
-            *x /= norm;
-        }
-        let new_lambda = rayleigh(p, &w)?;
-        let diff = (new_lambda - lambda).abs();
-        lambda = new_lambda;
-        v = w;
-        if it > 2 && diff < tol {
-            return Ok(lambda);
-        }
-    }
-    Err(MarkovError::NotConverged {
-        iterations: max_iters,
-        residual: tol,
-    })
-}
-
-fn project_off_ones(v: &mut [f64]) {
-    let mean: f64 = v.iter().sum::<f64>() / v.len() as f64;
-    for x in v.iter_mut() {
-        *x -= mean;
-    }
-}
-
-fn rayleigh(p: &Transition, v: &[f64]) -> Result<f64, MarkovError> {
-    let pv = p.mul_vec(v)?;
-    Ok(vecops::dot(v, &pv) / vecops::dot(v, v))
-}
-
-/// Spectral gap `1 − λ₂` of a symmetric doubly-stochastic matrix, trying the
-/// fast power iteration first and falling back to Jacobi.
-///
-/// # Errors
-///
-/// Propagates errors from both methods if neither converges. The Jacobi
-/// fallback densifies sparse input through the
-/// [`crate::transition::DENSIFY_LIMIT`] guard.
-pub fn spectral_gap(p: &Transition) -> Result<f64, MarkovError> {
-    match lambda2_power(p, 1e-11, 200_000) {
-        Ok(l2) => Ok(1.0 - l2),
-        Err(MarkovError::NotConverged { .. }) => {
-            let eig = jacobi_eigen(&p.to_dense_checked()?, 200)?;
-            Ok(1.0 - eig.values[1])
-        }
-        Err(e) => Err(e),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chain::MarkovChain;
+    use crate::matrix::test_dense;
 
     #[test]
     fn jacobi_diagonalizes_2x2() {
-        let m = Matrix::from_rows(&[vec![2.0, 1.0], vec![1.0, 2.0]]).unwrap();
+        let m = test_dense(&[vec![2.0, 1.0], vec![1.0, 2.0]]);
         let eig = jacobi_eigen(&m, 100).unwrap();
         assert!((eig.values[0] - 3.0).abs() < 1e-10);
         assert!((eig.values[1] - 1.0).abs() < 1e-10);
@@ -277,19 +175,18 @@ mod tests {
 
     #[test]
     fn jacobi_eigenvectors_satisfy_definition() {
-        let m = Matrix::from_rows(&[
+        let m = test_dense(&[
             vec![4.0, 1.0, 0.0],
             vec![1.0, 3.0, 1.0],
             vec![0.0, 1.0, 2.0],
-        ])
-        .unwrap();
+        ]);
         let eig = jacobi_eigen(&m, 200).unwrap();
         for r in 0..3 {
-            let v: Vec<f64> = eig.vectors.row(r).to_vec();
-            let mv = m.mul_vec(&v).unwrap();
+            let v = eig.vectors.row(r);
             for k in 0..3 {
+                let mv: f64 = m.row(k).iter().zip(v).map(|(a, b)| a * b).sum();
                 assert!(
-                    (mv[k] - eig.values[r] * v[k]).abs() < 1e-8,
+                    (mv - eig.values[r] * v[k]).abs() < 1e-8,
                     "eigenpair {r} violated"
                 );
             }
@@ -297,61 +194,25 @@ mod tests {
     }
 
     #[test]
-    fn lambda2_of_lazy_triangle() {
-        let adj = vec![vec![1, 2], vec![0, 2], vec![0, 1]];
-        let c = MarkovChain::lazy_random_walk(&adj).unwrap();
-        let l2 = lambda2_power(c.transition(), 1e-11, 100_000).unwrap();
-        assert!((l2 - 0.25).abs() < 1e-6);
-    }
-
-    #[test]
-    fn lambda2_agrees_with_jacobi_on_cycle() {
-        // Lazy walk on C6.
-        let adj: Vec<Vec<usize>> = (0..6).map(|i| vec![(i + 5) % 6, (i + 1) % 6]).collect();
-        let c = MarkovChain::lazy_random_walk(&adj).unwrap();
-        let l2 = lambda2_power(c.transition(), 1e-12, 1_000_000).unwrap();
-        let eig = jacobi_eigen(c.as_dense().unwrap(), 200).unwrap();
-        assert!((l2 - eig.values[1]).abs() < 1e-7);
-        // Lazy C6: λ₂ = 1/2 + cos(2π/6)/2 = 0.75.
-        assert!((l2 - 0.75).abs() < 1e-6);
-    }
-
-    #[test]
-    fn lambda2_singleton_is_zero() {
-        let p = Transition::from(Matrix::identity(1));
-        assert_eq!(lambda2_power(&p, 1e-9, 10).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn lambda2_agrees_across_backends() {
-        let adj: Vec<Vec<usize>> = (0..6).map(|i| vec![(i + 5) % 6, (i + 1) % 6]).collect();
-        let dense = MarkovChain::lazy_random_walk(&adj).unwrap();
-        let sparse = MarkovChain::lazy_random_walk_sparse(&adj).unwrap();
-        let ld = lambda2_power(dense.transition(), 1e-12, 1_000_000).unwrap();
-        let ls = lambda2_power(sparse.transition(), 1e-12, 1_000_000).unwrap();
-        assert!((ld - ls).abs() < 1e-9, "dense {ld} vs sparse {ls}");
-        let gd = spectral_gap(dense.transition()).unwrap();
-        let gs = spectral_gap(sparse.transition()).unwrap();
-        assert!((gd - gs).abs() < 1e-6);
-    }
-
-    #[test]
-    fn spectral_gap_matches_direct() {
-        let adj = vec![vec![1, 2, 3], vec![0, 2, 3], vec![0, 1, 3], vec![0, 1, 2]];
-        let c = MarkovChain::lazy_random_walk(&adj).unwrap();
-        let gap = spectral_gap(c.transition()).unwrap();
-        // Lazy K4: non-principal eigenvalues are 1/2 - 1/6 = 1/3; gap 2/3.
-        assert!((gap - 2.0 / 3.0).abs() < 1e-6, "gap = {gap}");
-    }
-
-    #[test]
-    fn complete_bipartite_lazy_no_negative_issue() {
-        // K_{2,2} lazy walk: eigenvalues 1, 1/2, 1/2, 0. λ₂ = 1/2.
-        let adj = vec![vec![2, 3], vec![2, 3], vec![0, 1], vec![0, 1]];
-        let c = MarkovChain::lazy_random_walk(&adj).unwrap();
-        let eig = jacobi_eigen(c.as_dense().unwrap(), 200).unwrap();
-        assert!((eig.values[1] - 0.5).abs() < 1e-9);
-        let l2 = lambda2_power(c.transition(), 1e-11, 200_000).unwrap();
-        assert!((l2 - 0.5).abs() < 1e-6);
+    fn lambda2_of_lazy_walks() {
+        let cycle6: Vec<Vec<usize>> = (0..6).map(|i| vec![(i + 5) % 6, (i + 1) % 6]).collect();
+        for (adj, l2) in [
+            // Lazy triangle: eigenvalues 1, 1/4, 1/4.
+            (vec![vec![1, 2], vec![0, 2], vec![0, 1]], 0.25),
+            // Lazy C6: λ₂ = 1/2 + cos(2π/6)/2.
+            (cycle6, 0.75),
+            // Lazy K4: non-principal eigenvalues 1/2 − 1/6 = 1/3.
+            (
+                vec![vec![1, 2, 3], vec![0, 2, 3], vec![0, 1, 3], vec![0, 1, 2]],
+                1.0 / 3.0,
+            ),
+            // Lazy K_{2,2}: eigenvalues 1, 1/2, 1/2, 0.
+            (vec![vec![2, 3], vec![2, 3], vec![0, 1], vec![0, 1]], 0.5),
+        ] {
+            let c = MarkovChain::lazy_random_walk(&adj).unwrap();
+            let eig = jacobi_eigen(&c.transition().to_dense(), 200).unwrap();
+            assert!((eig.values[0] - 1.0).abs() < 1e-9);
+            assert!((eig.values[1] - l2).abs() < 1e-9, "{adj:?}: {eig:?}");
+        }
     }
 }
