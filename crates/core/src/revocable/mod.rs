@@ -31,7 +31,7 @@
 //! // Scaled parameters keep the demo fast; the `params` module docs
 //! // describe the modes.
 //! let params = RevocableParams::paper_blind(1.0, 0.2).with_scales(0.02, 0.05, 1.0);
-//! let result = run_revocable(&g, &params, 1, 64)?;
+//! let result = run_revocable(&g, &params, 1, 32)?;
 //! assert!(result.stabilized);
 //! assert_eq!(result.outcome.leader_count(), 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -135,11 +135,7 @@ where
     B: FnOnce(usize, Spawn<'_>) -> Result<Driver<'g, RevocableProcess, D>, CongestError>,
 {
     params.validate()?;
-    if max_k < 2 {
-        return Err(CoreError::InvalidConfig {
-            reason: "max_k must be at least 2".into(),
-        });
-    }
+    params.check_horizon(max_k)?;
     let budget = congest_budget(graph.n().max(2), params.congest_factor);
     let p = *params;
     let mut net = build(budget, &mut |deg, _rng| {
@@ -154,7 +150,7 @@ where
     // most 16 late), the horizon freeze (all nodes halt in lockstep), or
     // the round cap (defensive; unreachable given the freeze).
     let status = net.run_until(round_budget, |n| {
-        n.round() % 16 == 0 && stabilized(&n.outputs())
+        n.round() % 16 == 0 && views_agree(n.processes().iter().map(RevocableProcess::settled_view))
     })?;
     let verdicts_now = net.outputs();
     if status == RunStatus::PredicateMet && stabilized(&verdicts_now) {
@@ -193,14 +189,17 @@ type Spawn<'a> = &'a mut dyn FnMut(usize, &mut StdRng) -> RevocableProcess;
 /// This is an absorbing predicate: IDs are never re-chosen and views only
 /// move toward the globally best record.
 pub fn stabilized(verdicts: &[RevocableVerdict]) -> bool {
-    if verdicts.is_empty() {
-        return false;
+    views_agree(verdicts.iter().map(|v| v.id.and(v.view)))
+}
+
+/// The oracle's one body, over each node's view once it has chosen an ID
+/// (`None` before). It stops at the first node without one, so a check
+/// early in a run costs one node, not a verdict per node.
+fn views_agree(mut settled: impl Iterator<Item = Option<LeaderRecord>>) -> bool {
+    match settled.next() {
+        Some(Some(first)) => settled.all(|v| v == Some(first)),
+        _ => false,
     }
-    if verdicts.iter().any(|v| v.id.is_none() || v.view.is_none()) {
-        return false;
-    }
-    let first = verdicts[0].view;
-    verdicts.iter().all(|v| v.view == first)
 }
 
 #[cfg(test)]
@@ -215,7 +214,7 @@ mod tests {
     #[test]
     fn stabilizes_on_tiny_complete_graph() {
         let g = generators::complete(4).unwrap();
-        let r = run_revocable(&g, &fast_params(), 1, 64).unwrap();
+        let r = run_revocable(&g, &fast_params(), 1, 32).unwrap();
         assert!(r.stabilized, "did not stabilize: final_k = {}", r.final_k);
         assert_eq!(r.outcome.leader_count(), 1);
         assert_eq!(r.outcome.candidates.len(), 4, "all nodes choose IDs");
@@ -234,7 +233,7 @@ mod tests {
     #[test]
     fn explicit_election_all_nodes_know_leader() {
         let g = generators::cycle(5).unwrap();
-        let r = run_revocable(&g, &fast_params(), 11, 64).unwrap();
+        let r = run_revocable(&g, &fast_params(), 11, 32).unwrap();
         assert!(r.stabilized);
         let views: Vec<_> = r.verdicts.iter().map(|v| v.view).collect();
         assert!(views.windows(2).all(|w| w[0] == w[1]));
@@ -243,7 +242,7 @@ mod tests {
     #[test]
     fn leader_has_best_record() {
         let g = generators::path(4).unwrap();
-        let r = run_revocable(&g, &fast_params(), 5, 64).unwrap();
+        let r = run_revocable(&g, &fast_params(), 5, 32).unwrap();
         assert!(r.stabilized);
         let leader = r.outcome.unique_leader().expect("unique leader");
         let lv = &r.verdicts[leader];
@@ -266,17 +265,39 @@ mod tests {
     fn rejects_invalid_inputs() {
         let g = generators::complete(4).unwrap();
         let bad = RevocableParams::paper_blind(0.0, 0.1);
-        assert!(run_revocable(&g, &bad, 0, 64).is_err());
+        assert!(run_revocable(&g, &bad, 0, 32).is_err());
         assert!(run_revocable(&g, &fast_params(), 0, 1).is_err());
+    }
+
+    #[test]
+    fn horizon_guard_refuses_before_any_round() {
+        fn never_built<'g>(
+            _budget: usize,
+            _spawn: Spawn<'_>,
+        ) -> Result<Network<'g, RevocableProcess>, CongestError> {
+            unreachable!("the horizon check runs before the network is built")
+        }
+        let g = generators::complete(2).unwrap();
+        // Paper-exact blind: r(32) ≈ 4.3·10¹⁰ overflows the u32 send index.
+        let exact = RevocableParams::paper_blind(1.0, 0.2);
+        let err = drive(&g, &exact, 32, never_built).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidConfig { .. }), "{err:?}");
+        assert!(matches!(
+            run_revocable(&g, &exact, 1, 32),
+            Err(CoreError::InvalidConfig { .. })
+        ));
+        // The scaled ladder's params and horizon pass and run.
+        let ladder = RevocableParams::paper_blind(1.0, 0.2).with_scales(0.002, 0.05, 1.0);
+        assert!(run_revocable(&g, &ladder, 1, 4).is_ok());
     }
 
     #[test]
     fn async_zero_fault_run_matches_the_synchronous_run_exactly() {
         let g = generators::complete(4).unwrap();
         for seed in [1, 5, 11] {
-            let sync = run_revocable(&g, &fast_params(), seed, 64).unwrap();
+            let sync = run_revocable(&g, &fast_params(), seed, 32).unwrap();
             let evented =
-                run_revocable_async(&g, &fast_params(), seed, 64, &ExecConfig::default()).unwrap();
+                run_revocable_async(&g, &fast_params(), seed, 32, &ExecConfig::default()).unwrap();
             assert_eq!(sync, evented, "seed {seed}");
         }
     }

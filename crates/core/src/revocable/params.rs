@@ -172,6 +172,42 @@ impl RevocableParams {
         }
     }
 
+    /// Checks a simulation horizon `max_k`, the largest estimate a run
+    /// executes: it must reach the first estimate `k = 2`, and every
+    /// diffusion send index up to it must fit the `u32` that a
+    /// [`RevMsg::Diffuse`](super::RevMsg::Diffuse) carries.
+    ///
+    /// The largest index a process meters is that of the first diffusion
+    /// send after an iteration boundary, `r(k) + dissemination(k) + 1`
+    /// (the process builds that message before it resets its phase
+    /// counter). Both terms grow with `k`, so the bound is taken at
+    /// `max_k`.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidConfig`] for `max_k < 2`, or for a horizon
+    /// whose largest send index exceeds `u32::MAX`.
+    pub fn check_horizon(&self, max_k: u64) -> Result<(), CoreError> {
+        if max_k < 2 {
+            return Err(CoreError::InvalidConfig {
+                reason: "max_k must be at least 2".into(),
+            });
+        }
+        let index = self
+            .r(max_k)
+            .saturating_add(self.dissemination(max_k))
+            .saturating_add(1);
+        if index > u64::from(u32::MAX) {
+            return Err(CoreError::InvalidConfig {
+                reason: format!(
+                    "horizon max_k = {max_k} reaches diffusion send index {index}, \
+                     past the u32::MAX a metered Diffuse message carries"
+                ),
+            });
+        }
+        Ok(())
+    }
+
     /// Rounds of one full iteration (diffusion + dissemination) at
     /// estimate `k`.
     pub fn iteration_rounds(&self, k: u64) -> u64 {
@@ -280,6 +316,25 @@ mod tests {
         assert!(through16 > through8);
         let last = p.f(16) * p.iteration_rounds(16);
         assert!(through16 - through8 >= last);
+    }
+
+    #[test]
+    fn horizon_check_bounds_the_send_index() {
+        // Paper-exact blind at ε = 1: r(16) + diss(16) + 1 ≈ 5.4·10⁸ fits a
+        // u32, r(32) ≈ 4.3·10¹⁰ does not.
+        let exact = RevocableParams::paper_blind(1.0, 0.2);
+        assert!(exact.check_horizon(16).is_ok());
+        assert!(exact.r(32) > u64::from(u32::MAX));
+        assert!(matches!(
+            exact.check_horizon(32),
+            Err(CoreError::InvalidConfig { .. })
+        ));
+        assert!(exact.check_horizon(1).is_err());
+        // The large-n ladder's scaled schedule and horizon.
+        let ladder = RevocableParams::paper_blind(1.0, 0.2).with_scales(0.002, 0.05, 1.0);
+        assert!(ladder.check_horizon(4).is_ok());
+        // A horizon past every u64 schedule saturates instead of wrapping.
+        assert!(exact.check_horizon(u64::MAX).is_err());
     }
 
     #[test]

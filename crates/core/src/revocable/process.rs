@@ -99,7 +99,7 @@ pub struct RevocableProcess {
     k_pow: f64,
     tau_k: f64,
     /// Potential word width `⌈log₂(2k^{1+ε})⌉` (≥ 1) for bit accounting.
-    word: u32,
+    word: u8,
     // Iteration-level state.
     potential: f64,
     // Estimate-level tallies.
@@ -112,9 +112,11 @@ pub struct RevocableProcess {
     revocations: u64,
 }
 
-/// Bit-by-bit potential word width `⌈log₂(2k^{1+ε})⌉`, at least 1.
-fn word_width(k_pow: f64) -> u32 {
-    (2.0 * k_pow).log2().ceil().max(1.0) as u32
+/// Bit-by-bit potential word width `⌈log₂(2k^{1+ε})⌉`, at least 1. For
+/// any `u64` estimate and `ε ≤ 1`, `2k^{1+ε} < 2^{129}`, so the width is
+/// at most 129 and fits the `u8`.
+fn word_width(k_pow: f64) -> u8 {
+    (2.0 * k_pow).log2().ceil().max(1.0) as u8
 }
 
 impl RevocableProcess {
@@ -126,6 +128,12 @@ impl RevocableProcess {
 
     /// Creates a node that freezes once its estimate doubles past
     /// `horizon` — the harness's simulation cutoff (see the field docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `degree` exceeds `u32::MAX`. The node's rounds panic once
+    /// a diffusion send index passes `u32::MAX`; a horizon accepted by
+    /// [`RevocableParams::check_horizon`] never gets there.
     pub fn with_horizon(params: RevocableParams, degree: usize, horizon: Option<u64>) -> Self {
         let k_pow = params.k_pow(2);
         RevocableProcess {
@@ -188,6 +196,12 @@ impl RevocableProcess {
     /// Whether the node was white this iteration.
     pub fn is_white(&self) -> bool {
         self.flag(FLAG_WHITE)
+    }
+
+    /// The node's leader view once it has chosen an ID, `None` before:
+    /// what the stabilization oracle compares across nodes.
+    pub(super) fn settled_view(&self) -> Option<LeaderRecord> {
+        self.id.and(self.view)
     }
 
     /// Merges an incoming record, counting view *changes after the first
@@ -304,9 +318,11 @@ impl RevocableProcess {
             white: self.flag(FLAG_WHITE),
             view: self.view,
             // Bit-by-bit potential width at send index `phase_round`
-            // (1-indexed in the paper's accounting); `word` is the cached
+            // (1-indexed in the paper's accounting) times the cached
             // per-estimate `⌈log₂(2k^{1+ε})⌉`.
-            pot_bits: (self.phase_round as usize + 1) * self.word as usize,
+            index: u32::try_from(self.phase_round + 1)
+                .expect("send index fits u32: RevocableParams::check_horizon bounds the horizon"),
+            word: self.word,
         }
     }
 
@@ -491,7 +507,8 @@ mod tests {
                 low: false,
                 white: false,
                 view: None,
-                pot_bits: 4,
+                index: 1,
+                word: 4,
             },
         };
         let inbox = [mk(0.0), mk(0.0)];
@@ -523,7 +540,8 @@ mod tests {
                 low: true,
                 white: false,
                 view: None,
-                pot_bits: 4,
+                index: 1,
+                word: 4,
             },
         }];
         drive(&mut p, &mut ctx(&mut rng, 1, 1), &inbox);
@@ -545,7 +563,8 @@ mod tests {
                     low: false,
                     white: false,
                     view: None,
-                    pot_bits: 4,
+                    index: 1,
+                    word: 4,
                 },
             })
             .collect();
@@ -577,7 +596,8 @@ mod tests {
                 low: false,
                 white: false,
                 view: Some(LeaderRecord::new(8, 999)),
-                pot_bits: 4,
+                index: 1,
+                word: 4,
             },
         }];
         drive(&mut p, &mut ctx(&mut rng, 1, 1), &inbox);
@@ -597,7 +617,8 @@ mod tests {
                 low: false,
                 white: false,
                 view: None,
-                pot_bits: 4,
+                index: 1,
+                word: 4,
             },
         };
         let diss = Incoming {
@@ -631,16 +652,18 @@ mod tests {
         // of RSS and every byte of `RevMsg` is ~4 MB of delivery arena on a
         // torus. These budgets are the memory-diet contract; raising them
         // is a deliberate decision, not drive-by field growth.
+        use std::mem::size_of;
         assert!(
-            std::mem::size_of::<RevocableProcess>() <= 304,
+            size_of::<RevocableProcess>() <= 304,
             "RevocableProcess grew to {} bytes",
-            std::mem::size_of::<RevocableProcess>()
+            size_of::<RevocableProcess>()
         );
-        assert!(
-            std::mem::size_of::<RevMsg>() <= 80,
-            "RevMsg grew to {} bytes",
-            std::mem::size_of::<RevMsg>()
-        );
+        // The message copies every engine stages, sorts and delivers: the
+        // certificate's niche makes `None` free, and no field needs
+        // 16-byte alignment.
+        assert_eq!(size_of::<Option<LeaderRecord>>(), 24);
+        assert_eq!(size_of::<RevMsg>(), 40);
+        assert_eq!(size_of::<Incoming<RevMsg>>(), 48);
     }
 
     #[test]
@@ -660,9 +683,10 @@ mod tests {
         let p = RevocableProcess::new(params, 2);
         assert_eq!(p.k_pow, params.k_pow(2));
         assert_eq!(p.tau_k, params.tau(2));
-        assert_eq!(p.word as usize, {
+        assert_eq!(
+            usize::from(p.word),
             (2.0 * params.k_pow(2)).log2().ceil().max(1.0) as usize
-        });
+        );
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!   `/proc/self/status` around graph and engine construction;
 //! * `BENCH_simulator.json` — CONGEST round throughput: dense gossip on
 //!   the lockstep arena, the reference oracle and the event-queue
-//!   policy (the same messages on all three), plus the mostly-halted
-//!   beacon tail on arena vs reference;
+//!   policy (the same messages on all three), the revocable protocol's
+//!   own 40-byte message on arena vs event queue, plus the
+//!   mostly-halted beacon tail on arena vs reference;
 //! * `BENCH_diffusion.json` — `Avg` diffusion steps, dense matrix vs
 //!   sparse CSR backend on tori, plus the sparse `λ₂` power iteration
 //!   that prices bind on `diffusion --n` ladders (`lambda2/sparse/…`).
@@ -31,10 +32,11 @@
 
 use crate::json::Value;
 use crate::scenario::LabError;
+use crate::scenarios::revocable::{ladder_params, LADDER_MAX_K};
 use ale_congest::{
     congest_budget, AsyncNetwork, Incoming, Network, NodeCtx, OutCtx, Process, ReferenceNetwork,
 };
-use ale_core::revocable::{RevocableParams, RevocableProcess};
+use ale_core::revocable::RevocableProcess;
 use ale_graph::spectral_sparse::{self, POWER_ITERS, POWER_TOL};
 use ale_graph::{transition, Topology};
 use std::fmt::Write as _;
@@ -190,6 +192,43 @@ fn simulator_cases(quick: bool, budget: Duration) -> Result<Vec<Case>, LabError>
         wall_ms_per_iter: ms,
     });
 
+    // The revocable protocol itself on the memory suite's ladder
+    // configuration: every node broadcasts a `RevMsg` every round, so
+    // these cases price the real payload that the gossip cases' `u64`
+    // leaves out. Unit latency and no faults: both engines send the same
+    // 64 rounds of messages.
+    let graph = Topology::Grid2d {
+        rows: 64,
+        cols: 64,
+        torus: true,
+    }
+    .build(0)?;
+    let params = ladder_params();
+    let bits = congest_budget(graph.n(), params.congest_factor);
+    let node = |deg: usize, _rng: &mut rand::rngs::StdRng| {
+        RevocableProcess::with_horizon(params, deg, Some(LADDER_MAX_K))
+    };
+    let (iters, ms) = time_case(budget, || {
+        let mut net = Network::from_fn(&graph, 1, bits, node);
+        net.run_for(64).expect("revocable run");
+        std::hint::black_box(net.metrics().messages);
+    });
+    cases.push(Case {
+        id: "revocable-64-rounds/arena/torus:64x64".to_string(),
+        iters,
+        wall_ms_per_iter: ms,
+    });
+    let (iters, ms) = time_case(budget, || {
+        let mut net = AsyncNetwork::from_fn(&graph, 1, bits, node);
+        net.run_for(64).expect("revocable run");
+        std::hint::black_box(net.metrics().messages);
+    });
+    cases.push(Case {
+        id: "revocable-64-rounds/events/torus:64x64".to_string(),
+        iters,
+        wall_ms_per_iter: ms,
+    });
+
     let (n, keep, rounds) = if quick {
         (2_000usize, 100u64, 200u64)
     } else {
@@ -271,8 +310,7 @@ fn memory_cases(quick: bool) -> Result<Vec<MemCase>, LabError> {
     } else {
         &[20_000, 200_000, 1_000_000]
     };
-    // The mode-4 large-n ladder configuration of the revocable scenario.
-    let params = RevocableParams::paper_blind(1.0, 0.2).with_scales(0.002, 0.05, 1.0);
+    let params = ladder_params();
     let mut cases = Vec::new();
     for &n in ns {
         let side = (n as f64).sqrt().floor() as usize;
@@ -287,7 +325,7 @@ fn memory_cases(quick: bool) -> Result<Vec<MemCase>, LabError> {
         let nodes = graph.n();
         let budget = congest_budget(nodes.max(2), params.congest_factor);
         let mut net = Network::from_fn(&graph, 1, budget, |deg, _rng| {
-            RevocableProcess::with_horizon(params, deg, Some(4))
+            RevocableProcess::with_horizon(params, deg, Some(LADDER_MAX_K))
         });
         net.run_for(MEMORY_ROUNDS)
             .expect("memory-suite revocable run");

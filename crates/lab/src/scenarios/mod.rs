@@ -12,7 +12,7 @@ mod certification;
 mod diffusion;
 mod impossibility;
 mod phases;
-mod revocable;
+pub(crate) mod revocable;
 mod scaling;
 mod table1;
 mod thresholds;

@@ -30,7 +30,14 @@ const XI: f64 = 0.2;
 /// Estimate horizon for the mode-4 large-n ladder: the schedule through
 /// `k = 4` (scaled) keeps a 20 000-node run in the seconds range while
 /// still crossing one estimate doubling and the horizon drain.
-const LADDER_MAX_K: u64 = 4;
+pub(crate) const LADDER_MAX_K: u64 = 4;
+
+/// The mode-4 large-n ladder's schedule. It halves the iteration count of
+/// the mode-3 scales: a ladder trial is n broadcasts per round for
+/// thousands of rounds, and the object under test is the simulator.
+pub(crate) fn ladder_params() -> RevocableParams {
+    RevocableParams::paper_blind(EPS, XI).with_scales(0.002, 0.05, 1.0)
+}
 
 /// The revocable-growth scenario.
 pub struct Revocable;
@@ -240,10 +247,7 @@ impl Scenario for Revocable {
                 RevocableParams::paper_with_ig(EPS, XI, ig).with_scales(1.0, 0.25, 1.0)
             }
             2 => RevocableParams::paper_blind(EPS, XI),
-            // Mode 4 halves the iteration count of the mode-3 scales: a
-            // ladder trial is n broadcasts per round for thousands of
-            // rounds, and the object under test is the simulator.
-            4 => RevocableParams::paper_blind(EPS, XI).with_scales(0.002, 0.05, 1.0),
+            4 => ladder_params(),
             _ => RevocableParams::paper_blind(EPS, XI).with_scales(0.002, 0.1, 1.0),
         };
         let max_k = if mode == 4 {
@@ -251,6 +255,9 @@ impl Scenario for Revocable {
         } else {
             horizon_for(n, EPS)
         };
+        // A horizon whose diffusion send index overflows the metered
+        // message is a usage error before any trial runs.
+        params.check_horizon(max_k)?;
         // Mode 6 runs on the event-driven asynchronous engine; the knobs
         // were range-validated by the block builder, so here they only
         // need translating into an `ExecConfig`.

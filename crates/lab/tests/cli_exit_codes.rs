@@ -68,10 +68,12 @@ fn usage_errors_exit_two() {
     assert_eq!(exit_code(&["run", "revocable", "--param", "latency=0"]), 2);
     // Values that parse but sit outside an axis's range: a non-positive
     // convergence target (its Lemma 4 bound would be vacuous), a zero
-    // walk budget or walk count, and a size estimate below the ladder's
-    // first rung (tau(k) is undefined there). `seeds-per-point` is no
-    // axis at all: `--seeds` is the one way to set the seed count.
-    // `--quick` bounds the run should one of these be accepted.
+    // walk budget or walk count, a size estimate below the ladder's
+    // first rung (tau(k) is undefined there), and revocable graphs whose
+    // stabilizing horizon has a diffusion send index past u32::MAX (the
+    // bind-time horizon check). `seeds-per-point` is no axis at all:
+    // `--seeds` is the one way to set the seed count. `--quick` bounds
+    // the run should one of these be accepted.
     for args in [
         ["run", "diffusion", "--quick", "--param", "gamma=0"],
         ["run", "diffusion", "--quick", "--param", "gamma=-1"],
@@ -79,6 +81,8 @@ fn usage_errors_exit_two() {
         ["run", "walks", "--quick", "--param", "x=0"],
         ["run", "thresholds", "--quick", "--param", "k=0"],
         ["run", "thresholds", "--quick", "--param", "k=1"],
+        ["run", "revocable", "--quick", "--param", "tiny=path:17"],
+        ["run", "revocable", "--quick", "--param", "scaled-n=65"],
         [
             "run",
             "diffusion",

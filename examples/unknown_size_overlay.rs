@@ -46,18 +46,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         // Report leadership changes (revocations) as any node's view of the
         // best record changes.
-        let best = verdicts.iter().filter_map(|v| v.view).max_by(|a, b| {
-            (a.cert, std::cmp::Reverse(a.id))
-                .partial_cmp(&(b.cert, std::cmp::Reverse(b.id)))
-                .unwrap()
-        });
+        let best = verdicts
+            .iter()
+            .filter_map(|v| v.view)
+            .reduce(|a, b| if b.beats(&a) { b } else { a });
         if best != last_view {
             let Some(b) = best else { continue };
             println!(
                 "round {:>7}: leadership record is now (certificate k={}, id={})",
                 net.round(),
-                b.cert,
-                b.id
+                b.cert(),
+                b.id()
             );
             last_view = best;
         }
