@@ -607,7 +607,15 @@ mod tests {
             "0/1",
             vec!["topo=cycle(n=8)".into()],
         );
-        store::write_run(&dir, &manifest, &records, &summary).unwrap();
+        let writer = store::RunWriter::create(&dir, &manifest).unwrap();
+        let key = store::TrialKey {
+            scenario: "demo".into(),
+            space_hash: manifest.space_hash,
+            position: 0,
+            seed_index: 0,
+        };
+        writer.put(&key, &records[0]).unwrap();
+        writer.finish(&records, &summary).unwrap();
 
         // The directory gates against itself, and against its own CSV
         // view — the store rows carry the same statistics the CSV does.

@@ -91,11 +91,13 @@ RUN OPTIONS:
     --quick           shrink the grid and seed counts for a smoke run
     --param K=V1,V2   override any declared axis of the scenario's
                       parameter space (see `ale-lab describe <scenario>`);
-                      repeatable, validated — unknown keys and unparseable
-                      values exit 2. New sweeps need no code. The
-                      engine-level pseudo-axis graph-seed=S1,S2 sweeps
-                      the random-topology build seed (distinct u64s),
-                      multiplying every grid point per listed seed
+                      repeatable, validated — unknown keys, unparseable
+                      values, values outside an axis's declared range
+                      and repeated grid points exit 2. New sweeps need
+                      no code. The pseudo-axis graph-seed=S1,S2, which
+                      every scenario accepts, sweeps the random-topology
+                      build seed (distinct u64s), multiplying every grid
+                      point per listed seed
     --n A,B,...       sugar for --param n=A,B — engages the scenario's
                       size ladder (diffusion/thresholds/walks/revocable
                       build sparse large-n ladders)

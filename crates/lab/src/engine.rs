@@ -75,57 +75,6 @@ pub struct RunOutput {
     pub report: String,
 }
 
-/// Extracts the engine-level `graph-seed` pseudo-axis: `--param
-/// graph-seed=s1,s2` multiplies every grid point per listed
-/// random-topology build seed (scenarios read it through
-/// [`crate::scenario::PointView::graph_seed`]; absent, their fixed
-/// per-scenario constants remain the defaults and the grid is
-/// untouched).
-///
-/// # Errors
-///
-/// [`LabError::BadArgs`] when the key is repeated, a value is not an
-/// unsigned integer, or the same seed is listed twice — the same exit-2
-/// contract real `--param` axes have.
-fn extract_graph_seeds(grid: &GridConfig) -> Result<(GridConfig, Option<Vec<u64>>), LabError> {
-    let mut cfg = grid.clone();
-    let mut seeds: Option<Vec<u64>> = None;
-    let mut rest = Vec::with_capacity(cfg.params.len());
-    for (key, values) in std::mem::take(&mut cfg.params) {
-        if key != "graph-seed" {
-            rest.push((key, values));
-            continue;
-        }
-        if seeds.is_some() {
-            return Err(LabError::BadArgs(
-                "parameter 'graph-seed' given more than once".into(),
-            ));
-        }
-        if values.is_empty() {
-            return Err(LabError::BadArgs(
-                "--param graph-seed needs at least one seed".into(),
-            ));
-        }
-        let mut parsed = Vec::with_capacity(values.len());
-        for value in &values {
-            let seed: u64 = value.parse().map_err(|_| {
-                LabError::BadArgs(format!(
-                    "--param graph-seed: '{value}' is not an unsigned integer"
-                ))
-            })?;
-            if parsed.contains(&seed) {
-                return Err(LabError::BadArgs(format!(
-                    "--param graph-seed lists seed {seed} twice"
-                )));
-            }
-            parsed.push(seed);
-        }
-        seeds = Some(parsed);
-    }
-    cfg.params = rest;
-    Ok((cfg, seeds))
-}
-
 /// Executes `scenario` under `spec`.
 ///
 /// # Errors
@@ -243,42 +192,11 @@ fn execute_inner(
         .attr("master_seed", spec.master_seed)
         .attr("quick", spec.grid.quick);
 
-    // The replayable config keeps `graph-seed`: a resumed run must
-    // re-multiply the grid exactly as the original invocation did.
-    let config_params = spec.grid.params.clone();
-    let (grid_cfg, graph_seeds) = extract_graph_seeds(&spec.grid)?;
-
     let expand_span = ale_telemetry::Span::begin("expand");
-    let expansion = scenario.space().expand(&grid_cfg)?;
+    let expansion = scenario.space().expand(&spec.grid)?;
     drop(expand_span);
-    let mut resolved_space = expansion.resolved_lines();
-    let mut full_grid = expansion.points;
-    if let Some(graph_seeds) = &graph_seeds {
-        // Point-major × seed-minor, so a point's graph-seed variants are
-        // adjacent in the grid (and in every report).
-        let mut multiplied = Vec::with_capacity(full_grid.len() * graph_seeds.len());
-        for point in &full_grid {
-            for &seed in graph_seeds {
-                let mut p = point.clone();
-                p.label = format!("{}/gs={seed}", p.label);
-                p.values
-                    .push(("graph-seed", crate::params::AxisValue::Int(seed)));
-                p.params.push(("graph-seed".to_string(), seed as f64));
-                multiplied.push(p);
-            }
-        }
-        full_grid = multiplied;
-        // Recorded in the resolved space: the sweep identity (space_hash)
-        // and the manifest both see the axis.
-        resolved_space.push(format!(
-            "graph-seed={}",
-            graph_seeds
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(",")
-        ));
-    }
+    let resolved_space = expansion.resolved_lines();
+    let full_grid = expansion.points;
     if full_grid.is_empty() {
         return Err(LabError::BadArgs(format!(
             "scenario '{}' produced an empty grid for these arguments",
@@ -326,7 +244,7 @@ fn execute_inner(
 
     let seeds_global = spec
         .seeds
-        .unwrap_or_else(|| scenario.default_seeds(grid_cfg.quick));
+        .unwrap_or_else(|| scenario.default_seeds(spec.grid.quick));
     if seeds_global == 0 {
         return Err(LabError::BadArgs("--seeds must be at least 1".into()));
     }
@@ -372,7 +290,7 @@ fn execute_inner(
         scenario_name,
         master,
         seeds_global,
-        grid_cfg.quick,
+        spec.grid.quick,
         &resolved_space,
     );
     let mut durable: BTreeMap<usize, TrialRecord> = BTreeMap::new();
@@ -385,16 +303,18 @@ fn execute_inner(
                     seeds_global,
                     workers,
                     labels.clone(),
-                    grid_cfg.quick,
+                    spec.grid.quick,
                     &format!("{shard_i}/{shard_k}"),
                     resolved_space,
                 );
                 m.positions = selected.iter().map(|&i| i as u64).collect();
                 m.counts = counts.clone();
+                // The verbatim invocation, `graph-seed` included, so a
+                // resumed run re-expands exactly this grid.
                 m.config = Some(RunConfig {
-                    ns: grid_cfg.ns.iter().map(|&n| n as u64).collect(),
-                    topos: grid_cfg.topologies.iter().map(|t| t.spec()).collect(),
-                    params: config_params.clone(),
+                    ns: spec.grid.ns.iter().map(|&n| n as u64).collect(),
+                    topos: spec.grid.topologies.iter().map(|t| t.spec()).collect(),
+                    params: spec.grid.params.clone(),
                     algos: spec.algos.iter().map(|a| a.to_string()).collect(),
                 });
                 RunWriter::create(dir, &m)?

@@ -32,7 +32,7 @@
 use crate::agg::RunSummary;
 use crate::db::{AofDb, Db as _};
 use crate::scenario::{LabError, TrialRecord};
-use crate::store::{self, JournaledTrial, RunManifest};
+use crate::store::{self, JournaledTrial, RunManifest, RunWriter, TrialKey};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
@@ -267,7 +267,10 @@ pub fn merge_dirs(dirs: &[PathBuf], out: Option<&Path>) -> Result<String, LabErr
         }
     }
     keyed.sort_by_key(|&(position, si, _)| (position, si));
-    let records: Vec<TrialRecord> = keyed.into_iter().map(|(_, _, r)| r).collect();
+    let (keys, records): (Vec<(u64, u64)>, Vec<TrialRecord>) = keyed
+        .into_iter()
+        .map(|(position, si, r)| ((position, si), r))
+        .unzip();
     slices.sort_by_key(|s| s.index);
     let complete = slices.len() as u64 == k;
     let grid: Vec<String> = points.iter().map(|p| p.label.clone()).collect();
@@ -333,7 +336,17 @@ pub fn merge_dirs(dirs: &[PathBuf], out: Option<&Path>) -> Result<String, LabErr
         },
     );
     if let Some(dir) = out {
-        store::write_run(dir, &manifest, &records, &summary)?;
+        let writer = RunWriter::create(dir, &manifest)?;
+        for (&(position, seed_index), record) in keys.iter().zip(&records) {
+            let key = TrialKey {
+                scenario: manifest.scenario.clone(),
+                space_hash: manifest.space_hash,
+                position,
+                seed_index,
+            };
+            writer.put(&key, record)?;
+        }
+        writer.finish(&records, &summary)?;
         report.push_str(&format!(
             "results stored under {} (manifest.json, trials.db, trials.jsonl, trials.csv, \
              summary.csv)\n",

@@ -5,8 +5,8 @@
 //! sweeps meant new code. A scenario now *declares* its space instead:
 //!
 //! * an [`Axis`] is one sweep dimension — a name, a typed [`AxisKind`]
-//!   (int / float / topology / algorithm / knowledge), the default value
-//!   list, and an optional `--quick` value list;
+//!   (int / float / topology / algorithm), the default value list, an
+//!   optional `--quick` value list, and an optional valid [`Range`];
 //! * a [`Block`] is one cartesian product of axes plus a *point builder*
 //!   that turns each typed combination ([`Ctx`]) into a [`GridPoint`]
 //!   (or skips it — value-dependent filters like "stress points only on
@@ -16,14 +16,23 @@
 //!   the legacy grids did), plus an optional **size ladder** mapping a
 //!   virtual `n` axis onto concrete topologies.
 //!
-//! [`ParamSpace::expand`] resolves CLI overrides (`--param key=v1,v2`,
-//! with `--n`/`--topo` as sugar for `--param n=…`/`--param topo=…`),
-//! validates them against the declared axes (unknown key or unparseable
-//! value is [`LabError::BadArgs`], i.e. exit code 2), and expands the
-//! blocks in declaration order — axis order is the loop nesting order,
-//! first axis outermost. The expansion also reports the **resolved
-//! space** (the value lists actually used), which run manifests record so
-//! `merge` can verify that shards describe one sweep.
+//! [`ParamSpace::expand`] is the one place run parameters are checked. It
+//! resolves CLI overrides (`--param key=v1,v2`, with `--n`/`--topo` as
+//! sugar for `--param n=…`/`--param topo=…`), validates them against the
+//! declared axes, and expands the blocks in declaration order — axis
+//! order is the loop nesting order, first axis outermost. An unknown key,
+//! an unparseable value, a value outside its axis's [`Range`] (whatever
+//! list it came from) or a grid whose point labels repeat is
+//! [`LabError::BadArgs`], i.e. exit code 2, before anything is bound.
+//! The expansion also reports the **resolved space** (the value lists
+//! actually used), which run manifests record so `merge` can verify that
+//! shards describe one sweep.
+//!
+//! `--param graph-seed=s1,s2` is a pseudo-axis every space accepts: it
+//! multiplies each expanded point per listed random-topology build seed
+//! (label suffix `/gs=s`, read back through
+//! [`PointView::graph_seed`](crate::scenario::PointView::graph_seed)) and
+//! adds the last resolved-space line.
 //!
 //! ## Value resolution, per axis
 //!
@@ -42,10 +51,13 @@
 //! counts, and `--shard` slicings of the same resolved space.
 
 use crate::runners::Algorithm;
-use crate::scenario::{GridConfig, GridPoint, Knowledge, LabError};
+use crate::scenario::{GridConfig, GridPoint, LabError};
 use ale_graph::Topology;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
+
+/// The pseudo-axis key every space accepts (see the module docs).
+const GRAPH_SEED: &str = "graph-seed";
 
 /// One typed axis value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,8 +70,6 @@ pub enum AxisValue {
     Topo(Topology),
     /// An election algorithm (parsed from its display name).
     Algo(Algorithm),
-    /// A knowledge regime (`full`, `size-only`, `blind`).
-    Know(Knowledge),
 }
 
 impl AxisValue {
@@ -69,7 +79,15 @@ impl AxisValue {
             AxisValue::Float(_) => AxisKind::Float,
             AxisValue::Topo(_) => AxisKind::Topology,
             AxisValue::Algo(_) => AxisKind::Algorithm,
-            AxisValue::Know(_) => AxisKind::Knowledge,
+        }
+    }
+
+    /// The value as a numeric knob (ints and floats only).
+    fn knob(&self) -> Option<f64> {
+        match *self {
+            AxisValue::Int(i) => Some(i as f64),
+            AxisValue::Float(f) => Some(f),
+            _ => None,
         }
     }
 }
@@ -81,7 +99,6 @@ impl fmt::Display for AxisValue {
             AxisValue::Float(v) => write!(f, "{v}"),
             AxisValue::Topo(t) => write!(f, "{t}"),
             AxisValue::Algo(a) => write!(f, "{a}"),
-            AxisValue::Know(k) => write!(f, "{k}"),
         }
     }
 }
@@ -97,8 +114,6 @@ pub enum AxisKind {
     Topology,
     /// Algorithm display names (`this-work`, `kutten15`, …).
     Algorithm,
-    /// Knowledge regimes (`full`, `size-only`, `blind`).
-    Knowledge,
 }
 
 impl AxisKind {
@@ -109,7 +124,6 @@ impl AxisKind {
             AxisKind::Float => "float",
             AxisKind::Topology => "topology",
             AxisKind::Algorithm => "algorithm",
-            AxisKind::Knowledge => "knowledge",
         }
     }
 
@@ -156,12 +170,47 @@ impl AxisKind {
                         ))
                     })
             }
-            AxisKind::Knowledge => match raw {
-                "full" => Ok(AxisValue::Know(Knowledge::Full)),
-                "size-only" => Ok(AxisValue::Know(Knowledge::SizeOnly)),
-                "blind" => Ok(AxisValue::Know(Knowledge::Blind)),
-                _ => Err(bad("a knowledge regime (full, size-only, blind)")),
-            },
+        }
+    }
+}
+
+/// The values an axis accepts: the domain the paper gives the parameter
+/// (estimates start at k = 2, Lemma 4's γ is positive, …).
+/// [`ParamSpace::expand`] checks every value it resolves for the axis
+/// against it, so no point builder or `bind` has to.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Range {
+    /// Ints in `min..=max`.
+    Ints(u64, u64),
+    /// Floats above zero.
+    Positive,
+    /// Floats in `[0, 1]`.
+    Probability,
+}
+
+impl Range {
+    /// Ints from `min` up.
+    pub fn at_least(min: u64) -> Self {
+        Range::Ints(min, u64::MAX)
+    }
+
+    fn contains(self, value: AxisValue) -> bool {
+        match (self, value) {
+            (Range::Ints(min, max), AxisValue::Int(v)) => (min..=max).contains(&v),
+            (Range::Positive, AxisValue::Float(v)) => v > 0.0,
+            (Range::Probability, AxisValue::Float(v)) => (0.0..=1.0).contains(&v),
+            _ => false,
+        }
+    }
+}
+
+impl fmt::Display for Range {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Range::Ints(min, u64::MAX) => write!(f, ">= {min}"),
+            Range::Ints(min, max) => write!(f, "in [{min}, {max}]"),
+            Range::Positive => write!(f, "> 0"),
+            Range::Probability => write!(f, "in [0, 1]"),
         }
     }
 }
@@ -249,19 +298,6 @@ impl Ctx<'_> {
             _ => unreachable!("kind checked"),
         }
     }
-
-    /// The value of a knowledge axis.
-    ///
-    /// # Errors
-    ///
-    /// [`LabError::BadArgs`] when the axis is unbound or not a knowledge
-    /// regime.
-    pub fn knowledge(&self, name: &str) -> Result<Knowledge, LabError> {
-        match self.want(name, AxisKind::Knowledge)? {
-            AxisValue::Know(v) => Ok(v),
-            _ => unreachable!("kind checked"),
-        }
-    }
 }
 
 type LinkFn = Box<dyn Fn(&Ctx) -> Option<Vec<AxisValue>>>;
@@ -278,6 +314,8 @@ pub struct Axis {
     pub quick: Option<Vec<AxisValue>>,
     /// One-line description for `describe`.
     pub help: &'static str,
+    /// The values the axis accepts (`None`: any value of its kind).
+    pub range: Option<Range>,
     link: Option<LinkFn>,
 }
 
@@ -288,6 +326,7 @@ impl fmt::Debug for Axis {
             .field("kind", &self.kind)
             .field("default", &self.default)
             .field("quick", &self.quick)
+            .field("range", &self.range)
             .finish_non_exhaustive()
     }
 }
@@ -300,6 +339,7 @@ impl Axis {
             default,
             quick: None,
             help: "",
+            range: None,
             link: None,
         }
     }
@@ -365,6 +405,13 @@ impl Axis {
     #[must_use]
     pub fn help(mut self, help: &'static str) -> Self {
         self.help = help;
+        self
+    }
+
+    /// Declares the values the axis accepts.
+    #[must_use]
+    pub fn range(mut self, range: Range) -> Self {
+        self.range = Some(range);
         self
     }
 
@@ -552,10 +599,12 @@ impl ParamSpace {
     /// # Errors
     ///
     /// [`LabError::BadArgs`] on unknown `--param` keys, unparseable or
-    /// empty value lists, duplicate overrides, and point-builder
+    /// empty value lists, duplicate overrides, values outside their
+    /// axis's [`Range`], repeated point labels, and point-builder
     /// failures.
     pub fn expand(&self, cfg: &GridConfig) -> Result<Expansion, LabError> {
-        let kinds = self.axis_kinds()?;
+        let mut kinds = self.axis_kinds()?;
+        kinds.insert(GRAPH_SEED, AxisKind::Int);
         let known_kind = |key: &str| -> Result<AxisKind, LabError> {
             kinds.get(key).copied().ok_or_else(|| {
                 LabError::BadArgs(format!(
@@ -637,6 +686,7 @@ impl ParamSpace {
             }
         }
         let ladder_engaged = computed_topos.is_some();
+        let graph_seeds = overrides.remove(GRAPH_SEED);
 
         let mut exp = Expander {
             space: self,
@@ -675,24 +725,47 @@ impl ParamSpace {
             }
         }
 
-        let resolved = exp
+        let join = |vals: &[AxisValue]| {
+            vals.iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>()
+                .join(",")
+        };
+        let mut resolved: Vec<(String, String)> = exp
             .used_order
             .iter()
-            .map(|&name| {
-                let vals = &exp.used[name];
-                (
-                    name.to_string(),
-                    vals.iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join(","),
-                )
-            })
+            .map(|&name| (name.to_string(), join(&exp.used[name])))
             .collect();
-        Ok(Expansion {
-            points: exp.points,
-            resolved,
-        })
+        let mut points = exp.points;
+        if let Some(seeds) = graph_seeds {
+            // Point-major × seed-minor, so a point's graph-seed variants
+            // are adjacent in the grid (and in every report).
+            points = points
+                .iter()
+                .flat_map(|point| {
+                    seeds.iter().map(move |&seed| {
+                        let mut p = point.clone();
+                        p.label = format!("{}/gs={seed}", p.label);
+                        p.values.push((GRAPH_SEED, seed));
+                        p.params
+                            .extend(seed.knob().map(|k| (GRAPH_SEED.to_string(), k)));
+                        p
+                    })
+                })
+                .collect();
+            resolved.push((GRAPH_SEED.to_string(), join(&seeds)));
+        }
+        // Labels key every trial in the store (`RunWriter::finish`,
+        // `check`, `serve`, `merge`), so two points must never share one.
+        let mut labels = HashSet::with_capacity(points.len());
+        if let Some(p) = points.iter().find(|p| !labels.insert(p.label.as_str())) {
+            return Err(LabError::BadArgs(format!(
+                "grid point '{}' appears twice: point labels key the stored trials, so the \
+                 values given through --param/--n/--topo must expand to distinct points",
+                p.label
+            )));
+        }
+        Ok(Expansion { points, resolved })
     }
 
     /// Renders the declared axes for `ale-lab describe`.
@@ -716,6 +789,9 @@ impl ParamSpace {
             ));
             if let Some(q) = &axis.quick {
                 out.push_str(&format!("{indent}    quick: {}\n", render_vals(q)));
+            }
+            if let Some(range) = axis.range {
+                out.push_str(&format!("{indent}    range: {} {range}\n", axis.name));
             }
             if axis.link.is_some() {
                 out.push_str(&format!(
@@ -779,6 +855,10 @@ impl ParamSpace {
                     a.quick.as_deref().map_or(Value::Null, vals),
                 ),
                 ("linked".to_string(), Value::Bool(a.link.is_some())),
+                (
+                    "range".to_string(),
+                    a.range.map_or(Value::Null, |r| Value::Str(r.to_string())),
+                ),
                 ("help".to_string(), Value::Str(a.help.to_string())),
             ])
         }
@@ -860,7 +940,22 @@ impl Expander<'_> {
         }
     }
 
-    fn resolve(&self, axis: &Axis) -> Vec<AxisValue> {
+    /// The axis's values under the resolution order of the module docs,
+    /// each checked against the axis's [`Range`].
+    fn resolve(&self, axis: &Axis) -> Result<Vec<AxisValue>, LabError> {
+        let values = self.resolve_unchecked(axis);
+        if let Some(range) = axis.range {
+            if let Some(v) = values.iter().find(|v| !range.contains(**v)) {
+                return Err(LabError::BadArgs(format!(
+                    "axis '{}': {v} is out of range (the axis takes {} {range})",
+                    axis.name, axis.name
+                )));
+            }
+        }
+        Ok(values)
+    }
+
+    fn resolve_unchecked(&self, axis: &Axis) -> Vec<AxisValue> {
         if let Some(vals) = self.overrides.get(axis.name) {
             return vals.clone();
         }
@@ -903,7 +998,7 @@ impl Expander<'_> {
             }
             return Ok(());
         }
-        let values = self.resolve(&space.shared[depth]);
+        let values = self.resolve(&space.shared[depth])?;
         let name = space.shared[depth].name;
         self.note_used(name, values.clone());
         for v in values {
@@ -932,11 +1027,7 @@ impl Expander<'_> {
                 let mut params: Vec<(String, f64)> = self
                     .stack
                     .iter()
-                    .filter_map(|(name, v)| match v {
-                        AxisValue::Int(i) => Some(((*name).to_string(), *i as f64)),
-                        AxisValue::Float(f) => Some(((*name).to_string(), *f)),
-                        _ => None,
-                    })
+                    .filter_map(|(name, v)| Some(((*name).to_string(), v.knob()?)))
                     .collect();
                 params.extend(std::mem::take(&mut point.params));
                 point.params = params;
@@ -944,7 +1035,7 @@ impl Expander<'_> {
             }
             return Ok(());
         }
-        let values = self.resolve(&block.axes[depth]);
+        let values = self.resolve(&block.axes[depth])?;
         let name = block.axes[depth].name;
         self.note_used(name, values.clone());
         for v in values {
@@ -972,7 +1063,9 @@ mod tests {
                     "topo",
                     [Topology::Cycle { n: 8 }, Topology::Complete { n: 4 }],
                 ),
-                Axis::floats("gamma", [0.1, 0.01]).quick_floats([0.1]),
+                Axis::floats("gamma", [0.1, 0.01])
+                    .quick_floats([0.1])
+                    .range(Range::Positive),
             ],
             |ctx| {
                 let topo = ctx.topology("topo")?;
@@ -1039,10 +1132,53 @@ mod tests {
                 ("gamma".to_string(), vec!["1".to_string()]),
                 ("gamma".to_string(), vec!["2".to_string()]),
             ],
+            // Repeated values expand to points with one label.
+            vec![(
+                "gamma".to_string(),
+                vec!["0.5".to_string(), "0.5".to_string()],
+            )],
+            vec![(
+                "graph-seed".to_string(),
+                vec!["2".to_string(), "2".to_string()],
+            )],
         ] {
             let err = simple_space().expand(&GridConfig { params, ..cfg() });
             assert!(matches!(err, Err(LabError::BadArgs(_))));
         }
+    }
+
+    #[test]
+    fn values_outside_the_declared_range_are_bad_args() {
+        // `k` defaults to `default`; its link, when set, overrides that.
+        let space = |default: u64, linked: Option<u64>| {
+            ParamSpace::new(vec![Block::new(
+                "main",
+                vec![Axis::ints("k", [default])
+                    .range(Range::at_least(2))
+                    .linked(move |_| linked.map(|k| vec![AxisValue::Int(k)]))],
+                |ctx| Ok(Some(GridPoint::new(format!("k={}", ctx.int("k")?)))),
+            )])
+        };
+        assert!(space(2, Some(3)).expand(&cfg()).is_ok());
+        let k0 = vec![("k".to_string(), vec!["3".to_string(), "0".to_string()])];
+        for (space, params) in [
+            (space(1, None), Vec::new()),    // the default
+            (space(2, Some(1)), Vec::new()), // a linked value
+            (space(2, None), k0),            // an override
+        ] {
+            match space.expand(&GridConfig { params, ..cfg() }) {
+                Err(LabError::BadArgs(msg)) => assert!(msg.contains("takes k >= 2"), "{msg}"),
+                other => panic!("expected BadArgs, got {:?}", other.map(|e| e.points.len())),
+            }
+        }
+        assert!(Range::Probability.contains(AxisValue::Float(1.0)));
+        assert!(!Range::Probability.contains(AxisValue::Float(1.5)));
+        assert!(!Range::Ints(0, 1).contains(AxisValue::Int(2)));
+        assert!(
+            !Range::Positive.contains(AxisValue::Int(1)),
+            "kinds must match"
+        );
+        assert_eq!(Range::Ints(0, 1).to_string(), "in [0, 1]");
     }
 
     #[test]
@@ -1200,6 +1336,7 @@ mod tests {
         assert!(text.contains("--param topo="));
         assert!(text.contains("--param gamma="));
         assert!(text.contains("quick: 0.1"));
+        assert!(text.contains("range: gamma > 0"));
         assert!(text.contains("size ladder"));
     }
 
@@ -1233,6 +1370,8 @@ mod tests {
             axes[1].get("quick").map(Value::render),
             Some(r#"["0.1"]"#.to_string())
         );
+        assert_eq!(axes[0].get("range"), Some(&Value::Null));
+        assert_eq!(axes[1].get("range").and_then(Value::as_str), Some("> 0"));
         assert_eq!(
             v.get("ladder")
                 .and_then(|l| l.get("axis"))

@@ -281,8 +281,8 @@ impl PointView<'_> {
     }
 
     /// The seed this point builds its (random) topology with: the
-    /// engine-level `graph-seed` pseudo-axis when the sweep binds one
-    /// (`--param graph-seed=s1,s2` multiplies the grid per seed), else
+    /// `graph-seed` pseudo-axis when the sweep binds one
+    /// ([`ParamSpace::expand`] multiplies the grid per listed seed), else
     /// `default` — each scenario's historical fixed constant, keeping
     /// default expansions byte-identical.
     pub fn graph_seed(&self, default: u64) -> u64 {
@@ -523,8 +523,8 @@ pub struct GridConfig {
     /// `--topo` override — sugar for `--param topo=…`.
     pub topologies: Vec<Topology>,
     /// Raw `--param key=v1,v2` overrides; validated against the declared
-    /// [`ParamSpace`] at expansion time (unknown key / unparseable value
-    /// → [`LabError::BadArgs`], exit code 2).
+    /// [`ParamSpace`] at expansion time (unknown key, unparseable or
+    /// out-of-range value → [`LabError::BadArgs`], exit code 2).
     pub params: Vec<(String, Vec<String>)>,
 }
 

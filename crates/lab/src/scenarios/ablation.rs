@@ -6,7 +6,7 @@
 //! elections are correct under both.
 
 use crate::agg::RunSummary;
-use crate::params::{Axis, Block, ParamSpace};
+use crate::params::{Axis, Block, ParamSpace, Range};
 use crate::runners::GraphContexts;
 use crate::scenario::{GridPoint, Knowledge, LabError, Scenario, TrialFn, TrialRecord};
 use crate::table::Table;
@@ -58,7 +58,9 @@ impl Scenario for AblationCautious {
 
     fn space(&self) -> ParamSpace {
         let discipline_axis = || {
-            Axis::ints("discipline", [0, 1]).help("0 = OnCrossing (message-optimal), 1 = OnChange")
+            Axis::ints("discipline", [0, 1])
+                .range(Range::Ints(0, 1))
+                .help("0 = OnCrossing (message-optimal), 1 = OnChange")
         };
         ParamSpace::new(vec![
             Block::new(
@@ -80,13 +82,7 @@ impl Scenario for AblationCautious {
                 ],
                 |ctx| {
                     let topo = ctx.topology("topo")?;
-                    let di = ctx.int("discipline")? as usize;
-                    let name = DISCIPLINES
-                        .get(di)
-                        .ok_or_else(|| {
-                            LabError::BadArgs(format!("discipline must be 0 or 1, got {di}"))
-                        })?
-                        .1;
+                    let name = DISCIPLINES[ctx.int("discipline")? as usize].1;
                     Ok(Some(
                         GridPoint::new(format!("territory/{topo}/{name}"))
                             .on(topo)
@@ -107,13 +103,7 @@ impl Scenario for AblationCautious {
                 ],
                 |ctx| {
                     let topo = ctx.topology("election-topo")?;
-                    let di = ctx.int("discipline")? as usize;
-                    let name = DISCIPLINES
-                        .get(di)
-                        .ok_or_else(|| {
-                            LabError::BadArgs(format!("discipline must be 0 or 1, got {di}"))
-                        })?
-                        .1;
+                    let name = DISCIPLINES[ctx.int("discipline")? as usize].1;
                     Ok(Some(
                         GridPoint::new(format!("election/{topo}/{name}"))
                             .on(topo)

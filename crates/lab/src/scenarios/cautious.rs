@@ -7,7 +7,7 @@
 
 use crate::agg::RunSummary;
 use crate::fit::power_fit;
-use crate::params::{Axis, Block, ParamSpace};
+use crate::params::{Axis, Block, ParamSpace, Range};
 use crate::runners::GraphContexts;
 use crate::scenario::{GridPoint, Knowledge, LabError, Scenario, TrialFn, TrialRecord};
 use crate::table::Table;
@@ -59,16 +59,12 @@ impl Scenario for Cautious {
                 .help("broadcast arenas (expander + torus)"),
                 Axis::ints("x", [1, 2, 4, 8, 16, 32])
                     .quick_ints([1, 4, 16])
+                    .range(Range::at_least(1))
                     .help("walk-budget parameter (Lemma 1 sweeps it)"),
             ],
             |ctx| {
                 let topo = ctx.topology("topo")?;
                 let x = ctx.int("x")?;
-                if x == 0 {
-                    return Err(LabError::BadArgs(
-                        "--param x=0: the walk budget must be at least 1".into(),
-                    ));
-                }
                 Ok(Some(
                     GridPoint::new(format!("{topo}/x={x}"))
                         .on(topo)

@@ -7,7 +7,7 @@
 //! seed override dials the MC sample size.
 
 use crate::agg::RunSummary;
-use crate::params::{Axis, Block, ParamSpace};
+use crate::params::{Axis, Block, ParamSpace, Range};
 use crate::scenario::{GridPoint, Knowledge, LabError, Scenario, TrialFn, TrialRecord};
 use crate::table::Table;
 use ale_core::revocable::{run_revocable, RevocableParams};
@@ -44,8 +44,12 @@ impl Scenario for Certification {
             Block::new(
                 "mc",
                 vec![
-                    Axis::ints("mc-n", [8, 16, 32]).help("coloring-experiment sizes"),
-                    Axis::ints("k", [2, 4, 8, 16]).help("size-estimate rungs"),
+                    Axis::ints("mc-n", [8, 16, 32])
+                        .range(Range::at_least(1))
+                        .help("coloring-experiment sizes"),
+                    Axis::ints("k", [2, 4, 8, 16])
+                        .range(Range::at_least(2))
+                        .help("size-estimate rungs"),
                 ],
                 |ctx| {
                     let n = ctx.int("mc-n")?;
@@ -61,6 +65,7 @@ impl Scenario for Certification {
             Block::new(
                 "lemma7",
                 vec![Axis::ints("lemma7-n", [4, 8, 12])
+                    .range(Range::at_least(2))
                     .help("clique sizes for real-run certificates")],
                 |ctx| {
                     let n = ctx.int("lemma7-n")? as usize;

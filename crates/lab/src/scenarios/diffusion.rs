@@ -20,7 +20,7 @@
 //!   and stay non-failing (the bound is not contradicted).
 
 use crate::agg::RunSummary;
-use crate::params::{Axis, AxisValue, Block, ParamSpace};
+use crate::params::{Axis, AxisValue, Block, ParamSpace, Range};
 use crate::scenario::{GridPoint, Knowledge, LabError, Scenario, TrialFn, TrialRecord};
 use crate::table::Table;
 use ale_graph::{transition, Topology};
@@ -73,6 +73,7 @@ impl Scenario for Diffusion {
                     .help("families spanning the conductance spectrum"),
                 Axis::floats("gamma", [0.1, 0.01, 0.001])
                     .quick_floats([0.1])
+                    .range(Range::Positive)
                     .linked(|ctx| {
                         // Large graphs get a shorter gamma ladder: each
                         // extra γ decade multiplies an already-capped
@@ -85,11 +86,6 @@ impl Scenario for Diffusion {
             |ctx| {
                 let topo = ctx.topology("topo")?;
                 let gamma = ctx.float("gamma")?;
-                if !(gamma.is_finite() && gamma > 0.0) {
-                    return Err(LabError::BadArgs(format!(
-                        "--param gamma={gamma}: the convergence target must be finite and positive"
-                    )));
-                }
                 let mut p = GridPoint::new(format!("{topo}/gamma={gamma}"))
                     .on(topo)
                     .knowing(Knowledge::Blind);

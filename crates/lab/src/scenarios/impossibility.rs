@@ -6,7 +6,7 @@
 //! contrast on a tractable ring.
 
 use crate::agg::RunSummary;
-use crate::params::{Axis, Block, ParamSpace};
+use crate::params::{Axis, Block, ParamSpace, Range};
 use crate::scenario::{GridPoint, Knowledge, LabError, Scenario, TrialFn, TrialRecord};
 use crate::table::Table;
 use ale_core::revocable::{run_revocable, RevocableParams};
@@ -42,12 +42,13 @@ impl Scenario for Impossibility {
                 "split",
                 vec![Axis::ints("factor", [1, 4, 8, 16, 32, 64, 128])
                     .quick_ints([1, 8, 32])
+                    .range(Range::at_least(1))
                     .help("ring blow-up factors N/n0")],
                 |ctx| {
                     let f = ctx.int("factor")? as usize;
                     Ok(Some(
                         GridPoint::new(format!("split/N={}", N0 * f))
-                            .on(Topology::Cycle { n: (N0 * f).max(3) })
+                            .on(Topology::Cycle { n: N0 * f })
                             .knowing(Knowledge::SizeOnly),
                     ))
                 },

@@ -18,7 +18,7 @@
 
 use crate::agg::RunSummary;
 use crate::fit::power_fit;
-use crate::params::{Axis, Block, ParamSpace, When};
+use crate::params::{Axis, Block, ParamSpace, Range, When};
 use crate::scenario::{GridPoint, Knowledge, LabError, Scenario, TrialFn, TrialRecord};
 use crate::table::Table;
 use ale_congest::{ExecConfig, FaultSpec, LatencyDist};
@@ -92,6 +92,7 @@ impl Scenario for Revocable {
                 "thm3",
                 vec![Axis::ints("thm3-n", [8, 12, 16, 20])
                     .quick_ints([8, 16])
+                    .range(Range::at_least(2))
                     .help("clique sizes, known i(G), paper-exact r(k)")],
                 |ctx| {
                     let n = ctx.int("thm3-n")? as usize;
@@ -141,6 +142,7 @@ impl Scenario for Revocable {
                 "scaled",
                 vec![Axis::ints("scaled-n", [4, 8, 16])
                     .quick_ints([4, 8])
+                    .range(Range::at_least(2))
                     .help("blind shape-sweep clique sizes (r x0.002, f x0.1)")],
                 |ctx| {
                     let n = ctx.int("scaled-n")? as usize;
@@ -163,24 +165,16 @@ impl Scenario for Revocable {
                 "faults",
                 vec![
                     Axis::floats("fault-rate", [0.0, 0.05])
+                        .range(Range::Probability)
                         .help("per-send drop probability in [0,1] (duplicates at rate/2)"),
                     Axis::ints("latency", [1, 3])
                         .quick_ints([1])
+                        .range(Range::at_least(1))
                         .help("max link latency in ticks (1 = synchronous schedule)"),
                 ],
                 |ctx| {
                     let rate = ctx.float("fault-rate")?;
-                    if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-                        return Err(LabError::BadArgs(format!(
-                            "--param fault-rate={rate}: probability must be in [0, 1]"
-                        )));
-                    }
                     let lat = ctx.int("latency")?;
-                    if lat < 1 {
-                        return Err(LabError::BadArgs(format!(
-                            "--param latency={lat}: must be at least 1 tick"
-                        )));
-                    }
                     Ok(Some(
                         GridPoint::new(format!("faults/rate={rate}/lat={lat}"))
                             .on(Topology::Complete { n: 8 })
@@ -259,8 +253,8 @@ impl Scenario for Revocable {
         // message is a usage error before any trial runs.
         params.check_horizon(max_k)?;
         // Mode 6 runs on the event-driven asynchronous engine; the knobs
-        // were range-validated by the block builder, so here they only
-        // need translating into an `ExecConfig`.
+        // were checked against their axes' ranges at expansion, so here
+        // they only need translating into an `ExecConfig`.
         let exec = if mode == 6 {
             let rate = view.require_knob("fault-rate")?;
             let lat = view.require_knob("latency")? as u64;
@@ -619,7 +613,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_builders_reject_out_of_range_knobs() {
+    fn fault_knobs_outside_their_axis_ranges_are_rejected() {
         let err = Revocable
             .grid(&GridConfig {
                 quick: true,

@@ -15,7 +15,7 @@
 //! terminal-potential trajectory itself, now reachable at `n ≥ 20 000`.
 
 use crate::agg::RunSummary;
-use crate::params::{Axis, AxisValue, Block, ParamSpace};
+use crate::params::{Axis, AxisValue, Block, ParamSpace, Range};
 use crate::scenario::{GridPoint, Knowledge, LabError, Scenario, TrialFn, TrialRecord};
 use crate::table::Table;
 use ale_core::revocable::RevocableParams;
@@ -79,6 +79,7 @@ impl Scenario for Thresholds {
                 .quick_topologies([Topology::Complete { n: 8 }, Topology::Cycle { n: 8 }])
                 .help("families the estimate ladder sweeps"),
                 Axis::ints("k", [2, 4, 8, 16])
+                    .range(Range::at_least(2))
                     .linked(|ctx| {
                         // The rungs where detection flips depend on the
                         // topology's size (see `k_ladder`).
@@ -95,11 +96,6 @@ impl Scenario for Thresholds {
             |ctx| {
                 let topo = ctx.topology("topo")?;
                 let k = ctx.int("k")?;
-                if k < 2 {
-                    return Err(LabError::BadArgs(format!(
-                        "--param k={k}: the size-estimate ladder starts at k = 2"
-                    )));
-                }
                 let mut p = GridPoint::new(format!("{topo}/k={k}"))
                     .on(topo)
                     .knowing(Knowledge::Blind);

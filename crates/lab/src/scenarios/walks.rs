@@ -12,7 +12,7 @@
 //! mixing times at that scale exceed any CONGEST budget).
 
 use crate::agg::RunSummary;
-use crate::params::{Axis, Block, ParamSpace};
+use crate::params::{Axis, Block, ParamSpace, Range};
 use crate::runners::GraphContexts;
 use crate::scenario::{GridPoint, Knowledge, LabError, Scenario, TrialFn, TrialRecord};
 use crate::table::Table;
@@ -55,6 +55,7 @@ impl Scenario for Walks {
             Block::new(
                 "paper",
                 vec![Axis::floats("mult", [0.25, 0.5, 1.0, 2.0])
+                    .range(Range::Positive)
                     .help("multiplier on the protocol's own walk budget x")],
                 |ctx| {
                     let topo = ctx.topology("topo")?;
@@ -76,6 +77,7 @@ impl Scenario for Walks {
             Block::new(
                 "stress",
                 vec![Axis::ints("x", [1, 2, 4, 8, 16])
+                    .range(Range::at_least(1))
                     .help("absolute walk count (pinned-small territories)")],
                 |ctx| {
                     let topo = ctx.topology("topo")?;
@@ -83,11 +85,6 @@ impl Scenario for Walks {
                         return Ok(None);
                     }
                     let x = ctx.int("x")?;
-                    if x == 0 {
-                        return Err(LabError::BadArgs(
-                            "--param x=0: the stress regime needs at least 1 walk".into(),
-                        ));
-                    }
                     Ok(Some(
                         GridPoint::new(format!("{topo}/stress/x={x}"))
                             .on(topo)

@@ -632,32 +632,6 @@ fn populate_db(
     db.compact()
 }
 
-/// Writes a complete run directory (creating it if needed): the derived
-/// views atomically, the keyed journal in compacted form, and the
-/// manifest last.
-///
-/// # Errors
-///
-/// Filesystem failures surface as [`LabError::Io`].
-pub fn write_run(
-    dir: &Path,
-    manifest: &RunManifest,
-    records: &[TrialRecord],
-    summary: &RunSummary,
-) -> Result<(), LabError> {
-    let _span = ale_telemetry::Span::begin("store-write").attr("records", records.len());
-    fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-    write_atomic(&dir.join("trials.jsonl"), &jsonl_bytes(records))?;
-    write_atomic(&dir.join("trials.csv"), records_csv(records).as_bytes())?;
-    write_atomic(&dir.join("summary.csv"), summary.summary_csv().as_bytes())?;
-    let mut db = AofDb::create(&dir.join("trials.db"))?;
-    populate_db(&mut db, manifest, records, summary)?;
-    write_atomic(
-        &dir.join("manifest.json"),
-        (manifest.to_json().render_pretty() + "\n").as_bytes(),
-    )
-}
-
 /// What [`RunWriter::resume`] hands back: the reopened writer plus the
 /// `(key, value)` trial entries that survived the crash in the journal.
 pub type ResumedWriter = (RunWriter, Vec<(Vec<u8>, Vec<u8>)>);
@@ -671,8 +645,9 @@ pub type ResumedWriter = (RunWriter, Vec<(Vec<u8>, Vec<u8>)>);
 /// rename, compacts the journal, and only then rewrites the manifest
 /// with `complete: true`. A kill at any point leaves either a resumable
 /// directory (`complete: false`, journal prefix intact) or a finished
-/// one — never a silently torn store. The finished directory is
-/// byte-identical to a post-hoc [`write_run`] of the same records.
+/// one — never a silently torn store. The finished directory does not
+/// depend on the order the puts arrived in. It is the only write path:
+/// `merge` writes its union through it too.
 pub struct RunWriter {
     dir: std::path::PathBuf,
     manifest: RunManifest,
@@ -1105,6 +1080,21 @@ mod tests {
         summary
     }
 
+    /// Writes a finished store the way the engine does: create, one put
+    /// per trial, finish.
+    fn write_store(
+        dir: &Path,
+        manifest: &RunManifest,
+        records: &[TrialRecord],
+        summary: &RunSummary,
+    ) {
+        let writer = RunWriter::create(dir, manifest).unwrap();
+        for (key, r) in keyed_records(manifest, records).unwrap() {
+            writer.put(&key, r).unwrap();
+        }
+        writer.finish(records, summary).unwrap();
+    }
+
     #[test]
     fn jsonl_roundtrip_via_disk() {
         let dir = std::env::temp_dir().join(format!("ale-lab-store-{}", std::process::id()));
@@ -1120,7 +1110,7 @@ mod tests {
             "2/4",
             vec!["topo=cycle(n=8),complete(n=4)".into()],
         );
-        write_run(&dir, &manifest, &records, &summary).unwrap();
+        write_store(&dir, &manifest, &records, &summary);
 
         let loaded = load_jsonl(&dir.join("trials.jsonl")).unwrap();
         assert_eq!(loaded, records);
@@ -1146,7 +1136,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_writer_matches_write_run_byte_for_byte() {
+    fn writer_output_does_not_depend_on_put_order() {
         let base = std::env::temp_dir().join(format!("ale-lab-stream-{}", std::process::id()));
         std::fs::remove_dir_all(&base).ok();
         let records = sample_records();
@@ -1161,17 +1151,29 @@ mod tests {
             "0/1",
             Vec::new(),
         );
-        let batch_dir = base.join("batch");
-        write_run(&batch_dir, &manifest, &records, &summary).unwrap();
-        let stream_dir = base.join("stream");
-        let writer = RunWriter::create(&stream_dir, &manifest).unwrap();
-        // Mid-run, the manifest says incomplete.
-        let midway = load_manifest(&stream_dir.join("manifest.json")).unwrap();
-        assert!(!midway.complete);
-        for (key, r) in keyed_records(&manifest, &records).unwrap() {
-            writer.put(&key, r).unwrap();
-        }
-        writer.finish(&records, &summary).unwrap();
+        // Returns the run directory and its journal as the puts left it.
+        let write = |name: &str, reverse: bool| {
+            let dir = base.join(name);
+            let writer = RunWriter::create(&dir, &manifest).unwrap();
+            // Mid-run, the manifest says incomplete.
+            assert!(!load_manifest(&dir.join("manifest.json")).unwrap().complete);
+            let mut keyed = keyed_records(&manifest, &records).unwrap();
+            if reverse {
+                keyed.reverse();
+            }
+            for (key, r) in keyed {
+                writer.put(&key, r).unwrap();
+            }
+            let journal = std::fs::read(dir.join("trials.db")).unwrap();
+            writer.finish(&records, &summary).unwrap();
+            (dir, journal)
+        };
+        let (in_order, in_order_journal) = write("in-order", false);
+        let (reversed, reversed_journal) = write("reversed", true);
+        assert_ne!(
+            in_order_journal, reversed_journal,
+            "puts landed in one order"
+        );
         for file in [
             "manifest.json",
             "trials.jsonl",
@@ -1179,9 +1181,9 @@ mod tests {
             "summary.csv",
             "trials.db",
         ] {
-            let batch = std::fs::read(batch_dir.join(file)).unwrap();
-            let stream = std::fs::read(stream_dir.join(file)).unwrap();
-            assert_eq!(batch, stream, "{file} diverged");
+            let a = std::fs::read(in_order.join(file)).unwrap();
+            let b = std::fs::read(reversed.join(file)).unwrap();
+            assert_eq!(a, b, "{file} diverged");
         }
         std::fs::remove_dir_all(&base).ok();
     }
@@ -1351,7 +1353,7 @@ mod tests {
             "0/1",
             Vec::new(),
         );
-        write_run(&dir, &manifest, &records, &summary).unwrap();
+        write_store(&dir, &manifest, &records, &summary);
         let rows = load_summary_rows(&dir).unwrap();
         let msgs: Vec<&StoredSummaryRow> = rows.iter().filter(|r| r.metric == "messages").collect();
         assert_eq!(msgs.len(), 2);
@@ -1418,7 +1420,7 @@ mod tests {
             "0/1",
             Vec::new(),
         );
-        write_run(&dir, &manifest, &records, &sample_summary(&records)).unwrap();
+        write_store(&dir, &manifest, &records, &sample_summary(&records));
         (dir, manifest, records)
     }
 

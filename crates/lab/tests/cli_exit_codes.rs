@@ -50,37 +50,25 @@ fn usage_errors_exit_two() {
     assert_eq!(exit_code(&["run", "diffusion", "--param", "nope=1"]), 2);
     assert_eq!(exit_code(&["run", "diffusion", "--param", "gamma=abc"]), 2);
     assert_eq!(exit_code(&["run", "diffusion", "--param", "gamma"]), 2);
-    // Fault-sweep knobs: unparseable values and out-of-range
-    // probabilities/latencies are usage errors, validated by the block
-    // builder before any trial runs.
+    // Fault-sweep knobs: an unparseable value and a negative
+    // probability (more out-of-range values are in the test below).
     assert_eq!(
         exit_code(&["run", "revocable", "--param", "fault-rate=abc"]),
-        2
-    );
-    assert_eq!(
-        exit_code(&["run", "revocable", "--param", "fault-rate=1.5"]),
         2
     );
     assert_eq!(
         exit_code(&["run", "revocable", "--param", "fault-rate=-0.1"]),
         2
     );
-    assert_eq!(exit_code(&["run", "revocable", "--param", "latency=0"]), 2);
-    // Values that parse but sit outside an axis's range: a non-positive
-    // convergence target (its Lemma 4 bound would be vacuous), a zero
-    // walk budget or walk count, a size estimate below the ladder's
-    // first rung (tau(k) is undefined there), and revocable graphs whose
+    // More values outside an axis's range (a negative convergence
+    // target, a zero size estimate), and revocable graphs whose
     // stabilizing horizon has a diffusion send index past u32::MAX (the
     // bind-time horizon check). `seeds-per-point` is no axis at all:
     // `--seeds` is the one way to set the seed count. `--quick` bounds
     // the run should one of these be accepted.
     for args in [
-        ["run", "diffusion", "--quick", "--param", "gamma=0"],
         ["run", "diffusion", "--quick", "--param", "gamma=-1"],
-        ["run", "cautious", "--quick", "--param", "x=0"],
-        ["run", "walks", "--quick", "--param", "x=0"],
         ["run", "thresholds", "--quick", "--param", "k=0"],
-        ["run", "thresholds", "--quick", "--param", "k=1"],
         ["run", "revocable", "--quick", "--param", "tiny=path:17"],
         ["run", "revocable", "--quick", "--param", "scaled-n=65"],
         [
@@ -107,6 +95,94 @@ fn usage_errors_exit_two() {
     let out = ale_lab(&["run", "diffusion", "--param", "nope=1"]);
     assert!(out.stdout.is_empty());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown parameter 'nope'"));
+}
+
+#[test]
+fn out_of_range_values_and_repeated_points_exit_two_before_any_run() {
+    let base = std::env::temp_dir().join(format!("ale-lab-exit-refused-{}", std::process::id()));
+    std::fs::remove_dir_all(&base).ok();
+    let twice = |label: &str| format!("grid point '{label}' appears twice");
+    // (arguments, what the message must name). `--quick` bounds the run
+    // should one of these be accepted.
+    let cases: Vec<(&[&str], String)> = vec![
+        // Points whose labels repeat: labels key the stored trials, so
+        // a repeated one would corrupt the store.
+        (
+            &["diffusion", "--param", "gamma=0.1,0.1"],
+            twice("complete(n=12)/gamma=0.1"),
+        ),
+        (
+            &["diffusion", "--n", "100,101"],
+            twice("torus(10x10)/gamma=0.1"),
+        ),
+        (
+            &["table1", "--topo", "complete:8,complete:8"],
+            twice("complete(n=8)/this-work"),
+        ),
+        (&["revocable", "--n", "64,65"], twice("ladder/torus(8x8)")),
+        (
+            &["walks", "--n", "128,128"],
+            twice("rregular(n=128,d=4)/paper/mult=0.25"),
+        ),
+        (
+            &["table1", "--param", "graph-seed=2,2"],
+            twice("complete(n=32)/this-work/gs=2"),
+        ),
+        // Values outside their axis's declared range.
+        (&["walks", "--param", "mult=0"], "takes mult > 0".into()),
+        (
+            &["impossibility", "--param", "factor=0"],
+            "takes factor >= 1".into(),
+        ),
+        (&["certification", "--param", "k=1"], "takes k >= 2".into()),
+        (
+            &["certification", "--param", "mc-n=0"],
+            "takes mc-n >= 1".into(),
+        ),
+        (
+            &["certification", "--param", "lemma7-n=1"],
+            "takes lemma7-n >= 2".into(),
+        ),
+        (
+            &["revocable", "--param", "thm3-n=1"],
+            "takes thm3-n >= 2".into(),
+        ),
+        (
+            &["revocable", "--param", "scaled-n=1"],
+            "takes scaled-n >= 2".into(),
+        ),
+        (
+            &["diffusion", "--param", "gamma=0"],
+            "takes gamma > 0".into(),
+        ),
+        (&["cautious", "--param", "x=0"], "takes x >= 1".into()),
+        (&["thresholds", "--param", "k=1"], "takes k >= 2".into()),
+        (&["walks", "--param", "x=0"], "takes x >= 1".into()),
+        (
+            &["revocable", "--param", "fault-rate=1.5"],
+            "takes fault-rate in [0, 1]".into(),
+        ),
+        (
+            &["revocable", "--param", "latency=0"],
+            "takes latency >= 1".into(),
+        ),
+        (
+            &["ablation-cautious", "--param", "discipline=2"],
+            "takes discipline in [0, 1]".into(),
+        ),
+    ];
+    for (i, (args, names)) in cases.iter().enumerate() {
+        let dir = base.join(i.to_string());
+        let dir_arg = dir.to_string_lossy().to_string();
+        let mut argv = vec!["run", "--quick", "--quiet", "--out", &dir_arg];
+        argv.splice(1..1, args.iter().copied());
+        let out = ale_lab(&argv);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(names.as_str()), "{args:?}: {stderr}");
+        assert!(!dir.exists(), "{args:?} created its run directory");
+    }
+    assert!(!base.exists());
 }
 
 #[test]

@@ -79,6 +79,22 @@ fn every_space_declares_consistent_axes_and_describes_itself() {
                 s.name()
             );
         }
+        // Every declared range shows in both renderings.
+        let json = space.to_json().render();
+        let axes = space
+            .shared
+            .iter()
+            .chain(space.blocks.iter().flat_map(|b| &b.axes));
+        for axis in axes {
+            if let Some(range) = axis.range {
+                let at = format!("{}: axis '{}'", s.name(), axis.name);
+                assert!(
+                    text.contains(&format!("range: {} {range}", axis.name)),
+                    "{at}"
+                );
+                assert!(json.contains(&format!(r#""range":"{range}""#)), "{at}");
+            }
+        }
     }
 }
 

@@ -6,8 +6,12 @@
 //!
 //! This demo runs the (correct!) Theorem 1 protocol on a 512-node ring
 //! while every node *believes* the ring has 8 nodes, then prints the
-//! resulting leader "domains" — a split-brain map. The same ring under the
-//! revocable protocol ends with one leader.
+//! resulting leader "domains" — a split-brain map. For contrast, the
+//! revocable protocol, which knows nothing of n, then elects one stable
+//! leader on a 12-node ring, run as the `impossibility` scenario runs it.
+//! (A ring stabilizes at the first estimate k with k² > 4n; on the
+//! 512-node ring that is k = 64, whose iterations each take 10⁷–10⁹
+//! rounds, while the 12-node ring stabilizes at k = 8.)
 //!
 //! Run with: `cargo run --release --example impossibility_demo`
 
@@ -45,10 +49,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The cure: revocable leader election, which needs no knowledge of n.
-    println!("running the revocable protocol on the same ring (no knowledge of n)...");
-    let ring = generators::cycle(big_n)?;
-    let params = RevocableParams::paper_blind(1.0, 0.2).with_scales(0.05, 0.25, 1.0);
-    let result = run_revocable(&ring, &params, 99, 64)?;
+    let contrast_n = 12usize;
+    println!("running the revocable protocol on a {contrast_n}-node ring (no knowledge of n)...");
+    let ring = generators::cycle(contrast_n)?;
+    let params = RevocableParams::paper_blind(1.0, 0.2).with_scales(0.02, 0.25, 1.0);
+    // Horizon: the first estimate with k² > 4·12.
+    let result = run_revocable(&ring, &params, 99, 8)?;
     println!(
         "revocable protocol: stabilized = {}, leaders = {}, rounds to stability = {:?}",
         result.stabilized,
