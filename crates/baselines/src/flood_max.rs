@@ -84,11 +84,6 @@ impl FloodMaxProcess {
             halted: false,
         }
     }
-
-    /// The node's random ID.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
 }
 
 impl Process for FloodMaxProcess {

@@ -155,11 +155,6 @@ impl GilbertProcess {
         }
     }
 
-    /// Whether this node stood as candidate.
-    pub fn is_candidate(&self) -> bool {
-        self.candidate
-    }
-
     fn host(&mut self, id: u64, count: u64, from: Option<Port>) {
         // Kill rule: a token entering a node that hosted a bigger ID dies,
         // and a report retraces its path, starting back through the port

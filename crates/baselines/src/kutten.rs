@@ -77,11 +77,6 @@ impl KuttenProcess {
             halted: false,
         }
     }
-
-    /// Whether this node stood as a candidate.
-    pub fn is_candidate(&self) -> bool {
-        self.candidate
-    }
 }
 
 impl Process for KuttenProcess {

@@ -39,11 +39,6 @@ pub fn bits_for_u64(v: u64) -> usize {
     bits_for_u128(v as u128)
 }
 
-/// Bits needed to store `v` in plain binary (`0 → 1` bit).
-pub fn bits_for_usize(v: usize) -> usize {
-    bits_for_u128(v as u128)
-}
-
 /// The per-link-per-round CONGEST budget for an `n`-node network:
 /// `factor · ⌈log₂ n⌉` bits (`n = 1` treated as 1 bit base).
 ///
@@ -97,7 +92,7 @@ mod tests {
         assert_eq!(bits_for_u64(1), 1);
         assert_eq!(bits_for_u64(2), 2);
         assert_eq!(bits_for_u64(u64::MAX), 64);
-        assert_eq!(bits_for_usize(1023), 10);
+        assert_eq!(bits_for_u64(1023), 10);
         assert_eq!(bits_for_u128(u128::MAX), 128);
     }
 

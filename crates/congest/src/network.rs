@@ -794,11 +794,6 @@ impl<'g, P: Process, D: Delivery<P::Msg>> Driver<'g, P, D> {
     pub fn processes(&self) -> &[P] {
         &self.procs
     }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &Graph {
-        self.graph
-    }
 }
 
 impl<P: Process, D> Drop for Driver<'_, P, D> {

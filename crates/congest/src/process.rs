@@ -182,13 +182,6 @@ impl<'a, M: Payload> OutCtx<'a, M> {
         }
     }
 
-    /// The sending node's degree (same value as
-    /// [`NodeCtx::degree`]; repeated here so helpers that only receive the
-    /// send handle can iterate ports).
-    pub fn degree(&self) -> usize {
-        self.degree
-    }
-
     /// Sends `msg` through `port` this round.
     ///
     /// See the [type docs](OutCtx) for what a send does under the engine.
@@ -400,7 +393,6 @@ mod tests {
     fn collector_captures_sends_verbatim() {
         let mut buf: Vec<(usize, u64)> = Vec::new();
         let mut out = OutCtx::collector(3, &mut buf);
-        assert_eq!(out.degree(), 3);
         out.send(2, 9);
         out.send(2, 9); // duplicate port: kept, not merged
         out.send(7, 1); // invalid port: kept — validation is the engine's job

@@ -94,8 +94,6 @@ enum Believed {
 /// One node's state in one cautious-broadcast execution.
 #[derive(Debug, Clone)]
 pub struct ExecState {
-    /// The execution id (the source candidate's random ID).
-    src: u64,
     /// Whether this node is the execution's source.
     is_root: bool,
     /// Port towards the parent (None at the root).
@@ -123,10 +121,9 @@ pub struct ExecState {
 }
 
 impl ExecState {
-    /// Creates the root (candidate) state for execution `src`.
-    pub fn new_root(src: u64, degree: usize, final_threshold: u64) -> Self {
+    /// Creates the root (candidate) state of an execution.
+    pub fn new_root(degree: usize, final_threshold: u64) -> Self {
         ExecState {
-            src,
             is_root: true,
             parent: None,
             sizes: BTreeMap::new(),
@@ -144,11 +141,10 @@ impl ExecState {
 
     /// Creates a member state after adopting the inviter on `parent` as
     /// parent (the first inviter wins, per the paper).
-    pub fn new_member(src: u64, parent: Port, degree: usize, final_threshold: u64) -> Self {
+    pub fn new_member(parent: Port, degree: usize, final_threshold: u64) -> Self {
         let mut avail: BTreeSet<Port> = (0..degree).collect();
         avail.remove(&parent);
         ExecState {
-            src,
             is_root: false,
             parent: Some(parent),
             sizes: BTreeMap::new(),
@@ -170,39 +166,14 @@ impl ExecState {
         self.discipline = discipline;
     }
 
-    /// The execution id.
-    pub fn src(&self) -> u64 {
-        self.src
-    }
-
-    /// Whether this node is the source.
-    pub fn is_root(&self) -> bool {
-        self.is_root
-    }
-
     /// Parent port, if any.
     pub fn parent(&self) -> Option<Port> {
         self.parent
     }
 
-    /// Confirmed children ports.
-    pub fn children(&self) -> impl Iterator<Item = Port> + '_ {
-        self.sizes.keys().copied()
-    }
-
     /// Current confirmed subtree size (this node plus confirmed reports).
     pub fn subtree(&self) -> u64 {
         1 + self.sizes.values().sum::<u64>()
-    }
-
-    /// Own status.
-    pub fn status(&self) -> Status {
-        self.status
-    }
-
-    /// Current doubling threshold.
-    pub fn threshold(&self) -> u64 {
-        self.threshold
     }
 
     /// True when [`ExecState::step`] would send nothing, draw nothing and
@@ -408,11 +379,11 @@ mod tests {
     #[test]
     fn root_first_steps_double_then_invite() {
         let mut r = rng();
-        let mut root = ExecState::new_root(42, 3, 100);
+        let mut root = ExecState::new_root(3, 100);
         // Step 1: subtree = 1 >= threshold = 1: double to 2, no children.
         let out = root.step(&mut r);
         assert!(out.is_empty());
-        assert_eq!(root.threshold(), 2);
+        assert_eq!(root.threshold, 2);
         // Step 2: below threshold: invite one random port.
         let out = root.step(&mut r);
         assert_eq!(out.len(), 1);
@@ -426,19 +397,19 @@ mod tests {
     #[test]
     fn member_confirms_then_waits_for_permit() {
         let mut r = rng();
-        let mut member = ExecState::new_member(42, 0, 2, 100);
+        let mut member = ExecState::new_member(0, 2, 100);
         assert_eq!(member.parent(), Some(0));
         // First step: subtree 1 >= threshold 1: report Size(1), passive.
         let out = member.step(&mut r);
         assert_eq!(out, vec![(0, CbBody::Size(1))]);
-        assert_eq!(member.status(), Status::Passive);
-        assert_eq!(member.threshold(), 2);
+        assert_eq!(member.status, Status::Passive);
+        assert_eq!(member.threshold, 2);
         // Without a permit the member does not invite.
         let out = member.step(&mut r);
         assert!(out.is_empty());
         // Permit arrives: becomes active, invites through its free port.
         member.on_message(0, &CbBody::Activate);
-        assert_eq!(member.status(), Status::Active);
+        assert_eq!(member.status, Status::Active);
         let out = member.step(&mut r);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0], (1, CbBody::Invite));
@@ -447,14 +418,14 @@ mod tests {
     #[test]
     fn parent_legitimizes_fresh_reports() {
         let mut r = rng();
-        let mut root = ExecState::new_root(9, 4, 100);
+        let mut root = ExecState::new_root(4, 100);
         root.step(&mut r); // threshold 1 -> 2
                            // A child on port 2 reports size 1.
         root.on_message(2, &CbBody::Size(1));
         assert_eq!(root.subtree(), 2);
         // Next step: subtree 2 >= threshold 2: crossing — double, pause.
         let out = root.step(&mut r);
-        assert_eq!(root.threshold(), 4);
+        assert_eq!(root.threshold, 4);
         // The child is believed passive already (it paused after reporting),
         // so no deactivate is sent; pending confirmations are cleared.
         assert!(out.iter().all(|(_, b)| !matches!(b, CbBody::Deactivate)));
@@ -473,13 +444,13 @@ mod tests {
     #[test]
     fn passive_node_legitimizes_only_pending() {
         let mut r = rng();
-        let mut node = ExecState::new_member(9, 0, 3, 100);
+        let mut node = ExecState::new_member(0, 3, 100);
         node.step(&mut r); // reports Size(1), passive, threshold 2
         node.on_message(1, &CbBody::Size(1)); // grandchild joined through us?
                                               // subtree = 2 >= threshold 2: crossing again — reports up.
         let out = node.step(&mut r);
         assert!(out.contains(&(0, CbBody::Size(2))));
-        assert_eq!(node.threshold(), 4);
+        assert_eq!(node.threshold, 4);
         // Child reports growth that does NOT cross (threshold now 4).
         node.on_message(1, &CbBody::Size(2));
         let out = node.step(&mut r);
@@ -492,17 +463,17 @@ mod tests {
     #[test]
     fn final_threshold_triggers_stop_wave() {
         let mut r = rng();
-        let mut root = ExecState::new_root(9, 2, 4);
+        let mut root = ExecState::new_root(2, 4);
         root.on_message(0, &CbBody::Size(5)); // huge child report
                                               // Crossing pushes threshold past final (1 -> 8 ≥ 4).
         root.step(&mut r);
-        assert!(root.threshold() >= 4);
+        assert!(root.threshold >= 4);
         let out = root.step(&mut r);
         assert!(
             out.contains(&(0, CbBody::Stop)),
             "root must freeze its tree: {out:?}"
         );
-        assert_eq!(root.status(), Status::Stopped);
+        assert_eq!(root.status, Status::Stopped);
         // Stop is not re-sent.
         assert!(root.step(&mut r).is_empty());
     }
@@ -510,13 +481,13 @@ mod tests {
     #[test]
     fn stop_reception_propagates_once() {
         let mut r = rng();
-        let mut node = ExecState::new_member(9, 0, 3, 100);
+        let mut node = ExecState::new_member(0, 3, 100);
         node.step(&mut r); // join + report
         node.on_message(0, &CbBody::Activate);
         node.step(&mut r); // invite on some port
         node.on_message(1, &CbBody::Size(1)); // child on port 1
         node.on_message(0, &CbBody::Stop); // parent says stop
-        assert_eq!(node.status(), Status::Stopped);
+        assert_eq!(node.status, Status::Stopped);
         let out = node.step(&mut r);
         // Propagates to the child but NOT back to the parent.
         assert!(out.contains(&(1, CbBody::Stop)));
@@ -527,7 +498,7 @@ mod tests {
     #[test]
     fn invites_never_reuse_ports_and_exhaust() {
         let mut r = rng();
-        let mut root = ExecState::new_root(1, 3, 1000);
+        let mut root = ExecState::new_root(3, 1000);
         let mut invited = BTreeSet::new();
         for _ in 0..50 {
             for (p, b) in root.step(&mut r) {
@@ -542,7 +513,7 @@ mod tests {
     #[test]
     fn invite_reception_consumes_port() {
         let mut r = rng();
-        let mut root = ExecState::new_root(1, 2, 1000);
+        let mut root = ExecState::new_root(2, 1000);
         root.on_message(0, &CbBody::Invite); // same-tree collision
         let mut invited = BTreeSet::new();
         for _ in 0..20 {
@@ -557,20 +528,20 @@ mod tests {
 
     #[test]
     fn subtree_counts_are_monotone_under_reports() {
-        let mut node = ExecState::new_member(3, 0, 5, 1000);
+        let mut node = ExecState::new_member(0, 5, 1000);
         assert_eq!(node.subtree(), 1);
         node.on_message(1, &CbBody::Size(2));
         node.on_message(2, &CbBody::Size(3));
         assert_eq!(node.subtree(), 6);
         node.on_message(1, &CbBody::Size(4)); // child grew
         assert_eq!(node.subtree(), 8);
-        assert_eq!(node.children().count(), 2);
+        assert_eq!(node.sizes.len(), 2);
     }
 
     #[test]
     fn on_change_discipline_reports_every_growth() {
         let mut r = rng();
-        let mut node = ExecState::new_member(9, 0, 4, 1000);
+        let mut node = ExecState::new_member(0, 4, 1000);
         node.set_discipline(ReportDiscipline::OnChange);
         node.step(&mut r); // crossing: Size(1), threshold 2, passive
         node.on_message(0, &CbBody::Activate);
@@ -587,7 +558,7 @@ mod tests {
             "OnChange must report sub-threshold growth: {out:?}"
         );
         // And a control: OnCrossing stays silent in the same situation.
-        let mut quiet = ExecState::new_member(9, 0, 4, 1000);
+        let mut quiet = ExecState::new_member(0, 4, 1000);
         quiet.step(&mut r);
         quiet.on_message(0, &CbBody::Activate);
         quiet.on_message(1, &CbBody::Size(1));
@@ -612,9 +583,9 @@ mod tests {
             let degree = script.gen_range(1..6);
             let final_threshold = script.gen_range(2..40);
             let mut state = if script.gen_bool(0.3) {
-                ExecState::new_root(seed, degree, final_threshold)
+                ExecState::new_root(degree, final_threshold)
             } else {
-                ExecState::new_member(seed, 0, degree, final_threshold)
+                ExecState::new_member(0, degree, final_threshold)
             };
             if script.gen_bool(0.5) {
                 state.set_discipline(ReportDiscipline::OnChange);
@@ -655,11 +626,11 @@ mod tests {
 
     #[test]
     fn stopped_state_ignores_status_flips() {
-        let mut node = ExecState::new_member(3, 0, 2, 1000);
+        let mut node = ExecState::new_member(0, 2, 1000);
         node.on_message(0, &CbBody::Stop);
         node.on_message(0, &CbBody::Activate);
-        assert_eq!(node.status(), Status::Stopped);
+        assert_eq!(node.status, Status::Stopped);
         node.on_message(0, &CbBody::Deactivate);
-        assert_eq!(node.status(), Status::Stopped);
+        assert_eq!(node.status, Status::Stopped);
     }
 }

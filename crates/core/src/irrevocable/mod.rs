@@ -359,6 +359,22 @@ mod tests {
     }
 
     #[test]
+    fn elects_on_a_graph_outside_the_generated_families() {
+        // Two triangles joined by a bridge — low conductance, and no
+        // topology hint, so `derive` computes every property itself.
+        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)])
+            .unwrap();
+        let cfg = IrrevocableConfig::derive(&g).unwrap();
+        let mut elected = 0;
+        for seed in 0..6 {
+            let o = run_irrevocable(&g, &cfg, seed).unwrap();
+            assert!(o.leader_count() <= 1, "no split brain on tiny graphs");
+            elected += usize::from(o.unique_leader().is_some());
+        }
+        assert!(elected >= 4, "only {elected}/6 runs elected");
+    }
+
+    #[test]
     fn run_rejects_mismatched_graph() {
         let g = ale_graph::generators::cycle(8).unwrap();
         let cfg = IrrevocableConfig::from_knowledge(knowledge()); // n = 64

@@ -105,11 +105,6 @@ impl IrrevocableProcess {
         self.id
     }
 
-    /// Whether the node is a candidate.
-    pub fn is_candidate(&self) -> bool {
-        self.candidate
-    }
-
     /// Execution ids (candidate IDs) whose territory this node joined —
     /// the candidate's "broadcast territory" membership used by the
     /// Lemma 1/2 experiments.
@@ -120,18 +115,6 @@ impl IrrevocableProcess {
     /// Tree parent port for execution `src`, if this node is a member.
     pub fn tree_parent(&self, src: u64) -> Option<Port> {
         self.execs.get(&src).and_then(ExecState::parent)
-    }
-
-    /// Number of walk tokens currently resident.
-    pub fn token_count(&self) -> u64 {
-        self.tokens
-    }
-
-    /// Executions this node joined but cannot schedule into super-round
-    /// slots: only the first `4c·log n` of `exec_order` are ever stepped
-    /// (zero whp).
-    pub fn overflow_executions(&self) -> u64 {
-        (self.exec_order.len() as u64).saturating_sub(self.params.slots)
     }
 
     fn phase(&self, round: u64) -> Phase {
@@ -164,7 +147,6 @@ impl IrrevocableProcess {
                         // the sender as parent (paper: the first inviter
                         // wins; later invites are handled by the state).
                         let mut state = ExecState::new_member(
-                            *src,
                             m.port,
                             self.params.degree,
                             self.params.final_threshold,
@@ -195,8 +177,7 @@ impl IrrevocableProcess {
 
     fn broadcast_round(&mut self, round: u64, rng: &mut StdRng, out: &mut OutCtx<'_, IrrMsg>) {
         if round == 0 && self.candidate {
-            let mut root =
-                ExecState::new_root(self.id, self.params.degree, self.params.final_threshold);
+            let mut root = ExecState::new_root(self.params.degree, self.params.final_threshold);
             root.set_discipline(self.params.report_discipline);
             self.execs.insert(self.id, root);
             self.exec_order.push(self.id);
@@ -460,7 +441,7 @@ mod tests {
                 _ => 0,
             })
             .sum();
-        assert_eq!(moved + proc.token_count(), 5);
+        assert_eq!(moved + proc.tokens, 5);
         for (_, m) in &out {
             if let IrrMsg::Walk { id_max, .. } = m {
                 assert_eq!(*id_max, 11);
@@ -593,7 +574,7 @@ mod tests {
     }
 
     #[test]
-    fn executions_past_the_slots_are_reported_as_overflow() {
+    fn executions_past_the_slots_are_still_joined() {
         // Every node of a complete(12) is a candidate, but c = 0.25 leaves
         // only ⌈4c·log₂ 12⌉ = 4 slots per super-round, so each node joins
         // more executions than it can ever step.
@@ -615,7 +596,7 @@ mod tests {
         for p in net.processes() {
             let joined = p.known_sources().len() as u64;
             assert!(joined > 4, "joined {joined}");
-            assert_eq!(p.overflow_executions(), joined - 4);
+            assert_eq!(p.exec_order.len() as u64, joined);
         }
     }
 

@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 
 pub mod error;
-pub mod extensions;
 pub mod irrevocable;
 pub mod outcome;
 pub mod revocable;

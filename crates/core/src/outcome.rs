@@ -96,15 +96,6 @@ impl SuccessStats {
             self.unique as f64 / self.runs as f64
         }
     }
-
-    /// Fraction of runs with more than one leader.
-    pub fn split_rate(&self) -> f64 {
-        if self.runs == 0 {
-            0.0
-        } else {
-            self.multiple as f64 / self.runs as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -137,13 +128,11 @@ mod tests {
         assert_eq!(s.none, 1);
         assert_eq!(s.multiple, 1);
         assert!((s.success_rate() - 0.5).abs() < 1e-12);
-        assert!((s.split_rate() - 0.25).abs() < 1e-12);
     }
 
     #[test]
     fn empty_stats_are_zero() {
         let s = SuccessStats::default();
         assert_eq!(s.success_rate(), 0.0);
-        assert_eq!(s.split_rate(), 0.0);
     }
 }

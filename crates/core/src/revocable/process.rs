@@ -173,31 +173,6 @@ impl RevocableProcess {
         }
     }
 
-    /// The current estimate `k`.
-    pub fn k(&self) -> u64 {
-        self.k
-    }
-
-    /// Current iteration index within the estimate.
-    pub fn iteration(&self) -> u64 {
-        self.iter
-    }
-
-    /// Current potential value.
-    pub fn potential(&self) -> f64 {
-        self.potential
-    }
-
-    /// Whether the node flagged the current estimate low.
-    pub fn is_low(&self) -> bool {
-        self.flag(FLAG_LOW)
-    }
-
-    /// Whether the node was white this iteration.
-    pub fn is_white(&self) -> bool {
-        self.flag(FLAG_WHITE)
-    }
-
     /// The node's leader view once it has chosen an ID, `None` before:
     /// what the stabilization oracle compares across nodes.
     pub(super) fn settled_view(&self) -> Option<LeaderRecord> {
@@ -477,8 +452,8 @@ mod tests {
         for (_, m) in &out {
             assert!(matches!(m, RevMsg::Diffuse { .. }));
         }
-        assert_eq!(p.k(), 2);
-        assert_eq!(p.iteration(), 0);
+        assert_eq!(p.k, 2);
+        assert_eq!(p.iter, 0);
     }
 
     #[test]
@@ -486,10 +461,10 @@ mod tests {
         let mut p = RevocableProcess::new(small_params(), 2);
         let mut rng = StdRng::seed_from_u64(1);
         drive(&mut p, &mut ctx(&mut rng, 2, 0), &[]);
-        if p.is_white() {
-            assert_eq!(p.potential(), 0.0);
+        if p.flag(FLAG_WHITE) {
+            assert_eq!(p.potential, 0.0);
         } else {
-            assert_eq!(p.potential(), 1.0);
+            assert_eq!(p.potential, 1.0);
         }
     }
 
@@ -499,7 +474,7 @@ mod tests {
         let mut p = RevocableProcess::new(params, 2);
         let mut rng = StdRng::seed_from_u64(3);
         drive(&mut p, &mut ctx(&mut rng, 2, 0), &[]); // send #0
-        let before = p.potential();
+        let before = p.potential;
         let mk = |potential| Incoming {
             port: 0,
             msg: RevMsg::Diffuse {
@@ -524,8 +499,8 @@ mod tests {
         let k_pow = params.k_pow(2);
         let alpha = 1.0 / (2.0 * k_pow);
         let expected = before + alpha * 0.0 - alpha * 2.0 * before;
-        assert!((p.potential() - expected).abs() < 1e-12);
-        assert!(!p.is_low());
+        assert!((p.potential - expected).abs() < 1e-12);
+        assert!(!p.flag(FLAG_LOW));
     }
 
     #[test]
@@ -545,8 +520,8 @@ mod tests {
             },
         }];
         drive(&mut p, &mut ctx(&mut rng, 1, 1), &inbox);
-        assert!(p.is_low());
-        assert_eq!(p.potential(), 1.0);
+        assert!(p.flag(FLAG_LOW));
+        assert_eq!(p.potential, 1.0);
     }
 
     #[test]
@@ -569,7 +544,7 @@ mod tests {
             })
             .collect();
         drive(&mut p, &mut ctx(&mut rng, 9, 1), &inbox);
-        assert!(p.is_low(), "degree above k^{{1+eps}} must flag low");
+        assert!(p.flag(FLAG_LOW), "degree above k^{{1+eps}} must flag low");
     }
 
     #[test]
@@ -636,14 +611,14 @@ mod tests {
         round += 1;
         for _ in 0..total {
             let inbox: Vec<Incoming<RevMsg>> = if p.phase_round <= p.r_k && p.phase_round >= 1 {
-                vec![quiet(p.potential())]
+                vec![quiet(p.potential)]
             } else {
                 vec![diss.clone()]
             };
             drive(&mut p, &mut ctx(&mut rng, 1, round), &inbox);
             round += 1;
         }
-        assert!(p.k() >= 4, "estimate must have advanced, k = {}", p.k());
+        assert!(p.k >= 4, "estimate must have advanced, k = {}", p.k);
     }
 
     #[test]
@@ -669,12 +644,15 @@ mod tests {
     #[test]
     fn flag_packing_roundtrips() {
         let mut p = RevocableProcess::new(small_params(), 2);
-        assert!(!p.is_low() && !p.is_white());
+        assert!(!p.flag(FLAG_LOW) && !p.flag(FLAG_WHITE));
         p.set_flag(FLAG_LOW, true);
         p.set_flag(FLAG_WHITE, true);
-        assert!(p.is_low() && p.is_white());
+        assert!(p.flag(FLAG_LOW) && p.flag(FLAG_WHITE));
         p.set_flag(FLAG_LOW, false);
-        assert!(!p.is_low() && p.is_white(), "flags are independent");
+        assert!(
+            !p.flag(FLAG_LOW) && p.flag(FLAG_WHITE),
+            "flags are independent"
+        );
     }
 
     #[test]

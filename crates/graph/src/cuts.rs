@@ -143,13 +143,6 @@ pub fn isoperimetric_exact(g: &Graph) -> Result<f64, GraphError> {
     Ok(best)
 }
 
-/// The paper's lower bound `i(G) ≥ 2/n` for connected graphs (used to get
-/// Corollary 1 from Theorem 3). Exposed so tests and the harness can assert
-/// it against computed values.
-pub fn isoperimetric_lower_bound(n: usize) -> f64 {
-    2.0 / n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,6 +200,8 @@ mod tests {
         assert!((isoperimetric_exact(&g).unwrap() - 1.0).abs() < 1e-12);
     }
 
+    /// The paper's lower bound `i(G) ≥ 2/n` for connected graphs (used to
+    /// get Corollary 1 from Theorem 3).
     #[test]
     fn lower_bound_holds_everywhere() {
         for g in [
@@ -218,7 +213,7 @@ mod tests {
         ] {
             let i = isoperimetric_exact(&g).unwrap();
             assert!(
-                i >= isoperimetric_lower_bound(g.n()) - 1e-12,
+                i >= 2.0 / g.n() as f64 - 1e-12,
                 "i(G) = {i} below 2/n for n = {}",
                 g.n()
             );

@@ -181,8 +181,15 @@ impl Topology {
         }
     }
 
-    /// Number of nodes the built graph will have.
+    /// Number of nodes the built graph will have, saturating at
+    /// `usize::MAX` where the count overflows.
     pub fn node_count(self) -> usize {
+        let pow2 = |dim: usize| {
+            u32::try_from(dim)
+                .ok()
+                .and_then(|d| 1usize.checked_shl(d))
+                .unwrap_or(usize::MAX)
+        };
         match self {
             Topology::Cycle { n }
             | Topology::Path { n }
@@ -191,12 +198,12 @@ impl Topology {
             | Topology::BinaryTree { n }
             | Topology::RandomRegular { n, .. }
             | Topology::Gnp { n, .. } => n,
-            Topology::Grid2d { rows, cols, .. } => rows * cols,
-            Topology::Hypercube { dim } => 1usize << dim,
-            Topology::Ccc { dim } => dim << dim,
-            Topology::Barbell { k } => 2 * k,
-            Topology::Lollipop { k, tail } => k + tail,
-            Topology::RingOfCliques { cliques, k } => cliques * k,
+            Topology::Grid2d { rows, cols, .. } => rows.saturating_mul(cols),
+            Topology::Hypercube { dim } => pow2(dim),
+            Topology::Ccc { dim } => dim.saturating_mul(pow2(dim)),
+            Topology::Barbell { k } => k.saturating_mul(2),
+            Topology::Lollipop { k, tail } => k.saturating_add(tail),
+            Topology::RingOfCliques { cliques, k } => cliques.saturating_mul(k),
         }
     }
 
@@ -433,7 +440,10 @@ pub fn star(n: usize) -> Result<Graph, GraphError> {
 
 /// 2-D grid or torus on `rows x cols` nodes.
 pub fn grid2d(rows: usize, cols: usize, torus: bool) -> Result<Graph, GraphError> {
-    if rows < 1 || cols < 1 || rows * cols < 2 {
+    let n = rows
+        .checked_mul(cols)
+        .ok_or_else(|| invalid(format!("grid {rows}x{cols} has too many nodes for usize")))?;
+    if rows < 1 || cols < 1 || n < 2 {
         return Err(invalid("grid requires at least 2 nodes"));
     }
     if torus && (rows < 3 || cols < 3) {
@@ -455,7 +465,7 @@ pub fn grid2d(rows: usize, cols: usize, torus: bool) -> Result<Graph, GraphError
             }
         }
     }
-    Graph::from_edges(rows * cols, &edges)
+    Graph::from_edges(n, &edges)
 }
 
 /// Hypercube `Q_d`.
@@ -874,5 +884,30 @@ mod tests {
         };
         assert_eq!(grid.spec(), "grid:3x5");
         assert_eq!(grid.spec().parse::<Topology>().unwrap(), grid);
+    }
+
+    #[test]
+    fn sizes_past_usize_saturate_and_are_refused_by_build() {
+        let big = 1usize << (usize::BITS / 2);
+        for t in [
+            Topology::Hypercube { dim: 64 },
+            Topology::Ccc { dim: 64 },
+            Topology::Grid2d {
+                rows: big,
+                cols: big,
+                torus: true,
+            },
+            Topology::Grid2d {
+                rows: big,
+                cols: big,
+                torus: false,
+            },
+        ] {
+            assert_eq!(t.node_count(), usize::MAX, "{t}");
+            assert!(
+                matches!(t.build(0), Err(GraphError::InvalidParameters { .. })),
+                "{t}"
+            );
+        }
     }
 }

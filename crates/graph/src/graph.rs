@@ -409,29 +409,6 @@ impl Graph {
         (0..self.n()).map(|v| self.neighbors(v).collect()).collect()
     }
 
-    /// Sum of degrees of the nodes in `set` (the paper's `Vol(S)`).
-    pub fn volume(&self, set: &[NodeId]) -> usize {
-        set.iter().map(|&v| self.degree(v)).sum()
-    }
-
-    /// Number of edges with exactly one endpoint in `set` (the paper's
-    /// `|∂S|`).
-    pub fn boundary(&self, set: &[NodeId]) -> usize {
-        let mut in_set = vec![false; self.n()];
-        for &v in set {
-            in_set[v] = true;
-        }
-        let mut cut = 0;
-        for &v in set {
-            for u in self.neighbors(v) {
-                if !in_set[u] {
-                    cut += 1;
-                }
-            }
-        }
-        cut
-    }
-
     /// Breadth-first connectivity check.
     pub fn is_connected(&self) -> bool {
         let n = self.n();
@@ -590,15 +567,6 @@ mod tests {
         for (u, v) in edges {
             assert!(u < v);
         }
-    }
-
-    #[test]
-    fn volume_and_boundary() {
-        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
-        assert_eq!(g.volume(&[0, 1]), 4);
-        assert_eq!(g.boundary(&[0, 1]), 2);
-        assert_eq!(g.boundary(&[0, 1, 2, 3]), 0);
-        assert_eq!(g.boundary(&[0]), 2);
     }
 
     #[test]

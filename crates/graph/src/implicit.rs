@@ -144,6 +144,14 @@ impl ImplicitTopology {
             ImplicitTopology::Torus { rows, cols } if rows < 3 || cols < 3 => {
                 bad(format!("torus needs rows, cols >= 3, got {rows}x{cols}"))
             }
+            ImplicitTopology::Torus { rows, cols }
+                if rows
+                    .checked_mul(cols)
+                    .and_then(|n| n.checked_mul(2))
+                    .is_none() =>
+            {
+                bad(format!("torus {rows}x{cols} has too many edges for usize"))
+            }
             ImplicitTopology::Hypercube { dim } if !(1..=24).contains(&dim) => {
                 bad(format!("hypercube dim must be in 1..=24, got {dim}"))
             }

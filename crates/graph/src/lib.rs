@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod analytic;
-pub mod builder;
 pub mod cuts;
 pub mod error;
 pub mod generators;
@@ -42,7 +41,6 @@ pub mod props;
 pub mod spectral_sparse;
 pub mod transition;
 
-pub use builder::GraphBuilder;
 pub use error::GraphError;
 pub use generators::{Topology, IMPLICIT_THRESHOLD};
 pub use graph::{Graph, Neighbors, NodeId, Port};

@@ -151,20 +151,6 @@ pub fn mixing_time_upper(g: &Graph, gap: f64) -> Result<u64, GraphError> {
     Ok(t.ceil().max(1.0) as u64)
 }
 
-/// Cheeger-style band for graph conductance from the lazy spectral gap:
-/// `gap ≤ Φ(G)` and `Φ(G) ≤ √(8·gap)` (constants folded per the
-/// Sinclair–Jerrum inequalities with the ½ laziness factor).
-///
-/// Returns `(lo, hi)`.
-///
-/// # Errors
-///
-/// Propagates [`lambda2_lazy`] failures.
-pub fn conductance_band(g: &Graph, tol: f64, max_iters: usize) -> Result<(f64, f64), GraphError> {
-    let gap = lazy_spectral_gap(g, tol, max_iters)?;
-    Ok((gap.max(0.0), (8.0 * gap).sqrt().min(1.0)))
-}
-
 fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
@@ -268,15 +254,19 @@ mod tests {
         }
     }
 
+    /// Cheeger-style band from the lazy spectral gap: `gap ≤ Φ(G) ≤
+    /// √(8·gap)` (constants folded per the Sinclair–Jerrum inequalities
+    /// with the ½ laziness factor).
     #[test]
-    fn conductance_band_brackets_exact() {
+    fn cheeger_band_brackets_exact_conductance() {
         use crate::cuts::conductance_exact;
         for g in [
             generators::cycle(12).unwrap(),
             generators::complete(8).unwrap(),
             generators::hypercube(4).unwrap(),
         ] {
-            let (lo, hi) = conductance_band(&g, 1e-12, 2_000_000).unwrap();
+            let gap = lazy_spectral_gap(&g, 1e-12, 2_000_000).unwrap();
+            let (lo, hi) = (gap, (8.0 * gap).sqrt());
             let phi = conductance_exact(&g).unwrap();
             assert!(
                 lo <= phi + 1e-9 && phi <= hi + 1e-9,

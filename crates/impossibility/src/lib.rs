@@ -6,9 +6,9 @@
 //! argument on long cycles. This crate reproduces both halves of that
 //! argument:
 //!
-//! * [`witness`] — the combinatorial geometry of Figures 1–2: witnesses,
-//!   cores, segments, and `t`-semi-cores on `C_N`, with every property the
-//!   proof's invariant uses checked by tests.
+//! * [`witness`] — the combinatorial geometry of Figures 1–2: witnesses
+//!   and their cores on `C_N`, with the layout the proof uses checked by
+//!   tests.
 //! * [`experiment`] — the phenomenon itself, empirically: run a stop-by-`T`
 //!   algorithm (the repo's Theorem 1 protocol, configured for a believed
 //!   size `n₀`) on `C_N` with `N ≫ n₀` and watch distant regions elect

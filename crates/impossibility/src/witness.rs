@@ -4,16 +4,12 @@
 //! Theorem 2's proof places disjoint **witnesses** — paths of length
 //! `2T(n) + 2n` — around a large cycle `C_N`, separated by at least `2T(n)`
 //! nodes so their executions stay independent for `T(n)` rounds. The middle
-//! `2n` nodes of a witness form its **core**, split into two **segments**
-//! of `n` nodes each; the `t`-semi-core is the core plus all nodes within
-//! distance `T(n) − t` (so information from outside cannot have reached it
-//! by round `t`).
+//! `2n` nodes of a witness form its **core**, flanked by `T(n)`-node
+//! buffers that information from outside cannot cross within `T(n)`
+//! rounds.
 //!
-//! This module reproduces Figures 1–2 as *checkable data*: the layouts and
-//! the invariant sets, with unit tests asserting every property the proof
-//! uses.
-
-use std::fmt;
+//! This module reproduces the layout of Figures 1–2 as *checkable data*,
+//! with unit tests asserting the geometry the proof uses.
 
 /// Layout of witnesses on the cycle `C_N` for a pumping-wheel argument
 /// against algorithms that stop by time `T` believing the network has `n₀`
@@ -115,71 +111,14 @@ impl PumpingLayout {
             t: self.t,
         }
     }
-
-    /// Iterator over all witnesses.
-    pub fn witnesses(&self) -> impl Iterator<Item = Witness> + '_ {
-        (0..self.witness_count()).map(|i| self.witness(i))
-    }
 }
 
 impl Witness {
-    /// Nodes of the witness as cycle positions (wrapping).
-    pub fn nodes(&self, big_n: usize) -> Vec<usize> {
-        (0..self.len).map(|o| (self.start + o) % big_n).collect()
-    }
-
-    /// The core: the middle `2n₀` nodes.
+    /// The core: the middle `2n₀` nodes, as cycle positions (wrapping).
     pub fn core(&self, big_n: usize) -> Vec<usize> {
         (0..2 * self.n0)
             .map(|o| (self.start + self.t + o) % big_n)
             .collect()
-    }
-
-    /// The two segments of the core, `n₀` nodes each.
-    pub fn segments(&self, big_n: usize) -> (Vec<usize>, Vec<usize>) {
-        let core = self.core(big_n);
-        let (a, b) = core.split_at(self.n0);
-        (a.to_vec(), b.to_vec())
-    }
-
-    /// The `t`-semi-core: the core plus all witness nodes within distance
-    /// `T − t` of it. `t = 0` gives the whole witness; `t = T` gives the
-    /// core.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t > T`.
-    pub fn semi_core(&self, t: usize, big_n: usize) -> Vec<usize> {
-        assert!(t <= self.t, "semi-core index exceeds T");
-        let margin = self.t - t;
-        let first = self.t - margin;
-        let len = 2 * self.n0 + 2 * margin;
-        (0..len).map(|o| (self.start + first + o) % big_n).collect()
-    }
-
-    /// Distance from a witness-relative offset to the nearest core node —
-    /// the `x` of the proof's invariant (Figure 2).
-    pub fn distance_to_core(&self, offset: usize) -> usize {
-        if offset < self.t {
-            self.t - offset
-        } else if offset < self.t + 2 * self.n0 {
-            0
-        } else {
-            offset - (self.t + 2 * self.n0) + 1
-        }
-    }
-}
-
-impl fmt::Display for PumpingLayout {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "pumping wheel: N = {}, n0 = {}, T = {}, {} witnesses",
-            self.big_n,
-            self.n0,
-            self.t,
-            self.witness_count()
-        )
     }
 }
 
@@ -190,6 +129,11 @@ mod tests {
     fn layout() -> PumpingLayout {
         // n0 = 4, T = 3: block = 20, witness = 14. N = 3 blocks.
         PumpingLayout::new(4, 3, 60).unwrap()
+    }
+
+    /// Nodes of the witness as cycle positions (wrapping).
+    fn nodes(w: &Witness, big_n: usize) -> Vec<usize> {
+        (0..w.len).map(|o| (w.start + o) % big_n).collect()
     }
 
     #[test]
@@ -207,7 +151,9 @@ mod tests {
     #[test]
     fn witnesses_are_disjoint_and_separated() {
         let l = layout();
-        let all: Vec<Vec<usize>> = l.witnesses().map(|w| w.nodes(l.big_n)).collect();
+        let all: Vec<Vec<usize>> = (0..l.witness_count())
+            .map(|i| nodes(&l.witness(i), l.big_n))
+            .collect();
         // Pairwise disjoint.
         for i in 0..all.len() {
             for j in (i + 1)..all.len() {
@@ -223,52 +169,14 @@ mod tests {
     }
 
     #[test]
-    fn core_and_segments_sizes() {
+    fn core_is_centered() {
         let l = layout();
         let w = l.witness(1);
         let core = w.core(l.big_n);
         assert_eq!(core.len(), 2 * l.n0);
-        let (a, b) = w.segments(l.big_n);
-        assert_eq!(a.len(), l.n0);
-        assert_eq!(b.len(), l.n0);
-        // Segments partition the core contiguously.
-        let mut joined = a.clone();
-        joined.extend(&b);
-        assert_eq!(joined, core);
-        // The core is centered: T nodes on each side within the witness.
+        // T nodes on each side within the witness, contiguous.
         assert_eq!(core[0], w.start + l.t);
-    }
-
-    #[test]
-    fn semi_cores_nest_and_hit_extremes() {
-        let l = layout();
-        let w = l.witness(0);
-        let full = w.semi_core(0, l.big_n);
-        assert_eq!(full.len(), w.len, "0-semi-core is the witness");
-        let core = w.semi_core(l.t, l.big_n);
-        assert_eq!(core, w.core(l.big_n), "T-semi-core is the core");
-        // Nesting: each semi-core contains the next.
-        for t in 0..l.t {
-            let outer = w.semi_core(t, l.big_n);
-            let inner = w.semi_core(t + 1, l.big_n);
-            for v in &inner {
-                assert!(outer.contains(v), "semi-cores must nest");
-            }
-            assert_eq!(outer.len(), inner.len() + 2);
-        }
-    }
-
-    #[test]
-    fn distance_to_core_profile() {
-        let l = layout();
-        let w = l.witness(0);
-        // Offsets 0..T approach the core; inside the core distance 0;
-        // beyond it grows again.
-        assert_eq!(w.distance_to_core(0), l.t);
-        assert_eq!(w.distance_to_core(l.t - 1), 1);
-        assert_eq!(w.distance_to_core(l.t), 0);
-        assert_eq!(w.distance_to_core(l.t + 2 * l.n0 - 1), 0);
-        assert_eq!(w.distance_to_core(l.t + 2 * l.n0), 1);
+        assert!(core.windows(2).all(|p| p[1] == p[0] + 1));
     }
 
     #[test]
@@ -276,7 +184,7 @@ mod tests {
         // A single block exactly fills the cycle; the witness wraps.
         let l = PumpingLayout::new(3, 2, 14).unwrap();
         assert_eq!(l.witness_count(), 1);
-        let nodes = l.witness(0).nodes(l.big_n);
+        let nodes = nodes(&l.witness(0), l.big_n);
         assert_eq!(nodes.len(), 10);
         assert!(nodes.iter().all(|&v| v < 14));
     }
@@ -289,11 +197,5 @@ mod tests {
         let blocks = PumpingLayout::proof_block_count(4, 3, 0.5);
         assert!(blocks > 1 << 24);
         assert_eq!(PumpingLayout::proof_block_count(64, 64, 0.5), u128::MAX);
-    }
-
-    #[test]
-    fn display_is_informative() {
-        let s = layout().to_string();
-        assert!(s.contains("3 witnesses"));
     }
 }

@@ -175,15 +175,6 @@ impl PointStats {
     pub fn param(&self, key: &str) -> Option<f64> {
         self.params.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
     }
-
-    /// Success rate in `[0, 1]`.
-    pub fn ok_rate(&self) -> f64 {
-        if self.trials == 0 {
-            0.0
-        } else {
-            self.ok as f64 / self.trials as f64
-        }
-    }
 }
 
 /// The aggregated view of a whole run, point by point in grid order.
@@ -406,7 +397,7 @@ mod tests {
         assert_eq!(a.mean("messages"), 20.0);
         assert_eq!(a.median("territory"), 10.0);
         assert_eq!(a.metric("messages").unwrap().max(), 30.0);
-        assert_eq!(run.points[1].ok_rate(), 0.0);
+        assert_eq!(run.points[1].ok, 0);
         let report = run.generic_report();
         assert!(report.contains("| a |"));
         let csv = run.summary_csv();

@@ -142,22 +142,10 @@ fn parse_summary(
     Ok(rows)
 }
 
-/// Compares two summary CSV **texts**; returns the rendered report, or
+/// Compares two parsed `(point, metric) → (mean, count)` maps — summary
+/// CSV files and the store-backed run-directory inputs of
+/// [`check_files`] alike — and returns the rendered report, or
 /// [`LabError::Regression`] carrying it when any gated mean regressed.
-///
-/// # Errors
-///
-/// * [`LabError::BadRecord`] on malformed CSV.
-/// * [`LabError::Regression`] when regressions were found.
-pub fn check_text(current: &str, baseline: &str, opts: &CheckOptions) -> Result<String, LabError> {
-    let cur = parse_summary(current, "current")?;
-    let base = parse_summary(baseline, "baseline")?;
-    check_rows(&cur, &base, opts)
-}
-
-/// Compares two parsed `(point, metric) → (mean, count)` maps — the
-/// shared core behind [`check_text`] and the store-backed run-directory
-/// inputs of [`check_files`].
 fn check_rows(
     cur: &BTreeMap<(String, String), SummaryRow>,
     base: &BTreeMap<(String, String), SummaryRow>,
@@ -364,12 +352,13 @@ fn load_input(path: &Path, side: &str) -> Result<CheckInput, LabError> {
     }
 }
 
-/// File-path front end for [`check_text`]/[`check_memory_text`] (the
-/// `ale-lab check` subcommand). Either side may be a summary CSV file,
-/// a memory-bench JSON file, or a **run directory** — directories are
-/// served from the durable store, so gating never re-parses CSV for
-/// stored runs. Incomplete (crashed) stores are rejected with a hint to
-/// `run --resume` rather than silently gating partial data.
+/// File-path front end of the summary-row comparison and of
+/// [`check_memory_text`] (the `ale-lab check` subcommand). Either side
+/// may be a summary CSV file, a memory-bench JSON file, or a **run
+/// directory** — directories are served from the durable store, so
+/// gating never re-parses CSV for stored runs. Incomplete (crashed)
+/// stores are rejected with a hint to `run --resume` rather than
+/// silently gating partial data.
 ///
 /// # Errors
 ///
@@ -398,6 +387,14 @@ mod tests {
     use super::*;
 
     const HEADER: &str = "point,family,algorithm,n,metric,count,mean,ci95,median,min,max,spilled";
+
+    /// Compares two summary CSV **texts**, as [`check_files`] does two
+    /// summary CSV files.
+    fn check_text(current: &str, baseline: &str, opts: &CheckOptions) -> Result<String, LabError> {
+        let cur = parse_summary(current, "current")?;
+        let base = parse_summary(baseline, "baseline")?;
+        check_rows(&cur, &base, opts)
+    }
 
     fn summary(rows: &[(&str, &str, f64)]) -> String {
         let mut s = String::from(HEADER);

@@ -1,18 +1,20 @@
-//! A pluggable key/value store behind the run directory.
+//! The key/value store behind the run directory.
 //!
 //! The lab's durable state — every trial record, plus the summary rows
-//! derived from them — lives behind one small [`Db`] trait (get/put/
-//! iterate over keyed batches), so the engine, `merge`, and `check` can
-//! share a single keyed view of a run regardless of backend:
+//! derived from them — lives in one append-only file, [`AofDb`]
+//! (`trials.db` in a run directory), read and written through the small
+//! [`Db`] trait (get/put/iterate over keyed batches). Every [`Db::put`]
+//! appends one length-framed entry and reaches the OS immediately, so a
+//! killed run loses at most the entry being written; reopening recovers
+//! the valid prefix and reports whether a torn tail was dropped.
+//! [`AofDb::compact`] rewrites the log sorted by key (last put wins) via
+//! temp-file + rename, which is what makes a finished store
+//! byte-identical across run/resume/merge paths.
 //!
-//! * [`MemDb`] — a sorted in-memory map, for tests and scratch unions;
-//! * [`AofDb`] — an append-only file (`trials.db` in a run directory).
-//!   Every [`Db::put`] appends one length-framed entry and reaches the
-//!   OS immediately, so a killed run loses at most the entry being
-//!   written; reopening recovers the valid prefix and reports whether a
-//!   torn tail was dropped. [`AofDb::compact`] rewrites the log sorted
-//!   by key (last put wins) via temp-file + rename, which is what makes
-//!   a finished store byte-identical across run/resume/merge paths.
+//! [`AofDb`] is the only backend. The trait stays as the one interface
+//! a journal is read through: the store, `merge`, `serve` and the
+//! benchmark harness all call it, and the unit tests check [`AofDb`]
+//! against a sorted in-memory map behind the same trait.
 //!
 //! Keys are ordered bytes; [`Db::iter_prefix`] returns entries sorted by
 //! key, so fixed-width encodings (see `store::TrialKey`) make
@@ -95,46 +97,6 @@ pub trait Db {
     ///
     /// Backend sync failures as [`LabError::Io`].
     fn flush(&mut self) -> Result<(), LabError>;
-}
-
-/// In-memory [`Db`] backend (a sorted map).
-#[derive(Debug, Default)]
-pub struct MemDb {
-    map: BTreeMap<Vec<u8>, Vec<u8>>,
-}
-
-impl MemDb {
-    /// An empty store.
-    pub fn new() -> Self {
-        MemDb::default()
-    }
-}
-
-impl Db for MemDb {
-    fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.map.get(key).cloned()
-    }
-
-    fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), LabError> {
-        self.map.insert(key.to_vec(), value.to_vec());
-        Ok(())
-    }
-
-    fn iter_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-        self.map
-            .range(prefix.to_vec()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    fn flush(&mut self) -> Result<(), LabError> {
-        Ok(())
-    }
 }
 
 fn io_err(path: &Path, e: std::io::Error) -> LabError {
@@ -308,11 +270,6 @@ impl AofDb {
         self.truncated
     }
 
-    /// The log's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Rewrites the log as one entry per key, sorted — the canonical
     /// byte-deterministic form a finished run stores. Written to a temp
     /// file and renamed into place, so a crash mid-compaction leaves the
@@ -415,11 +372,43 @@ mod tests {
         db.iter_prefix(b"")
     }
 
+    /// In-memory [`Db`] backend (a sorted map): the reference [`AofDb`] is
+    /// checked against.
+    #[derive(Default)]
+    struct MemDb(BTreeMap<Vec<u8>, Vec<u8>>);
+
+    impl Db for MemDb {
+        fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
+            self.0.get(key).cloned()
+        }
+
+        fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), LabError> {
+            self.0.insert(key.to_vec(), value.to_vec());
+            Ok(())
+        }
+
+        fn iter_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+            self.0
+                .range(prefix.to_vec()..)
+                .take_while(|(k, _)| k.starts_with(prefix))
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect()
+        }
+
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+
+        fn flush(&mut self) -> Result<(), LabError> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn mem_and_aof_backends_are_equivalent() {
         let path = tmp("equiv.db");
         std::fs::remove_file(&path).ok();
-        let mut mem = MemDb::new();
+        let mut mem = MemDb::default();
         let mut aof = AofDb::create(&path).unwrap();
         script(&mut mem);
         script(&mut aof);

@@ -24,8 +24,8 @@
 //! * [`scenarios`] / [`registry`] — the 11 built-in experiments;
 //! * [`engine`] — space → expand → bind → fleet → aggregate → store;
 //! * [`agg`] / [`stats`] — streaming statistics;
-//! * [`db`] — the pluggable keyed-batch [`db::Db`] trait (in-memory and
-//!   append-only-file backends) the durable store journals through;
+//! * [`db`] — the keyed-batch [`db::Db`] trait and its append-only-file
+//!   backend, the journal the durable store writes through;
 //! * [`store`] / [`json`] — the keyed run store (`trials.db` journal,
 //!   JSONL/CSV views, manifests with completion markers);
 //! * [`check`] — baseline regression gating over `summary.csv` files;

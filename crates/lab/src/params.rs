@@ -175,7 +175,9 @@ impl AxisKind {
 }
 
 /// The values an axis accepts: the domain the paper gives the parameter
-/// (estimates start at k = 2, Lemma 4's γ is positive, …).
+/// (estimates start at k = 2, Lemma 4's γ is positive, …), or the one a
+/// run needs to finish (a topology large enough for the candidates a
+/// scenario plants, a fault rate that lets some message through).
 /// [`ParamSpace::expand`] checks every value it resolves for the axis
 /// against it, so no point builder or `bind` has to.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -184,8 +186,10 @@ pub enum Range {
     Ints(u64, u64),
     /// Floats above zero.
     Positive,
-    /// Floats in `[0, 1]`.
+    /// Floats in `[0, 1)`.
     Probability,
+    /// Topologies with at least this many nodes.
+    Nodes(usize),
 }
 
 impl Range {
@@ -198,7 +202,8 @@ impl Range {
         match (self, value) {
             (Range::Ints(min, max), AxisValue::Int(v)) => (min..=max).contains(&v),
             (Range::Positive, AxisValue::Float(v)) => v > 0.0,
-            (Range::Probability, AxisValue::Float(v)) => (0.0..=1.0).contains(&v),
+            (Range::Probability, AxisValue::Float(v)) => (0.0..1.0).contains(&v),
+            (Range::Nodes(min), AxisValue::Topo(t)) => t.node_count() >= min,
             _ => false,
         }
     }
@@ -210,7 +215,8 @@ impl fmt::Display for Range {
             Range::Ints(min, u64::MAX) => write!(f, ">= {min}"),
             Range::Ints(min, max) => write!(f, "in [{min}, {max}]"),
             Range::Positive => write!(f, "> 0"),
-            Range::Probability => write!(f, "in [0, 1]"),
+            Range::Probability => write!(f, "in [0, 1)"),
+            Range::Nodes(min) => write!(f, "with >= {min} nodes"),
         }
     }
 }
@@ -1171,7 +1177,9 @@ mod tests {
                 other => panic!("expected BadArgs, got {:?}", other.map(|e| e.points.len())),
             }
         }
-        assert!(Range::Probability.contains(AxisValue::Float(1.0)));
+        // Half-open: a rate of 1 drops every send and no run finishes.
+        assert!(Range::Probability.contains(AxisValue::Float(0.0)));
+        assert!(!Range::Probability.contains(AxisValue::Float(1.0)));
         assert!(!Range::Probability.contains(AxisValue::Float(1.5)));
         assert!(!Range::Ints(0, 1).contains(AxisValue::Int(2)));
         assert!(
@@ -1179,6 +1187,40 @@ mod tests {
             "kinds must match"
         );
         assert_eq!(Range::Ints(0, 1).to_string(), "in [0, 1]");
+        assert_eq!(Range::Probability.to_string(), "in [0, 1)");
+    }
+
+    #[test]
+    fn topology_axes_refuse_graphs_below_their_minimum_size() {
+        let space = || {
+            ParamSpace::new(vec![Block::new(
+                "main",
+                vec![Axis::topologies("topo", [Topology::Cycle { n: 8 }]).range(Range::Nodes(6))],
+                |ctx| Ok(Some(GridPoint::new(ctx.topology("topo")?.to_string()))),
+            )])
+            .with_ladder("n", "topo", "cycles at each size", |ns| {
+                ns.iter().map(|&n| Topology::Cycle { n }).collect()
+            })
+        };
+        assert!(space().expand(&cfg()).is_ok());
+        for config in [
+            // A topology the size ladder builds is checked like any other.
+            GridConfig {
+                ns: vec![6, 5],
+                ..cfg()
+            },
+            GridConfig {
+                topologies: vec![Topology::Complete { n: 4 }],
+                ..cfg()
+            },
+        ] {
+            match space().expand(&config) {
+                Err(LabError::BadArgs(msg)) => {
+                    assert!(msg.contains("takes topo with >= 6 nodes"), "{msg}")
+                }
+                other => panic!("expected BadArgs, got {:?}", other.map(|e| e.points.len())),
+            }
+        }
     }
 
     #[test]

@@ -405,24 +405,6 @@ impl TrialRecord {
     pub fn push_extra(&mut self, key: impl Into<String>, value: f64) {
         self.extra.push((key.into(), value));
     }
-
-    /// Reads any metric by name — the core counters or an extra.
-    pub fn metric(&self, name: &str) -> Option<f64> {
-        match name {
-            "rounds" => Some(self.rounds as f64),
-            "congest_rounds" => Some(self.congest_rounds as f64),
-            "messages" => Some(self.messages as f64),
-            "bits" => Some(self.bits as f64),
-            "leaders" => Some(self.leaders as f64),
-            "ok" => Some(if self.ok { 1.0 } else { 0.0 }),
-            _ => self
-                .extra
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| *v)
-                .filter(|v| v.is_finite()),
-        }
-    }
 }
 
 impl ToJson for TrialRecord {
@@ -609,10 +591,6 @@ mod tests {
         let v = r.to_json();
         let back = TrialRecord::from_json(&v).unwrap();
         assert_eq!(back, r);
-        assert_eq!(back.metric("messages"), Some(123.0));
-        assert_eq!(back.metric("territory"), Some(42.0));
-        assert_eq!(back.metric("ok"), Some(1.0));
-        assert_eq!(back.metric("missing"), None);
     }
 
     #[test]

@@ -166,11 +166,14 @@ impl Scenario for Revocable {
                 vec![
                     Axis::floats("fault-rate", [0.0, 0.05])
                         .range(Range::Probability)
-                        .help("per-send drop probability in [0,1] (duplicates at rate/2)"),
+                        .help("per-send drop probability in [0,1) (duplicates at rate/2)"),
                     Axis::ints("latency", [1, 3])
                         .quick_ints([1])
-                        .range(Range::at_least(1))
-                        .help("max link latency in ticks (1 = synchronous schedule)"),
+                        .range(Range::Ints(1, 64))
+                        .help(
+                            "max link latency in ticks (1 = synchronous schedule; capped at \
+                             64 to keep runs short)",
+                        ),
                 ],
                 |ctx| {
                     let rate = ctx.float("fault-rate")?;
@@ -614,21 +617,25 @@ mod tests {
 
     #[test]
     fn fault_knobs_outside_their_axis_ranges_are_rejected() {
-        let err = Revocable
-            .grid(&GridConfig {
-                quick: true,
-                params: vec![("fault-rate".into(), vec!["1.5".into()])],
-                ..GridConfig::default()
-            })
-            .unwrap_err();
-        assert!(matches!(err, LabError::BadArgs(_)), "{err:?}");
-        let err = Revocable
-            .grid(&GridConfig {
-                quick: true,
-                params: vec![("latency".into(), vec!["0".into()])],
-                ..GridConfig::default()
-            })
-            .unwrap_err();
-        assert!(matches!(err, LabError::BadArgs(_)), "{err:?}");
+        // A rate of 1 drops every send, so no trial could finish;
+        // latencies stop at 64, a chosen bound that keeps runs short.
+        for (key, value) in [
+            ("fault-rate", "1.5"),
+            ("fault-rate", "1"),
+            ("latency", "0"),
+            ("latency", "65"),
+        ] {
+            let err = Revocable
+                .grid(&GridConfig {
+                    quick: true,
+                    params: vec![(key.into(), vec![value.into()])],
+                    ..GridConfig::default()
+                })
+                .unwrap_err();
+            assert!(
+                matches!(err, LabError::BadArgs(_)),
+                "{key}={value}: {err:?}"
+            );
+        }
     }
 }

@@ -22,6 +22,9 @@ use ale_graph::{transition, Topology};
 use ale_markov::mixing;
 
 const GRAPH_SEED: u64 = 9;
+/// Candidates the paper regime plants, one every `n / 6` nodes: the
+/// smallest graph the scenario runs on.
+const PAPER_CANDIDATES: usize = 6;
 /// Above this size only the paper regime at `mult = 1` runs (the stress
 /// regime's many knee points would multiply an already-large CONGEST cost).
 const LARGE_N: usize = 2048;
@@ -70,7 +73,7 @@ impl Scenario for Walks {
                         GridPoint::new(format!("{topo}/paper/mult={mult}"))
                             .on(topo)
                             .knowing(Knowledge::Full)
-                            .with("candidates", 6.0),
+                            .with("candidates", PAPER_CANDIDATES as f64),
                     ))
                 },
             ),
@@ -106,6 +109,7 @@ impl Scenario for Walks {
                 },
             ],
         )
+        .range(Range::Nodes(PAPER_CANDIDATES))
         .help("walk arenas (expander + torus)")])
         .with_ladder("n", "topo", "4-regular expanders at each size", |ns| {
             ns.iter()
@@ -138,7 +142,9 @@ impl Scenario for Walks {
             None
         };
 
-        let candidates = view.knob("candidates").unwrap_or(6.0) as usize;
+        let candidates = view
+            .knob("candidates")
+            .map_or(PAPER_CANDIDATES, |c| c as usize);
         let (x, threshold, walk_len) = if let Some(mult) = view.knob("mult") {
             (
                 ((paper_x as f64 * mult).ceil() as u64).max(1),

@@ -1,23 +1,6 @@
 //! Scalar sample statistics shared by the fleet aggregator and the
 //! algorithm drivers ([`crate::runners`]).
 
-/// Mean of a float sample.
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.iter().sum::<f64>() / xs.len() as f64
-}
-
-/// Sample standard deviation (n−1 denominator; 0 for fewer than 2 points).
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
-}
-
 /// Median (averaging the middle pair for even sizes).
 pub fn median(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -95,11 +78,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn batch_stats() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(mean(&[1.0, 3.0]), 2.0);
-        assert_eq!(std_dev(&[5.0]), 0.0);
-        assert!((std_dev(&[1.0, 3.0]) - std::f64::consts::SQRT_2).abs() < 1e-12);
+    fn batch_median() {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
         assert_eq!(median(&[]), 0.0);
@@ -112,9 +91,12 @@ mod tests {
         for &x in &xs {
             w.push(x);
         }
+        // Two-pass batch mean and sample standard deviation (n−1).
+        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
+        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
         assert_eq!(w.count, 8);
-        assert!((w.mean - mean(&xs)).abs() < 1e-12);
-        assert!((w.std_dev() - std_dev(&xs)).abs() < 1e-12);
+        assert!((w.mean - mean).abs() < 1e-12);
+        assert!((w.std_dev() - var.sqrt()).abs() < 1e-12);
         assert_eq!(w.min, 2.0);
         assert_eq!(w.max, 9.0);
         assert!(w.ci95() > 0.0);

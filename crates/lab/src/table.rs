@@ -35,16 +35,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no data rows have been added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders GitHub-flavored markdown.
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();
@@ -109,8 +99,7 @@ mod tests {
         assert!(md.contains("| n | messages |"));
         assert!(md.contains("|---|---|"));
         assert!(md.contains("| 32 | 5678 |"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

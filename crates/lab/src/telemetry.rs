@@ -27,7 +27,7 @@ use ale_congest::{Metrics, RoundInfo, TraceSink};
 use ale_telemetry::{AttrValue, Event, EventKind, Sink};
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 
 /// Renders one telemetry event as a (single-line) JSON value.
@@ -138,9 +138,7 @@ impl Drop for JsonlSink {
 /// uninstalls (flushing) on drop, so the engine cannot leave the global
 /// sink dangling on an error path.
 #[derive(Debug)]
-pub struct TelemetryGuard {
-    path: PathBuf,
-}
+pub struct TelemetryGuard(());
 
 impl TelemetryGuard {
     /// Starts streaming events to `path`.
@@ -151,14 +149,7 @@ impl TelemetryGuard {
     pub fn install(path: &Path) -> Result<TelemetryGuard, LabError> {
         let sink = JsonlSink::create(path)?;
         ale_telemetry::install(Box::new(sink));
-        Ok(TelemetryGuard {
-            path: path.to_path_buf(),
-        })
-    }
-
-    /// The event file this guard streams to.
-    pub fn path(&self) -> &Path {
-        &self.path
+        Ok(TelemetryGuard(()))
     }
 }
 

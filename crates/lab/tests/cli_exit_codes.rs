@@ -158,13 +158,40 @@ fn out_of_range_values_and_repeated_points_exit_two_before_any_run() {
         (&["cautious", "--param", "x=0"], "takes x >= 1".into()),
         (&["thresholds", "--param", "k=1"], "takes k >= 2".into()),
         (&["walks", "--param", "x=0"], "takes x >= 1".into()),
+        // Graphs smaller than the 6 candidates walks plants, whether
+        // given directly or built by the size ladder.
+        (&["walks", "--n", "5"], "takes topo with >= 6 nodes".into()),
+        (
+            &["walks", "--topo", "complete:4"],
+            "takes topo with >= 6 nodes".into(),
+        ),
+        (
+            &["walks", "--topo", "cycle:5"],
+            "takes topo with >= 6 nodes".into(),
+        ),
+        // A node count past usize saturates instead of wrapping below
+        // the minimum, so the family's own bound is what refuses it.
+        (
+            &["walks", "--topo", "hypercube:64"],
+            "hypercube dim must be in 1..=24, got 64".into(),
+        ),
+        // A rate of 1 drops every send; latencies stop at 64, a chosen
+        // bound that keeps runs short.
         (
             &["revocable", "--param", "fault-rate=1.5"],
-            "takes fault-rate in [0, 1]".into(),
+            "takes fault-rate in [0, 1)".into(),
+        ),
+        (
+            &["revocable", "--param", "fault-rate=1"],
+            "takes fault-rate in [0, 1)".into(),
         ),
         (
             &["revocable", "--param", "latency=0"],
-            "takes latency >= 1".into(),
+            "takes latency in [1, 64]".into(),
+        ),
+        (
+            &["revocable", "--param", "latency=65"],
+            "takes latency in [1, 64]".into(),
         ),
         (
             &["ablation-cautious", "--param", "discipline=2"],
@@ -183,6 +210,27 @@ fn out_of_range_values_and_repeated_points_exit_two_before_any_run() {
         assert!(!dir.exists(), "{args:?} created its run directory");
     }
     assert!(!base.exists());
+}
+
+#[test]
+fn no_scenario_panics_on_a_tiny_graph() {
+    // Each scenario either runs or refuses the graph with a usage error;
+    // a panic (exit 101) is never an answer. No `--out`: nothing is
+    // written.
+    for scenario in ale_lab::registry::all() {
+        for size in [
+            ["--topo", "complete:2"],
+            ["--topo", "cycle:3"],
+            ["--topo", "cycle:5"],
+            ["--n", "3"],
+            ["--n", "5"],
+        ] {
+            let mut args = vec!["run", scenario.name(), "--quick", "--quiet", "--seeds", "1"];
+            args.extend(size);
+            let code = exit_code(&args);
+            assert!(code == 0 || code == 2, "{args:?} exited {code}");
+        }
+    }
 }
 
 #[test]

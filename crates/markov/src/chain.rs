@@ -13,7 +13,7 @@
 //! `i`, which makes its stationary distribution uniform — the fact Lemma 3
 //! rests on.
 //!
-//! A chain stores its matrix as a [`CsrMatrix`], so [`MarkovChain::step`]
+//! A chain stores its matrix as a [`CsrMatrix`], so [`MarkovChain::step_into`]
 //! costs `O(nnz)` — `O(m)` on an `m`-edge graph, which is what the large-n
 //! scenario sweeps depend on. The adjacency-list constructors here and the
 //! `Graph`-taking helpers in `ale-graph` build their rows through the
@@ -80,7 +80,9 @@ pub fn diffusion_row(
 /// let chain = MarkovChain::lazy_random_walk(&adj)?;
 /// assert_eq!(chain.len(), 3);
 /// assert!(chain.transition().is_doubly_stochastic());
-/// assert_eq!(chain.step(&[1.0, 0.0, 0.0])?, vec![0.5, 0.25, 0.25]);
+/// let mut mu = [0.0; 3];
+/// chain.step_into(&[1.0, 0.0, 0.0], &mut mu)?;
+/// assert_eq!(mu, [0.5, 0.25, 0.25]);
 /// # Ok::<(), ale_markov::MarkovError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -170,17 +172,8 @@ impl MarkovChain {
         &self.p
     }
 
-    /// Evolves a distribution one step: returns `µ·P` in `O(nnz)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::DimensionMismatch`] if `mu.len() != self.len()`.
-    pub fn step(&self, mu: &[f64]) -> Result<Vec<f64>, MarkovError> {
-        self.p.vec_mul(mu)
-    }
-
-    /// [`MarkovChain::step`] into a caller-provided buffer — the
-    /// allocation-free form long diffusion loops should use.
+    /// Evolves a distribution one step: writes `µ·P` into `out` in
+    /// `O(nnz)`, without allocating.
     ///
     /// # Errors
     ///
@@ -195,13 +188,6 @@ impl MarkovChain {
     pub fn is_irreducible(&self) -> bool {
         // Backward reachability = forward reachability in the transpose.
         !self.is_empty() && all_reachable(&self.p) && all_reachable(&self.p.transpose())
-    }
-
-    /// Checks aperiodicity via the sufficient condition used throughout the
-    /// paper: some state has a self-loop (`p_ii > 0`). Lazy walks and
-    /// diffusion matrices always satisfy it.
-    pub fn has_self_loop(&self) -> bool {
-        (0..self.len()).any(|i| self.p.get(i, i) > EPS)
     }
 
     /// Computes the stationary distribution by power iteration on `µ ↦ µP`.
@@ -359,11 +345,12 @@ mod tests {
         assert!(!MarkovChain::from_csr(p).unwrap().is_irreducible());
     }
 
+    /// Aperiodicity by the sufficient condition the paper uses: a lazy
+    /// walk keeps `p_ii = 1/2` at every state.
     #[test]
     fn self_loops_present_on_lazy_chains() {
-        assert!(MarkovChain::lazy_random_walk(&triangle())
-            .unwrap()
-            .has_self_loop());
+        let c = MarkovChain::lazy_random_walk(&triangle()).unwrap();
+        assert!((0..c.len()).all(|i| c.transition().get(i, i) == 0.5));
     }
 
     #[test]
@@ -397,12 +384,10 @@ mod tests {
     #[test]
     fn step_moves_mass() {
         let c = MarkovChain::lazy_random_walk(&path3()).unwrap();
-        let mu = c.step(&[1.0, 0.0, 0.0]).unwrap();
+        let mut mu = vec![0.0; 3];
+        c.step_into(&[1.0, 0.0, 0.0], &mut mu).unwrap();
         assert!((mu[0] - 0.5).abs() < 1e-12);
         assert!((mu[1] - 0.5).abs() < 1e-12);
         assert_eq!(mu[2], 0.0);
-        let mut out = vec![0.0; 3];
-        c.step_into(&[1.0, 0.0, 0.0], &mut out).unwrap();
-        assert_eq!(out, mu);
     }
 }

@@ -1,7 +1,7 @@
 //! # ale-markov — Markov-chain and linear-algebra substrate
 //!
-//! Finite Markov chains on CSR sparse matrices, mixing and hitting times,
-//! chain conductance, and the dense linear algebra of the exact oracles —
+//! Finite Markov chains on CSR sparse matrices, mixing times, chain
+//! conductance, and the dense linear algebra of the exact oracles —
 //! the mathematical substrate behind the graph properties (`ale-graph`) and
 //! protocol analyses (`ale-core`) of this workspace's reproduction of
 //! Kowalski & Mosteiro, *Time and Communication Complexity of Leader
@@ -13,15 +13,14 @@
 //! exact and iterative implementations of those quantities.
 //!
 //! Every [`MarkovChain`] stores its transition matrix as a [`CsrMatrix`]:
-//! chain steps, Gauss–Seidel hitting-time sweeps, conductance scans and
-//! Monte-Carlo walks cost `O(nnz)` — `O(m)` on an `m`-edge graph — which is
-//! what lets the scenario sweeps reach tens of thousands of nodes. The
-//! dense [`Matrix`] is the arithmetic of the algorithms whose work is a
-//! dense product: exact mixing ([`mixing::mixing_time_exact`] raises the
-//! chain to powers), Jacobi eigendecomposition ([`spectral::jacobi_eigen`])
-//! and the direct hitting-time solve ([`hitting::solve`]). The harness's
-//! `λ₂`, spectral gap and spectral `t_mix` bound live in
-//! `ale_graph::spectral_sparse`.
+//! chain steps and conductance scans cost `O(nnz)` — `O(m)` on an `m`-edge
+//! graph — which is what lets the scenario sweeps reach tens of thousands
+//! of nodes. The dense [`Matrix`] is the arithmetic of the two algorithms
+//! whose work is a dense product: exact mixing
+//! ([`mixing::mixing_time_exact`] raises the chain to powers) and Jacobi
+//! eigendecomposition ([`spectral::jacobi_eigen`], the test oracle for the
+//! sparse `λ₂`). The harness's `λ₂`, spectral gap and spectral `t_mix`
+//! bound live in `ale_graph::spectral_sparse`.
 //!
 //! ## Quickstart
 //!
@@ -50,10 +49,8 @@
 pub mod chain;
 pub mod conductance;
 pub mod error;
-pub mod hitting;
 pub mod matrix;
 pub mod mixing;
-pub mod simulate;
 pub mod spectral;
 
 pub use chain::MarkovChain;

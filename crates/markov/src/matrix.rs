@@ -6,9 +6,9 @@
 //!   lets the diffusion and random-walk scenarios sweep networks with tens
 //!   of thousands of nodes: a transition matrix built from a bounded-degree
 //!   graph has `nnz = Θ(n)`, so a step is linear in the network size.
-//! * [`Matrix`] — dense row-major storage, for the algorithms whose
-//!   arithmetic is a dense product: exact mixing times (matrix powers),
-//!   Jacobi eigendecomposition, and the direct hitting-time solve.
+//! * [`Matrix`] — dense row-major storage, for the two algorithms whose
+//!   arithmetic is a dense product: exact mixing times (matrix powers) and
+//!   Jacobi eigendecomposition.
 
 use crate::error::MarkovError;
 use std::ops::{Index, IndexMut};
@@ -215,7 +215,9 @@ impl IndexMut<(usize, usize)> for Matrix {
 ///     vec![vec![(0, 0.5), (1, 0.5)], vec![(0, 0.5), (1, 0.5)]],
 /// )?;
 /// assert_eq!(m.get(0, 1), 0.5);
-/// assert_eq!(m.vec_mul(&[1.0, 0.0])?, vec![0.5, 0.5]);
+/// let mut out = [0.0; 2];
+/// m.vec_mul_into(&[1.0, 0.0], &mut out)?;
+/// assert_eq!(out, [0.5, 0.5]);
 /// assert_eq!(m.to_dense()[(1, 0)], 0.5);
 /// # Ok::<(), ale_markov::MarkovError>(())
 /// ```
@@ -372,18 +374,7 @@ impl CsrMatrix {
     }
 
     /// Row-vector-matrix product `v * self` (distribution evolution) in
-    /// `O(nnz)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::DimensionMismatch`] when `v.len() != self.rows()`.
-    pub fn vec_mul(&self, v: &[f64]) -> Result<Vec<f64>, MarkovError> {
-        let mut out = vec![0.0; self.cols];
-        self.vec_mul_into(v, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`CsrMatrix::vec_mul`] into a caller-provided buffer (no allocation).
+    /// `O(nnz)`, into a caller-provided buffer (no allocation).
     ///
     /// # Errors
     ///
@@ -634,7 +625,7 @@ mod tests {
     fn csr_products_reject_bad_lengths() {
         let s = sample_csr();
         let v = [0.2, 0.3, 0.5];
-        assert!(s.vec_mul(&[1.0]).is_err());
+        assert!(s.vec_mul_into(&[1.0], &mut [0.0; 3]).is_err());
         let mut out = vec![0.0; 2];
         assert!(s.mul_vec_into(&v, &mut out).is_err());
         assert!(s.vec_mul_into(&v, &mut out).is_err());

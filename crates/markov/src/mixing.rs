@@ -314,18 +314,6 @@ pub fn mixing_time_multi_start(
     Ok(worst)
 }
 
-/// Checks the Montenegro–Tetali band `1/Φ ≤ t_mix ≤ c/Φ²` the paper cites
-/// (\[24\]); returns the pair of violated-side flags `(below, above)` so tests
-/// can assert both directions with an explicit slack constant.
-///
-/// The lower inequality is asymptotic; `slack_lo`/`slack_hi` absorb the
-/// constants (the paper's statement hides them too).
-pub fn mixing_band_check(tmix: f64, phi: f64, slack_lo: f64, slack_hi: f64) -> (bool, bool) {
-    let below_ok = tmix * slack_lo >= 1.0 / phi;
-    let above_ok = tmix <= slack_hi / (phi * phi);
-    (below_ok, above_ok)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,18 +474,5 @@ mod tests {
             mixing_time_multi_start(&cyc, &[99], 100),
             Err(MarkovError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn band_check_flags() {
-        // t = 1/phi exactly: lower side tight, upper holds.
-        let (lo, hi) = mixing_band_check(10.0, 0.1, 1.0, 1.0);
-        assert!(lo && hi);
-        // Implausibly fast mixing violates the lower bound.
-        let (lo, _) = mixing_band_check(1.0, 0.01, 1.0, 1.0);
-        assert!(!lo);
-        // Implausibly slow mixing violates the upper bound.
-        let (_, hi) = mixing_band_check(1e6, 0.1, 1.0, 1.0);
-        assert!(!hi);
     }
 }

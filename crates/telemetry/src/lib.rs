@@ -307,11 +307,6 @@ impl Span {
         }
     }
 
-    /// This span's id, if live (for cross-thread parent linking).
-    pub fn id(&self) -> Option<u64> {
-        self.0.as_ref().map(|i| i.id)
-    }
-
     /// Ends the span now, emitting its event.
     pub fn end(self) {
         drop(self);
@@ -423,11 +418,6 @@ impl Histogram {
         let idx = (64 - v.leading_zeros()) as usize;
         self.buckets[idx] += 1;
         self.count += 1;
-    }
-
-    /// Total number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
     }
 
     /// Non-empty buckets as `(upper_bound, count)` pairs, in increasing
@@ -642,7 +632,7 @@ mod tests {
         let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         assert!(!enabled());
         let span = Span::begin("ghost");
-        assert!(span.id().is_none());
+        assert!(span.0.is_none());
         drop(span);
         emit_counter("ghost", 1, Vec::new());
         // Nothing to observe directly — the point is no panic and no sink.
@@ -652,10 +642,10 @@ mod tests {
     fn span_nesting_records_parent() {
         let events = with_memory_sink(|| {
             let outer = Span::begin("outer");
-            let outer_id = outer.id().unwrap();
+            let outer_id = outer.0.as_ref().unwrap().id;
             {
                 let inner = Span::begin("inner").attr("k", 3u64);
-                assert!(inner.id().unwrap() > outer_id);
+                assert!(inner.0.as_ref().unwrap().id > outer_id);
             }
             drop(outer);
         });
@@ -704,7 +694,7 @@ mod tests {
         h.record(2);
         h.record(3);
         h.record(1024);
-        assert_eq!(h.count(), 5);
+        assert_eq!(h.count, 5);
         // 0 → bucket 0 (bound 0); 1 → bucket 1 (bound 1);
         // 2,3 → bucket 2 (bound 3); 1024 → bucket 11 (bound 2047).
         assert_eq!(h.buckets(), vec![(0, 1), (1, 1), (3, 2), (2047, 1)]);
@@ -745,7 +735,7 @@ mod tests {
             SHARED.record(v);
             owned.record(v);
         }
-        assert_eq!(SHARED.count(), owned.count());
+        assert_eq!(SHARED.count(), owned.count);
         assert_eq!(SHARED.buckets(), owned.buckets());
         assert_eq!(SHARED.name(), "shared");
     }
