@@ -221,6 +221,9 @@ impl IrrevocableProcess {
     }
 
     fn walk_round(&mut self, first: bool, rng: &mut StdRng, out: &mut OutCtx<'_, IrrMsg>) {
+        if !first && self.tokens == 0 {
+            return;
+        }
         let degree = self.params.degree;
         let mut moving: Vec<u64> = vec![0; degree];
         if first {

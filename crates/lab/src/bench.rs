@@ -16,8 +16,9 @@
 //! * `BENCH_simulator.json` — CONGEST round throughput: dense gossip on
 //!   the lockstep arena, the reference oracle and the event-queue
 //!   policy (the same messages on all three), the revocable protocol's
-//!   own 40-byte message on arena vs event queue, plus the
-//!   mostly-halted beacon tail on arena vs reference;
+//!   own 40-byte message on arena vs event queue, one `table1` trial
+//!   each of Gilbert et al.'s baseline and this work's protocol on a
+//!   cycle, plus the mostly-halted beacon tail on arena vs reference;
 //! * `BENCH_diffusion.json` — `Avg` diffusion steps, dense matrix vs
 //!   sparse CSR backend on tori, plus the sparse `λ₂` power iteration
 //!   that prices bind on `diffusion --n` ladders (`lambda2/sparse/…`).
@@ -31,6 +32,7 @@
 //! boxes.
 
 use crate::json::Value;
+use crate::runners::{Algorithm, GraphContext};
 use crate::scenario::LabError;
 use crate::scenarios::revocable::{ladder_params, LADDER_MAX_K};
 use ale_congest::{
@@ -228,6 +230,24 @@ fn simulator_cases(quick: bool, budget: Duration) -> Result<Vec<Case>, LabError>
         iters,
         wall_ms_per_iter: ms,
     });
+
+    // One `table1` trial of each walk-based protocol on the knowledge its
+    // grid binds (graph seed 1; on cycle:64 the exact t_mix 582 and
+    // Φ = 1/32): Gilbert et al.'s token walk and kill retrace, and this
+    // work's cautious broadcast, walk and convergecast.
+    let n = if quick { 32 } else { 64 };
+    let ctx = GraphContext::build(Topology::Cycle { n }, 1)?;
+    for alg in [Algorithm::Gilbert, Algorithm::ThisWork] {
+        let (iters, ms) = time_case(budget, || {
+            let outcome = ctx.run(alg, 1).expect("table1 trial");
+            std::hint::black_box(outcome.metrics.messages);
+        });
+        cases.push(Case {
+            id: format!("table1-trial/{alg}/cycle:{n}"),
+            iters,
+            wall_ms_per_iter: ms,
+        });
+    }
 
     let (n, keep, rounds) = if quick {
         (2_000usize, 100u64, 200u64)

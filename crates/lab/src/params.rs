@@ -22,8 +22,9 @@
 //! declared axes, and expands the blocks in declaration order — axis
 //! order is the loop nesting order, first axis outermost. An unknown key,
 //! an unparseable value, a value outside its axis's [`Range`] (whatever
-//! list it came from) or a grid whose point labels repeat is
-//! [`LabError::BadArgs`], i.e. exit code 2, before anything is bound.
+//! list it came from), a topology with more than [`MAX_NODES`] nodes, or
+//! a grid whose point labels repeat is [`LabError::BadArgs`], i.e. exit
+//! code 2, before anything is bound.
 //! The expansion also reports the **resolved space** (the value lists
 //! actually used), which run manifests record so `merge` can verify that
 //! shards describe one sweep.
@@ -58,6 +59,13 @@ use std::fmt;
 
 /// The pseudo-axis key every space accepts (see the module docs).
 const GRAPH_SEED: &str = "graph-seed";
+
+/// The most nodes a topology value may have: 2²⁴, the size of the
+/// largest hypercube the family admits. [`ParamSpace::expand`] checks the
+/// node count alone, so an oversized value is refused without building
+/// anything. Dense families are not bounded by edges: `complete:100000`
+/// passes with 5·10⁹ edges.
+pub const MAX_NODES: usize = 1 << 24;
 
 /// One typed axis value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -947,9 +955,21 @@ impl Expander<'_> {
     }
 
     /// The axis's values under the resolution order of the module docs,
-    /// each checked against the axis's [`Range`].
+    /// each checked against the axis's [`Range`] and, for topologies,
+    /// against [`MAX_NODES`].
     fn resolve(&self, axis: &Axis) -> Result<Vec<AxisValue>, LabError> {
         let values = self.resolve_unchecked(axis);
+        for v in &values {
+            if let AxisValue::Topo(t) = v {
+                if t.node_count() > MAX_NODES {
+                    return Err(LabError::BadArgs(format!(
+                        "axis '{}': {t} has more than {MAX_NODES} (2^24) nodes, \
+                         the most any topology may have",
+                        axis.name
+                    )));
+                }
+            }
+        }
         if let Some(range) = axis.range {
             if let Some(v) = values.iter().find(|v| !range.contains(**v)) {
                 return Err(LabError::BadArgs(format!(
@@ -1217,6 +1237,38 @@ mod tests {
             match space().expand(&config) {
                 Err(LabError::BadArgs(msg)) => {
                     assert!(msg.contains("takes topo with >= 6 nodes"), "{msg}")
+                }
+                other => panic!("expected BadArgs, got {:?}", other.map(|e| e.points.len())),
+            }
+        }
+    }
+
+    #[test]
+    fn topologies_past_the_node_cap_are_refused_from_params_and_ladders() {
+        let space = || {
+            simple_space().with_ladder("n", "topo", "cycles at each size", |ns| {
+                ns.iter().map(|&n| Topology::Cycle { n }).collect()
+            })
+        };
+        let at_cap = GridConfig {
+            topologies: vec![Topology::Cycle { n: MAX_NODES }],
+            ..cfg()
+        };
+        assert!(space().expand(&at_cap).is_ok());
+        // `--topo` values are covered end to end by `cli_exit_codes.rs`.
+        for config in [
+            GridConfig {
+                params: vec![("topo".into(), vec!["cycle:16777217".into()])],
+                ..cfg()
+            },
+            GridConfig {
+                ns: vec![64, MAX_NODES + 1],
+                ..cfg()
+            },
+        ] {
+            match space().expand(&config) {
+                Err(LabError::BadArgs(msg)) => {
+                    assert!(msg.contains("more than 16777216 (2^24) nodes"), "{msg}")
                 }
                 other => panic!("expected BadArgs, got {:?}", other.map(|e| e.points.len())),
             }

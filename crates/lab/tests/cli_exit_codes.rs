@@ -169,11 +169,21 @@ fn out_of_range_values_and_repeated_points_exit_two_before_any_run() {
             &["walks", "--topo", "cycle:5"],
             "takes topo with >= 6 nodes".into(),
         ),
-        // A node count past usize saturates instead of wrapping below
-        // the minimum, so the family's own bound is what refuses it.
+        // Topologies past 2^24 nodes, refused from the node count alone
+        // before any graph is built. A count past usize saturates instead
+        // of wrapping below the minimum, so hypercube:64 meets the same
+        // cap (the family's own `dim <= 24` sets the same limit).
+        (
+            &["walks", "--topo", "grid:100000x100000"],
+            "more than 16777216 (2^24) nodes".into(),
+        ),
+        (
+            &["table1", "--topo", "cycle:16777217"],
+            "more than 16777216 (2^24) nodes".into(),
+        ),
         (
             &["walks", "--topo", "hypercube:64"],
-            "hypercube dim must be in 1..=24, got 64".into(),
+            "more than 16777216 (2^24) nodes".into(),
         ),
         // A rate of 1 drops every send; latencies stop at 64, a chosen
         // bound that keeps runs short.
