@@ -97,16 +97,29 @@ struct Golden {
     failed_ticks: u64,
 }
 
-/// Runs `graph` under `config` until every node halts or crashes. Node
-/// `tripper` (if any) sends on an invalid port once, at tick 3; the failed
-/// tick is retried by stepping again.
+/// Runs `graph` under `config` with ten ticks of gossip. Node `tripper`
+/// (if any) sends on an invalid port once, at tick 3.
 fn run_case(graph: &Graph, seed: u64, config: ExecConfig, tripper: Option<usize>) -> Golden {
+    run_gossip(graph, seed, config, 10, tripper.map(|v| (v, 3)))
+}
+
+/// Runs `graph` under `config` until every node halts or crashes, each
+/// node gossiping for `rounds` ticks. `tripper = Some((v, t))` makes node
+/// `v` send on an invalid port once, at tick `t`; the failed tick is
+/// retried by stepping again.
+fn run_gossip(
+    graph: &Graph,
+    seed: u64,
+    config: ExecConfig,
+    rounds: u64,
+    tripper: Option<(usize, u64)>,
+) -> Golden {
     let mut v = 0usize;
     let mut net = AsyncNetwork::from_fn_with(graph, seed, 16, config, |_deg, rng| {
         let p = Gossip {
             acc: rng.gen(),
-            rounds_left: 10,
-            trip_round: (tripper == Some(v)).then_some(3),
+            rounds_left: rounds,
+            trip_round: tripper.and_then(|(t, at)| (t == v).then_some(at)),
         };
         v += 1;
         p
@@ -114,7 +127,7 @@ fn run_case(graph: &Graph, seed: u64, config: ExecConfig, tripper: Option<usize>
     .expect("valid config");
     net.enable_trace();
     let mut failed_ticks = 0;
-    while !net.all_halted() && net.round() < 80 {
+    while !net.all_halted() && net.round() < 8 * rounds {
         match net.step() {
             Ok(()) => {}
             Err(CongestError::InvalidPort { .. }) => failed_ticks += 1,
@@ -235,6 +248,87 @@ fn failed_tick_keeps_its_fate_draws_and_retries_its_arrivals() {
             outputs: 0xE9E8_FE2F_D87A_3FB0,
             rounds: 10,
             in_flight: 55,
+            failed_ticks: 1,
+        }
+    );
+}
+
+#[test]
+fn uniform_latency_up_to_the_cap_with_drop_and_duplicate() {
+    // A hundred ticks of sends over latencies 1–64 wrap the largest
+    // delivery ring and keep every one of its arrival ticks occupied.
+    let g = generators::random_regular(32, 4, 11).unwrap();
+    let config = ExecConfig {
+        latency: LatencyDist::Uniform { min: 1, max: 64 },
+        faults: FaultSpec {
+            drop: 0.1,
+            duplicate: 0.1,
+            ..FaultSpec::default()
+        },
+    };
+    let got = run_gossip(&g, 17, config, 100, None);
+    assert_eq!(
+        got,
+        Golden {
+            metrics: Metrics {
+                rounds: 100,
+                congest_rounds: 300,
+                messages: 8391,
+                bits: 158746,
+                budget_bits: 16,
+                oversize_messages: 4609,
+                max_message_bits: 40,
+                multi_send_violations: 431,
+                delivered: 8211,
+                dropped: 874,
+                duplicated: 694,
+            },
+            trace: 0x0C5F_EB05_5DA7_7895,
+            outputs: 0xD064_782D_A350_DC77,
+            rounds: 100,
+            in_flight: 2639,
+            failed_ticks: 0,
+        }
+    );
+}
+
+#[test]
+fn long_geometric_tail_with_every_fault_and_a_failed_tick() {
+    // At p = 0.05 about 4 % of latency draws hit the 64-tick cap. The
+    // tripper fails tick 70, after the ring has wrapped, while crashes
+    // land throughout the first 80 ticks.
+    let g = generators::gnp_connected(24, 0.25, 13).unwrap();
+    let config = ExecConfig {
+        latency: LatencyDist::Geometric { p: 0.05 },
+        faults: FaultSpec {
+            drop: 0.15,
+            duplicate: 0.1,
+            crash: 0.2,
+            crash_window: 80,
+        },
+    };
+    let got = run_gossip(&g, 23, config, 100, Some((5, 70)));
+    assert_eq!(got.failed_ticks, 1, "the tripper fails exactly one tick");
+    assert_eq!(
+        got,
+        Golden {
+            metrics: Metrics {
+                rounds: 100,
+                congest_rounds: 296,
+                messages: 6948,
+                bits: 131529,
+                budget_bits: 16,
+                oversize_messages: 3851,
+                max_message_bits: 40,
+                multi_send_violations: 257,
+                delivered: 6503,
+                dropped: 1053,
+                duplicated: 608,
+            },
+            trace: 0xA7FB_5B65_4E02_2984,
+            outputs: 0x8660_B09D_BE7B_5775,
+            rounds: 100,
+            in_flight: 1031,
             failed_ticks: 1,
         }
     );
