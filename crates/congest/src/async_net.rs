@@ -1,41 +1,58 @@
 //! The event-queue delivery policy and its adversary model.
 //!
 //! [`AsyncNetwork`] is the engine [`Driver`] under the [`Events`] policy:
-//! instead of lockstep delivery, it keeps a deterministic priority queue of
+//! instead of lockstep delivery, it keeps a deterministic queue of
 //! **message-delivery events** on a virtual-time axis. Nodes stay
 //! tick-synchronous — every active node executes once per virtual tick —
 //! but *links* are asynchronous: a message sent at tick `t` arrives at the
-//! start of tick `t + L`, where `L ≥ 1` is drawn per message from the
-//! declared [`LatencyDist`]. An adversary ([`FaultSpec`]) may additionally
-//! crash nodes at a scheduled tick, drop messages at send time, or inject
-//! duplicate copies. Validation, multi-send detection and metering are the
-//! driver's single send path, shared with
+//! start of tick `t + L`, where `1 ≤ L ≤ MAX_LATENCY` is drawn per message
+//! from the declared [`LatencyDist`]. An adversary ([`FaultSpec`]) may
+//! additionally crash nodes at a scheduled tick, drop messages at send
+//! time, or inject duplicate copies. Validation, multi-send detection and
+//! metering are the driver's single send path, shared with
 //! [`Network`](crate::network::Network).
+//!
+//! ## The delivery ring
+//!
+//! Latency is bounded by the configuration's largest draw `L_max ≤`
+//! [`MAX_LATENCY`], so the queue is a timing wheel (Varghese & Lauck,
+//! SOSP '87): a ring of `L_max` FIFO slots, where slot `t % L_max` holds
+//! the deliveries arriving at tick `t`. At tick `t` the ring holds arrival
+//! ticks `t + 1 ..= t + L_max − 1` and receives sends for
+//! `t + 1 ..= t + L_max`; the slot of `t + L_max` is the one tick `t − 1`'s
+//! commit just emptied. So a slot only ever holds one arrival tick, and a
+//! send costs one append and one later drain: no comparisons, no
+//! per-message sequence number.
 //!
 //! ## Event-queue invariants
 //!
-//! * Events are ordered by `(time, seq)` where `seq` is a global send
-//!   counter — for any fixed arrival tick, delivery order equals global
-//!   send order (sender id ascending, then send order within the sender).
-//!   At **unit latency with zero faults** this reproduces the lockstep
-//!   policy's inbox order exactly, which is what makes
-//!   [`Network`](crate::network::Network) the equivalence oracle for this
-//!   one: outputs, [`Metrics`](crate::metrics::Metrics), and traces are
-//!   byte-identical (pinned by `crates/congest/tests/async_equivalence.rs`).
+//! * Delivery order within an arrival tick is global send order (sender id
+//!   ascending, then send order within the sender): a slot fills in send
+//!   order and drains front to back. At **unit latency with zero faults**
+//!   this reproduces the lockstep policy's inbox order exactly, which is
+//!   what makes [`Network`](crate::network::Network) the equivalence
+//!   oracle for this one: outputs, [`Metrics`](crate::metrics::Metrics),
+//!   and traces are byte-identical (pinned by
+//!   `crates/congest/tests/async_equivalence.rs`).
 //! * Virtual time only moves forward: a tick runs every active node,
-//!   queues the newly staged events (all strictly in the future), releases
-//!   the events scheduled for the next tick into the driver's inbox arena,
-//!   and advances.
+//!   appends each send to the slot of its arrival tick (strictly in the
+//!   future), drains the slot due next tick into the driver's inbox
+//!   arena, and advances.
 //! * **Fault atomicity**: a message's fate — dropped, delivered once, or
 //!   duplicated — is decided entirely at send time from the adversary's
 //!   own SplitMix64 streams. By construction the counters always
 //!   reconcile: `delivered == messages − dropped + duplicated`.
 //! * **Failed ticks deliver nothing**: an invalid port drops the whole
-//!   tick exactly like a failed lockstep round — nothing is queued or
-//!   metered, virtual time does not advance, and the tick's arrivals are
-//!   retained for inspection/retry; multi-send violations recorded before
-//!   the failure stick, and so do the adversary draws and `seq` values the
-//!   tick consumed.
+//!   tick exactly like a failed lockstep round — every slot is truncated
+//!   back to its length at the start of the tick, nothing is metered,
+//!   virtual time does not advance, and the tick's arrivals are retained
+//!   for inspection/retry; multi-send violations recorded before the
+//!   failure stick, and so do the adversary draws the tick consumed.
+//! * **Memory tracks the load**: a drained slot whose capacity exceeds
+//!   twice the mean slot load (counted before the drain, floor 64) gets a
+//!   fresh buffer of that mean's size, so the ring's total capacity stays
+//!   within a small factor of the messages in flight instead of keeping
+//!   every slot at one tick's peak.
 //!
 //! ## Determinism
 //!
@@ -47,10 +64,6 @@
 //! send draws, in order: drop, then duplicate, then the copy's latency,
 //! then the original's latency. The node RNGs are the same `node_rngs`
 //! streams every engine uses.
-
-use std::cmp::Ordering;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use crate::error::CongestError;
 use crate::message::Payload;
@@ -67,6 +80,11 @@ const FATE_STREAM: u64 = 0xFA7E_5EED_0000_0001;
 const LATENCY_STREAM: u64 = 0x1A7E_5EED_0000_0002;
 const CRASH_STREAM: u64 = 0xC4A5_8EED_0000_0003;
 
+/// The largest link latency, in ticks, any [`LatencyDist`] draws:
+/// [`ExecConfig::validate`] refuses a uniform `max` above it, and the
+/// geometric tail is cut there. It bounds the delivery ring's length.
+pub const MAX_LATENCY: u64 = 64;
+
 /// Per-edge message latency, in virtual ticks. Every distribution has
 /// support on `L ≥ 1`: a message sent at tick `t` is never visible before
 /// tick `t + 1` (the synchronous lower bound).
@@ -77,19 +95,33 @@ pub enum LatencyDist {
     /// stream untouched.
     #[default]
     Unit,
-    /// Uniform over `{min, …, max}` ticks (inclusive; `1 ≤ min ≤ max`).
+    /// Uniform over `{min, …, max}` ticks (inclusive;
+    /// `1 ≤ min ≤ max ≤ MAX_LATENCY`).
     Uniform {
         /// Smallest latency, ≥ 1.
         min: u64,
-        /// Largest latency, ≥ `min`.
+        /// Largest latency, ≥ `min` and ≤ [`MAX_LATENCY`].
         max: u64,
     },
     /// `1 +` a geometric number of failures with success probability `p`
-    /// (`0 < p ≤ 1`), capped at 64 ticks — a long-tailed link.
+    /// (`0 < p ≤ 1`), capped at [`MAX_LATENCY`] ticks — a long-tailed
+    /// link.
     Geometric {
         /// Per-tick arrival probability.
         p: f64,
     },
+}
+
+impl LatencyDist {
+    /// The largest latency this distribution can draw: the delivery
+    /// ring's length.
+    fn max(self) -> u64 {
+        match self {
+            LatencyDist::Unit => 1,
+            LatencyDist::Uniform { max, .. } => max,
+            LatencyDist::Geometric { .. } => MAX_LATENCY,
+        }
+    }
 }
 
 /// The adversary: per-message drop/duplication probabilities and a
@@ -139,8 +171,9 @@ impl ExecConfig {
     ///
     /// [`CongestError::BadExecConfig`] naming the violated constraint:
     /// probabilities outside `[0, 1]` (or non-finite), a uniform latency
-    /// range with `min < 1` or `max < min`, a geometric `p` outside
-    /// `(0, 1]`, or a crash probability without a positive window.
+    /// range with `min < 1`, `max < min` or `max >` [`MAX_LATENCY`], a
+    /// geometric `p` outside `(0, 1]`, or a crash probability without a
+    /// positive window.
     pub fn validate(&self) -> Result<(), CongestError> {
         let bad = |reason: String| Err(CongestError::BadExecConfig { reason });
         for (name, p) in [
@@ -160,6 +193,11 @@ impl ExecConfig {
                 }
                 if max < min {
                     return bad(format!("uniform latency max {max} < min {min}"));
+                }
+                if max > MAX_LATENCY {
+                    return bad(format!(
+                        "uniform latency max {max} > MAX_LATENCY ({MAX_LATENCY})"
+                    ));
                 }
             }
             LatencyDist::Geometric { p } => {
@@ -210,51 +248,35 @@ fn unit_f64(x: u64) -> f64 {
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// One scheduled delivery. Ordering compares `(time, seq)` only — the
-/// payload does not participate, so `Msg` needs no `Ord`.
+/// One scheduled delivery; the ring slot it sits in is its arrival tick.
 #[derive(Debug)]
 struct Event<M> {
-    time: u64,
-    seq: u64,
     target: u32,
     port: u32,
     msg: M,
-}
-
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
 }
 
 /// Tick sentinel for "never crashes".
 const NEVER: u64 = u64::MAX;
 
 /// The event-queue delivery policy (see the [module docs](self) for the
-/// event-queue invariants and the determinism contract): the adversary's
-/// streams and crash schedule, and the `(time, seq)` heap of scheduled
-/// deliveries.
+/// delivery ring, the event-queue invariants and the determinism
+/// contract): the adversary's streams and crash schedule, and the ring of
+/// scheduled deliveries.
 #[derive(Debug)]
 pub struct Events<M> {
     config: ExecConfig,
-    /// The delivery queue: min-heap on `(time, seq)`.
-    heap: BinaryHeap<Reverse<Event<M>>>,
-    /// Global send counter — the event tiebreak within one arrival tick.
-    seq: u64,
-    /// Events staged during the current tick, queued only if the tick
-    /// commits (failed ticks queue nothing).
-    staging: Vec<Event<M>>,
+    /// The delivery ring: slot `t % ring.len()` holds the deliveries
+    /// arriving at tick `t`, in send order. Its length is the config's
+    /// largest latency.
+    ring: Vec<Vec<Event<M>>>,
+    /// The current tick's slot, `round % ring.len()`.
+    now: usize,
+    /// Every slot's length at the start of the current tick: a failed
+    /// tick truncates back to them.
+    marks: Vec<usize>,
+    /// Deliveries in the ring.
+    queued: usize,
     /// Scheduled crash tick per node ([`NEVER`] = none).
     crash_at: Vec<u64>,
     /// Adversary streams: message fate (drop/duplicate) and latency.
@@ -282,29 +304,24 @@ impl<M: Payload> Events<M> {
                 }
             })
             .collect();
+        let slots = config.latency.max() as usize;
         Ok(Events {
             config,
-            heap: BinaryHeap::new(),
-            seq: 0,
-            staging: Vec::new(),
+            ring: (0..slots).map(|_| Vec::new()).collect(),
+            now: 0,
+            marks: Vec::with_capacity(slots),
+            queued: 0,
             crash_at,
             fate: SplitMix::new(splitmix64(seed ^ splitmix64(FATE_STREAM))),
             latency: SplitMix::new(splitmix64(seed ^ splitmix64(LATENCY_STREAM))),
         })
     }
 
-    /// Decides the fate of a send made at tick `now` (already validated
-    /// and metered by the driver) and stages its deliveries. A dropped
-    /// message consumes exactly one fate draw and nothing else.
+    /// Decides the fate of a send made this tick (already validated and
+    /// metered by the driver) and queues its deliveries. A dropped message
+    /// consumes exactly one fate draw and nothing else.
     #[inline]
-    pub(crate) fn stage(
-        &mut self,
-        now: u64,
-        target: usize,
-        port: usize,
-        msg: M,
-        stats: &mut RoundStats,
-    ) {
+    pub(crate) fn stage(&mut self, target: usize, port: usize, msg: M, stats: &mut RoundStats) {
         let faults = self.config.faults;
         if faults.drop > 0.0 && self.fate.chance(faults.drop) {
             stats.dropped += 1;
@@ -312,22 +329,25 @@ impl<M: Payload> Events<M> {
         }
         if faults.duplicate > 0.0 && self.fate.chance(faults.duplicate) {
             stats.duplicated += 1;
-            self.schedule(now, target, port, msg.clone());
+            self.schedule(target, port, msg.clone());
         }
-        self.schedule(now, target, port, msg);
+        self.schedule(target, port, msg);
     }
 
-    /// Draws one latency and stages the delivery under the next `seq`.
-    fn schedule(&mut self, now: u64, target: usize, port: usize, msg: M) {
-        let time = now + draw_latency(&mut self.latency, self.config.latency);
-        self.staging.push(Event {
-            time,
-            seq: self.seq,
+    /// Draws one latency and appends the delivery to its arrival tick's
+    /// slot.
+    fn schedule(&mut self, target: usize, port: usize, msg: M) {
+        // `now < len` and `1 ≤ latency ≤ len`, so one subtraction wraps.
+        let mut slot = self.now + draw_latency(&mut self.latency, self.config.latency) as usize;
+        if slot >= self.ring.len() {
+            slot -= self.ring.len();
+        }
+        self.ring[slot].push(Event {
             target: target as u32,
             port: port as u32,
             msg,
         });
-        self.seq += 1;
+        self.queued += 1;
     }
 }
 
@@ -338,7 +358,7 @@ fn draw_latency(latency: &mut SplitMix, dist: LatencyDist) -> u64 {
         LatencyDist::Uniform { min, max } => min + latency.next_u64() % (max - min + 1),
         LatencyDist::Geometric { p } => {
             let mut l = 1;
-            while l < 64 && latency.next_unit() >= p {
+            while l < MAX_LATENCY && latency.next_unit() >= p {
                 l += 1;
             }
             l
@@ -347,12 +367,16 @@ fn draw_latency(latency: &mut SplitMix, dist: LatencyDist) -> u64 {
 }
 
 impl<M: Payload> Policy<M> for Events<M> {
-    /// Crashes scheduled for this tick fire before anyone computes.
+    /// Crashes scheduled for this tick fire before anyone computes; the
+    /// slot lengths are recorded for [`Policy::abort`].
     fn begin(&mut self, round: u64, active: &mut Vec<u32>) {
         if self.config.faults.crash > 0.0 {
             let crash_at = &self.crash_at;
             active.retain(|&v| crash_at[v as usize] > round);
         }
+        self.now = (round % self.ring.len() as u64) as usize;
+        self.marks.clear();
+        self.marks.extend(self.ring.iter().map(Vec::len));
     }
 
     #[inline]
@@ -361,26 +385,33 @@ impl<M: Payload> Policy<M> for Events<M> {
     }
 
     fn abort(&mut self) {
-        self.staging.clear();
+        for (slot, &len) in self.ring.iter_mut().zip(&self.marks) {
+            self.queued -= slot.len() - len;
+            slot.truncate(len);
+        }
     }
 
-    fn commit(&mut self, round: u64, arena: &mut StagingArena<M>) {
-        for ev in self.staging.drain(..) {
-            self.heap.push(Reverse(ev));
-        }
-        let next = round + 1;
-        while let Some(Reverse(ev)) = self.heap.peek() {
-            debug_assert!(ev.time >= next, "event from the past");
-            if ev.time > next {
-                break;
-            }
-            let Reverse(ev) = self.heap.pop().expect("peeked");
+    fn commit(&mut self, arena: &mut StagingArena<M>) {
+        let len = self.ring.len();
+        // The mean slot load before the drain: counted after it, a unit
+        // ring (one slot, drained every tick) would shrink and regrow
+        // every tick.
+        let keep = (self.queued / len).max(64);
+        let slot = &mut self.ring[(self.now + 1) % len];
+        self.queued -= slot.len();
+        for ev in slot.drain(..) {
             arena.push(ev.target as usize, ev.port as usize, ev.msg);
+        }
+        // A fresh buffer, not an in-place `shrink_to`: shrinking in place
+        // strands small live blocks inside the large freed ones, which
+        // under geometric latency raised peak RSS by a fifth.
+        if slot.capacity() > 2 * keep {
+            *slot = Vec::with_capacity(keep);
         }
     }
 
     fn buffer_cap(&self, _arena_cap: usize) -> usize {
-        self.heap.capacity()
+        self.ring.iter().map(Vec::capacity).sum()
     }
 }
 
@@ -462,7 +493,7 @@ impl<'g, P: Process> AsyncNetwork<'g, P> {
     /// queue plus the arrivals waiting in the inbox arena (for the next
     /// tick, or for the retry of a failed one).
     pub fn in_flight(&self) -> usize {
-        self.policy.heap.len() + self.in_arena.len()
+        self.policy.queued + self.in_arena.len()
     }
 }
 
@@ -654,6 +685,49 @@ mod tests {
             );
         }
         assert!(ExecConfig::default().validate().is_ok());
+    }
+
+    #[test]
+    fn uniform_latency_is_capped_at_max_latency() {
+        let uniform = |max| ExecConfig {
+            latency: LatencyDist::Uniform { min: 1, max },
+            ..ExecConfig::default()
+        };
+        assert!(uniform(MAX_LATENCY).validate().is_ok());
+        let err = uniform(MAX_LATENCY + 1).validate().unwrap_err();
+        assert!(matches!(err, CongestError::BadExecConfig { .. }));
+        assert!(err.to_string().contains("MAX_LATENCY (64)"), "{err}");
+    }
+
+    #[test]
+    fn ring_capacity_tracks_the_messages_in_flight() {
+        // Without the shrink rule every slot keeps one tick's peak
+        // capacity: 60x the peak in-flight count under geometric latency.
+        let g = generators::grid2d(32, 32, true).unwrap();
+        for latency in [
+            LatencyDist::Uniform { min: 1, max: 64 },
+            LatencyDist::Geometric { p: 0.5 },
+        ] {
+            let config = ExecConfig {
+                latency,
+                ..ExecConfig::default()
+            };
+            let mut net = AsyncNetwork::from_fn_with(&g, 1, 64, config, |_, _| Pulse {
+                left: 300,
+                heard: 0,
+            })
+            .expect("valid config");
+            let (mut peak_cap, mut peak_in_flight) = (0, 0);
+            for _ in 0..300 {
+                net.step().unwrap();
+                peak_cap = peak_cap.max(net.policy.buffer_cap(0));
+                peak_in_flight = peak_in_flight.max(net.in_flight());
+            }
+            assert!(
+                peak_cap <= 3 * peak_in_flight,
+                "{latency:?}: ring capacity {peak_cap} for {peak_in_flight} in flight"
+            );
+        }
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub mod reference;
 pub mod testkit;
 pub mod trace;
 
-pub use async_net::{AsyncNetwork, ExecConfig, FaultSpec, LatencyDist};
+pub use async_net::{AsyncNetwork, ExecConfig, FaultSpec, LatencyDist, MAX_LATENCY};
 pub use error::CongestError;
 pub use message::{congest_budget, Payload};
 pub use metrics::{Metrics, RoundInfo, RoundTrace};

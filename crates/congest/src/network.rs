@@ -9,8 +9,9 @@
 //!   every node may send one message through each port; all messages are
 //!   delivered before the next round; links and nodes do not fail.
 //!   [`Network`] is the driver under this policy.
-//! * [`Events`](crate::async_net::Events) — a `(time, seq)` event queue
-//!   with per-message link latencies and a crash/drop/duplicate adversary;
+//! * [`Events`](crate::async_net::Events) — a bounded ring of per-tick
+//!   delivery slots, with per-message link latencies and a
+//!   crash/drop/duplicate adversary;
 //!   [`AsyncNetwork`](crate::async_net::AsyncNetwork) is the driver under
 //!   this policy (see the [`async_net`](crate::async_net) module docs).
 //!
@@ -165,10 +166,10 @@ pub(crate) mod sealed {
         /// The round failed: forgets everything it staged.
         fn abort(&mut self) {}
 
-        /// The round committed: moves every message due in `round + 1`
-        /// into `arena`, in delivery order.
-        fn commit(&mut self, round: u64, arena: &mut StagingArena<M>) {
-            let _ = (round, arena);
+        /// The round committed: moves every message due next round into
+        /// `arena`, in delivery order.
+        fn commit(&mut self, arena: &mut StagingArena<M>) {
+            let _ = arena;
         }
 
         /// The delivery-buffer capacity reported to trace sinks, given the
@@ -508,7 +509,6 @@ impl<'g, P: Process, D: Delivery<P::Msg>> Driver<'g, P, D> {
                     degree,
                     sink: Sink::Engine(EngineSink {
                         node: v,
-                        round: *round,
                         graph,
                         marks: &mut port_marks[..degree],
                         mark: *mark,
@@ -553,7 +553,7 @@ impl<'g, P: Process, D: Delivery<P::Msg>> Driver<'g, P, D> {
         // staging arena; group them by target with a stable counting sort.
         // First retire this round's inbox ranges (their arena is about to
         // be recycled), then lay out next round's buckets.
-        self.policy.commit(self.round, &mut self.staged);
+        self.policy.commit(&mut self.staged);
         for &t in &self.prev_touched {
             self.in_start[t as usize] = 0;
             self.in_end[t as usize] = 0;

@@ -117,8 +117,6 @@ pub(crate) struct RoundStats {
 pub(crate) struct EngineSink<'a, M> {
     /// Host-side sender id — used only for error diagnostics.
     pub(crate) node: usize,
-    /// The current round (virtual tick under the event policy).
-    pub(crate) round: u64,
     pub(crate) graph: &'a Graph,
     /// Port-use marks for multi-send detection (`marks[p] == mark` ⇔ port
     /// `p` already used by this node this round); epoch-stamped so it is
@@ -225,7 +223,7 @@ impl<'a, M: Payload> OutCtx<'a, M> {
                 match &mut e.staging {
                     Staging::Lockstep(arena) => arena.push(target, arrival, msg),
                     Staging::Events(events) => {
-                        events.stage(e.round, target, arrival, msg, e.stats);
+                        events.stage(target, arrival, msg, e.stats);
                     }
                 }
             }

@@ -7,27 +7,32 @@
 //! estimate the per-iteration cost, then measure
 //! `clamp(budget / cost, 3, 100)` iterations.
 //!
-//! Output is three JSON files in the chosen directory (default: the
-//! current directory, i.e. the repo root in CI):
+//! Output is up to three JSON files in the chosen directory (default:
+//! the current directory, i.e. the repo root in CI), one per [`Suite`]
+//! (`--suite` picks a subset; all three by default):
 //!
 //! * `BENCH_memory.json` — resident-set growth (bytes/node) of the
 //!   large-n revocable engine on ladder tori, sampled from
 //!   `/proc/self/status` around graph and engine construction;
 //! * `BENCH_simulator.json` — CONGEST round throughput: dense gossip on
 //!   the lockstep arena, the reference oracle and the event-queue
-//!   policy (the same messages on all three), the revocable protocol's
-//!   own 40-byte message on arena vs event queue, one `table1` trial
-//!   each of Gilbert et al.'s baseline and this work's protocol on a
-//!   cycle, plus the mostly-halted beacon tail on arena vs reference;
+//!   policy (the same sends on all three), the event queue again under
+//!   uniform 1–4 latency and under geometric latency with drops and
+//!   duplicates, the revocable protocol's own 40-byte message on arena
+//!   vs event queue, one `table1` trial each of Gilbert et al.'s
+//!   baseline and this work's protocol on a cycle, plus the
+//!   mostly-halted beacon tail on arena vs reference;
 //! * `BENCH_diffusion.json` — `Avg` diffusion steps, dense matrix vs
 //!   sparse CSR backend on tori, plus the sparse `λ₂` power iteration
 //!   that prices bind on `diffusion --n` ladders (`lambda2/sparse/…`).
 //!
 //! Timing schema: `{"suite", "git", "quick", "cases": [{"id", "iters",
-//! "wall_ms_per_iter"}]}`; the memory suite's cases carry `{"id", "n",
-//! "graph_kb", "engine_kb", "bytes_per_node"}` instead. The `git` stamp
-//! is the exact short sha of `HEAD`, `-dirty`-suffixed when the work
-//! tree has uncommitted changes. Numbers are wall-clock/RSS on whatever
+//! "wall_ms_per_iter"}]}`; engine cases add `"messages"` (metered sends
+//! per iteration) and `"ns_per_msg"`, the unit that compares cases
+//! sending different counts. The memory suite's cases carry `{"id",
+//! "n", "graph_kb", "engine_kb", "bytes_per_node"}` instead. The `git`
+//! stamp is the exact short sha of `HEAD`, `-dirty`-suffixed when the
+//! work tree has uncommitted changes. Numbers are wall-clock/RSS on whatever
 //! machine ran them — compare across commits on one box, not across
 //! boxes.
 
@@ -36,14 +41,55 @@ use crate::runners::{Algorithm, GraphContext};
 use crate::scenario::LabError;
 use crate::scenarios::revocable::{ladder_params, LADDER_MAX_K};
 use ale_congest::{
-    congest_budget, AsyncNetwork, Incoming, Network, NodeCtx, OutCtx, Process, ReferenceNetwork,
+    congest_budget, AsyncNetwork, ExecConfig, FaultSpec, Incoming, LatencyDist, Network, NodeCtx,
+    OutCtx, Process, ReferenceNetwork,
 };
 use ale_core::revocable::RevocableProcess;
 use ale_graph::spectral_sparse::{self, POWER_ITERS, POWER_TOL};
 use ale_graph::{transition, Topology};
 use std::fmt::Write as _;
 use std::path::Path;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
+
+/// One ledger file `bench` writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Suite {
+    /// `BENCH_memory.json`.
+    Memory,
+    /// `BENCH_simulator.json`.
+    Simulator,
+    /// `BENCH_diffusion.json`.
+    Diffusion,
+}
+
+impl Suite {
+    /// Every suite, in run order.
+    pub const ALL: [Suite; 3] = [Suite::Memory, Suite::Simulator, Suite::Diffusion];
+
+    fn name(self) -> &'static str {
+        match self {
+            Suite::Memory => "memory",
+            Suite::Simulator => "simulator",
+            Suite::Diffusion => "diffusion",
+        }
+    }
+}
+
+impl FromStr for Suite {
+    type Err = LabError;
+
+    fn from_str(s: &str) -> Result<Self, LabError> {
+        Suite::ALL
+            .into_iter()
+            .find(|suite| suite.name() == s)
+            .ok_or_else(|| {
+                LabError::BadArgs(format!(
+                    "unknown bench suite '{s}' (memory, simulator or diffusion)"
+                ))
+            })
+    }
+}
 
 /// One measured case.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,6 +100,42 @@ pub struct Case {
     pub iters: u64,
     /// Mean wall-clock per iteration, in milliseconds.
     pub wall_ms_per_iter: f64,
+    /// Messages one iteration sends (engine cases only).
+    pub messages: Option<u64>,
+}
+
+impl Case {
+    /// Times a kernel case: `f` is one iteration.
+    fn kernel(id: String, budget: Duration, f: impl FnMut()) -> Self {
+        let (iters, wall_ms_per_iter) = time_case(budget, f);
+        Case {
+            id,
+            iters,
+            wall_ms_per_iter,
+            messages: None,
+        }
+    }
+
+    /// Times an engine case: `f` is one iteration and returns the
+    /// messages it sent, which every iteration repeats.
+    fn engine(id: String, budget: Duration, mut f: impl FnMut() -> u64) -> Self {
+        let mut messages = 0;
+        let (iters, wall_ms_per_iter) = time_case(budget, || {
+            messages = std::hint::black_box(f());
+        });
+        Case {
+            id,
+            iters,
+            wall_ms_per_iter,
+            messages: Some(messages),
+        }
+    }
+
+    /// Wall-clock per sent message, for engine cases.
+    fn ns_per_msg(&self) -> Option<f64> {
+        self.messages
+            .map(|m| self.wall_ms_per_iter * 1e6 / m.max(1) as f64)
+    }
 }
 
 /// Warm up, estimate, then time `f` under `budget`.
@@ -83,14 +165,19 @@ fn suite_json(suite: &str, quick: bool, cases: &[Case]) -> Value {
                 cases
                     .iter()
                     .map(|c| {
-                        Value::obj(vec![
+                        let mut fields = vec![
                             ("id".to_string(), Value::Str(c.id.clone())),
                             ("iters".to_string(), Value::UInt(c.iters)),
                             (
                                 "wall_ms_per_iter".to_string(),
                                 Value::Num(c.wall_ms_per_iter),
                             ),
-                        ])
+                        ];
+                        if let (Some(m), Some(ns)) = (c.messages, c.ns_per_msg()) {
+                            fields.push(("messages".to_string(), Value::UInt(m)));
+                            fields.push(("ns_per_msg".to_string(), Value::Num(ns)));
+                        }
+                        Value::obj(fields)
                     })
                     .collect(),
             ),
@@ -160,39 +247,61 @@ fn simulator_cases(quick: bool, budget: Duration) -> Result<Vec<Case>, LabError>
 
     let n = if quick { 256 } else { 1024 };
     let graph = Topology::RandomRegular { n, d: 4 }.build(1)?;
-    let (iters, ms) = time_case(budget, || {
-        let mut net = Network::from_fn(&graph, 1, 64, |_d, _r| Gossip(1));
-        net.run_for(100).expect("gossip run");
-        std::hint::black_box(net.metrics().messages);
-    });
-    cases.push(Case {
-        id: format!("dense-gossip-100-rounds/arena/{n}"),
-        iters,
-        wall_ms_per_iter: ms,
-    });
-    let (iters, ms) = time_case(budget, || {
-        let mut net = ReferenceNetwork::from_fn(&graph, 1, 64, |_d, _r| Gossip(1));
-        net.run_for(100).expect("gossip run");
-        std::hint::black_box(net.metrics().messages);
-    });
-    cases.push(Case {
-        id: format!("dense-gossip-100-rounds/reference/{n}"),
-        iters,
-        wall_ms_per_iter: ms,
-    });
-    // Unit latency, no faults: the event queue delivers exactly the
-    // arena's messages, so the two cases' ratio is the per-message cost
-    // of the `(time, seq)` heap.
-    let (iters, ms) = time_case(budget, || {
-        let mut net = AsyncNetwork::from_fn(&graph, 1, 64, |_d, _r| Gossip(1));
-        net.run_for(100).expect("gossip run");
-        std::hint::black_box(net.metrics().messages);
-    });
-    cases.push(Case {
-        id: format!("dense-gossip-100-rounds/events/{n}"),
-        iters,
-        wall_ms_per_iter: ms,
-    });
+    cases.push(Case::engine(
+        format!("dense-gossip-100-rounds/arena/{n}"),
+        budget,
+        || {
+            let mut net = Network::from_fn(&graph, 1, 64, |_d, _r| Gossip(1));
+            net.run_for(100).expect("gossip run");
+            net.metrics().messages
+        },
+    ));
+    cases.push(Case::engine(
+        format!("dense-gossip-100-rounds/reference/{n}"),
+        budget,
+        || {
+            let mut net = ReferenceNetwork::from_fn(&graph, 1, 64, |_d, _r| Gossip(1));
+            net.run_for(100).expect("gossip run");
+            net.metrics().messages
+        },
+    ));
+    // The same sends on the event queue. At unit latency without faults
+    // it delivers exactly the arena's messages, so that pair's ratio is
+    // the queue's per-message cost (one append to a ring slot and one
+    // drain); the latency cases add the adversary's draws, and
+    // geometric latency its loop of up to 64 of them per message.
+    for (engine, config) in [
+        ("events", ExecConfig::default()),
+        (
+            "events-uniform4",
+            ExecConfig {
+                latency: LatencyDist::Uniform { min: 1, max: 4 },
+                ..ExecConfig::default()
+            },
+        ),
+        (
+            "events-geometric-faults",
+            ExecConfig {
+                latency: LatencyDist::Geometric { p: 0.5 },
+                faults: FaultSpec {
+                    drop: 0.05,
+                    duplicate: 0.05,
+                    ..FaultSpec::default()
+                },
+            },
+        ),
+    ] {
+        cases.push(Case::engine(
+            format!("dense-gossip-100-rounds/{engine}/{n}"),
+            budget,
+            || {
+                let mut net = AsyncNetwork::from_fn_with(&graph, 1, 64, config, |_d, _r| Gossip(1))
+                    .expect("valid config");
+                net.run_for(100).expect("gossip run");
+                net.metrics().messages
+            },
+        ));
+    }
 
     // The revocable protocol itself on the memory suite's ladder
     // configuration: every node broadcasts a `RevMsg` every round, so
@@ -210,26 +319,24 @@ fn simulator_cases(quick: bool, budget: Duration) -> Result<Vec<Case>, LabError>
     let node = |deg: usize, _rng: &mut rand::rngs::StdRng| {
         RevocableProcess::with_horizon(params, deg, Some(LADDER_MAX_K))
     };
-    let (iters, ms) = time_case(budget, || {
-        let mut net = Network::from_fn(&graph, 1, bits, node);
-        net.run_for(64).expect("revocable run");
-        std::hint::black_box(net.metrics().messages);
-    });
-    cases.push(Case {
-        id: "revocable-64-rounds/arena/torus:64x64".to_string(),
-        iters,
-        wall_ms_per_iter: ms,
-    });
-    let (iters, ms) = time_case(budget, || {
-        let mut net = AsyncNetwork::from_fn(&graph, 1, bits, node);
-        net.run_for(64).expect("revocable run");
-        std::hint::black_box(net.metrics().messages);
-    });
-    cases.push(Case {
-        id: "revocable-64-rounds/events/torus:64x64".to_string(),
-        iters,
-        wall_ms_per_iter: ms,
-    });
+    cases.push(Case::engine(
+        "revocable-64-rounds/arena/torus:64x64".to_string(),
+        budget,
+        || {
+            let mut net = Network::from_fn(&graph, 1, bits, node);
+            net.run_for(64).expect("revocable run");
+            net.metrics().messages
+        },
+    ));
+    cases.push(Case::engine(
+        "revocable-64-rounds/events/torus:64x64".to_string(),
+        budget,
+        || {
+            let mut net = AsyncNetwork::from_fn(&graph, 1, bits, node);
+            net.run_for(64).expect("revocable run");
+            net.metrics().messages
+        },
+    ));
 
     // One `table1` trial of each walk-based protocol on the knowledge its
     // grid binds (graph seed 1; on cycle:64 the exact t_mix 582 and
@@ -238,15 +345,11 @@ fn simulator_cases(quick: bool, budget: Duration) -> Result<Vec<Case>, LabError>
     let n = if quick { 32 } else { 64 };
     let ctx = GraphContext::build(Topology::Cycle { n }, 1)?;
     for alg in [Algorithm::Gilbert, Algorithm::ThisWork] {
-        let (iters, ms) = time_case(budget, || {
-            let outcome = ctx.run(alg, 1).expect("table1 trial");
-            std::hint::black_box(outcome.metrics.messages);
-        });
-        cases.push(Case {
-            id: format!("table1-trial/{alg}/cycle:{n}"),
-            iters,
-            wall_ms_per_iter: ms,
-        });
+        cases.push(Case::engine(
+            format!("table1-trial/{alg}/cycle:{n}"),
+            budget,
+            || ctx.run(alg, 1).expect("table1 trial").metrics.messages,
+        ));
     }
 
     let (n, keep, rounds) = if quick {
@@ -263,26 +366,24 @@ fn simulator_cases(quick: bool, budget: Duration) -> Result<Vec<Case>, LabError>
             done: false,
         }
     };
-    let (iters, ms) = time_case(budget, || {
-        let mut net = Network::from_fn(&graph, 3, 64, make);
-        net.run_for(rounds).expect("beacon run");
-        std::hint::black_box(net.metrics().messages);
-    });
-    cases.push(Case {
-        id: format!("mostly-halted-{rounds}-rounds/arena/{n}"),
-        iters,
-        wall_ms_per_iter: ms,
-    });
-    let (iters, ms) = time_case(budget, || {
-        let mut net = ReferenceNetwork::from_fn(&graph, 3, 64, make);
-        net.run_for(rounds).expect("beacon run");
-        std::hint::black_box(net.metrics().messages);
-    });
-    cases.push(Case {
-        id: format!("mostly-halted-{rounds}-rounds/reference/{n}"),
-        iters,
-        wall_ms_per_iter: ms,
-    });
+    cases.push(Case::engine(
+        format!("mostly-halted-{rounds}-rounds/arena/{n}"),
+        budget,
+        || {
+            let mut net = Network::from_fn(&graph, 3, 64, make);
+            net.run_for(rounds).expect("beacon run");
+            net.metrics().messages
+        },
+    ));
+    cases.push(Case::engine(
+        format!("mostly-halted-{rounds}-rounds/reference/{n}"),
+        budget,
+        || {
+            let mut net = ReferenceNetwork::from_fn(&graph, 3, 64, make);
+            net.run_for(rounds).expect("beacon run");
+            net.metrics().messages
+        },
+    ));
     Ok(cases)
 }
 
@@ -415,14 +516,11 @@ fn diffusion_cases(quick: bool, budget: Duration) -> Result<Vec<Case>, LabError>
         let dense = transition::diffusion_csr(&graph, ALPHA)?.to_dense();
         let pot = potential(n);
         let mut out = vec![0.0; n];
-        let (iters, ms) = time_case(budget, || {
-            dense.vec_mul_into(&pot, &mut out).expect("dense step");
-        });
-        cases.push(Case {
-            id: format!("step/dense/torus:{side}x{side}"),
-            iters,
-            wall_ms_per_iter: ms,
-        });
+        cases.push(Case::kernel(
+            format!("step/dense/torus:{side}x{side}"),
+            budget,
+            || dense.vec_mul_into(&pot, &mut out).expect("dense step"),
+        ));
     }
 
     let sparse_sides: &[usize] = if quick { &[8, 32] } else { &[8, 32, 100, 200] };
@@ -432,40 +530,53 @@ fn diffusion_cases(quick: bool, budget: Duration) -> Result<Vec<Case>, LabError>
         let chain = transition::diffusion_chain(&graph, ALPHA)?;
         let pot = potential(n);
         let mut out = vec![0.0; n];
-        let (iters, ms) = time_case(budget, || {
-            chain.step_into(&pot, &mut out).expect("sparse step");
-        });
-        cases.push(Case {
-            id: format!("step/sparse/torus:{side}x{side}"),
-            iters,
-            wall_ms_per_iter: ms,
-        });
+        cases.push(Case::kernel(
+            format!("step/sparse/torus:{side}x{side}"),
+            budget,
+            || chain.step_into(&pot, &mut out).expect("sparse step"),
+        ));
     }
 
     // One whole `λ₂` iteration under the harness budget, on the 4-regular
     // graph `diffusion --n` binds (graph seed 0).
     let n = if quick { 1000 } else { 5000 };
     let graph = Topology::RandomRegular { n, d: 4 }.build(0)?;
-    let (iters, ms) = time_case(budget, || {
-        spectral_sparse::lambda2_lazy(&graph, POWER_TOL, POWER_ITERS).expect("λ₂ converges");
-    });
-    cases.push(Case {
-        id: format!("lambda2/sparse/rregular:{n}"),
-        iters,
-        wall_ms_per_iter: ms,
-    });
+    cases.push(Case::kernel(
+        format!("lambda2/sparse/rregular:{n}"),
+        budget,
+        || {
+            spectral_sparse::lambda2_lazy(&graph, POWER_TOL, POWER_ITERS).expect("λ₂ converges");
+        },
+    ));
     Ok(cases)
 }
 
-/// Runs all three suites and writes `BENCH_memory.json` /
-/// `BENCH_simulator.json` / `BENCH_diffusion.json` into `out_dir`;
-/// returns the report text.
+/// Appends a timing suite's report lines to `report` and returns its
+/// ledger JSON.
+fn timing_json(report: &mut String, suite: Suite, quick: bool, cases: &[Case]) -> Value {
+    for c in cases {
+        let _ = write!(
+            report,
+            "  {:<52} {:>10.3} ms/iter  ({} iters)",
+            c.id, c.wall_ms_per_iter, c.iters
+        );
+        if let Some(ns) = c.ns_per_msg() {
+            let _ = write!(report, "  {ns:>8.1} ns/msg");
+        }
+        report.push('\n');
+    }
+    suite_json(suite.name(), quick, cases)
+}
+
+/// Runs the chosen suites, each once and in [`Suite::ALL`] order whatever
+/// order they are listed in, and writes their `BENCH_<suite>.json` into
+/// `out_dir`; returns the report text.
 ///
 /// # Errors
 ///
 /// [`LabError::Graph`]/[`LabError::BadArgs`] on graph/chain construction
 /// failures, [`LabError::Io`] when an output file cannot be written.
-pub fn run(quick: bool, out_dir: &Path) -> Result<String, LabError> {
+pub fn run(quick: bool, out_dir: &Path, suites: &[Suite]) -> Result<String, LabError> {
     let budget = if quick {
         Duration::from_millis(300)
     } else {
@@ -477,35 +588,30 @@ pub fn run(quick: bool, out_dir: &Path) -> Result<String, LabError> {
 
     // The memory suite runs first: its RSS deltas are only meaningful on
     // a heap the timing suites have not yet grown and fragmented.
-    let mem = memory_cases(quick)?;
-    let path = out_dir.join("BENCH_memory.json");
-    std::fs::write(&path, memory_suite_json(quick, &mem).render_pretty() + "\n")
-        .map_err(|e| LabError::Io(format!("write {}: {e}", path.display())))?;
-    let _ = writeln!(report, "suite memory -> {}", path.display());
-    for c in &mem {
-        let _ = writeln!(
-            report,
-            "  {:<44} {:>10.1} bytes/node  (graph {} KiB, engine {} KiB)",
-            c.id, c.bytes_per_node, c.graph_kb, c.engine_kb
-        );
-    }
-
-    for (suite, cases) in [
-        ("simulator", simulator_cases(quick, budget)?),
-        ("diffusion", diffusion_cases(quick, budget)?),
-    ] {
-        let path = out_dir.join(format!("BENCH_{suite}.json"));
-        let json = suite_json(suite, quick, &cases);
+    for suite in Suite::ALL.into_iter().filter(|s| suites.contains(s)) {
+        let path = out_dir.join(format!("BENCH_{}.json", suite.name()));
+        let _ = writeln!(report, "suite {} -> {}", suite.name(), path.display());
+        let json = match suite {
+            Suite::Memory => {
+                let mem = memory_cases(quick)?;
+                for c in &mem {
+                    let _ = writeln!(
+                        report,
+                        "  {:<52} {:>10.1} bytes/node  (graph {} KiB, engine {} KiB)",
+                        c.id, c.bytes_per_node, c.graph_kb, c.engine_kb
+                    );
+                }
+                memory_suite_json(quick, &mem)
+            }
+            Suite::Simulator => {
+                timing_json(&mut report, suite, quick, &simulator_cases(quick, budget)?)
+            }
+            Suite::Diffusion => {
+                timing_json(&mut report, suite, quick, &diffusion_cases(quick, budget)?)
+            }
+        };
         std::fs::write(&path, json.render_pretty() + "\n")
             .map_err(|e| LabError::Io(format!("write {}: {e}", path.display())))?;
-        let _ = writeln!(report, "suite {suite} -> {}", path.display());
-        for c in &cases {
-            let _ = writeln!(
-                report,
-                "  {:<44} {:>10.3} ms/iter  ({} iters)",
-                c.id, c.wall_ms_per_iter, c.iters
-            );
-        }
     }
     Ok(report)
 }
@@ -564,11 +670,20 @@ mod tests {
 
     #[test]
     fn suite_json_has_the_pinned_schema() {
-        let cases = [Case {
-            id: "a/b/8".to_string(),
-            iters: 5,
-            wall_ms_per_iter: 1.25,
-        }];
+        let cases = [
+            Case {
+                id: "a/b/8".to_string(),
+                iters: 5,
+                wall_ms_per_iter: 1.25,
+                messages: None,
+            },
+            Case {
+                id: "a/events/8".to_string(),
+                iters: 3,
+                wall_ms_per_iter: 2.0,
+                messages: Some(4000),
+            },
+        ];
         let v = suite_json("simulator", true, &cases);
         assert_eq!(v.get("suite").and_then(Value::as_str), Some("simulator"));
         assert_eq!(v.get("quick").and_then(Value::as_bool), Some(true));
@@ -582,5 +697,20 @@ mod tests {
             cs[0].get("wall_ms_per_iter").and_then(Value::as_f64),
             Some(1.25)
         );
+        // Kernel cases carry no message count; engine cases carry it and
+        // the wall-clock per message.
+        assert!(cs[0].get("messages").is_none());
+        assert_eq!(cs[1].get("messages").and_then(Value::as_u64), Some(4000));
+        assert_eq!(cs[1].get("ns_per_msg").and_then(Value::as_f64), Some(500.0));
+    }
+
+    #[test]
+    fn suites_parse_by_name_and_nothing_else() {
+        for suite in Suite::ALL {
+            assert_eq!(suite.name().parse::<Suite>().unwrap(), suite);
+        }
+        for bad in ["", "Memory", "sim", "memory,simulator"] {
+            assert!(matches!(bad.parse::<Suite>(), Err(LabError::BadArgs(_))));
+        }
     }
 }

@@ -15,7 +15,7 @@
 //! ale-lab check <summary.csv|run-dir> --baseline <summary.csv|run-dir>
 //!               [--tolerance 0.25] [--metrics rounds,messages]
 //! ale-lab report <telemetry.jsonl>
-//! ale-lab bench [--quick] [--out DIR]
+//! ale-lab bench [--quick] [--suite memory,simulator,diffusion] [--out DIR]
 //! ```
 
 use crate::check::{check_files, CheckOptions};
@@ -65,13 +65,17 @@ USAGE:
                                        `run --telemetry` event stream (top
                                        spans, per-point throughput,
                                        histograms)
-    ale-lab bench [--quick] [--out DIR]
+    ale-lab bench [--quick] [--suite S,...] [--out DIR]
                                        in-process microbenchmarks; writes
                                        BENCH_memory.json (bytes/node of
                                        the large-n revocable engine),
                                        BENCH_simulator.json and
                                        BENCH_diffusion.json (default: the
-                                       current directory)
+                                       current directory); --suite runs
+                                       only the named ones of memory,
+                                       simulator and diffusion and leaves
+                                       the other files alone (default:
+                                       all three)
     ale-lab serve <run-dir>... [--addr host:port] [--workers N]
                                        serve mounted run directories
                                        read-only over HTTP (default
@@ -148,6 +152,7 @@ EXAMPLES:
     ale-lab report /tmp/t.jsonl
     ale-lab describe revocable --json
     ale-lab bench --quick
+    ale-lab bench --suite simulator
     ale-lab serve runs/table1 runs/shard0 --addr 127.0.0.1:7878
 ";
 
@@ -488,10 +493,19 @@ fn cmd_report(args: &[String]) -> Result<String, LabError> {
 fn cmd_bench(args: &[String]) -> Result<String, LabError> {
     let mut quick = false;
     let mut out = PathBuf::from(".");
+    let mut suites = crate::bench::Suite::ALL.to_vec();
     let mut it = args.iter().cloned();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => quick = true,
+            "--suite" => {
+                suites = it
+                    .next()
+                    .ok_or_else(|| LabError::BadArgs("--suite needs a suite list".into()))?
+                    .split(',')
+                    .map(str::parse)
+                    .collect::<Result<_, _>>()?;
+            }
             "--out" => {
                 out = PathBuf::from(
                     it.next()
@@ -501,7 +515,7 @@ fn cmd_bench(args: &[String]) -> Result<String, LabError> {
             other => return Err(LabError::BadArgs(format!("unknown bench option '{other}'"))),
         }
     }
-    crate::bench::run(quick, &out)
+    crate::bench::run(quick, &out, &suites)
 }
 
 fn cmd_serve(args: &[String]) -> Result<String, LabError> {

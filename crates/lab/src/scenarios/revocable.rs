@@ -21,7 +21,7 @@ use crate::fit::power_fit;
 use crate::params::{Axis, Block, ParamSpace, Range, When};
 use crate::scenario::{GridPoint, Knowledge, LabError, Scenario, TrialFn, TrialRecord};
 use crate::table::Table;
-use ale_congest::{ExecConfig, FaultSpec, LatencyDist};
+use ale_congest::{ExecConfig, FaultSpec, LatencyDist, MAX_LATENCY};
 use ale_core::revocable::{run_revocable, run_revocable_async, RevocableParams};
 use ale_graph::Topology;
 
@@ -169,10 +169,10 @@ impl Scenario for Revocable {
                         .help("per-send drop probability in [0,1) (duplicates at rate/2)"),
                     Axis::ints("latency", [1, 3])
                         .quick_ints([1])
-                        .range(Range::Ints(1, 64))
+                        .range(Range::Ints(1, MAX_LATENCY))
                         .help(
                             "max link latency in ticks (1 = synchronous schedule; capped at \
-                             64 to keep runs short)",
+                             64, the async engine's largest latency)",
                         ),
                 ],
                 |ctx| {
@@ -618,7 +618,7 @@ mod tests {
     #[test]
     fn fault_knobs_outside_their_axis_ranges_are_rejected() {
         // A rate of 1 drops every send, so no trial could finish;
-        // latencies stop at 64, a chosen bound that keeps runs short.
+        // latencies stop at the async engine's cap, MAX_LATENCY = 64.
         for (key, value) in [
             ("fault-rate", "1.5"),
             ("fault-rate", "1"),

@@ -331,6 +331,22 @@ fn a_store_whose_manifest_lacks_a_v2_key_exits_two() {
 }
 
 #[test]
+fn bench_suite_usage_errors_exit_two_before_any_case_runs() {
+    // An unknown suite, or one misspelt inside a list, is refused before
+    // any ledger runs or the output directory is made.
+    let dir = std::env::temp_dir().join(format!("ale-lab-exit-bench-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let d = dir.to_string_lossy().to_string();
+    for suites in ["gpu", "simulator,Diffusion", ""] {
+        let out = ale_lab(&["bench", "--quick", "--suite", suites, "--out", &d]);
+        assert_eq!(out.status.code(), Some(2), "--suite {suites:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown bench suite"));
+    }
+    assert_eq!(exit_code(&["bench", "--suite"]), 2);
+    assert!(!dir.exists(), "a refused bench wrote {d}");
+}
+
+#[test]
 fn serve_usage_errors_exit_two() {
     // No run directory, a directory that does not exist, and a
     // directory without a store are all usage errors, reported before
