@@ -207,6 +207,48 @@ impl Topology {
         }
     }
 
+    /// Most edges the built graph can have, saturating at `usize::MAX`
+    /// where the count overflows: exact for the deterministic families,
+    /// `n·d/2` for random regular graphs, and every pair for `G(n, p)`,
+    /// whose builder draws each one.
+    pub fn max_edges(self) -> usize {
+        let pairs = |n: usize| {
+            let (a, b) = (n, n.saturating_sub(1));
+            // Halve the even factor first, so nothing overflows early.
+            if a % 2 == 0 {
+                (a / 2).saturating_mul(b)
+            } else {
+                a.saturating_mul(b / 2)
+            }
+        };
+        match self {
+            Topology::Cycle { n } => n,
+            Topology::Path { n } | Topology::Star { n } | Topology::BinaryTree { n } => {
+                n.saturating_sub(1)
+            }
+            Topology::Complete { n } | Topology::Gnp { n, .. } => pairs(n),
+            Topology::Grid2d {
+                rows,
+                cols,
+                torus: true,
+            } => rows.saturating_mul(cols).saturating_mul(2),
+            Topology::Grid2d { rows, cols, .. } => rows
+                .saturating_mul(cols.saturating_sub(1))
+                .saturating_add(cols.saturating_mul(rows.saturating_sub(1))),
+            // Degree d on 2^d nodes; degree 3 on d·2^d nodes. Both counts
+            // are even, and a saturated one stays saturated when halved
+            // and multiplied.
+            Topology::Hypercube { dim } => (self.node_count() / 2).saturating_mul(dim),
+            Topology::Ccc { .. } => (self.node_count() / 2).saturating_mul(3),
+            Topology::RandomRegular { n, d } => n.checked_mul(d).map_or(usize::MAX, |nd| nd / 2),
+            Topology::Barbell { k } => pairs(k).saturating_mul(2).saturating_add(1),
+            Topology::Lollipop { k, tail } => pairs(k).saturating_add(tail),
+            Topology::RingOfCliques { cliques, k } => {
+                pairs(k).saturating_add(1).saturating_mul(cliques)
+            }
+        }
+    }
+
     /// A short machine-friendly family name (for CSV columns).
     pub fn family(&self) -> &'static str {
         match self {
@@ -904,10 +946,67 @@ mod tests {
             },
         ] {
             assert_eq!(t.node_count(), usize::MAX, "{t}");
+            assert_eq!(t.max_edges(), usize::MAX, "{t}");
             assert!(
                 matches!(t.build(0), Err(GraphError::InvalidParameters { .. })),
                 "{t}"
             );
         }
+        for t in [
+            Topology::Complete { n: usize::MAX },
+            Topology::Gnp {
+                n: usize::MAX,
+                ppm: 1,
+            },
+            Topology::RandomRegular { n: big, d: big },
+            Topology::RingOfCliques { cliques: 3, k: big },
+        ] {
+            assert_eq!(t.max_edges(), usize::MAX, "{t}");
+        }
+    }
+
+    #[test]
+    fn max_edges_is_the_built_edge_count() {
+        for t in [
+            Topology::Cycle { n: 7 },
+            Topology::Path { n: 6 },
+            Topology::Complete { n: 9 },
+            Topology::Complete { n: 10 },
+            Topology::Star { n: 5 },
+            Topology::Grid2d {
+                rows: 3,
+                cols: 5,
+                torus: false,
+            },
+            Topology::Grid2d {
+                rows: 4,
+                cols: 3,
+                torus: true,
+            },
+            Topology::Hypercube { dim: 5 },
+            Topology::Ccc { dim: 3 },
+            Topology::Ccc { dim: 4 },
+            Topology::BinaryTree { n: 10 },
+            Topology::RandomRegular { n: 12, d: 3 },
+            Topology::RandomRegular { n: 9, d: 4 },
+            Topology::Barbell { k: 5 },
+            Topology::Lollipop { k: 4, tail: 3 },
+            Topology::RingOfCliques { cliques: 4, k: 3 },
+        ] {
+            assert_eq!(t.max_edges(), t.build(1).unwrap().m(), "{t}");
+        }
+        // G(n, p) draws each pair once, so its count is a bound.
+        for (n, ppm) in [(12, 500_000), (10, 1_000_000)] {
+            let t = Topology::Gnp { n, ppm };
+            assert!(t.build(1).unwrap().m() <= t.max_edges(), "{t}");
+        }
+        assert_eq!(
+            Topology::Gnp {
+                n: 10,
+                ppm: 1_000_000
+            }
+            .max_edges(),
+            45
+        );
     }
 }

@@ -11,10 +11,11 @@
 //! temp-file + rename, which is what makes a finished store
 //! byte-identical across run/resume/merge paths.
 //!
-//! [`AofDb`] is the only backend. The trait stays as the one interface
-//! a journal is read through: the store, `merge`, `serve` and the
-//! benchmark harness all call it, and the unit tests check [`AofDb`]
-//! against a sorted in-memory map behind the same trait.
+//! [`AofDb`] is the only backend. The trait is the interface the store,
+//! `merge` and the benchmark harness read a journal through, and the
+//! unit tests check [`AofDb`] against a sorted in-memory map behind the
+//! same trait. `serve` keeps a journal's bytes instead of an index and
+//! walks them with the same frame parser, `Frames`.
 //!
 //! Keys are ordered bytes; [`Db::iter_prefix`] returns entries sorted by
 //! key, so fixed-width encodings (see `store::TrialKey`) make
@@ -60,6 +61,16 @@
 //!    compaction old byte offsets are meaningless; readers detect this
 //!    by the manifest flipping to `"complete": true` (or by their cursor
 //!    no longer landing on an entry boundary) and must rescan from 0.
+//! 5. **A whole parse stays valid while both files keep their identity.**
+//!    Writers change `trials.db` only by appending (same inode, longer)
+//!    or by temp-file + rename (new inode), and replace `manifest.json`
+//!    only by temp-file + rename. So while both files still show the
+//!    (inode, length, mtime) a reader stat'ed *before* reading them, and
+//!    the reader parsed the whole journal, what it parsed is still the
+//!    run's state, and `ale-lab serve` reuses it. A journal with a torn
+//!    tail is re-read every time: that tail is the one region a writer
+//!    truncates and rewrites in place ([`AofDb::open`]'s recovery), so
+//!    it could come back at the same length.
 
 use crate::scenario::LabError;
 use std::collections::BTreeMap;
@@ -99,7 +110,7 @@ pub trait Db {
     fn flush(&mut self) -> Result<(), LabError>;
 }
 
-fn io_err(path: &Path, e: std::io::Error) -> LabError {
+pub(crate) fn io_err(path: &Path, e: std::io::Error) -> LabError {
     LabError::Io(format!("{}: {e}", path.display()))
 }
 
@@ -118,40 +129,70 @@ fn frame(key: &[u8], value: &[u8]) -> Vec<u8> {
 /// whole file parsed).
 fn replay(data: &[u8]) -> (BTreeMap<Vec<u8>, Vec<u8>>, usize) {
     let mut index = BTreeMap::new();
-    let mut offset = 0usize;
-    while offset < data.len() {
-        let Some((key, value, entry_len)) = parse_entry(&data[offset..]) else {
-            break;
-        };
-        index.insert(key.to_vec(), value.to_vec());
-        offset += entry_len;
+    let mut frames = Frames::new(data);
+    for f in frames.by_ref() {
+        index.insert(data[f.key].to_vec(), data[f.value].to_vec());
     }
-    (index, offset)
+    (index, frames.valid_len())
 }
 
-/// Parses one entry at the start of `data`; returns its key and value
-/// slices plus its total length, or `None` when the entry is malformed
-/// or incomplete.
-fn parse_entry(data: &[u8]) -> Option<(&[u8], &[u8], usize)> {
-    if data.first() != Some(&b'#') {
-        return None;
+/// Where one framed entry lies in a journal's bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Frame {
+    /// Byte offset of the entry's `#` header.
+    pub offset: usize,
+    /// The key's byte range.
+    pub key: std::ops::Range<usize>,
+    /// The value's byte range.
+    pub value: std::ops::Range<usize>,
+}
+
+/// The framed entries of a journal's bytes in **file order**, stopping
+/// at the first entry that is malformed or runs past the end. Every
+/// journal reader walks the file through this one parser.
+pub(crate) struct Frames<'a> {
+    data: &'a [u8],
+    offset: usize,
+}
+
+impl<'a> Frames<'a> {
+    pub(crate) fn new(data: &'a [u8]) -> Frames<'a> {
+        Frames { data, offset: 0 }
     }
-    // Header: "#<klen> <vlen>\n" — lengths are short, so cap the scan.
-    let header_end = data.iter().take(40).position(|&b| b == b'\n')?;
-    let header = std::str::from_utf8(&data[1..header_end]).ok()?;
-    let (klen, vlen) = header.split_once(' ')?;
-    let klen: usize = klen.parse().ok()?;
-    let vlen: usize = vlen.parse().ok()?;
-    let body = header_end + 1;
-    let total = body.checked_add(klen)?.checked_add(vlen)?.checked_add(1)?;
-    if data.len() < total || data[total - 1] != b'\n' {
-        return None;
+
+    /// The end of the last entry yielded so far; once the walk is done,
+    /// the length of the valid prefix (== `data.len()` when the whole
+    /// journal parsed).
+    pub(crate) fn valid_len(&self) -> usize {
+        self.offset
     }
-    Some((
-        &data[body..body + klen],
-        &data[body + klen..body + klen + vlen],
-        total,
-    ))
+}
+
+impl Iterator for Frames<'_> {
+    type Item = Frame;
+
+    fn next(&mut self) -> Option<Frame> {
+        let at = self.offset;
+        let rest = self.data.get(at..).filter(|r| r.first() == Some(&b'#'))?;
+        // Header: "#<klen> <vlen>\n" — lengths are short, so cap the scan.
+        let header_end = rest.iter().take(40).position(|&b| b == b'\n')?;
+        let header = std::str::from_utf8(&rest[1..header_end]).ok()?;
+        let (klen, vlen) = header.split_once(' ')?;
+        let klen: usize = klen.parse().ok()?;
+        let vlen: usize = vlen.parse().ok()?;
+        let body = header_end + 1;
+        let total = body.checked_add(klen)?.checked_add(vlen)?.checked_add(1)?;
+        if rest.len() < total || rest[total - 1] != b'\n' {
+            return None;
+        }
+        self.offset = at + total;
+        let key_start = at + body;
+        Some(Frame {
+            offset: at,
+            key: key_start..key_start + klen,
+            value: key_start + klen..key_start + klen + vlen,
+        })
+    }
 }
 
 /// One journal entry recovered in file order by [`scan_entries`].
@@ -172,20 +213,16 @@ pub struct ScannedEntry {
 /// stable entry boundary in any journal whose run is still incomplete,
 /// so a later scan can resume from it.
 pub fn scan_entries(data: &[u8]) -> (Vec<ScannedEntry>, usize) {
-    let mut entries = Vec::new();
-    let mut offset = 0usize;
-    while offset < data.len() {
-        let Some((key, value, entry_len)) = parse_entry(&data[offset..]) else {
-            break;
-        };
-        entries.push(ScannedEntry {
-            offset: offset as u64,
-            key: key.to_vec(),
-            value: value.to_vec(),
-        });
-        offset += entry_len;
-    }
-    (entries, offset)
+    let mut frames = Frames::new(data);
+    let entries = frames
+        .by_ref()
+        .map(|f| ScannedEntry {
+            offset: f.offset as u64,
+            key: data[f.key].to_vec(),
+            value: data[f.value].to_vec(),
+        })
+        .collect();
+    (entries, frames.valid_len())
 }
 
 /// Append-only-file [`Db`] backend.

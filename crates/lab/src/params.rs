@@ -22,9 +22,9 @@
 //! declared axes, and expands the blocks in declaration order — axis
 //! order is the loop nesting order, first axis outermost. An unknown key,
 //! an unparseable value, a value outside its axis's [`Range`] (whatever
-//! list it came from), a topology with more than [`MAX_NODES`] nodes, or
-//! a grid whose point labels repeat is [`LabError::BadArgs`], i.e. exit
-//! code 2, before anything is bound.
+//! list it came from), a topology with more than [`MAX_NODES`] nodes or
+//! [`MAX_EDGES`] edges, or a grid whose point labels repeat is
+//! [`LabError::BadArgs`], i.e. exit code 2, before anything is bound.
 //! The expansion also reports the **resolved space** (the value lists
 //! actually used), which run manifests record so `merge` can verify that
 //! shards describe one sweep.
@@ -63,9 +63,15 @@ const GRAPH_SEED: &str = "graph-seed";
 /// The most nodes a topology value may have: 2²⁴, the size of the
 /// largest hypercube the family admits. [`ParamSpace::expand`] checks the
 /// node count alone, so an oversized value is refused without building
-/// anything. Dense families are not bounded by edges: `complete:100000`
-/// passes with 5·10⁹ edges.
+/// anything. Dense families meet [`MAX_EDGES`] first: `complete:100000`
+/// has 10⁵ nodes but 5·10⁹ edges.
 pub const MAX_NODES: usize = 1 << 24;
+
+/// The most edges a topology value may have: 2²⁸, room for `hypercube:24`
+/// (2.0·10⁸ edges). [`ParamSpace::expand`] checks
+/// [`Topology::max_edges`], a closed form, so like the node cap it builds
+/// nothing.
+pub const MAX_EDGES: usize = 1 << 28;
 
 /// One typed axis value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -956,7 +962,7 @@ impl Expander<'_> {
 
     /// The axis's values under the resolution order of the module docs,
     /// each checked against the axis's [`Range`] and, for topologies,
-    /// against [`MAX_NODES`].
+    /// against [`MAX_NODES`] and [`MAX_EDGES`].
     fn resolve(&self, axis: &Axis) -> Result<Vec<AxisValue>, LabError> {
         let values = self.resolve_unchecked(axis);
         for v in &values {
@@ -964,6 +970,13 @@ impl Expander<'_> {
                 if t.node_count() > MAX_NODES {
                     return Err(LabError::BadArgs(format!(
                         "axis '{}': {t} has more than {MAX_NODES} (2^24) nodes, \
+                         the most any topology may have",
+                        axis.name
+                    )));
+                }
+                if t.max_edges() > MAX_EDGES {
+                    return Err(LabError::BadArgs(format!(
+                        "axis '{}': {t} can have more than {MAX_EDGES} (2^28) edges, \
                          the most any topology may have",
                         axis.name
                     )));
@@ -1271,6 +1284,31 @@ mod tests {
                     assert!(msg.contains("more than 16777216 (2^24) nodes"), "{msg}")
                 }
                 other => panic!("expected BadArgs, got {:?}", other.map(|e| e.points.len())),
+            }
+        }
+    }
+
+    #[test]
+    fn topologies_past_the_edge_cap_are_refused() {
+        let expand = |topo: &str| {
+            simple_space().expand(&GridConfig {
+                params: vec![("topo".into(), vec![topo.into()])],
+                ..cfg()
+            })
+        };
+        // 2.0·10⁸ edges, and the densest complete graph under the cap.
+        for topo in ["hypercube:24", "complete:23170"] {
+            assert!(expand(topo).is_ok(), "{topo}");
+        }
+        for topo in ["complete:23171", "complete:100000", "gnp:100000x0.0001"] {
+            match expand(topo) {
+                Err(LabError::BadArgs(msg)) => {
+                    assert!(msg.contains("more than 268435456 (2^28) edges"), "{msg}")
+                }
+                other => panic!(
+                    "{topo}: expected BadArgs, got {:?}",
+                    other.map(|e| e.points.len())
+                ),
             }
         }
     }

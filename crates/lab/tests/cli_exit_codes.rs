@@ -185,6 +185,17 @@ fn out_of_range_values_and_repeated_points_exit_two_before_any_run() {
             &["walks", "--topo", "hypercube:64"],
             "more than 16777216 (2^24) nodes".into(),
         ),
+        // Dense topologies under the node cap but past 2^28 edges, from
+        // the family's closed-form edge count: building either would run
+        // out of memory.
+        (
+            &["walks", "--topo", "complete:100000"],
+            "more than 268435456 (2^28) edges".into(),
+        ),
+        (
+            &["table1", "--topo", "gnp:100000x0.0001"],
+            "more than 268435456 (2^28) edges".into(),
+        ),
         // A rate of 1 drops every send; latencies stop at 64, a chosen
         // bound that keeps runs short.
         (

@@ -8,16 +8,87 @@
 //! * `/runs/{id}/tail` on a killed-mid-sweep run returns exactly the
 //!   journal's valid prefix, and after `run --resume` a
 //!   cursor-continued tail reaches `"complete": true`.
+//!
+//! It also pins the snapshot cache: a run is read once while its files
+//! stand, re-read when either changes, and re-read on every request
+//! while its journal has a torn tail. The load counters are process
+//! globals, so every test holds [`SERVING`] while it sends requests.
 
 use ale_lab::db::{scan_entries, AofDb, Db};
 use ale_lab::json::{self, Value};
 use ale_lab::serve::ServeApp;
 use ale_lab::store::load_manifest;
-use ale_serve::{Server, ServerConfig, ServerHandle};
+use ale_serve::{Body, Request, Server, ServerConfig, ServerHandle};
+use ale_telemetry::MetricSnapshot;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
+
+/// Held while a test sends requests, so its load count is its own.
+static SERVING: Mutex<()> = Mutex::new(());
+
+fn serving() -> MutexGuard<'static, ()> {
+    SERVING.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Snapshot loads so far in this process (`serve_snapshot_loads_total`).
+fn loads() -> u64 {
+    ale_telemetry::snapshot()
+        .into_iter()
+        .find_map(|m| match m {
+            MetricSnapshot::Counter {
+                name: "serve_snapshot_loads_total",
+                value,
+            } => Some(value),
+            _ => None,
+        })
+        .expect("ServeApp::new registers the loads counter")
+}
+
+/// A response's status and (dechunked) body.
+type Answer = (u16, Vec<u8>);
+
+/// Answers `path` with `query` through `app` in process, a streamed body
+/// written out whole.
+fn call(app: &ServeApp, path: &str, query: &[(&str, &str)]) -> Answer {
+    let req = Request {
+        method: "GET".into(),
+        path: path.into(),
+        query: query
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect(),
+        headers: Vec::new(),
+    };
+    let resp = app.handle(&req);
+    let body = match resp.body {
+        Body::Full(bytes) => bytes,
+        Body::Stream(write) => {
+            let mut out = Vec::new();
+            write(&mut out).expect("stream to a vec");
+            out
+        }
+    };
+    (resp.status, body)
+}
+
+fn call_json(app: &ServeApp, path: &str, query: &[(&str, &str)]) -> Value {
+    let (status, body) = call(app, path, query);
+    assert_eq!(status, 200, "GET {path} {query:?}");
+    json::parse(std::str::from_utf8(&body).expect("utf-8 body")).expect("valid JSON body")
+}
+
+/// Marks a stored run incomplete, as a killed run leaves its manifest.
+fn mark_incomplete(dir: &Path) {
+    let path = dir.join("manifest.json");
+    let manifest = std::fs::read_to_string(&path).unwrap();
+    std::fs::write(
+        &path,
+        manifest.replace("\"complete\": true", "\"complete\": false"),
+    )
+    .unwrap();
+}
 
 fn lab(args: &[&str]) -> String {
     let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
@@ -124,8 +195,10 @@ fn served_views_match_the_store_byte_for_byte() {
         &dir.to_string_lossy(),
     ]);
     let manifest = load_manifest(&dir.join("manifest.json")).unwrap();
+    let _serving = serving();
     let server = spawn_server(std::slice::from_ref(&dir));
     let addr = server.addr();
+    let loads_before = loads();
 
     let (status, _, body) = get(addr, "/healthz");
     assert_eq!((status, body.as_slice()), (200, b"ok\n".as_slice()));
@@ -255,6 +328,14 @@ fn served_views_match_the_store_byte_for_byte() {
             .as_u64()
             > Some(0)
     );
+    // The store never changed, so every request above read one snapshot.
+    assert_eq!(
+        by_name("serve_snapshot_loads_total")
+            .get("value")
+            .unwrap()
+            .as_u64(),
+        Some(loads_before + 1)
+    );
 
     server.shutdown();
     std::fs::remove_dir_all(&root).ok();
@@ -304,6 +385,7 @@ fn tail_serves_the_valid_prefix_of_a_killed_run_and_follows_resume() {
     let torn_trials = entries.iter().filter(|e| e.key.starts_with(b"t/")).count();
     assert!(torn_trials > 0, "the torn journal still holds whole trials");
 
+    let _serving = serving();
     let server = spawn_server(std::slice::from_ref(&dir));
     let addr = server.addr();
 
@@ -344,5 +426,205 @@ fn tail_serves_the_valid_prefix_of_a_killed_run_and_follows_resume() {
     );
 
     server.shutdown();
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// A finished store whose journal lost its last trial, cut at an entry
+/// boundary so nothing is torn, and whose manifest says incomplete.
+/// Returns the cut entry's key and value.
+fn store_missing_its_last_trial(dir: &Path) -> (Vec<u8>, Vec<u8>) {
+    lab(&[
+        "run",
+        "diffusion",
+        "--quick",
+        "--quiet",
+        "--seeds",
+        "2",
+        "--workers",
+        "2",
+        "--out",
+        &dir.to_string_lossy(),
+    ]);
+    let journal = dir.join("trials.db");
+    let (entries, _) = scan_entries(&std::fs::read(&journal).unwrap());
+    let last = entries
+        .iter()
+        .rev()
+        .find(|e| e.key.starts_with(b"t/"))
+        .expect("the store holds trials")
+        .clone();
+    let f = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&journal)
+        .unwrap();
+    f.set_len(last.offset).unwrap();
+    mark_incomplete(dir);
+    (last.key, last.value)
+}
+
+#[test]
+fn a_cached_run_is_reread_once_its_journal_grows() {
+    let root = std::env::temp_dir().join(format!("ale-lab-serve-grow-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let dir = root.join("g");
+    let (key, value) = store_missing_its_last_trial(&dir);
+    let _serving = serving();
+    let app = ServeApp::new(std::slice::from_ref(&dir)).unwrap();
+
+    let missing = call_json(&app, "/runs/g/summary", &[])
+        .get("missing")
+        .unwrap()
+        .as_u64()
+        .unwrap();
+    assert_eq!(missing, 1);
+    let tail = call_json(&app, "/runs/g/tail", &[("from", "0")]);
+    assert_eq!(tail.get("complete").unwrap().as_bool(), Some(false));
+    let cursor = tail.get("cursor").unwrap().as_u64().unwrap().to_string();
+    // The cursor is the journal's end: nothing new behind it yet.
+    let (_, body) = call(&app, "/runs/g/tail", &[("from", &cursor)]);
+    assert!(body.ends_with(b"\"records\":[]}\n"));
+
+    // The writer appends the missing trial, as a live run would.
+    let mut db = AofDb::open(&dir.join("trials.db")).unwrap();
+    db.put(&key, &value).unwrap();
+    drop(db);
+
+    let (status, body) = call(&app, "/runs/g/tail", &[("from", &cursor)]);
+    assert_eq!(status, 200);
+    let mut records = b"\"records\":[".to_vec();
+    records.extend_from_slice(&value);
+    records.extend_from_slice(b"]}\n");
+    assert!(
+        body.ends_with(&records),
+        "tail after the append: {}",
+        String::from_utf8_lossy(&body)
+    );
+    let summary = call_json(&app, "/runs/g/summary", &[]);
+    assert_eq!(summary.get("missing").unwrap().as_u64(), Some(missing - 1));
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn a_torn_journal_is_reread_on_every_request() {
+    let root = std::env::temp_dir().join(format!("ale-lab-serve-torn-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let dir = root.join("torn");
+    lab(&[
+        "run",
+        "diffusion",
+        "--quick",
+        "--quiet",
+        "--seeds",
+        "2",
+        "--workers",
+        "2",
+        "--out",
+        &dir.to_string_lossy(),
+    ]);
+    let journal = dir.join("trials.db");
+    let len = std::fs::metadata(&journal).unwrap().len();
+    let f = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&journal)
+        .unwrap();
+    f.set_len(len - 9).unwrap();
+    mark_incomplete(&dir);
+
+    let _serving = serving();
+    let app = ServeApp::new(std::slice::from_ref(&dir)).unwrap();
+    for (i, path) in ["/runs/torn/summary", "/runs/torn/tail", "/runs"]
+        .iter()
+        .cycle()
+        .take(6)
+        .enumerate()
+    {
+        let before = loads();
+        assert_eq!(call(&app, path, &[]).0, 200, "request {i}: {path}");
+        assert_eq!(
+            loads(),
+            before + 1,
+            "request {i}: {path} reused a torn read"
+        );
+    }
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn concurrent_requests_share_one_load_and_match_a_fresh_app() {
+    let root = std::env::temp_dir().join(format!("ale-lab-serve-shared-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let dir = root.join("s");
+    lab(&[
+        "run",
+        "table1",
+        "--quick",
+        "--quiet",
+        "--seeds",
+        "2",
+        "--workers",
+        "2",
+        "--out",
+        &dir.to_string_lossy(),
+    ]);
+    let manifest = load_manifest(&dir.join("manifest.json")).unwrap();
+    let (entries, valid_len) = scan_entries(&std::fs::read(dir.join("trials.db")).unwrap());
+    let offsets: Vec<String> = entries
+        .iter()
+        .map(|e| e.offset.to_string())
+        .chain([valid_len.to_string(), (valid_len + 3).to_string()])
+        .collect();
+    let mut targets: Vec<(&str, Vec<(&str, &str)>)> = vec![
+        ("/runs", vec![]),
+        ("/runs/s/summary", vec![]),
+        ("/runs/s/manifest", vec![]),
+        ("/runs/s/space", vec![]),
+        ("/runs/s/trials", vec![]),
+        ("/runs/s/trials", vec![("seed", "0")]),
+    ];
+    for label in &manifest.grid {
+        targets.push(("/runs/s/trials", vec![("point", label)]));
+        targets.push(("/runs/s/trials", vec![("point", label), ("seed", "1")]));
+    }
+    for offset in offsets.iter().step_by(7) {
+        targets.push(("/runs/s/tail", vec![("from", offset)]));
+    }
+
+    let _serving = serving();
+    let shared = ServeApp::new(std::slice::from_ref(&dir)).unwrap();
+    let before = loads();
+    // All four threads reach the first, loading request together.
+    let start = Barrier::new(4);
+    let answers: Vec<Vec<(usize, Answer)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..4)
+            .map(|t| {
+                let (shared, targets, start) = (&shared, &targets, &start);
+                s.spawn(move || {
+                    start.wait();
+                    (0..100)
+                        .map(|i| {
+                            let pick = (t * 31 + i * 17) % targets.len();
+                            let (path, query) = &targets[pick];
+                            (pick, call(shared, path, query))
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert_eq!(loads(), before + 1, "400 requests on a standing store");
+
+    let fresh = ServeApp::new(std::slice::from_ref(&dir)).unwrap();
+    let expected: Vec<Answer> = targets
+        .iter()
+        .map(|(path, query)| call(&fresh, path, query))
+        .collect();
+    for (pick, answer) in answers.iter().flatten() {
+        assert_eq!(
+            answer, &expected[*pick],
+            "{:?} differs from a fresh app's",
+            targets[*pick]
+        );
+    }
     std::fs::remove_dir_all(&root).ok();
 }
