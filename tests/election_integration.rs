@@ -190,3 +190,59 @@ fn message_crossover_on_larger_cycles() {
         "beyond the crossover this work ({tw}) should not lose to gilbert ({gl}) by >15%"
     );
 }
+
+#[test]
+fn table1_costs_are_pinned() {
+    // Sums of (messages, bits, rounds, leaders, candidates) over trial
+    // seeds 0..4 for every Table 1 algorithm, on the contexts `table1`
+    // binds at graph seed 1. A change to any protocol's RNG draws, its
+    // schedule, its CONGEST metering or the outcome reader moves them.
+    use ale_lab::runners::{Algorithm, GraphContext};
+    let cases = [
+        (
+            Topology::Cycle { n: 16 },
+            [
+                (15666, 303278, 40260, 4, 28),
+                (9007, 160746, 2404, 4, 20),
+                (250, 3910, 36, 4, 20),
+                (414, 6500, 36, 4, 64),
+                (1024, 16256, 36, 4, 64),
+            ],
+        ),
+        (
+            Topology::Complete { n: 32 },
+            [
+                (11903, 277872, 10084, 4, 32),
+                (4349, 94780, 516, 4, 17),
+                (527, 10199, 8, 4, 17),
+                (3968, 74121, 8, 4, 128),
+                (3968, 74121, 8, 4, 128),
+            ],
+        ),
+        (
+            Topology::RingOfCliques { cliques: 3, k: 8 },
+            [
+                (86070, 1865979, 110884, 4, 35),
+                (33071, 693901, 5316, 4, 25),
+                (1048, 19269, 16, 4, 25),
+                (1468, 26740, 16, 4, 96),
+                (2088, 38413, 16, 4, 96),
+            ],
+        ),
+    ];
+    for (topo, expected) in cases {
+        let ctx = GraphContext::build(topo, 1).expect("context");
+        for (alg, want) in Algorithm::ALL.into_iter().zip(expected) {
+            let mut got = (0, 0, 0, 0, 0);
+            for seed in 0..4 {
+                let o = ctx.run(alg, seed).expect("run");
+                got.0 += o.metrics.messages;
+                got.1 += o.metrics.bits;
+                got.2 += o.metrics.rounds;
+                got.3 += o.leader_count();
+                got.4 += o.candidates.len();
+            }
+            assert_eq!(got, want, "{topo} {alg}");
+        }
+    }
+}
