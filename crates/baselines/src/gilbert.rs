@@ -40,9 +40,10 @@
 //! 1's 64-node graphs the kill reports land during the walk, so that is
 //! every retrace round but the first.
 
-use ale_congest::message::{bits_for_u64, Payload};
-use ale_congest::{congest_budget, Incoming, Network, NodeCtx, OutCtx, Process};
-use ale_core::{CoreError, ElectionOutcome};
+use ale_congest::message::{bits_for_u64, ceil_log2, Payload};
+use ale_congest::{Incoming, NodeCtx, OutCtx, Process};
+use ale_core::irrevocable::{candidate_probability, id_space};
+use ale_core::{run_lockstep, CoreError, ElectionOutcome};
 use ale_graph::{Graph, Port};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -57,8 +58,6 @@ pub struct GilbertConfig {
     pub tmix: u64,
     /// Constant in walk length and candidate probability.
     pub c: f64,
-    /// CONGEST budget factor.
-    pub congest_factor: usize,
 }
 
 impl GilbertConfig {
@@ -68,33 +67,22 @@ impl GilbertConfig {
             n,
             tmix: tmix.max(1),
             c: 2.0,
-            congest_factor: 8,
-        }
-    }
-
-    /// `⌈log₂ n⌉`, at least 1.
-    fn log2_n(&self) -> u64 {
-        if self.n <= 1 {
-            1
-        } else {
-            (usize::BITS - (self.n - 1).leading_zeros()) as u64
         }
     }
 
     /// Tokens per candidate: `⌈√n·log₂ n⌉`.
     pub fn tokens_per_candidate(&self) -> u64 {
-        (((self.n as f64).sqrt() * self.log2_n() as f64).ceil() as u64).max(1)
+        (((self.n as f64).sqrt() * ceil_log2(self.n) as f64).ceil() as u64).max(1)
     }
 
     /// Walk length `⌈c·t_mix·log₂ n⌉`.
     pub fn walk_length(&self) -> u64 {
-        ((self.c * self.tmix as f64 * self.log2_n() as f64).ceil() as u64).max(1)
+        ((self.c * self.tmix as f64 * ceil_log2(self.n) as f64).ceil() as u64).max(1)
     }
 
     /// Candidate probability `min(1, c·ln n/n)`.
     pub fn candidate_probability(&self) -> f64 {
-        let n = self.n as f64;
-        (self.c * n.ln().max(1.0) / n).min(1.0)
+        candidate_probability(self.c, self.n)
     }
 
     /// Total protocol rounds: dispersal, retrace (bounded by the dispersal
@@ -167,8 +155,7 @@ impl GilbertProcess {
     /// Creates a node, drawing candidacy and ID.
     pub fn new(cfg: GilbertConfig, rng: &mut StdRng) -> Self {
         let candidate = rng.gen_bool(cfg.candidate_probability());
-        let id_space = (cfg.n as u64).saturating_pow(4).max(2);
-        let id = rng.gen_range(1..=id_space);
+        let id = rng.gen_range(1..=id_space(cfg.n));
         GilbertProcess {
             cfg,
             walk_len: cfg.walk_length(),
@@ -355,31 +342,14 @@ pub fn run_gilbert(
             reason: format!("config n = {} but graph has {}", cfg.n, graph.n()),
         });
     }
-    let budget = congest_budget(cfg.n, cfg.congest_factor);
-    let cfg_copy = *cfg;
-    let mut net = Network::from_fn(graph, seed, budget, |_deg, rng| {
-        GilbertProcess::new(cfg_copy, rng)
-    });
-    let status = net.run_to_halt(cfg.total_rounds() + 4)?;
-    let outputs = net.outputs();
-    let leaders = outputs
-        .iter()
-        .enumerate()
-        .filter(|(_, (_, l))| *l)
-        .map(|(i, _)| i)
-        .collect();
-    let candidates = outputs
-        .iter()
-        .enumerate()
-        .filter(|(_, (c, _))| *c)
-        .map(|(i, _)| i)
-        .collect();
-    Ok(ElectionOutcome::new(
-        leaders,
-        candidates,
-        *net.metrics(),
-        status,
-    ))
+    run_lockstep(
+        graph,
+        cfg.n,
+        seed,
+        cfg.total_rounds(),
+        |_deg, rng| GilbertProcess::new(*cfg, rng),
+        |&flags| flags,
+    )
 }
 
 #[cfg(test)]

@@ -4,9 +4,12 @@
 //! on the same anonymous CONGEST simulator as the main protocols so that
 //! message/round counts are directly comparable:
 //!
-//! * [`flood_max`] — folklore all-nodes flood-max (knows `n`, `D`).
-//! * [`kutten`] — Kutten et al. (J.ACM'15, \[16\]) style candidate flooding:
-//!   `O(m)` messages, `O(D)` time with known `n`, `D`.
+//! * [`flood_max`] — flood-max with known `n` and `D`, on one process:
+//!   the folklore all-nodes flood, and Kutten et al. (J.ACM'15, \[16\])
+//!   style candidate flooding, which is flood-max among random candidates
+//!   that stand with probability `min(1, c·ln n/n)`. Few candidates and
+//!   on-change forwarding over `D` rounds are why the latter sits in
+//!   Table 1's `O(m)`-message, `O(D)`-round row.
 //! * [`gilbert`] — Gilbert–Robinson–Sourav (PODC'18, \[10\]) style random-walk
 //!   token election: `O(t_mix·√n·polylog n)` messages with known `n` —
 //!   the direct comparison target of Theorem 1.
@@ -18,7 +21,7 @@
 //! use ale_graph::generators;
 //!
 //! let g = generators::hypercube(4)?;
-//! let cfg = FloodMaxConfig::for_graph(&g);
+//! let cfg = FloodMaxConfig::new(g.n(), g.diameter() as u64);
 //! let outcome = run_flood_max(&g, &cfg, 3)?;
 //! assert_eq!(outcome.leader_count(), 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -29,8 +32,6 @@
 
 pub mod flood_max;
 pub mod gilbert;
-pub mod kutten;
 
-pub use flood_max::{run_flood_max, FloodMaxConfig};
+pub use flood_max::{run_flood_max, Candidacy, FloodMaxConfig};
 pub use gilbert::{run_gilbert, GilbertConfig};
-pub use kutten::{run_kutten, KuttenConfig};

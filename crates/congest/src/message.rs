@@ -39,22 +39,44 @@ pub fn bits_for_u64(v: u64) -> usize {
     bits_for_u128(v as u128)
 }
 
+/// `⌈log₂ n⌉`, at least 1: the width of a node index in an `n`-node
+/// network, and the unit every `O(log n)` bound in the paper counts in.
+///
+/// # Examples
+///
+/// ```
+/// use ale_congest::message::ceil_log2;
+/// assert_eq!(ceil_log2(1), 1);
+/// assert_eq!(ceil_log2(1024), 10);
+/// assert_eq!(ceil_log2(1025), 11);
+/// ```
+pub fn ceil_log2(n: usize) -> usize {
+    if n <= 1 {
+        1
+    } else {
+        (usize::BITS - (n - 1).leading_zeros()) as usize
+    }
+}
+
+/// Bits per `⌈log₂ n⌉` in the CONGEST budget of [`congest_budget`].
+///
+/// Message fields span up to `4·⌈log₂ n⌉` bits (Algorithm 1's IDs are
+/// drawn from `{1..n⁴}`), so any factor of at least 6 keeps runs clean.
+/// Every protocol is metered against this one factor, so Table 1's rows
+/// share one `O(log n)`-bit budget.
+pub const CONGEST_FACTOR: usize = 8;
+
 /// The per-link-per-round CONGEST budget for an `n`-node network:
-/// `factor · ⌈log₂ n⌉` bits (`n = 1` treated as 1 bit base).
+/// `CONGEST_FACTOR · ⌈log₂ n⌉` bits.
 ///
 /// # Examples
 ///
 /// ```
 /// use ale_congest::message::congest_budget;
-/// assert_eq!(congest_budget(1024, 4), 40);
+/// assert_eq!(congest_budget(1024), 80);
 /// ```
-pub fn congest_budget(n: usize, factor: usize) -> usize {
-    let log = if n <= 1 {
-        1
-    } else {
-        (usize::BITS - (n - 1).leading_zeros()) as usize
-    };
-    factor * log.max(1)
+pub fn congest_budget(n: usize) -> usize {
+    CONGEST_FACTOR * ceil_log2(n)
 }
 
 /// Blanket payload for unit messages (pure synchronization pulses).
@@ -98,10 +120,11 @@ mod tests {
 
     #[test]
     fn budget_scales_logarithmically() {
-        assert_eq!(congest_budget(2, 1), 1);
-        assert_eq!(congest_budget(1024, 1), 10);
-        assert_eq!(congest_budget(1025, 1), 11);
-        assert_eq!(congest_budget(1, 3), 3);
+        assert_eq!(ceil_log2(2), 1);
+        assert_eq!(congest_budget(2), 8);
+        assert_eq!(congest_budget(1024), 80);
+        assert_eq!(congest_budget(1025), 88);
+        assert_eq!(congest_budget(1), 8);
     }
 
     #[test]

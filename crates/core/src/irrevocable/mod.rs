@@ -9,7 +9,11 @@
 //!   paper's parameters `x = Θ(√(n·log n/(Φ·t_mix)))`, the territory target
 //!   `x·t_mix·Φ`, and the phase schedule.
 //! * [`IrrevocableProcess`] — the per-node state machine (Algorithms 1–5).
-//! * [`run_irrevocable`] — wires a network and runs to halt.
+//! * [`run_irrevocable`] — wires a network and runs to halt;
+//!   [`run_with_believed_knowledge`] is the same run without the check
+//!   that the knowledge matches the graph.
+//! * [`id_space`] and [`candidate_probability`] — Algorithm 1's ID range
+//!   and candidate coin, which the baselines in `ale-baselines` share.
 //!
 //! ## Example
 //!
@@ -30,8 +34,8 @@ pub mod msg;
 pub mod process;
 
 use crate::error::CoreError;
-use crate::outcome::ElectionOutcome;
-use ale_congest::{congest_budget, Network};
+use crate::outcome::{run_lockstep, ElectionOutcome};
+use ale_congest::message::ceil_log2;
 use ale_graph::{Graph, GraphProps, NetworkKnowledge, Topology};
 
 pub use cautious::{CbBody, ExecState, ReportDiscipline, Status};
@@ -49,23 +53,18 @@ pub struct IrrevocableConfig {
     pub c: f64,
     /// Multiplier on the derived `x` (walk count calibration).
     pub x_cal: f64,
-    /// CONGEST budget factor: per-link budget is `congest_factor·⌈log₂n⌉`
-    /// bits (message fields span up to `4·log₂ n` bits, so ≥ 6 keeps runs
-    /// clean).
-    pub congest_factor: usize,
     /// Cautious-broadcast parent-report discipline (ablation knob).
     pub report_discipline: ReportDiscipline,
 }
 
 impl IrrevocableConfig {
     /// Builds a config from explicit knowledge with default calibration
-    /// (`c = 2`, `x_cal = 1`, budget factor 8).
+    /// (`c = 2`, `x_cal = 1`).
     pub fn from_knowledge(knowledge: NetworkKnowledge) -> Self {
         IrrevocableConfig {
             knowledge,
             c: 2.0,
             x_cal: 1.0,
-            congest_factor: 8,
             report_discipline: ReportDiscipline::OnCrossing,
         }
     }
@@ -93,12 +92,7 @@ impl IrrevocableConfig {
 
     /// `⌈log₂ n⌉`, at least 1.
     pub fn log2_n(&self) -> u64 {
-        let n = self.knowledge.n;
-        if n <= 1 {
-            1
-        } else {
-            (usize::BITS - (n - 1).leading_zeros()) as u64
-        }
+        ceil_log2(self.knowledge.n) as u64
     }
 
     /// Super-round width: `⌈4c·log n⌉` slots (the paper's bound on parallel
@@ -149,13 +143,12 @@ impl IrrevocableConfig {
 
     /// Candidate probability `min(1, c·ln n / n)` (Algorithm 1 line 3).
     pub fn candidate_probability(&self) -> f64 {
-        let n = self.knowledge.n as f64;
-        (self.c * n.ln().max(1.0) / n).min(1.0)
+        candidate_probability(self.c, self.knowledge.n)
     }
 
     /// ID space `{1..n⁴}` (Algorithm 1 line 2).
     pub fn id_space(&self) -> u64 {
-        (self.knowledge.n as u64).saturating_pow(4).max(2)
+        id_space(self.knowledge.n)
     }
 
     /// Freezes the per-node parameter bundle for a node of the given
@@ -218,6 +211,20 @@ impl IrrevocableConfig {
     }
 }
 
+/// The upper end of Algorithm 1's ID space `{1..n⁴}` (line 2), at
+/// least 2: IDs this wide make a collision among `n` nodes unlikely.
+pub fn id_space(n: usize) -> u64 {
+    (n as u64).saturating_pow(4).max(2)
+}
+
+/// Algorithm 1's candidate probability `min(1, c·ln n/n)` (line 3): about
+/// `c·ln n` nodes stand in expectation, and none does with probability
+/// about `n^{−c}`.
+pub fn candidate_probability(c: f64, n: usize) -> f64 {
+    let n = n as f64;
+    (c * n.ln().max(1.0) / n).min(1.0)
+}
+
 /// Per-node frozen parameters (what every anonymous node knows).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProtocolParams {
@@ -249,7 +256,9 @@ pub struct ProtocolParams {
 ///
 /// # Errors
 ///
-/// Propagates configuration and simulation failures.
+/// Propagates configuration and simulation failures;
+/// [`CoreError::InvalidConfig`] when the knowledge's `n` is not the
+/// graph's size.
 pub fn run_irrevocable(
     graph: &Graph,
     cfg: &IrrevocableConfig,
@@ -265,32 +274,35 @@ pub fn run_irrevocable(
             ),
         });
     }
-    let budget = congest_budget(cfg.knowledge.n, cfg.congest_factor);
-    let cfg_copy = *cfg;
-    let mut net = Network::from_fn(graph, seed, budget, |deg, rng| {
-        let params = cfg_copy.protocol_params(deg).expect("validated before run");
-        IrrevocableProcess::new(params, rng)
-    });
-    let status = net.run_to_halt(cfg.total_rounds() + 4)?;
-    let verdicts = net.outputs();
-    let leaders = verdicts
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| v.leader)
-        .map(|(i, _)| i)
-        .collect();
-    let candidates = verdicts
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| v.candidate)
-        .map(|(i, _)| i)
-        .collect();
-    Ok(ElectionOutcome::new(
-        leaders,
-        candidates,
-        *net.metrics(),
-        status,
-    ))
+    run_with_believed_knowledge(graph, cfg, seed)
+}
+
+/// Runs the irrevocable protocol on `graph` with (possibly wrong)
+/// knowledge: unlike [`run_irrevocable`], the knowledge is **not**
+/// checked against the true graph size, and the run is metered against
+/// the believed size's CONGEST budget. This is the deliberate model
+/// violation of Theorem 2's setup (see `ale-impossibility`).
+///
+/// # Errors
+///
+/// Propagates configuration and simulation failures.
+pub fn run_with_believed_knowledge(
+    graph: &Graph,
+    cfg: &IrrevocableConfig,
+    seed: u64,
+) -> Result<ElectionOutcome, CoreError> {
+    cfg.validate()?;
+    run_lockstep(
+        graph,
+        cfg.knowledge.n,
+        seed,
+        cfg.total_rounds(),
+        |deg, rng| {
+            let params = cfg.protocol_params(deg).expect("validated before run");
+            IrrevocableProcess::new(params, rng)
+        },
+        |v| (v.candidate, v.leader),
+    )
 }
 
 #[cfg(test)]

@@ -68,12 +68,12 @@ mod tests {
 
     #[test]
     fn id_in_n4_fits_congest_budget_with_constant_factor() {
-        // IDs live in {1..n^4}: 4·log2(n) bits. With budget factor 8 the
-        // whole message fits in one CONGEST round.
+        // IDs live in {1..n^4}: 4·log2(n) bits. With the budget factor of
+        // 8 the whole message fits in one CONGEST round.
         let n: u64 = 1 << 15;
         let id = n.pow(4);
         let msg = IrrMsg::Converge { id_max: id };
-        let budget = ale_congest::message::congest_budget(n as usize, 8);
+        let budget = ale_congest::message::congest_budget(n as usize);
         assert!(msg.bit_size() <= budget, "{} > {budget}", msg.bit_size());
     }
 }

@@ -47,7 +47,7 @@ pub mod outcome;
 pub mod revocable;
 
 pub use error::CoreError;
-pub use outcome::{ElectionOutcome, SuccessStats};
+pub use outcome::{run_lockstep, ElectionOutcome, SuccessStats};
 
 #[cfg(test)]
 mod crate_tests {

@@ -1,12 +1,17 @@
-//! Election outcomes and their verification.
+//! Election outcomes: how every election in the workspace is run and
+//! read.
 //!
 //! Both protocols (and the baselines in `ale-baselines`) report an
 //! [`ElectionOutcome`]: who raised the leader flag, who was a candidate,
 //! and what the run cost — the quantities Definitions 1 and 2 and
-//! Theorems 1 and 3 of the paper talk about.
+//! Theorems 1 and 3 of the paper talk about. [`ElectionOutcome::from_flags`]
+//! is the one reader of per-node results, and [`run_lockstep`] the one
+//! driver of the elections that run to halt on the lockstep engine.
 
-use ale_congest::{Metrics, RunStatus};
-use ale_graph::NodeId;
+use crate::error::CoreError;
+use ale_congest::{congest_budget, Metrics, Network, Process, RunStatus};
+use ale_graph::{Graph, NodeId};
+use rand::rngs::StdRng;
 
 /// The result of running a leader-election protocol on a network.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,13 +28,23 @@ pub struct ElectionOutcome {
 }
 
 impl ElectionOutcome {
-    /// Creates an outcome from its parts.
-    pub fn new(
-        leaders: Vec<NodeId>,
-        candidates: Vec<NodeId>,
+    /// Reads an outcome from each node's `(candidate, leader)` flags, in
+    /// node order, and the run's cost and stop reason.
+    pub fn from_flags(
+        flags: impl IntoIterator<Item = (bool, bool)>,
         metrics: Metrics,
         status: RunStatus,
     ) -> Self {
+        let mut leaders = Vec::new();
+        let mut candidates = Vec::new();
+        for (v, (candidate, leader)) in flags.into_iter().enumerate() {
+            if candidate {
+                candidates.push(v);
+            }
+            if leader {
+                leaders.push(v);
+            }
+        }
         ElectionOutcome {
             leaders,
             candidates,
@@ -61,6 +76,35 @@ impl ElectionOutcome {
     pub fn leaders(&self) -> &[NodeId] {
         &self.leaders
     }
+}
+
+/// Runs one election on the lockstep engine and reads its outcome.
+///
+/// Spawns one process per node with `spawn` (given the node's degree and
+/// seeded RNG) into a [`Network`] metered against the CONGEST budget of
+/// the protocol's known size `n`, and runs it until every node halts or
+/// 4 rounds past the protocol's `schedule` (its own round count), the
+/// outcome's status saying which. Each node's `(candidate, leader)`
+/// flags are read off its output with `flags`.
+///
+/// # Errors
+///
+/// Propagates simulator errors.
+pub fn run_lockstep<P: Process>(
+    graph: &Graph,
+    n: usize,
+    seed: u64,
+    schedule: u64,
+    spawn: impl FnMut(usize, &mut StdRng) -> P,
+    flags: impl Fn(&P::Output) -> (bool, bool),
+) -> Result<ElectionOutcome, CoreError> {
+    let mut net = Network::from_fn(graph, seed, congest_budget(n), spawn);
+    let status = net.run_to_halt(schedule + 4)?;
+    Ok(ElectionOutcome::from_flags(
+        net.outputs().iter().map(flags),
+        *net.metrics(),
+        status,
+    ))
 }
 
 /// Success-rate summary across repeated seeded runs — the unit the
@@ -103,7 +147,16 @@ mod tests {
     use super::*;
 
     fn outcome(leaders: Vec<NodeId>) -> ElectionOutcome {
-        ElectionOutcome::new(leaders, vec![], Metrics::new(32), RunStatus::AllHalted)
+        let flags = (0..8).map(|v| (false, leaders.contains(&v)));
+        ElectionOutcome::from_flags(flags, Metrics::new(32), RunStatus::AllHalted)
+    }
+
+    #[test]
+    fn reads_flags_in_node_order() {
+        let flags = [(true, false), (false, false), (true, true), (false, true)];
+        let o = ElectionOutcome::from_flags(flags, Metrics::new(32), RunStatus::AllHalted);
+        assert_eq!(o.candidates, [0, 2]);
+        assert_eq!(o.leaders, [2, 3]);
     }
 
     #[test]

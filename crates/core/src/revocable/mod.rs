@@ -136,7 +136,7 @@ where
 {
     params.validate()?;
     params.check_horizon(max_k)?;
-    let budget = congest_budget(graph.n().max(2), params.congest_factor);
+    let budget = congest_budget(graph.n());
     let p = *params;
     let mut net = build(budget, &mut |deg, _rng| {
         // The horizon freezes nodes before they execute estimates beyond
@@ -152,26 +152,16 @@ where
     let status = net.run_until(round_budget, |n| {
         n.round() % 16 == 0 && views_agree(n.processes().iter().map(RevocableProcess::settled_view))
     })?;
-    let verdicts_now = net.outputs();
-    if status == RunStatus::PredicateMet && stabilized(&verdicts_now) {
+    let verdicts = net.outputs();
+    if status == RunStatus::PredicateMet && stabilized(&verdicts) {
         rounds_at_stability = Some(net.round());
     }
-
-    let verdicts = verdicts_now;
-    let leaders = verdicts
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| v.leader)
-        .map(|(i, _)| i)
-        .collect();
-    let candidates = verdicts
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| v.id.is_some())
-        .map(|(i, _)| i)
-        .collect();
     let final_k = verdicts.iter().map(|v| v.k).max().unwrap_or(2);
-    let outcome = ElectionOutcome::new(leaders, candidates, *net.metrics(), status);
+    let outcome = ElectionOutcome::from_flags(
+        verdicts.iter().map(|v| (v.id.is_some(), v.leader)),
+        *net.metrics(),
+        status,
+    );
     Ok(RevocableOutcome {
         stabilized: rounds_at_stability.is_some(),
         final_k,

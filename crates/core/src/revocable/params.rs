@@ -43,8 +43,6 @@ pub struct RevocableParams {
     pub f_scale: f64,
     /// Multiplier on the dissemination length (1.0 = paper-exact).
     pub diss_scale: f64,
-    /// CONGEST budget factor for metering.
-    pub congest_factor: usize,
 }
 
 impl RevocableParams {
@@ -58,7 +56,6 @@ impl RevocableParams {
             r_scale: 1.0,
             f_scale: 1.0,
             diss_scale: 1.0,
-            congest_factor: 8,
         }
     }
 

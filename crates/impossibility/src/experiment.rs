@@ -16,8 +16,8 @@
 //! knowledge) converges to a single leader — the paper's motivation for
 //! Definition 2.
 
-use ale_congest::{congest_budget, Network};
-use ale_core::irrevocable::{IrrevocableConfig, IrrevocableProcess};
+pub use ale_core::irrevocable::run_with_believed_knowledge;
+use ale_core::irrevocable::IrrevocableConfig;
 use ale_core::{CoreError, ElectionOutcome};
 use ale_graph::{analytic, generators, NetworkKnowledge, Topology};
 
@@ -46,48 +46,6 @@ pub fn believed_cycle_knowledge(n0: usize) -> NetworkKnowledge {
         tmix,
         phi: hints.conductance.unwrap_or(2.0 / n0 as f64),
     }
-}
-
-/// Runs the irrevocable protocol on `graph` with (possibly wrong)
-/// `knowledge` — the deliberate model violation of Theorem 2's setup.
-/// Unlike [`ale_core::irrevocable::run_irrevocable`], the knowledge is
-/// **not** checked against the true graph size.
-///
-/// # Errors
-///
-/// Propagates configuration and simulation failures.
-pub fn run_with_believed_knowledge(
-    graph: &ale_graph::Graph,
-    cfg: &IrrevocableConfig,
-    seed: u64,
-) -> Result<ElectionOutcome, CoreError> {
-    cfg.validate()?;
-    let budget = congest_budget(cfg.knowledge.n.max(2), cfg.congest_factor);
-    let cfg_copy = *cfg;
-    let mut net = Network::from_fn(graph, seed, budget, |deg, rng| {
-        let params = cfg_copy.protocol_params(deg).expect("validated");
-        IrrevocableProcess::new(params, rng)
-    });
-    let status = net.run_to_halt(cfg.total_rounds() + 4)?;
-    let verdicts = net.outputs();
-    let leaders = verdicts
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| v.leader)
-        .map(|(i, _)| i)
-        .collect();
-    let candidates = verdicts
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| v.candidate)
-        .map(|(i, _)| i)
-        .collect();
-    Ok(ElectionOutcome::new(
-        leaders,
-        candidates,
-        *net.metrics(),
-        status,
-    ))
 }
 
 /// Result of one split-brain trial.

@@ -315,7 +315,7 @@ fn simulator_cases(quick: bool, budget: Duration) -> Result<Vec<Case>, LabError>
     }
     .build(0)?;
     let params = ladder_params();
-    let bits = congest_budget(graph.n(), params.congest_factor);
+    let bits = congest_budget(graph.n());
     let node = |deg: usize, _rng: &mut rand::rngs::StdRng| {
         RevocableProcess::with_horizon(params, deg, Some(LADDER_MAX_K))
     };
@@ -444,7 +444,7 @@ fn memory_cases(quick: bool) -> Result<Vec<MemCase>, LabError> {
         .build(0)?;
         let after_graph = vm_rss_kb().unwrap_or(0);
         let nodes = graph.n();
-        let budget = congest_budget(nodes.max(2), params.congest_factor);
+        let budget = congest_budget(nodes);
         let mut net = Network::from_fn(&graph, 1, budget, |deg, _rng| {
             RevocableProcess::with_horizon(params, deg, Some(LADDER_MAX_K))
         });

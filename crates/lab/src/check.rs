@@ -62,12 +62,9 @@ impl Default for CheckOptions {
     }
 }
 
-/// One `(point, metric)` row of a summary CSV.
-#[derive(Debug, Clone, PartialEq)]
-struct SummaryRow {
-    mean: f64,
-    count: u64,
-}
+/// A gate's input: each compared key's label cells (`[point, metric]` of
+/// a summary row, `[case id]` of a memory case) and its value.
+type Values = BTreeMap<Vec<String>, f64>;
 
 /// Splits one CSV line produced by [`Table::to_csv`] (double-quote
 /// escaping, no embedded newlines).
@@ -95,11 +92,8 @@ fn split_csv_line(line: &str) -> Vec<String> {
     fields
 }
 
-/// Parses a `summary.csv` into `(point, metric) → (mean, count)`.
-fn parse_summary(
-    text: &str,
-    source: &str,
-) -> Result<BTreeMap<(String, String), SummaryRow>, LabError> {
+/// Parses a `summary.csv` into `[point, metric] → mean`.
+fn parse_summary(text: &str, source: &str) -> Result<Values, LabError> {
     let mut lines = text.lines();
     let header = lines
         .next()
@@ -133,84 +127,75 @@ fn parse_summary(
                 fields[meani]
             ))
         })?;
-        let count: u64 = fields[counti].parse().unwrap_or(0);
-        rows.insert(
-            (fields[pi].clone(), fields[mi].clone()),
-            SummaryRow { mean, count },
-        );
+        rows.insert(vec![fields[pi].clone(), fields[mi].clone()], mean);
     }
     Ok(rows)
 }
 
-/// Compares two parsed `(point, metric) → (mean, count)` maps — summary
-/// CSV files and the store-backed run-directory inputs of
-/// [`check_files`] alike — and returns the rendered report, or
-/// [`LabError::Regression`] carrying it when any gated mean regressed.
-fn check_rows(
-    cur: &BTreeMap<(String, String), SummaryRow>,
-    base: &BTreeMap<(String, String), SummaryRow>,
-    opts: &CheckOptions,
-) -> Result<String, LabError> {
-    let metrics: Vec<&str> = if opts.metrics.is_empty() {
-        DEFAULT_METRICS.to_vec()
-    } else {
-        opts.metrics.iter().map(String::as_str).collect()
-    };
+/// How one gate lays out its report.
+struct Gate {
+    /// The report's title line, without the leading `# `.
+    title: String,
+    /// Headers of the key cells, then of the baseline and current values.
+    columns: &'static [&'static str],
+    /// Decimal places of the printed values.
+    precision: usize,
+    /// What the footer calls the compared keys, in full and short.
+    noun: (&'static str, &'static str),
+    /// Relative tolerance on growth.
+    tolerance: f64,
+}
 
-    let mut tbl = Table::new([
-        "point",
-        "metric",
-        "baseline mean",
-        "current mean",
-        "ratio",
-        "verdict",
-    ]);
+/// The one comparison behind both gates: every baseline key present in
+/// `cur` is compared, and regresses when its current value exceeds the
+/// baseline's by more than the tolerance (the band scales with |value|,
+/// so negative baselines widen upward instead of tightening). Returns the
+/// rendered report, or [`LabError::Regression`] carrying it when any key
+/// regressed. Baseline keys absent from `cur` are counted, not failed
+/// (filtered and sharded runs legitimately cover subsets).
+fn compare(cur: &Values, base: &Values, gate: &Gate) -> Result<String, LabError> {
+    let mut tbl = Table::new(gate.columns.iter().copied().chain(["ratio", "verdict"]));
     let mut compared = 0usize;
     let mut regressions = 0usize;
     let mut missing = 0usize;
-    for ((point, metric), b) in base {
-        if !metrics.iter().any(|m| m == metric) {
-            continue;
-        }
-        let Some(c) = cur.get(&(point.clone(), metric.clone())) else {
+    for (key, &b) in base {
+        let Some(&c) = cur.get(key) else {
             missing += 1;
             continue;
         };
         compared += 1;
-        // Tolerance band scales with |mean| so negative baselines (possible
-        // for user-gated extras) widen upward instead of tightening.
-        let limit = b.mean + b.mean.abs() * opts.tolerance + ABS_SLACK;
-        let regressed = c.mean > limit;
+        let limit = b + b.abs() * gate.tolerance + ABS_SLACK;
+        let regressed = c > limit;
         if regressed {
             regressions += 1;
         }
-        let ratio = if b.mean.abs() > 0.0 {
-            c.mean / b.mean
-        } else if c.mean.abs() > 0.0 {
+        let ratio = if b.abs() > 0.0 {
+            c / b
+        } else if c.abs() > 0.0 {
             f64::INFINITY
         } else {
             1.0
         };
-        tbl.push_row([
-            point.clone(),
-            metric.clone(),
-            format!("{:.2}", b.mean),
-            format!("{:.2}", c.mean),
+        let p = gate.precision;
+        tbl.push_row(key.iter().cloned().chain([
+            format!("{b:.p$}"),
+            format!("{c:.p$}"),
             format!("{ratio:.3}"),
             if regressed { "REGRESSED" } else { "ok" }.to_string(),
-        ]);
+        ]));
     }
+    let (noun, short) = gate.noun;
     let report = format!(
-        "# cost regression check (tolerance +{:.0}%)\n\n{}\n\
-         {compared} (point, metric) pairs compared, {regressions} regressed, \
-         {missing} baseline pairs absent from the current run.\n",
-        opts.tolerance * 100.0,
+        "# {}\n\n{}\n\
+         {compared} {noun} compared, {regressions} regressed, \
+         {missing} baseline {short} absent from the current run.\n",
+        gate.title,
         tbl.to_markdown()
     );
     if compared == 0 {
-        return Err(LabError::BadRecord(
-            "no comparable (point, metric) pairs between current and baseline".into(),
-        ));
+        return Err(LabError::BadRecord(format!(
+            "no comparable {noun} between current and baseline"
+        )));
     }
     if regressions > 0 {
         return Err(LabError::Regression(report));
@@ -218,8 +203,35 @@ fn check_rows(
     Ok(report)
 }
 
-/// Parses a memory-suite bench JSON into `case id → bytes_per_node`.
-fn parse_memory(text: &str, source: &str) -> Result<BTreeMap<String, f64>, LabError> {
+/// The cost gate over summary rows — summary CSV files and the
+/// store-backed run-directory inputs of [`check_files`] alike: compares
+/// the means of the gated metrics.
+fn check_rows(cur: &Values, base: &Values, opts: &CheckOptions) -> Result<String, LabError> {
+    let metrics: Vec<&str> = if opts.metrics.is_empty() {
+        DEFAULT_METRICS.to_vec()
+    } else {
+        opts.metrics.iter().map(String::as_str).collect()
+    };
+    let gated: Values = base
+        .iter()
+        .filter(|(key, _)| metrics.contains(&key[1].as_str()))
+        .map(|(key, &mean)| (key.clone(), mean))
+        .collect();
+    let gate = Gate {
+        title: format!(
+            "cost regression check (tolerance +{:.0}%)",
+            opts.tolerance * 100.0
+        ),
+        columns: &["point", "metric", "baseline mean", "current mean"],
+        precision: 2,
+        noun: ("(point, metric) pairs", "pairs"),
+        tolerance: opts.tolerance,
+    };
+    compare(cur, &gated, &gate)
+}
+
+/// Parses a memory-suite bench JSON into `[case id] → bytes_per_node`.
+fn parse_memory(text: &str, source: &str) -> Result<Values, LabError> {
     let v = crate::json::parse(text).map_err(|e| LabError::BadRecord(format!("{source}: {e}")))?;
     if v.get("suite").and_then(Value::as_str) != Some("memory") {
         return Err(LabError::BadRecord(format!(
@@ -245,7 +257,7 @@ fn parse_memory(text: &str, source: &str) -> Result<BTreeMap<String, f64>, LabEr
                     "{source}: case '{id}' lacks a numeric 'bytes_per_node'"
                 ))
             })?;
-        rows.insert(id.to_string(), bpn);
+        rows.insert(vec![id.to_string()], bpn);
     }
     Ok(rows)
 }
@@ -263,54 +275,21 @@ pub fn check_memory_text(
     baseline: &str,
     opts: &CheckOptions,
 ) -> Result<String, LabError> {
-    let cur = parse_memory(current, "current")?;
-    let base = parse_memory(baseline, "baseline")?;
-    let mut tbl = Table::new([
-        "case",
-        "baseline bytes/node",
-        "current bytes/node",
-        "ratio",
-        "verdict",
-    ]);
-    let mut compared = 0usize;
-    let mut regressions = 0usize;
-    let mut missing = 0usize;
-    for (id, b) in &base {
-        let Some(c) = cur.get(id) else {
-            missing += 1;
-            continue;
-        };
-        compared += 1;
-        let limit = b + b.abs() * opts.memory_tolerance + ABS_SLACK;
-        let regressed = *c > limit;
-        if regressed {
-            regressions += 1;
-        }
-        let ratio = if b.abs() > 0.0 { c / b } else { f64::INFINITY };
-        tbl.push_row([
-            id.clone(),
-            format!("{b:.1}"),
-            format!("{c:.1}"),
-            format!("{ratio:.3}"),
-            if regressed { "REGRESSED" } else { "ok" }.to_string(),
-        ]);
-    }
-    let report = format!(
-        "# memory regression check (bytes/node, tolerance +{:.0}%)\n\n{}\n\
-         {compared} cases compared, {regressions} regressed, \
-         {missing} baseline cases absent from the current run.\n",
-        opts.memory_tolerance * 100.0,
-        tbl.to_markdown()
-    );
-    if compared == 0 {
-        return Err(LabError::BadRecord(
-            "no comparable memory cases between current and baseline".into(),
-        ));
-    }
-    if regressions > 0 {
-        return Err(LabError::Regression(report));
-    }
-    Ok(report)
+    let gate = Gate {
+        title: format!(
+            "memory regression check (bytes/node, tolerance +{:.0}%)",
+            opts.memory_tolerance * 100.0
+        ),
+        columns: &["case", "baseline bytes/node", "current bytes/node"],
+        precision: 1,
+        noun: ("cases", "cases"),
+        tolerance: opts.memory_tolerance,
+    };
+    compare(
+        &parse_memory(current, "current")?,
+        &parse_memory(baseline, "baseline")?,
+        &gate,
+    )
 }
 
 /// One side of a `check` comparison, loaded from disk.
@@ -319,7 +298,7 @@ enum CheckInput {
     Memory(String),
     /// Summary rows — from a parsed `summary.csv` or a run directory's
     /// durable store.
-    Summary(BTreeMap<(String, String), SummaryRow>),
+    Summary(Values),
 }
 
 /// Loads one `check` input. Run **directories** are served from the
@@ -331,15 +310,7 @@ fn load_input(path: &Path, side: &str) -> Result<CheckInput, LabError> {
         let rows = crate::store::load_summary_rows(path)?;
         return Ok(CheckInput::Summary(
             rows.into_iter()
-                .map(|r| {
-                    (
-                        (r.point, r.metric),
-                        SummaryRow {
-                            mean: r.mean,
-                            count: r.count,
-                        },
-                    )
-                })
+                .map(|r| (vec![r.point, r.metric], r.mean))
                 .collect(),
         ));
     }
@@ -556,6 +527,19 @@ mod tests {
             &CheckOptions::default()
         )
         .is_err());
+    }
+
+    #[test]
+    fn both_gates_read_a_zero_baseline_alike() {
+        let summary = summary(&[("a", "messages", 0.0)]);
+        let memory = memory_json(&[("rss/x", 0.0)]);
+        let opts = CheckOptions::default();
+        for report in [
+            check_text(&summary, &summary, &opts).unwrap(),
+            check_memory_text(&memory, &memory, &opts).unwrap(),
+        ] {
+            assert!(report.contains("| 1.000 | ok |"), "{report}");
+        }
     }
 
     #[test]

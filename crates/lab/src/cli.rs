@@ -247,7 +247,14 @@ fn parse_args(args: &[String]) -> Result<(String, RunSpec), LabError> {
                 let value = it
                     .next()
                     .ok_or_else(|| LabError::BadArgs("--shard needs a value (i/k)".into()))?;
-                spec.shard = parse_shard(&value)?;
+                spec.shard = match crate::store::parse_shard_label(&value) {
+                    Some((indices, k)) if indices.len() == 1 => (indices[0], k),
+                    _ => {
+                        return Err(LabError::BadArgs(format!(
+                            "--shard: '{value}' is not i/k with i < k"
+                        )))
+                    }
+                };
             }
             "--out" => {
                 spec.out =
@@ -269,17 +276,6 @@ fn parse_args(args: &[String]) -> Result<(String, RunSpec), LabError> {
         }
     }
     Ok((scenario, spec))
-}
-
-fn parse_shard(value: &str) -> Result<(u64, u64), LabError> {
-    let bad = || LabError::BadArgs(format!("--shard: '{value}' is not i/k with i < k"));
-    let (i, k) = value.split_once('/').ok_or_else(bad)?;
-    let i: u64 = i.trim().parse().map_err(|_| bad())?;
-    let k: u64 = k.trim().parse().map_err(|_| bad())?;
-    if k == 0 || i >= k {
-        return Err(bad());
-    }
-    Ok((i, k))
 }
 
 fn cmd_list() -> String {

@@ -112,7 +112,23 @@ pub fn resume(dir: &Path, workers: Option<usize>, progress: bool) -> Result<RunO
             dir.display()
         )));
     };
-    let shard = parse_resumable_shard(&manifest.shard, dir)?;
+    // Merged partial stores carry multi-index labels (`"0,2/3"`): those are
+    // unions, not executable slices, so they are not resumable.
+    let shard = match crate::store::parse_shard_label(&manifest.shard) {
+        Some((indices, k)) if indices.len() == 1 => (indices[0], k),
+        parsed => {
+            let why = if parsed.is_some() {
+                "is a merged partial union — resume the remaining original shards and merge \
+                 again instead"
+            } else {
+                "is not an 'i/k' slice"
+            };
+            let (dir, label) = (dir.display(), &manifest.shard);
+            return Err(LabError::BadArgs(format!(
+                "{dir}: manifest shard '{label}' {why}"
+            )));
+        }
+    };
     let scenario = crate::registry::find(&manifest.scenario).ok_or_else(|| {
         LabError::UnknownScenario(format!(
             "{} (named by {}/manifest.json)",
@@ -151,29 +167,6 @@ pub fn resume(dir: &Path, workers: Option<usize>, progress: bool) -> Result<RunO
         telemetry: None,
     };
     execute_inner(scenario.as_ref(), &spec, Some(&manifest))
-}
-
-/// Parses a manifest shard label back into `(i, k)`. Merged partial
-/// stores carry multi-index labels (`"0,2/3"`) — those are unions, not
-/// executable slices, so they are not resumable.
-fn parse_resumable_shard(label: &str, dir: &Path) -> Result<(u64, u64), LabError> {
-    let parse = |s: &str| s.parse::<u64>().ok();
-    if let Some((i, k)) = label.split_once('/') {
-        if let (Some(i), Some(k)) = (parse(i), parse(k)) {
-            return Ok((i, k));
-        }
-        if i.contains(',') {
-            return Err(LabError::BadArgs(format!(
-                "{}: shard '{label}' is a merged partial union — resume the remaining original \
-                 shards and merge again instead",
-                dir.display()
-            )));
-        }
-    }
-    Err(LabError::BadArgs(format!(
-        "{}: manifest shard '{label}' is not an 'i/k' slice",
-        dir.display()
-    )))
 }
 
 fn execute_inner(

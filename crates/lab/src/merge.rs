@@ -53,30 +53,6 @@ struct KeyedPoint {
     dir: PathBuf,
 }
 
-/// Parses a shard label: `"i/k"` from the engine, `"i1,i2,…/k"` from a
-/// partial merge (indices strictly ascending). `"0/1"` is a whole run.
-fn parse_shard_label(label: &str) -> Result<(Vec<u64>, u64), LabError> {
-    let bad = || {
-        LabError::BadRecord(format!(
-            "manifest shard '{label}' is not i/k or i1,i2,…/k with ascending i < k"
-        ))
-    };
-    let (is, k) = label.split_once('/').ok_or_else(bad)?;
-    let k: u64 = k.trim().parse().map_err(|_| bad())?;
-    let mut indices = Vec::new();
-    for piece in is.split(',') {
-        let i: u64 = piece.trim().parse().map_err(|_| bad())?;
-        if i >= k || indices.last().is_some_and(|&last| last >= i) {
-            return Err(bad());
-        }
-        indices.push(i);
-    }
-    if k == 0 || indices.is_empty() {
-        return Err(bad());
-    }
-    Ok((indices, k))
-}
-
 fn resume_hint(dir: &Path) -> String {
     format!(
         "complete it with `ale-lab run --resume {}` before merging",
@@ -189,7 +165,12 @@ pub fn merge_dirs(dirs: &[PathBuf], out: Option<&Path>) -> Result<String, LabErr
     let mut divisor: Option<u64> = None;
     for dir in dirs {
         let (manifest, trials) = load_shard(dir)?;
-        let (indices, k) = parse_shard_label(&manifest.shard)?;
+        let (indices, k) = store::parse_shard_label(&manifest.shard).ok_or_else(|| {
+            LabError::BadRecord(format!(
+                "manifest shard '{}' is not i/k or i1,i2,…/k with ascending i < k",
+                manifest.shard
+            ))
+        })?;
         match divisor {
             None => divisor = Some(k),
             Some(expect) if expect != k => {

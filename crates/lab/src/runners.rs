@@ -3,7 +3,6 @@
 
 use ale_baselines::flood_max::{run_flood_max, FloodDiscipline, FloodMaxConfig};
 use ale_baselines::gilbert::{run_gilbert, GilbertConfig};
-use ale_baselines::kutten::{run_kutten, KuttenConfig};
 use ale_core::irrevocable::{run_irrevocable, IrrevocableConfig};
 use ale_core::{CoreError, ElectionOutcome};
 use ale_graph::{Graph, GraphProps, NetworkKnowledge, Topology};
@@ -100,35 +99,31 @@ impl GraphContext {
         })
     }
 
-    /// Runs `alg` on this graph with the given seed.
+    /// Runs `alg` on this graph with the given seed, configured from the
+    /// knowledge Table 1 grants it: `(n, t_mix, Φ)` for this work, `(n,
+    /// t_mix)` for gilbert18 and `(n, D)` for the flood-max baselines.
     ///
     /// # Errors
     ///
     /// Propagates the underlying runner's failures.
     pub fn run(&self, alg: Algorithm, seed: u64) -> Result<ElectionOutcome, CoreError> {
+        let (n, diameter) = (self.knowledge.n, self.props.diameter as u64);
+        let flood = |cfg: FloodMaxConfig| run_flood_max(&self.graph, &cfg, seed);
         match alg {
             Algorithm::ThisWork => {
                 let cfg = IrrevocableConfig::from_knowledge(self.knowledge);
                 run_irrevocable(&self.graph, &cfg, seed)
             }
             Algorithm::Gilbert => {
-                let cfg = GilbertConfig::new(self.knowledge.n, self.knowledge.tmix);
+                let cfg = GilbertConfig::new(n, self.knowledge.tmix);
                 run_gilbert(&self.graph, &cfg, seed)
             }
-            Algorithm::Kutten => {
-                let mut cfg = KuttenConfig::for_graph(&self.graph);
-                cfg.diameter = self.props.diameter as u64;
-                run_kutten(&self.graph, &cfg, seed)
-            }
-            Algorithm::FloodOnChange => {
-                let cfg = FloodMaxConfig::for_graph(&self.graph);
-                run_flood_max(&self.graph, &cfg, seed)
-            }
-            Algorithm::FloodEveryRound => {
-                let mut cfg = FloodMaxConfig::for_graph(&self.graph);
-                cfg.discipline = FloodDiscipline::EveryRound;
-                run_flood_max(&self.graph, &cfg, seed)
-            }
+            Algorithm::Kutten => flood(FloodMaxConfig::kutten(n, diameter)),
+            Algorithm::FloodOnChange => flood(FloodMaxConfig::new(n, diameter)),
+            Algorithm::FloodEveryRound => flood(FloodMaxConfig {
+                discipline: FloodDiscipline::EveryRound,
+                ..FloodMaxConfig::new(n, diameter)
+            }),
         }
     }
 }

@@ -9,11 +9,9 @@ use crate::agg::RunSummary;
 use crate::params::{Axis, Block, ParamSpace, Range};
 use crate::runners::GraphContexts;
 use crate::scenario::{GridPoint, Knowledge, LabError, Scenario, TrialFn, TrialRecord};
+use crate::scenarios::cautious::planted_broadcast;
 use crate::table::Table;
-use ale_congest::{congest_budget, Network};
-use ale_core::irrevocable::{
-    run_irrevocable, IrrevocableConfig, IrrevocableProcess, ReportDiscipline,
-};
+use ale_core::irrevocable::{run_irrevocable, IrrevocableConfig, ReportDiscipline};
 use ale_graph::Topology;
 
 const GRAPH_SEED: u64 = 3;
@@ -124,26 +122,13 @@ impl Scenario for AblationCautious {
             let ctx = self.contexts.get(topo, view.graph_seed(GRAPH_SEED))?;
             let mut cfg = IrrevocableConfig::from_knowledge(ctx.knowledge);
             cfg.report_discipline = discipline;
-            let budget = congest_budget(ctx.knowledge.n, cfg.congest_factor);
             let target = cfg.final_threshold() as f64;
             let point = point.clone();
             Ok(Box::new(move |seed| {
-                let graph = &ctx.graph;
-                let procs: Vec<IrrevocableProcess> = (0..graph.n())
-                    .map(|v| {
-                        let p = cfg.protocol_params(graph.degree(v))?;
-                        Ok(IrrevocableProcess::with_candidacy(p, 1 + v as u64, v == 0))
-                    })
-                    .collect::<Result<_, LabError>>()?;
-                let mut net = Network::new(graph, procs, seed, budget)?;
-                net.run_for(cfg.broadcast_rounds())?;
-                let territory = net
-                    .processes()
-                    .iter()
-                    .filter(|p| !p.known_sources().is_empty())
-                    .count();
+                let params = cfg.protocol_params(1)?;
+                let (territory, metrics) = planted_broadcast(&ctx.graph, &cfg, params, seed)?;
                 let mut r = TrialRecord::new("ablation-cautious", &point, seed);
-                r.absorb_metrics(net.metrics());
+                r.absorb_metrics(&metrics);
                 r.ok = territory >= 1;
                 r.push_extra("territory", territory as f64);
                 r.push_extra("target", target);

@@ -11,11 +11,40 @@ use crate::params::{Axis, Block, ParamSpace, Range};
 use crate::runners::GraphContexts;
 use crate::scenario::{GridPoint, Knowledge, LabError, Scenario, TrialFn, TrialRecord};
 use crate::table::Table;
-use ale_congest::{congest_budget, Network};
-use ale_core::irrevocable::{IrrevocableConfig, IrrevocableProcess};
-use ale_graph::Topology;
+use ale_congest::{congest_budget, Metrics, Network};
+use ale_core::irrevocable::{IrrevocableConfig, IrrevocableProcess, ProtocolParams};
+use ale_graph::{Graph, Topology};
 
 const GRAPH_SEED: u64 = 3;
+
+/// Runs only `cfg`'s cautious-broadcast phase with `params` at every node
+/// (at its own degree) and exactly one candidate, planted at node 0
+/// (host-side planting; the processes themselves stay anonymous).
+/// Returns how many nodes the territory reached and the run's costs.
+pub(crate) fn planted_broadcast(
+    graph: &Graph,
+    cfg: &IrrevocableConfig,
+    params: ProtocolParams,
+    seed: u64,
+) -> Result<(usize, Metrics), LabError> {
+    let procs = (0..graph.n())
+        .map(|v| {
+            let p = ProtocolParams {
+                degree: graph.degree(v),
+                ..params
+            };
+            IrrevocableProcess::with_candidacy(p, 1 + v as u64, v == 0)
+        })
+        .collect();
+    let mut net = Network::new(graph, procs, seed, congest_budget(cfg.knowledge.n))?;
+    net.run_for(cfg.broadcast_rounds())?;
+    let territory = net
+        .processes()
+        .iter()
+        .filter(|p| !p.known_sources().is_empty())
+        .count();
+    Ok((territory, *net.metrics()))
+}
 
 /// The cautious-broadcast scenario. Every `x` of a topology shares one
 /// graph context through the run's memo.
@@ -81,7 +110,6 @@ impl Scenario for Cautious {
         let ctx = self.contexts.get(topo, view.graph_seed(GRAPH_SEED))?;
         let knowledge = ctx.knowledge;
         let cfg = IrrevocableConfig::from_knowledge(knowledge);
-        let budget = congest_budget(knowledge.n, cfg.congest_factor);
         let target = (x as f64 * knowledge.tmix as f64 * knowledge.phi)
             .ceil()
             .max(2.0);
@@ -90,25 +118,9 @@ impl Scenario for Cautious {
             let mut params = cfg.protocol_params(1)?;
             params.x = x;
             params.final_threshold = target as u64;
-            // Plant exactly one candidate at node 0 (host-side planting;
-            // the processes themselves stay anonymous).
-            let graph = &ctx.graph;
-            let procs: Vec<IrrevocableProcess> = (0..graph.n())
-                .map(|v| {
-                    let mut p = params;
-                    p.degree = graph.degree(v);
-                    IrrevocableProcess::with_candidacy(p, 1 + v as u64, v == 0)
-                })
-                .collect();
-            let mut net = Network::new(graph, procs, seed, budget)?;
-            net.run_for(cfg.broadcast_rounds())?;
-            let territory = net
-                .processes()
-                .iter()
-                .filter(|p| !p.known_sources().is_empty())
-                .count();
+            let (territory, metrics) = planted_broadcast(&ctx.graph, &cfg, params, seed)?;
             let mut r = TrialRecord::new("cautious", &point, seed);
-            r.absorb_metrics(net.metrics());
+            r.absorb_metrics(&metrics);
             r.ok = territory >= 1;
             r.push_extra("territory", territory as f64);
             r.push_extra("target", target);

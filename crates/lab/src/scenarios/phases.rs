@@ -54,7 +54,7 @@ impl Scenario for Phases {
         let topo = view.topology()?;
         let graph = topo.build(view.graph_seed(1))?;
         let cfg = IrrevocableConfig::derive_for(&graph, &topo)?;
-        let budget = congest_budget(cfg.knowledge.n, cfg.congest_factor);
+        let budget = congest_budget(cfg.knowledge.n);
         let point = point.clone();
         Ok(Box::new(move |seed| {
             let cfg_copy = cfg;

@@ -124,7 +124,7 @@ impl Scenario for Walks {
         let ctx = self.contexts.get(topo, view.graph_seed(GRAPH_SEED))?;
         let (graph, knowledge) = (&ctx.graph, ctx.knowledge);
         let cfg = IrrevocableConfig::from_knowledge(knowledge);
-        let budget = congest_budget(knowledge.n, cfg.congest_factor);
+        let budget = congest_budget(knowledge.n);
         let paper_x = cfg.x();
 
         // Large non-vertex-transitive families: cross-check the knowledge

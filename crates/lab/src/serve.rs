@@ -30,7 +30,7 @@
 //!
 //! | Route | Serves |
 //! |---|---|
-//! | `GET /runs` | manifest index across the mounted run dirs |
+//! | `GET /runs` | manifest index across the mounted run dirs; a run that fails to load lists its `error` |
 //! | `GET /runs/{id}/manifest` | the on-disk `manifest.json`, byte-identical |
 //! | `GET /runs/{id}/summary` | raw `s/` rows from `trials.db`, key order |
 //! | `GET /runs/{id}/trials?point=…&seed=…` | `t/` prefix scan as JSONL (chunked) |
@@ -359,7 +359,7 @@ impl ServeApp {
         match path {
             "/healthz" => Ok(Response::text(200, "ok\n")),
             "/metrics" => Ok(metrics_response()),
-            "/runs" => self.runs_index(),
+            "/runs" => Ok(self.runs_index()),
             _ => {
                 let Some(rest) = path.strip_prefix("/runs/") else {
                     return Ok(Response::not_found(&req.path));
@@ -382,14 +382,27 @@ impl ServeApp {
         }
     }
 
-    fn runs_index(&self) -> Result<Response, LabError> {
+    /// One entry per mounted run, in mount order. A run whose snapshot
+    /// fails to load (say its manifest was deleted) is listed as its id
+    /// and the error, so the healthy runs stay listed.
+    fn runs_index(&self) -> Response {
         let mut entries = Vec::new();
         for run in &self.runs {
-            let snap = run.snapshot()?;
+            let id = ("id".to_string(), Value::Str(run.id.clone()));
+            let snap = match run.snapshot() {
+                Ok(snap) => snap,
+                Err(e) => {
+                    entries.push(Value::obj(vec![
+                        id,
+                        ("error".to_string(), Value::Str(e.to_string())),
+                    ]));
+                    continue;
+                }
+            };
             let manifest = &snap.manifest;
             let expected: u64 = manifest.counts.iter().sum();
             entries.push(Value::obj(vec![
-                ("id".to_string(), Value::Str(run.id.clone())),
+                id,
                 (
                     "scenario".to_string(),
                     Value::Str(manifest.scenario.clone()),
@@ -406,7 +419,7 @@ impl ServeApp {
             ]));
         }
         let body = Value::obj(vec![("runs".to_string(), Value::Arr(entries))]);
-        Ok(Response::json(body.render_pretty() + "\n"))
+        Response::json(body.render_pretty() + "\n")
     }
 }
 

@@ -773,6 +773,24 @@ pub fn load_jsonl(path: &Path) -> Result<Vec<TrialRecord>, LabError> {
     Ok(records)
 }
 
+/// Parses a shard label: `"i/k"` from `--shard` and the engine,
+/// `"i1,i2,…/k"` from a partial merge (indices strictly ascending, each
+/// below `k`). `"0/1"` is a whole run. `None` when the label has neither
+/// form; each caller reports that in its own terms.
+pub(crate) fn parse_shard_label(label: &str) -> Option<(Vec<u64>, u64)> {
+    let (is, k) = label.split_once('/')?;
+    let k: u64 = k.trim().parse().ok()?;
+    let mut indices: Vec<u64> = Vec::new();
+    for piece in is.split(',') {
+        let i: u64 = piece.trim().parse().ok()?;
+        if i >= k || indices.last().is_some_and(|&last| last >= i) {
+            return None;
+        }
+        indices.push(i);
+    }
+    Some((indices, k))
+}
+
 /// Loads a run manifest.
 ///
 /// # Errors

@@ -4,7 +4,7 @@
 //! Pins the two acceptance properties of the results service:
 //!
 //! * `/runs/{id}/summary` is **byte-identical** (modulo HTTP framing)
-//!   to the stored `s/` rows of a completed `--quick` revocable run;
+//!   to the stored `s/` rows of a completed `--quick` table1 run;
 //! * `/runs/{id}/tail` on a killed-mid-sweep run returns exactly the
 //!   journal's valid prefix, and after `run --resume` a
 //!   cursor-continued tail reaches `"complete": true`.
@@ -95,6 +95,23 @@ fn lab(args: &[&str]) -> String {
     ale_lab::cli::run(&args).expect("ale-lab command succeeds")
 }
 
+/// Stores `run <scenario> --quick --seeds <seeds>` on 2 workers in `dir`.
+fn store_quick(scenario: &str, seeds: &str, dir: &Path) {
+    let out = dir.to_string_lossy();
+    lab(&[
+        "run",
+        scenario,
+        "--quick",
+        "--quiet",
+        "--seeds",
+        seeds,
+        "--workers",
+        "2",
+        "--out",
+        &out,
+    ]);
+}
+
 fn spawn_server(dirs: &[PathBuf]) -> ServerHandle {
     let app = Arc::new(ServeApp::new(dirs).expect("mount run dirs"));
     let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind ephemeral port");
@@ -182,18 +199,7 @@ fn served_views_match_the_store_byte_for_byte() {
     let root = std::env::temp_dir().join(format!("ale-lab-serve-accept-{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();
     let dir = root.join("q");
-    lab(&[
-        "run",
-        "revocable",
-        "--quick",
-        "--quiet",
-        "--seeds",
-        "1",
-        "--workers",
-        "2",
-        "--out",
-        &dir.to_string_lossy(),
-    ]);
+    store_quick("table1", "1", &dir);
     let manifest = load_manifest(&dir.join("manifest.json")).unwrap();
     let _serving = serving();
     let server = spawn_server(std::slice::from_ref(&dir));
@@ -225,7 +231,7 @@ fn served_views_match_the_store_byte_for_byte() {
     let (status, _, body) = get(addr, "/runs/q/summary");
     assert_eq!(status, 200);
     let envelope =
-        b"{\"run\":\"q\",\"scenario\":\"revocable\",\"complete\":true,\"missing\":0,\"rows\":[";
+        b"{\"run\":\"q\",\"scenario\":\"table1\",\"complete\":true,\"missing\":0,\"rows\":[";
     assert!(
         body.starts_with(envelope),
         "summary envelope: {}",
@@ -240,7 +246,7 @@ fn served_views_match_the_store_byte_for_byte() {
     // The space route and `describe --json` are the same renderer.
     let (status, _, body) = get(addr, "/runs/q/space");
     assert_eq!(status, 200);
-    let described = lab(&["describe", "revocable", "--json"]) + "\n";
+    let described = lab(&["describe", "table1", "--json"]) + "\n";
     assert_eq!(String::from_utf8_lossy(&body), described);
 
     // Trials stream as JSONL in key order, byte-identical to the store.
@@ -347,18 +353,7 @@ fn tail_serves_the_valid_prefix_of_a_killed_run_and_follows_resume() {
     std::fs::remove_dir_all(&root).ok();
     let dir = root.join("t1");
     let p = dir.to_string_lossy().to_string();
-    lab(&[
-        "run",
-        "diffusion",
-        "--quick",
-        "--quiet",
-        "--seeds",
-        "2",
-        "--workers",
-        "2",
-        "--out",
-        &p,
-    ]);
+    store_quick("diffusion", "2", &dir);
 
     // Simulate a kill mid-sweep, exactly like the resume exit-code
     // test: tear the persisted tails, drop the derived views, and leave
@@ -433,18 +428,7 @@ fn tail_serves_the_valid_prefix_of_a_killed_run_and_follows_resume() {
 /// boundary so nothing is torn, and whose manifest says incomplete.
 /// Returns the cut entry's key and value.
 fn store_missing_its_last_trial(dir: &Path) -> (Vec<u8>, Vec<u8>) {
-    lab(&[
-        "run",
-        "diffusion",
-        "--quick",
-        "--quiet",
-        "--seeds",
-        "2",
-        "--workers",
-        "2",
-        "--out",
-        &dir.to_string_lossy(),
-    ]);
+    store_quick("diffusion", "2", dir);
     let journal = dir.join("trials.db");
     let (entries, _) = scan_entries(&std::fs::read(&journal).unwrap());
     let last = entries
@@ -505,22 +489,39 @@ fn a_cached_run_is_reread_once_its_journal_grows() {
 }
 
 #[test]
+fn runs_lists_a_mount_that_fails_to_load_as_its_error() {
+    let root = std::env::temp_dir().join(format!("ale-lab-serve-broken-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let dirs = [root.join("a"), root.join("b")];
+    for dir in &dirs {
+        store_quick("table1", "1", dir);
+    }
+    let _serving = serving();
+    let app = ServeApp::new(&dirs).unwrap();
+    let healthy = call_json(&app, "/runs", &[]);
+    let healthy = arr(healthy.get("runs").unwrap());
+    assert_eq!(healthy.len(), 2);
+
+    std::fs::remove_file(dirs[1].join("manifest.json")).unwrap();
+    let index = call_json(&app, "/runs", &[]);
+    let runs = arr(index.get("runs").unwrap());
+    assert_eq!(runs.len(), 2);
+    assert_eq!(runs[0], healthy[0], "the healthy mount is listed as before");
+    assert_eq!(runs[1].get("id").unwrap().as_str(), Some("b"));
+    let error = runs[1].get("error").unwrap().as_str().unwrap();
+    assert!(error.contains("manifest.json"), "{error}");
+    assert_eq!(runs[1].get("scenario"), None);
+    assert_eq!(call(&app, "/runs/a/summary", &[]).0, 200);
+    assert_eq!(call(&app, "/runs/b/summary", &[]).0, 500);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
 fn a_torn_journal_is_reread_on_every_request() {
     let root = std::env::temp_dir().join(format!("ale-lab-serve-torn-{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();
     let dir = root.join("torn");
-    lab(&[
-        "run",
-        "diffusion",
-        "--quick",
-        "--quiet",
-        "--seeds",
-        "2",
-        "--workers",
-        "2",
-        "--out",
-        &dir.to_string_lossy(),
-    ]);
+    store_quick("diffusion", "2", &dir);
     let journal = dir.join("trials.db");
     let len = std::fs::metadata(&journal).unwrap().len();
     let f = std::fs::OpenOptions::new()
@@ -554,18 +555,7 @@ fn concurrent_requests_share_one_load_and_match_a_fresh_app() {
     let root = std::env::temp_dir().join(format!("ale-lab-serve-shared-{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();
     let dir = root.join("s");
-    lab(&[
-        "run",
-        "table1",
-        "--quick",
-        "--quiet",
-        "--seeds",
-        "2",
-        "--workers",
-        "2",
-        "--out",
-        &dir.to_string_lossy(),
-    ]);
+    store_quick("table1", "2", &dir);
     let manifest = load_manifest(&dir.join("manifest.json")).unwrap();
     let (entries, valid_len) = scan_entries(&std::fs::read(dir.join("trials.db")).unwrap());
     let offsets: Vec<String> = entries

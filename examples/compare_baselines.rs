@@ -2,68 +2,14 @@
 //! the `table1` scenario (`ale-lab run table1`).
 //!
 //! For each topology class the example runs every algorithm on the same
-//! seeds and prints a compact cost table, annotating *why* the ordering
-//! looks the way it does in terms of the paper's Table 1.
+//! seeds, through the same `GraphContext` driver `table1` uses, and prints
+//! a compact cost table, annotating *why* the ordering looks the way it
+//! does in terms of the paper's Table 1.
 //!
 //! Run with: `cargo run --release --example compare_baselines`
 
 use ale::graph::Topology;
-
-/// A small runner that calls each protocol's entry point directly, without
-/// the lab's scenario registry, so the example reads top to bottom.
-mod shootout {
-    use ale::baselines::flood_max::{run_flood_max, FloodMaxConfig};
-    use ale::baselines::gilbert::{run_gilbert, GilbertConfig};
-    use ale::baselines::kutten::{run_kutten, KuttenConfig};
-    use ale::core::irrevocable::{run_irrevocable, IrrevocableConfig};
-    use ale::core::ElectionOutcome;
-    use ale::graph::{Graph, GraphProps, NetworkKnowledge, Topology};
-
-    pub struct Bench {
-        pub graph: Graph,
-        pub knowledge: NetworkKnowledge,
-        pub diameter: u64,
-    }
-
-    impl Bench {
-        pub fn new(topology: Topology, seed: u64) -> Result<Self, Box<dyn std::error::Error>> {
-            let graph = topology.build(seed)?;
-            let props = GraphProps::compute_for(&graph, &topology)?;
-            Ok(Bench {
-                knowledge: NetworkKnowledge::from_props(&props),
-                diameter: props.diameter as u64,
-                graph,
-            })
-        }
-
-        pub fn run(
-            &self,
-            name: &str,
-            seed: u64,
-        ) -> Result<ElectionOutcome, Box<dyn std::error::Error>> {
-            Ok(match name {
-                "this-work" => {
-                    let cfg = IrrevocableConfig::from_knowledge(self.knowledge);
-                    run_irrevocable(&self.graph, &cfg, seed)?
-                }
-                "gilbert18" => {
-                    let cfg = GilbertConfig::new(self.knowledge.n, self.knowledge.tmix);
-                    run_gilbert(&self.graph, &cfg, seed)?
-                }
-                "kutten15" => {
-                    let mut cfg = KuttenConfig::for_graph(&self.graph);
-                    cfg.diameter = self.diameter;
-                    run_kutten(&self.graph, &cfg, seed)?
-                }
-                "flood-max" => {
-                    let cfg = FloodMaxConfig::for_graph(&self.graph);
-                    run_flood_max(&self.graph, &cfg, seed)?
-                }
-                other => panic!("unknown algorithm {other}"),
-            })
-        }
-    }
-}
+use ale_lab::runners::{Algorithm, GraphContext};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let seeds = 8u64;
@@ -83,27 +29,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
 
     for (topo, story) in scenarios {
-        let bench = shootout::Bench::new(topo, 1)?;
+        let ctx = GraphContext::build(topo, 1)?;
         println!("\n== {topo}: {story}");
         println!(
             "   n = {}, m = {}, D = {}, t_mix ≤ {}, Φ ≈ {:.3}",
-            bench.graph.n(),
-            bench.graph.m(),
-            bench.diameter,
-            bench.knowledge.tmix,
-            bench.knowledge.phi
+            ctx.graph.n(),
+            ctx.graph.m(),
+            ctx.props.diameter,
+            ctx.knowledge.tmix,
+            ctx.knowledge.phi
         );
         println!(
             "   {:<10} {:>8} {:>12} {:>12} {:>8}",
             "algorithm", "success", "med msgs", "med bits", "rounds"
         );
-        for name in ["this-work", "gilbert18", "kutten15", "flood-max"] {
+        for (name, alg) in [
+            ("this-work", Algorithm::ThisWork),
+            ("gilbert18", Algorithm::Gilbert),
+            ("kutten15", Algorithm::Kutten),
+            ("flood-max", Algorithm::FloodOnChange),
+        ] {
             let mut ok = 0;
             let mut msgs = Vec::new();
             let mut bits = Vec::new();
             let mut rounds = 0;
             for seed in 0..seeds {
-                let o = bench.run(name, seed)?;
+                let o = ctx.run(alg, seed)?;
                 if o.is_successful() {
                     ok += 1;
                 }

@@ -10,10 +10,12 @@
 //! Run with: `cargo run --release --example sensor_swarm`
 
 use ale::baselines::flood_max::{run_flood_max, FloodMaxConfig};
-use ale::baselines::kutten::{run_kutten, KuttenConfig};
 use ale::core::irrevocable::{run_irrevocable, IrrevocableConfig};
-use ale::core::SuccessStats;
+use ale::core::{CoreError, ElectionOutcome, SuccessStats};
 use ale::graph::Topology;
+
+/// One coordinator election, seeded by its epoch.
+type Election<'a> = &'a dyn Fn(u64) -> Result<ElectionOutcome, CoreError>;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 12x12 torus of sensors: 144 nodes, degree 4 radio neighborhoods.
@@ -27,62 +29,36 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("sensor field: {} nodes, {} links", field.n(), field.m());
 
-    // This paper's protocol (knowledge derived once, offline).
+    // This paper's protocol (knowledge derived once, offline), then
+    // Kutten-style candidate flooding (needs diameter knowledge too), then
+    // naive flood-max: every sensor shouts.
     let cfg = IrrevocableConfig::derive_for(&field, &topology)?;
-    let mut stats = SuccessStats::default();
-    let mut msgs = 0u64;
-    let mut bits = 0u64;
-    for epoch in 0..epochs {
-        let o = run_irrevocable(&field, &cfg, epoch)?;
-        stats.record(&o);
-        msgs += o.metrics.messages;
-        bits += o.metrics.bits;
+    let diameter = field.diameter() as u64;
+    let kcfg = FloodMaxConfig::kutten(field.n(), diameter);
+    let fcfg = FloodMaxConfig::new(field.n(), diameter);
+    let protocols: [(&str, Election); 3] = [
+        ("this-work", &|epoch| run_irrevocable(&field, &cfg, epoch)),
+        ("kutten15", &|epoch| run_flood_max(&field, &kcfg, epoch)),
+        ("flood-max", &|epoch| run_flood_max(&field, &fcfg, epoch)),
+    ];
+    for (name, run) in protocols {
+        let mut stats = SuccessStats::default();
+        let mut msgs = 0u64;
+        let mut bits = 0u64;
+        for epoch in 0..epochs {
+            let o = run(epoch)?;
+            stats.record(&o);
+            msgs += o.metrics.messages;
+            bits += o.metrics.bits;
+        }
+        println!(
+            "{name:<10}: {}/{} unique coordinators | {:>8} msgs/epoch | {:>9} bits/epoch",
+            stats.unique,
+            stats.runs,
+            msgs / epochs,
+            bits / epochs
+        );
     }
-    println!(
-        "this-work : {}/{} unique coordinators | {:>8} msgs/epoch | {:>9} bits/epoch",
-        stats.unique,
-        stats.runs,
-        msgs / epochs,
-        bits / epochs
-    );
-
-    // Kutten-style candidate flooding (needs diameter knowledge too).
-    let kcfg = KuttenConfig::for_graph(&field);
-    let mut kstats = SuccessStats::default();
-    let mut kmsgs = 0u64;
-    let mut kbits = 0u64;
-    for epoch in 0..epochs {
-        let o = run_kutten(&field, &kcfg, epoch)?;
-        kstats.record(&o);
-        kmsgs += o.metrics.messages;
-        kbits += o.metrics.bits;
-    }
-    println!(
-        "kutten15  : {}/{} unique coordinators | {:>8} msgs/epoch | {:>9} bits/epoch",
-        kstats.unique,
-        kstats.runs,
-        kmsgs / epochs,
-        kbits / epochs
-    );
-
-    // Naive flood-max: every sensor shouts.
-    let fcfg = FloodMaxConfig::for_graph(&field);
-    let mut fstats = SuccessStats::default();
-    let mut fmsgs = 0u64;
-    let mut fbits = 0u64;
-    for epoch in 0..epochs {
-        let o = run_flood_max(&field, &fcfg, epoch)?;
-        fstats.record(&o);
-        fmsgs += o.metrics.messages;
-        fbits += o.metrics.bits;
-    }
-    println!(
-        "flood-max : {}/{} unique coordinators | {:>8} msgs/epoch | {:>9} bits/epoch",
-        fstats.unique,
-        fstats.runs,
-        fmsgs / epochs,
-        fbits / epochs
-    );
 
     println!(
         "\nNote: the torus is an intermediate-conductance topology (Φ ≈ 1/√n);\n\

@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Scaled parameters (same functional forms as the paper; see
     // `ale_core::revocable::params` for the modes) keep the demo interactive.
     let params = RevocableParams::paper_blind(1.0, 0.2).with_scales(0.02, 0.25, 1.0);
-    let budget = congest_budget(overlay.n(), params.congest_factor);
+    let budget = congest_budget(overlay.n());
     let horizon = 16u64;
 
     let mut net = Network::from_fn(&overlay, 11, budget, |deg, _rng| {

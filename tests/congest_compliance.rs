@@ -3,7 +3,6 @@
 
 use ale::baselines::flood_max::{run_flood_max, FloodMaxConfig};
 use ale::baselines::gilbert::{run_gilbert, GilbertConfig};
-use ale::baselines::kutten::{run_kutten, KuttenConfig};
 use ale::congest::{congest_budget, AnyNetwork, EngineKind};
 use ale::core::irrevocable::{run_irrevocable, IrrevocableConfig, IrrevocableProcess};
 use ale::core::revocable::{run_revocable, run_revocable_async, RevocableParams};
@@ -12,7 +11,7 @@ use ale::graph::{NetworkKnowledge, Topology};
 #[test]
 fn irrevocable_runs_are_congest_clean() {
     // All message fields are O(log n) bits (IDs in n^4, counters in x), so
-    // with the default budget factor every message must fit and no port
+    // with the CONGEST budget factor every message must fit and no port
     // may be double-used.
     for topo in [
         Topology::Complete { n: 24 },
@@ -41,15 +40,16 @@ fn irrevocable_runs_are_congest_clean() {
 fn baselines_are_congest_clean() {
     let topo = Topology::RandomRegular { n: 32, d: 4 };
     let g = topo.build(1).expect("graph");
-    let f = FloodMaxConfig::for_graph(&g);
-    let k = KuttenConfig::for_graph(&g);
+    let diameter = g.diameter() as u64;
+    let f = FloodMaxConfig::new(g.n(), diameter);
+    let k = FloodMaxConfig::kutten(g.n(), diameter);
     let gl = GilbertConfig::new(32, 8);
     for seed in 0..4 {
         assert!(run_flood_max(&g, &f, seed)
             .expect("run")
             .metrics
             .congest_clean());
-        assert!(run_kutten(&g, &k, seed)
+        assert!(run_flood_max(&g, &k, seed)
             .expect("run")
             .metrics
             .congest_clean());
@@ -93,7 +93,7 @@ fn congest_accounting_is_engine_invariant() {
         phi: 0.25,
     };
     let cfg = IrrevocableConfig::from_knowledge(knowledge);
-    let budget = congest_budget(g.n(), cfg.congest_factor);
+    let budget = congest_budget(g.n());
     let mut snapshots = Vec::new();
     for kind in EngineKind::ALL {
         let procs: Vec<IrrevocableProcess> = (0..g.n())

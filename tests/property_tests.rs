@@ -225,7 +225,7 @@ fn broadcast_once(
             IrrevocableProcess::with_candidacy(p, 1 + v as u64, v == 0)
         })
         .collect();
-    let budget = congest_budget(g.n(), cfg.congest_factor);
+    let budget = congest_budget(g.n());
     let mut net = AnyNetwork::new(kind, &g, procs, seed, budget).expect("network");
     net.run_for(cfg.broadcast_rounds()).expect("run");
     let procs = net.processes().to_vec();

@@ -65,7 +65,7 @@ fn irrevocable_runs_match_the_stepping_oracles() {
         for discipline in [ReportDiscipline::OnCrossing, ReportDiscipline::OnChange] {
             let mut cfg = IrrevocableConfig::derive_for(&g, &topo).expect("config");
             cfg.report_discipline = discipline;
-            let budget = congest_budget(g.n(), cfg.congest_factor);
+            let budget = congest_budget(g.n());
             for seed in 0..3 {
                 let case = format!("{topo} {discipline:?} seed {seed}");
                 assert_engines_agree(&case, &g, seed, budget, cfg.total_rounds(), |deg, rng| {
@@ -93,7 +93,7 @@ fn gilbert_runs_match_the_stepping_oracles() {
         let g = topo.build(1).expect("graph");
         let props = GraphProps::compute_for(&g, &topo).expect("props");
         let cfg = GilbertConfig::new(g.n(), props.tmix);
-        let budget = congest_budget(g.n(), cfg.congest_factor);
+        let budget = congest_budget(g.n());
         for seed in 0..8 {
             let case = format!("{topo} seed {seed}");
             assert_engines_agree(&case, &g, seed, budget, cfg.total_rounds(), |_deg, rng| {
