@@ -28,16 +28,20 @@
 //!
 //! * Delivery order within an arrival tick is global send order (sender id
 //!   ascending, then send order within the sender): a slot fills in send
-//!   order and drains front to back. At **unit latency with zero faults**
-//!   this reproduces the lockstep policy's inbox order exactly, which is
+//!   order and drains front to back into the receivers' inbox regions,
+//!   the same write a lockstep send makes (see the
+//!   [`network`](crate::network#inbox-regions) module docs). A receiver
+//!   that a tick hands more than its region holds — a duplicate, or
+//!   latencies that bunch — grows its region, keeping that order. At
+//!   **unit latency with zero faults** this reproduces the lockstep policy's inbox order exactly, which is
 //!   what makes [`Network`](crate::network::Network) the equivalence
 //!   oracle for this one: outputs, [`Metrics`](crate::metrics::Metrics),
 //!   and traces are byte-identical (pinned by
 //!   `crates/congest/tests/async_equivalence.rs`).
 //! * Virtual time only moves forward: a tick runs every active node,
 //!   appends each send to the slot of its arrival tick (strictly in the
-//!   future), drains the slot due next tick into the driver's inbox
-//!   arena, and advances.
+//!   future), drains the slot due next tick into next tick's inboxes, and
+//!   advances.
 //! * **Fault atomicity**: a message's fate — dropped, delivered once, or
 //!   duplicated — is decided entirely at send time from the adversary's
 //!   own SplitMix64 streams. By construction the counters always
@@ -67,7 +71,7 @@
 
 use crate::error::CongestError;
 use crate::message::Payload;
-use crate::network::sealed::{Policy, Staging, StagingArena};
+use crate::network::sealed::{Arena, Policy, Staging};
 use crate::network::{splitmix64, Delivery, Driver};
 use crate::process::{Process, RoundStats};
 use ale_graph::Graph;
@@ -380,7 +384,7 @@ impl<M: Payload> Policy<M> for Events<M> {
     }
 
     #[inline]
-    fn staging<'a>(&'a mut self, _arena: &'a mut StagingArena<M>) -> Staging<'a, M> {
+    fn staging<'a>(&'a mut self, _arena: &'a mut Arena<M>) -> Staging<'a, M> {
         Staging::Events(self)
     }
 
@@ -391,7 +395,7 @@ impl<M: Payload> Policy<M> for Events<M> {
         }
     }
 
-    fn commit(&mut self, arena: &mut StagingArena<M>) {
+    fn commit(&mut self, graph: &Graph, arena: &mut Arena<M>) {
         let len = self.ring.len();
         // The mean slot load before the drain: counted after it, a unit
         // ring (one slot, drained every tick) would shrink and regrow
@@ -400,7 +404,7 @@ impl<M: Payload> Policy<M> for Events<M> {
         let slot = &mut self.ring[(self.now + 1) % len];
         self.queued -= slot.len();
         for ev in slot.drain(..) {
-            arena.push(ev.target as usize, ev.port as usize, ev.msg);
+            arena.push(graph, ev.target as usize, ev.port as usize, ev.msg);
         }
         // A fresh buffer, not an in-place `shrink_to`: shrinking in place
         // strands small live blocks inside the large freed ones, which
@@ -490,10 +494,10 @@ impl<'g, P: Process> AsyncNetwork<'g, P> {
     }
 
     /// Messages scheduled but not yet consumed by a committed tick: the
-    /// queue plus the arrivals waiting in the inbox arena (for the next
-    /// tick, or for the retry of a failed one).
+    /// queue plus the arrivals waiting in the inboxes (for the next tick,
+    /// or for the retry of a failed one).
     pub fn in_flight(&self) -> usize {
-        self.policy.queued + self.in_arena.len()
+        self.policy.queued + self.inbox.len()
     }
 }
 

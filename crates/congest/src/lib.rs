@@ -15,9 +15,9 @@
 //!   for every policy (see the [`process`] module docs for the `Outbox` →
 //!   `OutCtx` migration).
 //! * [`Driver`] — the one engine driver: wires processes to a graph and
-//!   drives rounds on a zero-allocation inbox arena, generic over a sealed
-//!   [`Delivery`] policy (see the [`network`] module docs for the
-//!   compute → send → commit → deliver pipeline and the engine
+//!   drives rounds on zero-allocation per-receiver inbox regions, generic
+//!   over a sealed [`Delivery`] policy (see the [`network`] module docs
+//!   for the compute → send → commit pipeline and the engine
 //!   invariants). It has two names:
 //!   * [`Network`] — the driver under [`network::Lockstep`] delivery,
 //!     exactly the synchronous model;

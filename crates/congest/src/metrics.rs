@@ -44,8 +44,9 @@ pub struct RoundInfo {
     /// the round are already excluded).
     pub active: usize,
     /// High-water mark (capacity) of the engine's delivery buffer, in
-    /// messages — engine-specific: the arena engine reports its flat inbox
-    /// arena, the reference engine its per-node send buffer.
+    /// messages — engine-specific: the lockstep driver reports its two
+    /// inbox arenas' slots, the event-queue driver its delivery ring, the
+    /// reference engine its per-node send buffer.
     pub buffer_cap: usize,
 }
 

@@ -16,39 +16,62 @@
 //!   this policy (see the [`async_net`](crate::async_net) module docs).
 //!
 //! Everything else — node RNGs, the active set, the send path and its
-//! metering, the inbox arena, traces and the `run_*` family — exists once,
-//! here, for both policies.
+//! metering, the inbox arenas, traces and the `run_*` family — exists
+//! once, here, for both policies.
 //!
-//! # Engine design: zero allocation per round
+//! # Engine design: one copy per message, zero allocation per round
 //!
-//! A round has four stages — compute, send, commit, deliver — all running
-//! on buffers owned by the driver whose capacity persists across rounds:
+//! A round has three stages — compute, send, commit — all running on
+//! buffers owned by the driver whose capacity persists across rounds:
 //!
 //! 1. **compute** — every *active* (non-halted) process runs
-//!    [`Process::round`] against its slice of the flat inbox arena
-//!    (`in_arena[in_start[v]..in_end[v]]`);
+//!    [`Process::round`] against its inbox: its region of this round's
+//!    inbox arena (see below);
 //! 2. **send** — each [`OutCtx::send`] validates the port, stamps the
 //!    port-use mark (multi-send detection without a per-node `Vec<bool>`),
 //!    accumulates [`bit_size`](crate::message::Payload::bit_size) into a
 //!    stack-local per-round counter batch, and hands the message plus its
-//!    target (one fused target/reverse-port lookup) to the policy —
-//!    counters are gathered at send time and folded into the metrics
-//!    *once per round* at commit, so commit never rescans messages and the
-//!    hot path never touches the `Metrics` struct. [`Lockstep`] appends
-//!    the message to the staging arena; the event policy decides its fate
-//!    and latency and queues it;
-//! 3. **commit** — the policy moves every message due next round into the
-//!    staging arena (under [`Lockstep`] they are already there), then a
-//!    stable counting sort by target (bucket offsets from the per-target
-//!    counts accumulated while staging, then a destination index per
-//!    staged message) lays out where every message belongs;
-//! 4. **deliver** — the staging buffer is gathered through those indices
-//!    into the recycled inbox arena (one `Msg::clone` per delivery — a
-//!    memcpy for the `Copy`-like payloads protocols use; a payload owning
-//!    heap data would pay one allocation per delivered message here);
-//!    per-target `(start, end)` ranges become next round's inboxes. Only
-//!    buckets touched this round are reset, so a quiet round costs
-//!    `O(active + messages)`, not `O(n)`.
+//!    target (one fused target/reverse-port lookup) to the policy;
+//!    [`OutCtx::broadcast`] meters its `degree` copies once. Counters are
+//!    gathered at send time and folded into the metrics *once per round*
+//!    at commit, so commit never rescans messages and the hot path never
+//!    touches the `Metrics` struct. [`Lockstep`] writes the message
+//!    straight into its target's region of next round's arena; the event
+//!    policy decides its fate and latency and queues it;
+//! 3. **commit** — the policy writes every message due next round into
+//!    next round's arena the same way (under [`Lockstep`] they are already
+//!    there), and the two arenas swap: next round's inboxes are where the
+//!    sends put them.
+//!
+//! ## Inbox regions
+//!
+//! Each arena is one buffer of slots. A node's first message of a round
+//! takes a region for its inbox at the end of what the round has taken so
+//! far, and its messages fill that region from the front. Nodes run in
+//! ascending id, so a region fills in sending-node order, then send order.
+//! A region is sized by traffic, not by the graph: it takes as many slots
+//! as the most messages its node has been handed in one round, or, before
+//! its first message, its degree capped at a small constant. In the
+//! CONGEST model a node sends at most one message per port per round, so a
+//! steady load fits its region and each message is copied once, and
+//! storage follows the messages in flight: a protocol that sends a few
+//! messages on a dense graph takes a few small regions, not one slot per
+//! port.
+//!
+//! A node handed more than its region holds — a high-degree node under
+//! dense traffic, a multi-send, a load that grew, or an event tick that
+//! brings duplicates or bunched latencies — grows its region: eightfold
+//! up to its degree, then by doubling, in place when it is the last region
+//! taken, else by moving its messages, in order, to a region at the end.
+//! The region keeps the new load from the next round on, so a steady load
+//! grows it at most once per arena.
+//!
+//! The buffer starts with capacity for every node's first region and
+//! grows when a round takes more slots than any before (new slots hold
+//! clones of a staged message: the crate forbids `unsafe`, so a slot is
+//! never uninitialized); it is kept for the driver's life, so resident
+//! delivery memory is each arena's busiest round. Only receivers that got messages are reset, so a quiet round
+//! costs `O(active + messages)`, not `O(n)`.
 //!
 //! Halted processes leave the **active set** permanently (see the
 //! [`Process::is_halted`] invariant), making [`Driver::all_halted`] O(1)
@@ -60,7 +83,7 @@
 //! A round with nothing in flight in which no process would act is pure
 //! bookkeeping. Under [`Lockstep`], [`Driver::run_to_halt`] and
 //! [`Driver::run_for`] skip such rounds: at the top of each iteration,
-//! if this round's inbox arena is empty, they ask every active process
+//! if this round's inboxes hold no message, they ask every active process
 //! for [`Process::quiet_until`] (stopping at the first that answers the
 //! current round) and jump to the smallest answer, capped at the run's
 //! round limit. Each skipped round is recorded exactly as an empty
@@ -75,8 +98,8 @@
 //! [`Driver::run_until`] checks its predicate after every round, and the
 //! predicate may inspect the round; and the
 //! [`Events`](crate::async_net::Events) policy holds messages and draws
-//! crash schedules between rounds, so an empty arena does not mean an
-//! idle network. The
+//! crash schedules between rounds, so empty inboxes do not mean an idle
+//! network. The
 //! [`ReferenceNetwork`](crate::reference::ReferenceNetwork) oracle
 //! executes every round too, which is what lets it check the skip.
 //!
@@ -88,9 +111,10 @@
 //!   outputs, metrics, and per-round traces are identical for identical
 //!   seeds. `crates/congest/tests/equivalence.rs` pins this.
 //! * **Within-inbox order.** Messages arrive ordered by sending node id,
-//!   then by send order within the node (the counting sort is stable).
-//!   Processes must not rely on this — it is an artifact, not part of the
-//!   model — but it is deterministic and preserved.
+//!   then by send order within the node (regions fill in that order, and
+//!   a region that grows keeps it). Processes must not rely on this — it
+//!   is an artifact, not part of the model — but it is deterministic and
+//!   preserved.
 //! * **Failed rounds deliver nothing.** An invalid port aborts the round:
 //!   no messages are delivered or metered, the round counter does not
 //!   advance, and inboxes are preserved for inspection. Multi-send
@@ -100,12 +124,12 @@
 use crate::error::CongestError;
 use crate::message::Payload;
 use crate::metrics::{Metrics, RoundInfo, RoundTrace};
-use crate::process::{EngineSink, Incoming, NodeCtx, OutCtx, Process, RoundStats, Sink};
+use crate::process::{EngineSink, NodeCtx, OutCtx, Process, RoundStats, Sink};
 use crate::trace::{TraceSink, TraceSlot};
 use ale_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sealed::{Policy, Staging, StagingArena};
+use sealed::{Arena, Policy, Staging};
 
 /// Why a multi-round run returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,7 +157,7 @@ pub struct Lockstep;
 
 impl<M: Payload> Policy<M> for Lockstep {
     #[inline]
-    fn staging<'a>(&'a mut self, arena: &'a mut StagingArena<M>) -> Staging<'a, M> {
+    fn staging<'a>(&'a mut self, arena: &'a mut Arena<M>) -> Staging<'a, M> {
         Staging::Lockstep(arena)
     }
 
@@ -151,6 +175,27 @@ pub(crate) mod sealed {
     use crate::async_net::Events;
     use crate::message::Payload;
     use crate::process::Incoming;
+    use ale_graph::Graph;
+
+    /// The slots a node's region takes on its first message, or its
+    /// degree if smaller. It covers the degree of every bounded-degree
+    /// family the scenarios run (tori, random-regular, cycles, rings of
+    /// cliques, hypercubes up to 2¹⁶ nodes), so their dense rounds are laid
+    /// out exactly from the start, and it bounds what a sparse protocol
+    /// on a dense graph takes per receiver before its load is known.
+    const FIRST_ROOM: usize = 16;
+
+    /// How many times larger a full region below its node's degree grows
+    /// (capped at the degree): the regions it moves out of sum to under a
+    /// seventh of its final size, so a round that outgrows every guess —
+    /// the first dense round on a dense graph — takes few slots past its
+    /// messages, while a region that grew past its load holds that slack
+    /// for one round only. Past the degree, a region doubles.
+    const GROWTH: usize = 8;
+
+    /// Marks a [`Region::room`] that is not yet a load the node was
+    /// handed: its first guess, or a region that grew this round.
+    const PROVISIONAL: u32 = 1 << 31;
 
     /// The per-round hooks the driver calls on its delivery policy.
     pub trait Policy<M: Payload> {
@@ -161,26 +206,26 @@ pub(crate) mod sealed {
         }
 
         /// Where this round's metered sends go.
-        fn staging<'a>(&'a mut self, arena: &'a mut StagingArena<M>) -> Staging<'a, M>;
+        fn staging<'a>(&'a mut self, arena: &'a mut Arena<M>) -> Staging<'a, M>;
 
         /// The round failed: forgets everything it staged.
         fn abort(&mut self) {}
 
-        /// The round committed: moves every message due next round into
+        /// The round committed: writes every message due next round into
         /// `arena`, in delivery order.
-        fn commit(&mut self, arena: &mut StagingArena<M>) {
-            let _ = arena;
+        fn commit(&mut self, graph: &Graph, arena: &mut Arena<M>) {
+            let _ = (graph, arena);
         }
 
         /// The delivery-buffer capacity reported to trace sinks, given the
-        /// inbox arena's.
+        /// two inbox arenas'.
         fn buffer_cap(&self, arena_cap: usize) -> usize {
             arena_cap
         }
 
         /// Whether the driver may skip quiet rounds: true only for a
         /// policy that holds nothing between rounds and draws nothing per
-        /// round, so an empty inbox arena means nothing is in flight.
+        /// round, so empty inboxes mean nothing is in flight.
         fn fast_forwards(&self) -> bool {
             false
         }
@@ -189,57 +234,176 @@ pub(crate) mod sealed {
     /// Where [`OutCtx::send`](crate::process::OutCtx::send) hands a
     /// metered message: one variant per policy, matched once per send.
     pub enum Staging<'a, M> {
-        /// Straight into next round's staging arena.
-        Lockstep(&'a mut StagingArena<M>),
+        /// Straight into next round's inbox arena.
+        Lockstep(&'a mut Arena<M>),
         /// Through the adversary into the event queue.
         Events(&'a mut Events<M>),
     }
 
-    /// Next round's messages in arrival order, with the per-target counts
-    /// the commit-time counting sort needs.
-    #[derive(Debug)]
-    pub struct StagingArena<M> {
-        /// Messages in arrival order; gathered into the inbox arena at
-        /// commit.
-        pub(crate) msgs: Vec<Incoming<M>>,
-        /// Target node per staged message (parallel to `msgs`).
-        pub(crate) targets: Vec<u32>,
-        /// Per-target staged-message counts (non-zero only for `touched`
-        /// targets mid-round; always restored to zero by commit/abort).
-        pub(crate) counts: Vec<u32>,
-        /// Targets with staged messages this round.
-        pub(crate) touched: Vec<u32>,
+    /// One node's inbox in an [`Arena`].
+    #[derive(Debug, Clone, Copy, Default)]
+    struct Region {
+        /// The region's first slot; meaningful while `fill > 0`.
+        start: u32,
+        /// Messages held.
+        fill: u32,
+        /// Slots the region takes: the most messages the node has been
+        /// handed in one round, or, with `PROVISIONAL`, a size not yet
+        /// confirmed by a load; 0 before the node's first message.
+        room: u32,
     }
 
-    impl<M> StagingArena<M> {
-        pub(crate) fn new(n: usize) -> Self {
-            StagingArena {
-                msgs: Vec::new(),
-                targets: Vec::new(),
-                counts: vec![0; n],
+    /// The room of a node's first region.
+    #[cold]
+    fn first_room(graph: &Graph, v: usize) -> u32 {
+        to_u32(graph.degree(v).min(FIRST_ROOM)) | PROVISIONAL
+    }
+
+    fn to_u32(slots: usize) -> u32 {
+        u32::try_from(slots).expect("a round's inboxes fit in u32 slots")
+    }
+
+    /// One round's inboxes, each a region of one buffer (see the
+    /// [module docs](super#inbox-regions)).
+    #[derive(Debug)]
+    pub struct Arena<M> {
+        /// Every region, in the order they were taken this round; its
+        /// length is the most slots a round has taken.
+        slots: Vec<Incoming<M>>,
+        /// Slots taken this round.
+        top: usize,
+        /// One region per node.
+        regions: Vec<Region>,
+        /// Nodes holding messages.
+        touched: Vec<u32>,
+        /// Messages held.
+        len: usize,
+    }
+
+    impl<M: Clone> Arena<M> {
+        /// An empty arena for `graph`'s nodes, with room for a round in
+        /// which every node gets its first region, so a first dense round
+        /// on a bounded-degree graph lays out without regrowing the
+        /// buffer.
+        pub(crate) fn new(graph: &Graph) -> Self {
+            let first = (0..graph.n())
+                .map(|v| graph.degree(v).min(FIRST_ROOM))
+                .sum();
+            Arena {
+                slots: Vec::with_capacity(first),
+                top: 0,
+                regions: vec![Region::default(); graph.n()],
                 touched: Vec::new(),
+                len: 0,
             }
         }
 
-        /// Stages `msg` for `target`, arriving through its port `port`.
+        /// Messages held.
+        pub(crate) fn len(&self) -> usize {
+            self.len
+        }
+
+        /// Node `v`'s inbox.
         #[inline]
-        pub(crate) fn push(&mut self, target: usize, port: usize, msg: M) {
-            if self.counts[target] == 0 {
-                self.touched.push(target as u32);
-            }
-            self.counts[target] += 1;
-            self.targets.push(target as u32);
-            self.msgs.push(Incoming { port, msg });
+        pub(crate) fn inbox(&self, v: usize) -> &[Incoming<M>] {
+            let Region { start, fill, .. } = self.regions[v];
+            &self.slots[start as usize..(start + fill) as usize]
         }
 
-        /// Drops everything staged.
+        /// Stages `msg` for `target`, arriving through its port `port`, at
+        /// the end of the target's inbox.
+        #[inline]
+        pub(crate) fn push(&mut self, graph: &Graph, target: usize, port: usize, msg: M) {
+            let Region { fill, room, .. } = self.regions[target];
+            if fill == 0 {
+                self.take(target, graph);
+            } else if fill == room & !PROVISIONAL {
+                self.grow(target, graph);
+            }
+            let region = &mut self.regions[target];
+            let at = (region.start + region.fill) as usize;
+            region.fill += 1;
+            self.len += 1;
+            let incoming = Incoming { port, msg };
+            match self.slots.get_mut(at) {
+                Some(slot) => *slot = incoming,
+                None => self.extend(at, incoming),
+            }
+        }
+
+        /// Takes `target`'s region at the end of the buffer, for its first
+        /// message of the round.
+        #[inline]
+        fn take(&mut self, target: usize, graph: &Graph) {
+            let region = &mut self.regions[target];
+            if region.room == 0 {
+                region.room = first_room(graph, target);
+            }
+            region.start = to_u32(self.top);
+            self.top += (region.room & !PROVISIONAL) as usize;
+            self.touched.push(target as u32);
+        }
+
+        /// Gives a full region room for `target`'s next message (see
+        /// [`GROWTH`]), in place if it is the last region taken, else
+        /// moved, messages in order, to the end of the buffer.
+        #[cold]
+        #[inline(never)]
+        fn grow(&mut self, target: usize, graph: &Graph) {
+            let region = self.regions[target];
+            let (start, room) = (region.start as usize, (region.room & !PROVISIONAL) as usize);
+            let degree = graph.degree(target);
+            let grown = if room < degree {
+                (GROWTH * room).min(degree)
+            } else {
+                2 * room
+            };
+            let to = if start + room == self.top {
+                start
+            } else {
+                self.top
+            };
+            self.top = to + grown;
+            if to != start {
+                if self.top > self.slots.len() {
+                    let filler = self.slots[start].clone();
+                    self.slots.resize(self.top, filler);
+                }
+                let (kept, moved) = self.slots.split_at_mut(to);
+                moved[..room].clone_from_slice(&kept[start..start + room]);
+            }
+            let region = &mut self.regions[target];
+            region.start = to_u32(to);
+            region.room = to_u32(grown) | PROVISIONAL;
+        }
+
+        /// Grows the buffer to the slots taken, for `incoming` at slot `at`
+        /// past its end; the slots between hold clones of it.
+        #[cold]
+        #[inline(never)]
+        fn extend(&mut self, at: usize, incoming: Incoming<M>) {
+            self.slots.resize(self.top, incoming.clone());
+            self.slots[at] = incoming;
+        }
+
+        /// Forgets every message, keeping the buffer's capacity. A node
+        /// whose region was provisional is sized by what it was handed.
         pub(crate) fn clear(&mut self) {
-            self.msgs.clear();
-            self.targets.clear();
             for &t in &self.touched {
-                self.counts[t as usize] = 0;
+                let region = &mut self.regions[t as usize];
+                if region.room & PROVISIONAL != 0 {
+                    region.room = region.fill;
+                }
+                region.fill = 0;
             }
             self.touched.clear();
+            self.top = 0;
+            self.len = 0;
+        }
+
+        /// Buffer capacity, in messages.
+        pub(crate) fn capacity(&self) -> usize {
+            self.slots.capacity()
         }
     }
 }
@@ -256,18 +420,10 @@ pub struct Driver<'g, P: Process, D> {
     round: u64,
     metrics: Metrics,
     trace: Option<Vec<RoundTrace>>,
-    /// This round's inboxes: one flat buffer, grouped by receiver.
-    pub(crate) in_arena: Vec<Incoming<P::Msg>>,
-    /// Per-node inbox range into `in_arena` (CSR-style row pointers; both
-    /// zero for nodes that received nothing).
-    in_start: Vec<u32>,
-    in_end: Vec<u32>,
-    /// Next round's messages; becomes `in_arena` at commit.
-    staged: StagingArena<P::Msg>,
-    /// Commit scratch: destination index of each staged message.
-    dest: Vec<u32>,
-    /// Targets with inboxes this round (their ranges reset at commit).
-    prev_touched: Vec<u32>,
+    /// This round's inboxes.
+    pub(crate) inbox: Arena<P::Msg>,
+    /// Next round's inboxes; swapped with `inbox` at commit.
+    staged: Arena<P::Msg>,
     /// Port-use marks for multi-send detection, indexed by port and epoch-
     /// stamped per node visit — never cleared, `max_degree` entries total.
     port_marks: Vec<u64>,
@@ -276,7 +432,7 @@ pub struct Driver<'g, P: Process, D> {
     /// policy stops them) and never return (see the `Process::is_halted`
     /// invariant).
     active: Vec<u32>,
-    /// When staged messages reach the inbox arena.
+    /// When sent messages reach their inboxes.
     pub(crate) policy: D,
     /// Streaming per-round observer (see [`crate::trace`]); empty unless
     /// a sink was set explicitly or a thread-local factory was installed.
@@ -386,12 +542,8 @@ impl<'g, P: Process, D: Delivery<P::Msg>> Driver<'g, P, D> {
             round: 0,
             metrics: Metrics::new(budget_bits),
             trace: None,
-            in_arena: Vec::new(),
-            in_start: vec![0; n],
-            in_end: vec![0; n],
-            staged: StagingArena::new(n),
-            dest: Vec::new(),
-            prev_touched: Vec::new(),
+            inbox: Arena::new(graph),
+            staged: Arena::new(graph),
             port_marks: vec![0; graph.max_degree()],
             mark: 0,
             active,
@@ -459,8 +611,8 @@ impl<'g, P: Process, D: Delivery<P::Msg>> Driver<'g, P, D> {
     }
 
     /// Executes one round (see the [module docs](crate::network) for the
-    /// compute → send → commit → deliver pipeline). Under the event policy
-    /// a round is one virtual tick.
+    /// compute → send → commit pipeline). Under the event policy a round
+    /// is one virtual tick.
     ///
     /// # Errors
     ///
@@ -470,7 +622,7 @@ impl<'g, P: Process, D: Delivery<P::Msg>> Driver<'g, P, D> {
     /// the round counter does not advance, and the round's inboxes are
     /// kept, so stepping again retries it.
     pub fn step(&mut self) -> Result<(), CongestError> {
-        debug_assert!(self.staged.msgs.is_empty() && self.staged.touched.is_empty());
+        debug_assert_eq!(self.staged.len(), 0);
         self.policy.begin(self.round, &mut self.active);
         let mut stats = RoundStats::default();
         let mut failure: Option<CongestError> = None;
@@ -485,9 +637,7 @@ impl<'g, P: Process, D: Delivery<P::Msg>> Driver<'g, P, D> {
                 rngs,
                 round,
                 metrics,
-                in_arena,
-                in_start,
-                in_end,
+                inbox,
                 staged,
                 port_marks,
                 mark,
@@ -498,7 +648,7 @@ impl<'g, P: Process, D: Delivery<P::Msg>> Driver<'g, P, D> {
             for &v in active.iter() {
                 let v = v as usize;
                 let degree = graph.degree(v);
-                let inbox = &in_arena[in_start[v] as usize..in_end[v] as usize];
+                let inbox = inbox.inbox(v);
                 let mut ctx = NodeCtx {
                     degree,
                     round: *round,
@@ -549,71 +699,12 @@ impl<'g, P: Process, D: Delivery<P::Msg>> Driver<'g, P, D> {
             self.active.retain(|&v| !procs[v as usize].is_halted());
         }
 
-        // Commit: the policy releases next round's messages into the
-        // staging arena; group them by target with a stable counting sort.
-        // First retire this round's inbox ranges (their arena is about to
-        // be recycled), then lay out next round's buckets.
-        self.policy.commit(&mut self.staged);
-        for &t in &self.prev_touched {
-            self.in_start[t as usize] = 0;
-            self.in_end[t as usize] = 0;
-        }
-        self.prev_touched.clear();
-
-        let staged = self.staged.msgs.len();
-        let counts = &mut self.staged.counts;
-        let mut acc = 0u32;
-        for &t in &self.staged.touched {
-            let t = t as usize;
-            let c = counts[t];
-            self.in_start[t] = acc;
-            self.in_end[t] = acc + c;
-            counts[t] = acc; // reuse as the bucket write cursor
-            acc += c;
-        }
-        // Stable scatter order: `dest[j]` is the staging index of the
-        // message that belongs at arena position `j`.
-        self.dest.clear();
-        self.dest.resize(staged, 0);
-        for (i, &t) in self.staged.targets.iter().enumerate() {
-            let t = t as usize;
-            self.dest[counts[t] as usize] = i as u32;
-            counts[t] += 1;
-        }
-        for &t in &self.staged.touched {
-            counts[t as usize] = 0;
-        }
-        std::mem::swap(&mut self.prev_touched, &mut self.staged.touched);
-        self.staged.targets.clear();
-
-        // Deliver: gather the staging buffer into the (recycled) inbox
-        // arena in delivery order. `Payload: Clone` makes this a move-free
-        // gather; for the `Copy`-like payloads protocols use it compiles
-        // to a permuted memcpy.
-        let staged_msgs = &self.staged.msgs;
-        self.in_arena.clear();
-        self.in_arena.extend(self.dest.iter().map(|&i| {
-            let m = &staged_msgs[i as usize];
-            Incoming {
-                port: m.port,
-                msg: m.msg.clone(),
-            }
-        }));
-        self.staged.msgs.clear();
-
-        // Capacity bound: when traffic collapses well below a buffer's
-        // high-water mark (nodes halting, protocol going quiet), release
-        // the excess so resident memory tracks *in-flight* messages, not
-        // the historical peak. The 8× hysteresis keeps steady-state
-        // protocols (e.g. never-halting revocable election) from ever
-        // reallocating.
-        let watermark = staged.max(64) * 8;
-        if self.in_arena.capacity() > watermark {
-            self.in_arena.shrink_to(staged.max(64) * 2);
-            self.staged.msgs.shrink_to(staged.max(64) * 2);
-            self.staged.targets.shrink_to(staged.max(64) * 2);
-            self.dest.shrink_to(staged.max(64) * 2);
-        }
+        // Commit: the policy writes next round's messages into their
+        // regions, and this round's arena, emptied, becomes next round's
+        // staging.
+        self.policy.commit(self.graph, &mut self.staged);
+        self.inbox.clear();
+        std::mem::swap(&mut self.inbox, &mut self.staged);
 
         self.metrics.record_round(&stats);
         if let Some(trace) = self.trace.as_mut() {
@@ -630,10 +721,17 @@ impl<'g, P: Process, D: Delivery<P::Msg>> Driver<'g, P, D> {
             bits: stats.bits,
             max_bits: stats.max_bits,
             active: self.active.len(),
-            buffer_cap: self.policy.buffer_cap(self.in_arena.capacity()),
+            buffer_cap: self.buffer_cap(),
         });
         self.round += 1;
         Ok(())
+    }
+
+    /// The delivery-buffer capacity reported to trace sinks: both inbox
+    /// arenas' under [`Lockstep`].
+    fn buffer_cap(&self) -> usize {
+        self.policy
+            .buffer_cap(self.inbox.capacity() + self.staged.capacity())
     }
 
     /// Runs until every process halts, up to `max_rounds`. Skips quiet
@@ -684,10 +782,10 @@ impl<'g, P: Process, D: Delivery<P::Msg>> Driver<'g, P, D> {
     /// in which some active process could act — the smallest
     /// [`Process::quiet_until`] answer — recording every skipped round
     /// exactly as [`Driver::step`] records an empty one. Returns at once
-    /// under a policy that does not fast-forward, when this round's inbox
-    /// arena holds a message, or when an active process would act now.
+    /// under a policy that does not fast-forward, when this round's
+    /// inboxes hold a message, or when an active process would act now.
     fn skip_quiet_rounds(&mut self, limit: u64) {
-        if !self.policy.fast_forwards() || !self.in_arena.is_empty() {
+        if !self.policy.fast_forwards() || self.inbox.len() > 0 {
             return;
         }
         let round = self.round;
@@ -698,10 +796,13 @@ impl<'g, P: Process, D: Delivery<P::Msg>> Driver<'g, P, D> {
                 return;
             }
         }
-        // The commit that emptied the arena already applied step()'s
-        // shrink check for zero staged messages, so an empty step would
-        // leave its capacity, and thus the reported buffer_cap, alone.
-        let buffer_cap = self.policy.buffer_cap(self.in_arena.capacity());
+        // An empty step only swaps the two arenas, so it would leave the
+        // reported buffer_cap, their sum, alone. The swaps are replayed
+        // below: each arena sizes its regions by its own rounds.
+        let buffer_cap = self.buffer_cap();
+        if (until - round) % 2 == 1 {
+            std::mem::swap(&mut self.inbox, &mut self.staged);
+        }
         while self.round < until {
             self.metrics.record_round(&RoundStats::default());
             if let Some(trace) = self.trace.as_mut() {
@@ -805,6 +906,8 @@ impl<P: Process, D> Drop for Driver<'_, P, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::process::Incoming;
+    use crate::reference::ReferenceNetwork;
     use ale_graph::generators;
     use rand::Rng;
 
@@ -962,8 +1065,8 @@ mod tests {
         let g = generators::cycle(3).unwrap();
         let mut net = Network::from_fn(&g, 0, 64, |_, _| BadPort);
         assert!(matches!(net.step(), Err(CongestError::InvalidPort { .. })));
-        // The failed round is dropped wholesale: nothing metered, and the
-        // staging arena is clean, so stepping again errors the same way
+        // The failed round is dropped wholesale: nothing metered, and
+        // next round's inboxes are clean, so stepping again errors the same way
         // instead of double-delivering a stale half-round.
         assert_eq!(net.metrics().messages, 0);
         assert_eq!(net.metrics().rounds, 0);
@@ -1087,8 +1190,8 @@ mod tests {
 
     /// Acts only in its scripted rounds and declares every other round
     /// quiet: in a `busy` round it draws from its RNG and sends the draw on
-    /// port 0 (`BURST` copies in round `BURST_ROUND`, to grow the inbox
-    /// arena past its shrink watermark); it halts in round `halt_at`.
+    /// port 0 (`BURST` copies in round `BURST_ROUND`, so receivers
+    /// outgrow their inbox regions); it halts in round `halt_at`.
     /// Every draw and every delivery is logged, so the log is the
     /// process's whole observable history.
     #[derive(Debug)]
@@ -1143,18 +1246,18 @@ mod tests {
         }
     }
 
+    fn scripted(v: usize) -> Scripted {
+        let v = v as u64;
+        Scripted {
+            busy: vec![0, 5 + 7 * v, 6 + 7 * v, BURST_ROUND, 52 + v],
+            halt_at: v.is_multiple_of(2).then_some(70 + v),
+            log: Vec::new(),
+            halted: false,
+        }
+    }
+
     fn scripted_network(g: &Graph) -> Network<'_, Scripted> {
-        let mut v = 0u64;
-        Network::from_fn(g, 11, 64, |_, _| {
-            let p = Scripted {
-                busy: vec![0, 5 + 7 * v, 6 + 7 * v, BURST_ROUND, 52 + v],
-                halt_at: v.is_multiple_of(2).then_some(70 + v),
-                log: Vec::new(),
-                halted: false,
-            };
-            v += 1;
-            p
-        })
+        Network::new(g, (0..g.n()).map(scripted).collect(), 11, 64).unwrap()
     }
 
     /// Records the full per-round stream a trace sink sees.
@@ -1203,7 +1306,19 @@ mod tests {
         });
         assert_eq!(skipped, observe(&g, manual(90)));
         assert_eq!(skipped.1.rounds, 90);
-        assert!(skipped.3.iter().any(|i| i.buffer_cap > 512));
+        // The burst hands receivers more than their degree, so their
+        // regions grow past it; every inbox still arrives in the
+        // reference engine's order, which the logs record.
+        let burst_inbox = |log: &Vec<(u64, u64)>| {
+            log.iter()
+                .filter(|&&(round, _)| round == BURST_ROUND + 1)
+                .count()
+        };
+        assert!(skipped.0.iter().any(|log| burst_inbox(log) > 2));
+        let mut reference =
+            ReferenceNetwork::new(&g, (0..g.n()).map(scripted).collect(), 11, 64).unwrap();
+        reference.run_for(90).unwrap();
+        assert_eq!(skipped.0, reference.outputs());
         // run_for, resumed mid-window and again across the halts.
         let skipped = observe(&g, |net| {
             assert_eq!(net.run_for(8).unwrap(), RunStatus::RoundLimit);
@@ -1229,6 +1344,70 @@ mod tests {
             })
         );
         assert_eq!(skipped.1.rounds, 75);
+    }
+
+    /// Passes one token along random ports: each round one node sends one
+    /// message.
+    #[derive(Debug)]
+    struct Walker {
+        holds: bool,
+    }
+
+    impl Process for Walker {
+        type Msg = u64;
+        type Output = ();
+
+        fn round(
+            &mut self,
+            ctx: &mut NodeCtx<'_>,
+            inbox: &[Incoming<u64>],
+            out: &mut OutCtx<'_, u64>,
+        ) {
+            if std::mem::take(&mut self.holds) || !inbox.is_empty() {
+                out.send(ctx.rng.gen_range(0..ctx.degree), ctx.round);
+            }
+        }
+
+        fn output(&self) {}
+    }
+
+    #[test]
+    fn inbox_storage_follows_the_traffic_not_the_ports() {
+        // The complete graph has 2m = 16 256 ports, but one message is in
+        // flight: each arena keeps the room it starts with, a first
+        // region's worth per node, and never needs a slot per port.
+        let g = generators::complete(128).unwrap();
+        let mut net = Network::from_fn(&g, 3, 64, |_, _| Walker { holds: false });
+        net.procs[0].holds = true;
+        net.run_for(500).unwrap();
+        assert_eq!(net.metrics().messages, 500);
+        assert!(net.buffer_cap() < g.m(), "{}", net.buffer_cap());
+    }
+
+    #[test]
+    fn regions_keep_every_inbox_in_push_order() {
+        // Skewed random loads, from none to several times a node's degree
+        // (39, past the first region's size), over rounds that reuse the
+        // sizes earlier ones learned: regions are taken, grow in place,
+        // move and shrink back, and every inbox reads back in push order.
+        let g = generators::complete(40).unwrap();
+        let mut arena = sealed::Arena::new(&g);
+        let mut rng = StdRng::seed_from_u64(5);
+        for round in 0..60u64 {
+            let mut naive = vec![Vec::new(); g.n()];
+            let pushes = rng.gen_range(0..3000);
+            for i in 0..pushes {
+                let t = rng.gen_range(0..g.n()).min(rng.gen_range(0..g.n()));
+                arena.push(&g, t, i % 7, (round, i));
+                naive[t].push((i % 7, (round, i)));
+            }
+            assert_eq!(arena.len(), pushes);
+            for (v, expected) in naive.iter().enumerate() {
+                let inbox: Vec<_> = arena.inbox(v).iter().map(|m| (m.port, m.msg)).collect();
+                assert_eq!(&inbox, expected, "round {round}, node {v}");
+            }
+            arena.clear();
+        }
     }
 
     /// Declares every round quiet. Its call counter is the probe: a driver

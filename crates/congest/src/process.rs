@@ -19,9 +19,9 @@
 //! afterwards — one heap allocation per node per round plus a full rescan
 //! at commit time. The current API inverts the flow: the network hands the
 //! process a send handle, [`OutCtx`], and every [`OutCtx::send`] hands its
-//! message straight to the network's delivery policy (the capacity-retained
-//! staging arena, or the event queue), accumulating bit counters and
-//! detecting multi-sends at the moment of the send (commit folds the
+//! message straight to the network's delivery policy (its target's inbox
+//! region for next round, or the event queue), accumulating bit counters
+//! and detecting multi-sends at the moment of the send (commit folds the
 //! counters into the metrics once per round).
 //!
 //! Migrating an implementation is mechanical. Before:
@@ -159,9 +159,13 @@ pub(crate) enum Sink<'a, M> {
 ///    into the per-round counters, which commit folds into the run metrics
 ///    in one batched update;
 /// 4. hands the message, with its target from a single fused
-///    target/reverse-port lookup, to the delivery policy: lockstep stages
-///    it in the flat delivery arena, the event policy decides its fate and
-///    latency and queues it.
+///    target/reverse-port lookup, to the delivery policy: lockstep writes
+///    it into the target's inbox region for next round (see the
+///    [`network`](crate::network#inbox-regions) module docs), the event
+///    policy decides its fate and latency and queues it.
+///
+/// [`OutCtx::broadcast`] takes the same path for every port, with one
+/// failure check and one metering for all `degree` copies.
 pub struct OutCtx<'a, M: Payload> {
     pub(crate) degree: usize,
     pub(crate) sink: Sink<'a, M>,
@@ -204,44 +208,83 @@ impl<'a, M: Payload> OutCtx<'a, M> {
                     });
                     return;
                 }
-                if e.marks[port] == e.mark {
-                    e.metrics.record_multi_send();
-                } else {
-                    e.marks[port] = e.mark;
-                }
-                let bits = msg.bit_size();
-                e.stats.messages += 1;
-                e.stats.bits += bits as u64;
-                if bits > e.stats.max_bits {
-                    e.stats.max_bits = bits;
-                }
-                let budget = e.metrics.budget_bits;
-                if budget > 0 && bits > budget {
-                    e.stats.oversize += 1;
-                }
+                e.claim(port);
+                e.meter(msg.bit_size(), 1);
                 let (target, arrival) = e.graph.port_and_reverse(e.node, port);
-                match &mut e.staging {
-                    Staging::Lockstep(arena) => arena.push(target, arrival, msg),
-                    Staging::Events(events) => {
-                        events.stage(target, arrival, msg, e.stats);
-                    }
-                }
+                e.deliver(target, arrival, msg);
             }
         }
     }
 
     /// Sends a clone of `msg` through every port — the all-neighbors
     /// broadcast most protocols use. Equivalent to
-    /// `for p in 0..degree { send(p, msg.clone()) }` (the last send moves
-    /// instead of cloning).
+    /// `for p in 0..degree { send(p, msg.clone()) }`, but metered once:
+    /// one [`bit_size`](crate::message::Payload::bit_size) call raises the
+    /// round's counters by `degree` messages, and the node's port row is
+    /// resolved once. Every port is still marked, so a port already used
+    /// this round records a multi-send.
     pub fn broadcast(&mut self, msg: M) {
-        if self.degree == 0 {
+        let degree = self.degree;
+        if degree == 0 {
             return;
         }
-        for p in 0..self.degree - 1 {
-            self.send(p, msg.clone());
+        match &mut self.sink {
+            Sink::Collect(buf) => {
+                buf.extend((0..degree - 1).map(|p| (p, msg.clone())));
+                buf.push((degree - 1, msg));
+            }
+            Sink::Engine(e) => {
+                if e.failure.is_some() {
+                    return;
+                }
+                e.meter(msg.bit_size(), degree as u64);
+                let graph = e.graph;
+                graph.for_each_port(e.node, |port, target, arrival| {
+                    e.claim(port);
+                    e.deliver(target, arrival, msg.clone());
+                });
+            }
         }
-        self.send(self.degree - 1, msg);
+    }
+}
+
+impl<M: Payload> EngineSink<'_, M> {
+    /// Marks `port` used this round, recording a multi-send if it already
+    /// was.
+    #[inline]
+    fn claim(&mut self, port: usize) {
+        if self.marks[port] == self.mark {
+            self.metrics.record_multi_send();
+        } else {
+            self.marks[port] = self.mark;
+        }
+    }
+
+    /// Raises the round's counters by `copies` sends of a `bits`-bit
+    /// payload.
+    #[inline]
+    fn meter(&mut self, bits: usize, copies: u64) {
+        self.stats.messages += copies;
+        self.stats.bits += bits as u64 * copies;
+        if bits > self.stats.max_bits {
+            self.stats.max_bits = bits;
+        }
+        let budget = self.metrics.budget_bits;
+        if budget > 0 && bits > budget {
+            self.stats.oversize += copies;
+        }
+    }
+
+    /// Hands a validated, metered message for `target`, arriving through
+    /// its port `arrival`, to the delivery policy.
+    #[inline]
+    fn deliver(&mut self, target: usize, arrival: usize, msg: M) {
+        match &mut self.staging {
+            Staging::Lockstep(arena) => {
+                arena.push(self.graph, target, arrival, msg);
+            }
+            Staging::Events(events) => events.stage(target, arrival, msg, self.stats),
+        }
     }
 }
 

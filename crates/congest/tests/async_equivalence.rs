@@ -332,3 +332,92 @@ fn metrics_are_value_identical_not_just_equal() {
     assert_eq!(e.delivered, e.messages);
     assert_eq!((e.dropped, e.duplicated), (0, 0));
 }
+
+/// [`Chaos`]'s twin for the broadcast path: in a round it may stay
+/// silent, send once on port 0 and then broadcast (so the
+/// once-per-broadcast metering meets a multi-send), or just broadcast,
+/// with payloads that sometimes cross the CONGEST budget, until its
+/// staggered halt.
+#[derive(Debug, Clone)]
+struct Shouter {
+    acc: u64,
+    halt_round: u64,
+    done: bool,
+}
+
+impl Process for Shouter {
+    type Msg = u64;
+    type Output = u64;
+
+    fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Incoming<u64>], out: &mut OutCtx<'_, u64>) {
+        for m in inbox {
+            self.acc = self
+                .acc
+                .wrapping_mul(31)
+                .wrapping_add(m.msg)
+                .wrapping_add(m.port as u64);
+        }
+        if ctx.round >= self.halt_round {
+            self.done = true;
+            return;
+        }
+        let msg = if ctx.rng.gen_bool(0.2) {
+            self.acc | (1 << 60)
+        } else {
+            self.acc & 0xFF
+        };
+        match ctx.rng.gen_range(0..4u8) {
+            0 => {}
+            1 => {
+                out.send(0, msg ^ 1);
+                out.broadcast(msg);
+            }
+            _ => out.broadcast(msg),
+        }
+    }
+
+    fn is_halted(&self) -> bool {
+        self.done
+    }
+
+    fn output(&self) -> u64 {
+        self.acc
+    }
+}
+
+fn shouter_factory(seed_mix: u64) -> impl FnMut(usize, &mut rand::rngs::StdRng) -> Shouter {
+    move |_deg, rng| Shouter {
+        acc: rng.gen(),
+        halt_round: 2 + (rng.gen::<u64>() ^ seed_mix) % 14,
+        done: false,
+    }
+}
+
+#[test]
+fn broadcasts_are_equivalent_on_random_regular_graphs_and_an_implicit_torus() {
+    let regular = Topology::RandomRegular { n: 40, d: 4 }.build(2).unwrap();
+    let implicit = Graph::from_implicit(ImplicitTopology::Torus { rows: 5, cols: 7 }).unwrap();
+    for graph in [&regular, &implicit] {
+        for seed in 0..8 {
+            let mut arena = Network::from_fn(graph, seed, 8, shouter_factory(seed));
+            let mut evented = AsyncNetwork::from_fn(graph, seed, 8, shouter_factory(seed));
+            arena.enable_trace();
+            evented.enable_trace();
+            while !arena.all_halted() {
+                arena.step().expect("arena step");
+                evented.step().expect("async step");
+                assert_eq!(
+                    arena.metrics_snapshot(),
+                    evented.metrics_snapshot(),
+                    "metrics diverged at round {}",
+                    arena.round()
+                );
+            }
+            assert!(evented.all_halted());
+            assert!(arena.metrics().multi_send_violations > 0);
+            assert!(arena.metrics().oversize_messages > 0);
+            assert_eq!(arena.outputs(), evented.outputs(), "outputs diverged");
+            assert_eq!(arena.trace(), evented.trace(), "traces diverged");
+        }
+    }
+}

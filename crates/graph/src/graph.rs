@@ -368,6 +368,34 @@ impl Graph {
         }
     }
 
+    /// Calls `f(p, target, reverse)` for each port `p` of `v` in port
+    /// order: [`Graph::port_and_reverse`] for the whole row, resolved once
+    /// — the simulator's broadcast path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v >= n`.
+    #[inline]
+    pub fn for_each_port(&self, v: NodeId, mut f: impl FnMut(Port, NodeId, Port)) {
+        match &self.repr {
+            Repr::Explicit(csr) => {
+                let (lo, d) = csr.range(v);
+                let row = csr.targets[lo..lo + d]
+                    .iter()
+                    .zip(&csr.reverses[lo..lo + d]);
+                for (p, (&t, &q)) in row.enumerate() {
+                    f(p, t as usize, q as usize);
+                }
+            }
+            Repr::Implicit(t) => {
+                for p in 0..t.degree(v) {
+                    let (u, q) = t.port_and_reverse(v, p);
+                    f(p, u, q);
+                }
+            }
+        }
+    }
+
     /// Neighbors of `v` in port order.
     ///
     /// # Panics

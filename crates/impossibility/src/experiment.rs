@@ -55,27 +55,27 @@ pub struct SplitBrainTrial {
     pub n0: usize,
     /// The true cycle size `N`.
     pub big_n: usize,
-    /// Leaders elected (their cycle positions).
-    pub leaders: Vec<usize>,
-    /// Full outcome with cost metrics.
+    /// Full outcome with cost metrics; its `leaders` are the elected
+    /// nodes' cycle positions.
     pub outcome: ElectionOutcome,
 }
 
 impl SplitBrainTrial {
     /// Whether the run violated uniqueness (the Theorem 2 phenomenon).
     pub fn split_brain(&self) -> bool {
-        self.leaders.len() >= 2
+        self.outcome.leader_count() >= 2
     }
 
     /// Minimum cycle distance between any two elected leaders — evidence
     /// that the split leaders are in far-apart "witness" regions.
     pub fn min_leader_distance(&self) -> Option<usize> {
-        if self.leaders.len() < 2 {
+        let leaders = &self.outcome.leaders;
+        if leaders.len() < 2 {
             return None;
         }
         let mut best = usize::MAX;
-        for (i, &a) in self.leaders.iter().enumerate() {
-            for &b in &self.leaders[i + 1..] {
+        for (i, &a) in leaders.iter().enumerate() {
+            for &b in &leaders[i + 1..] {
                 let d = a.abs_diff(b);
                 best = best.min(d.min(self.big_n - d));
             }
@@ -94,12 +94,7 @@ pub fn split_brain_trial(n0: usize, big_n: usize, seed: u64) -> Result<SplitBrai
     let graph = generators::cycle(big_n)?;
     let cfg = IrrevocableConfig::from_knowledge(believed_cycle_knowledge(n0));
     let outcome = run_with_believed_knowledge(&graph, &cfg, seed)?;
-    Ok(SplitBrainTrial {
-        n0,
-        big_n,
-        leaders: outcome.leaders.clone(),
-        outcome,
-    })
+    Ok(SplitBrainTrial { n0, big_n, outcome })
 }
 
 /// One point of the Theorem 2 series: split-brain frequency at a given
@@ -140,7 +135,7 @@ pub fn split_brain_series(
             if trial.split_brain() {
                 splits += 1;
             }
-            total_leaders += trial.leaders.len();
+            total_leaders += trial.outcome.leader_count();
         }
         series.push(SplitBrainPoint {
             n0,
@@ -170,7 +165,11 @@ mod tests {
         // Control: believed size == true size.
         for seed in 0..6 {
             let trial = split_brain_trial(8, 8, seed).unwrap();
-            assert_eq!(trial.leaders.len(), 1, "control must elect uniquely");
+            assert_eq!(
+                trial.outcome.leader_count(),
+                1,
+                "control must elect uniquely"
+            );
             assert!(!trial.split_brain());
             assert_eq!(trial.min_leader_distance(), None);
         }

@@ -22,7 +22,8 @@
 //! // Believe the cycle has 12 nodes; it actually has 96.
 //! let trial = split_brain_trial(12, 96, 1)?;
 //! // Usually several leaders are elected (whp as N grows — Theorem 2).
-//! println!("{} leaders at positions {:?}", trial.leaders.len(), trial.leaders);
+//! let leaders = &trial.outcome.leaders;
+//! println!("{} leaders at positions {leaders:?}", leaders.len());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

@@ -242,6 +242,32 @@ impl Process for Beacon {
     }
 }
 
+/// Token walks: a node holding tokens forwards each on a random port.
+/// About one node in [`WALK_SPREAD`] starts with one, so the traffic is
+/// sparse on any graph.
+#[derive(Debug, Clone)]
+struct Walks {
+    tokens: u32,
+}
+
+/// One node in this many starts a token walk.
+const WALK_SPREAD: u32 = 16;
+
+impl Process for Walks {
+    type Msg = u64;
+    type Output = ();
+
+    fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Incoming<u64>], out: &mut OutCtx<'_, u64>) {
+        use rand::Rng;
+        self.tokens += inbox.len() as u32;
+        for _ in 0..std::mem::take(&mut self.tokens) {
+            out.send(ctx.rng.gen_range(0..ctx.degree), ctx.round);
+        }
+    }
+
+    fn output(&self) {}
+}
+
 fn simulator_cases(quick: bool, budget: Duration) -> Result<Vec<Case>, LabError> {
     let mut cases = Vec::new();
 
@@ -391,7 +417,7 @@ fn simulator_cases(quick: bool, budget: Duration) -> Result<Vec<Case>, LabError>
 /// and across engine construction + a short protocol run, per node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemCase {
-    /// Stable identifier (`rss/<backend>/torus:<side>x<side>`).
+    /// Stable identifier (`rss/<backend>/<graph>`).
     pub id: String,
     /// Nodes in the measured graph.
     pub n: u64,
@@ -402,6 +428,18 @@ pub struct MemCase {
     pub engine_kb: u64,
     /// Total RSS growth per node: `(graph_kb + engine_kb)·1024 / n`.
     pub bytes_per_node: f64,
+}
+
+impl MemCase {
+    fn new(id: String, n: usize, graph_kb: u64, engine_kb: u64) -> Self {
+        MemCase {
+            id,
+            n: n as u64,
+            graph_kb,
+            engine_kb,
+            bytes_per_node: (graph_kb + engine_kb) as f64 * 1024.0 / n as f64,
+        }
+    }
 }
 
 /// Current resident set size (`VmRSS`) in KiB from `/proc/self/status`,
@@ -422,52 +460,84 @@ fn vm_rss_kb() -> Option<u64> {
 /// case stays in the seconds range.
 const MEMORY_ROUNDS: u64 = 16;
 
+/// The complete graph the memory suite walks tokens on: dense enough
+/// that inbox storage sized by ports (2m = 1 047 552 slots) would be
+/// four times the graph, while about 64 messages are in flight.
+const SPARSE_COMPLETE_N: usize = 1024;
+
+/// The sparse-traffic case: token walks ([`Walks`]) on the complete graph
+/// for [`MEMORY_ROUNDS`] rounds. Its delivery memory follows the tokens,
+/// so nearly all of its growth is the graph.
+fn sparse_traffic_case() -> Result<MemCase, LabError> {
+    let before = vm_rss_kb().unwrap_or(0);
+    let graph = Topology::Complete {
+        n: SPARSE_COMPLETE_N,
+    }
+    .build(0)?;
+    let after_graph = vm_rss_kb().unwrap_or(0);
+    let mut net = Network::from_fn(&graph, 1, congest_budget(graph.n()), |_deg, rng| {
+        use rand::Rng;
+        Walks {
+            tokens: u32::from(rng.gen_range(0..WALK_SPREAD) == 0),
+        }
+    });
+    net.run_for(MEMORY_ROUNDS).expect("memory-suite walk run");
+    std::hint::black_box(net.metrics().messages);
+    let after_run = vm_rss_kb().unwrap_or(0);
+    Ok(MemCase::new(
+        format!("rss/explicit/complete:{SPARSE_COMPLETE_N}"),
+        graph.n(),
+        after_graph.saturating_sub(before),
+        after_run.saturating_sub(after_graph),
+    ))
+}
+
 fn memory_cases(quick: bool) -> Result<Vec<MemCase>, LabError> {
     // The ladder tori, ascending so each case's allocations are fresh
     // growth past the previous high-water mark (per-case deltas would
-    // otherwise be masked by allocator reuse).
-    let ns: &[usize] = if quick {
-        &[20_000, 200_000]
-    } else {
-        &[20_000, 200_000, 1_000_000]
-    };
-    let params = ladder_params();
-    let mut cases = Vec::new();
-    for &n in ns {
-        let side = (n as f64).sqrt().floor() as usize;
-        let before = vm_rss_kb().unwrap_or(0);
-        let graph = Topology::Grid2d {
-            rows: side,
-            cols: side,
-            torus: true,
-        }
-        .build(0)?;
-        let after_graph = vm_rss_kb().unwrap_or(0);
-        let nodes = graph.n();
-        let budget = congest_budget(nodes);
-        let mut net = Network::from_fn(&graph, 1, budget, |deg, _rng| {
-            RevocableProcess::with_horizon(params, deg, Some(LADDER_MAX_K))
-        });
-        net.run_for(MEMORY_ROUNDS)
-            .expect("memory-suite revocable run");
-        std::hint::black_box(net.metrics().messages);
-        let after_run = vm_rss_kb().unwrap_or(0);
-        let backend = if graph.is_implicit() {
-            "implicit"
-        } else {
-            "explicit"
-        };
-        let graph_kb = after_graph.saturating_sub(before);
-        let engine_kb = after_run.saturating_sub(after_graph);
-        cases.push(MemCase {
-            id: format!("rss/{backend}/torus:{side}x{side}"),
-            n: nodes as u64,
-            graph_kb,
-            engine_kb,
-            bytes_per_node: (graph_kb + engine_kb) as f64 * 1024.0 / nodes as f64,
-        });
+    // otherwise be masked by allocator reuse). The sparse-traffic case
+    // runs after the tori quick and full runs share and before the full
+    // run's largest, so both measure it on the same heap.
+    let mut cases = vec![torus_case(20_000)?, torus_case(200_000)?];
+    cases.push(sparse_traffic_case()?);
+    if !quick {
+        cases.push(torus_case(1_000_000)?);
     }
     Ok(cases)
+}
+
+/// The revocable protocol for [`MEMORY_ROUNDS`] rounds on the ladder
+/// torus with about `n` nodes.
+fn torus_case(n: usize) -> Result<MemCase, LabError> {
+    let side = (n as f64).sqrt().floor() as usize;
+    let before = vm_rss_kb().unwrap_or(0);
+    let graph = Topology::Grid2d {
+        rows: side,
+        cols: side,
+        torus: true,
+    }
+    .build(0)?;
+    let after_graph = vm_rss_kb().unwrap_or(0);
+    let nodes = graph.n();
+    let params = ladder_params();
+    let mut net = Network::from_fn(&graph, 1, congest_budget(nodes), |deg, _rng| {
+        RevocableProcess::with_horizon(params, deg, Some(LADDER_MAX_K))
+    });
+    net.run_for(MEMORY_ROUNDS)
+        .expect("memory-suite revocable run");
+    std::hint::black_box(net.metrics().messages);
+    let after_run = vm_rss_kb().unwrap_or(0);
+    let backend = if graph.is_implicit() {
+        "implicit"
+    } else {
+        "explicit"
+    };
+    Ok(MemCase::new(
+        format!("rss/{backend}/torus:{side}x{side}"),
+        nodes,
+        after_graph.saturating_sub(before),
+        after_run.saturating_sub(after_graph),
+    ))
 }
 
 fn memory_suite_json(quick: bool, cases: &[MemCase]) -> Value {

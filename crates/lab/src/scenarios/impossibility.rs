@@ -72,10 +72,10 @@ impl Scenario for Impossibility {
                 let trial = split_brain_trial(N0, big_n, seed)?;
                 let mut r = TrialRecord::new("impossibility", &point, seed);
                 r.absorb_metrics(&trial.outcome.metrics);
-                r.leaders = trial.leaders.len() as u64;
+                r.leaders = trial.outcome.leader_count() as u64;
                 // "ok" here means the Theorem 2 phenomenon did NOT appear
                 // (unique leader despite the lie) — expected to decay to 0.
-                r.ok = trial.leaders.len() == 1;
+                r.ok = trial.outcome.leader_count() == 1;
                 r.push_extra("split", if trial.split_brain() { 1.0 } else { 0.0 });
                 if let Some(d) = trial.min_leader_distance() {
                     r.push_extra("min_leader_distance", d as f64);

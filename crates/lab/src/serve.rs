@@ -26,6 +26,11 @@
 //! request used to. The price is memory: each mounted run keeps its
 //! journal resident, about the file's size.
 //!
+//! A run that fails to load is reported to clients by its mount id and
+//! the file (`manifest.json` or `trials.db`) alone; the full error, which
+//! may name the mount directory, goes to stderr once per distinct
+//! failure.
+//!
 //! Routes:
 //!
 //! | Route | Serves |
@@ -122,6 +127,9 @@ struct MountedRun {
     dir: PathBuf,
     /// The last snapshot loaded; `None` until the run's first request.
     snapshot: Mutex<Option<Arc<Snapshot>>>,
+    /// The load failure last written to stderr; `None` once a load
+    /// succeeds.
+    logged: Mutex<Option<String>>,
 }
 
 impl MountedRun {
@@ -132,10 +140,7 @@ impl MountedRun {
     /// is only ever replaced whole.
     fn snapshot(&self) -> Result<Arc<Snapshot>, LabError> {
         let mut slot = self.snapshot.lock().unwrap_or_else(PoisonError::into_inner);
-        let stamps = [
-            FileStamp::of(&self.dir.join("manifest.json"))?,
-            FileStamp::of(&self.dir.join("trials.db"))?,
-        ];
+        let stamps = [self.stamp(MANIFEST)?, self.stamp(JOURNAL)?];
         if let Some(snap) = slot.as_ref().filter(|s| s.whole() && s.stamps == stamps) {
             SNAPSHOT_HITS.add(1);
             return Ok(Arc::clone(snap));
@@ -144,13 +149,41 @@ impl MountedRun {
         // journals at once beyond those in-flight responses still use.
         *slot = None;
         let start = Instant::now();
-        let snap = Arc::new(Snapshot::load(&self.dir, stamps)?);
+        let snap =
+            Snapshot::load(&self.dir, stamps).map_err(|(file, e)| self.load_error(file, &e))?;
+        let snap = Arc::new(snap);
         SCAN_MICROS.record(start.elapsed().as_micros() as u64);
         SNAPSHOT_LOADS.add(1);
+        *self.logged.lock().unwrap_or_else(PoisonError::into_inner) = None;
         *slot = Some(Arc::clone(&snap));
         Ok(snap)
     }
+
+    /// The stamp of the run's `file`.
+    fn stamp(&self, file: &str) -> Result<FileStamp, LabError> {
+        let path = self.dir.join(file);
+        FileStamp::of(&path).map_err(|e| self.load_error(file, &io_err(&path, e)))
+    }
+
+    /// A load failure as clients see it: the mount id and the file, never
+    /// the mount directory. The full error goes to stderr when it differs
+    /// from the last one written there, so clients polling a broken run
+    /// do not grow the log.
+    fn load_error(&self, file: &str, e: &LabError) -> LabError {
+        let full = e.to_string();
+        let mut logged = self.logged.lock().unwrap_or_else(PoisonError::into_inner);
+        if logged.as_deref() != Some(full.as_str()) {
+            eprintln!("ale-lab serve: run '{}': {full}", self.id);
+            *logged = Some(full);
+        }
+        LabError::Io(format!("run '{}': cannot load {file}", self.id))
+    }
 }
+
+/// A run directory's manifest, the first file a snapshot reads.
+const MANIFEST: &str = "manifest.json";
+/// A run directory's journal, the second.
+const JOURNAL: &str = "trials.db";
 
 /// A file's identity as `stat` reports it. The writers only append to
 /// `trials.db` or replace a file by temp-file + rename, so while the
@@ -163,8 +196,8 @@ struct FileStamp {
 }
 
 impl FileStamp {
-    fn of(path: &Path) -> Result<FileStamp, LabError> {
-        let meta = std::fs::metadata(path).map_err(|e| io_err(path, e))?;
+    fn of(path: &Path) -> std::io::Result<FileStamp> {
+        let meta = std::fs::metadata(path)?;
         Ok(FileStamp {
             inode: inode(&meta),
             len: meta.len(),
@@ -207,14 +240,17 @@ struct Snapshot {
 
 impl Snapshot {
     /// Reads the manifest, then the journal, as [`MountedRun::snapshot`]
-    /// stamped them.
-    fn load(dir: &Path, stamps: [FileStamp; 2]) -> Result<Snapshot, LabError> {
-        let path = dir.join("manifest.json");
-        let manifest_text = std::fs::read_to_string(&path).map_err(|e| io_err(&path, e))?;
-        let manifest =
-            RunManifest::from_json(&parse(&manifest_text).map_err(LabError::BadRecord)?)?;
-        let path = dir.join("trials.db");
-        let journal = std::fs::read(&path).map_err(|e| io_err(&path, e))?;
+    /// stamped them. An error comes with the file it is about.
+    fn load(dir: &Path, stamps: [FileStamp; 2]) -> Result<Snapshot, (&'static str, LabError)> {
+        let path = dir.join(MANIFEST);
+        let manifest_text =
+            std::fs::read_to_string(&path).map_err(|e| (MANIFEST, io_err(&path, e)))?;
+        let manifest = parse(&manifest_text)
+            .map_err(LabError::BadRecord)
+            .and_then(|json| RunManifest::from_json(&json))
+            .map_err(|e| (MANIFEST, e))?;
+        let path = dir.join(JOURNAL);
+        let journal = std::fs::read(&path).map_err(|e| (JOURNAL, io_err(&path, e)))?;
         let mut walk = Frames::new(&journal);
         let frames: Vec<Frame> = walk.by_ref().collect();
         let valid_len = walk.valid_len();
@@ -301,13 +337,13 @@ impl ServeApp {
                 .ok_or_else(|| {
                     LabError::BadArgs(format!("{}: run directory has no name", dir.display()))
                 })?;
-            if !dir.join("manifest.json").is_file() {
+            if !dir.join(MANIFEST).is_file() {
                 return Err(LabError::BadArgs(format!(
                     "{}: no manifest.json — not a run directory",
                     dir.display()
                 )));
             }
-            if !dir.join("trials.db").is_file() {
+            if !dir.join(JOURNAL).is_file() {
                 return Err(LabError::BadArgs(format!(
                     "{}: no trials.db — run (or re-run) the sweep with --out to get \
                      a durable store",
@@ -323,6 +359,7 @@ impl ServeApp {
                 id,
                 dir: dir.clone(),
                 snapshot: Mutex::new(None),
+                logged: Mutex::new(None),
             });
         }
         Ok(ServeApp { runs })

@@ -517,6 +517,30 @@ fn runs_lists_a_mount_that_fails_to_load_as_its_error() {
 }
 
 #[test]
+fn a_mount_that_fails_to_load_keeps_its_directory_out_of_responses() {
+    let root = std::env::temp_dir().join(format!("ale-lab-serve-private-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let dirs = [root.join("a"), root.join("b")];
+    for dir in &dirs {
+        store_quick("table1", "1", dir);
+    }
+    let _serving = serving();
+    let app = ServeApp::new(&dirs).unwrap();
+    std::fs::remove_file(dirs[1].join("trials.db")).unwrap();
+    let mount = dirs[1].to_string_lossy().into_owned();
+    let (status, index) = call(&app, "/runs", &[]);
+    assert_eq!(status, 200);
+    let (status, summary) = call(&app, "/runs/b/summary", &[]);
+    assert_eq!(status, 500);
+    for body in [&index, &summary] {
+        let body = String::from_utf8_lossy(body);
+        assert!(!body.contains(&mount), "{body}");
+        assert!(body.contains("'b'") && body.contains("trials.db"), "{body}");
+    }
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
 fn a_torn_journal_is_reread_on_every_request() {
     let root = std::env::temp_dir().join(format!("ale-lab-serve-torn-{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();

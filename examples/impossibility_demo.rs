@@ -32,11 +32,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trial = split_brain_trial(n0, big_n, 99)?;
     println!(
         "stop-by-T protocol elected {} leaders at ring positions:",
-        trial.leaders.len()
+        trial.outcome.leader_count()
     );
     // Draw a coarse ring map: 64 buckets of 8 positions.
     let mut map = ['.'; 64];
-    for &l in &trial.leaders {
+    for &l in &trial.outcome.leaders {
         map[l * 64 / big_n] = 'L';
     }
     println!("  [{}]", map.iter().collect::<String>());

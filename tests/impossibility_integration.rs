@@ -9,7 +9,7 @@ use ale::impossibility::{split_brain_trial, PumpingLayout};
 fn correct_belief_control() {
     for seed in 0..4 {
         let t = split_brain_trial(8, 8, seed).expect("trial");
-        assert_eq!(t.leaders.len(), 1, "seed {seed}: control failed");
+        assert_eq!(t.outcome.leader_count(), 1, "seed {seed}: control failed");
     }
 }
 
@@ -32,11 +32,11 @@ fn leaders_far_apart_in_split_runs() {
     assert!(t.split_brain(), "expected a split at 64x blow-up");
     // Some pair of leaders must be farther apart than the protocol's
     // information radius would ever allow interaction across.
-    let max_gap = t.leaders.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+    let leaders = &t.outcome.leaders;
+    let max_gap = leaders.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
     assert!(
         max_gap > 16,
-        "leaders {:?} are suspiciously clustered",
-        t.leaders
+        "leaders {leaders:?} are suspiciously clustered"
     );
 }
 
