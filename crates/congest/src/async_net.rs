@@ -29,15 +29,17 @@
 //! * Delivery order within an arrival tick is global send order (sender id
 //!   ascending, then send order within the sender): a slot fills in send
 //!   order and drains front to back into the receivers' inbox regions,
-//!   the same write a lockstep send makes (see the
-//!   [`network`](crate::network#inbox-regions) module docs). A receiver
-//!   that a tick hands more than its region holds — a duplicate, or
-//!   latencies that bunch — grows its region, keeping that order. At
-//!   **unit latency with zero faults** this reproduces the lockstep policy's inbox order exactly, which is
-//!   what makes [`Network`](crate::network::Network) the equivalence
-//!   oracle for this one: outputs, [`Metrics`](crate::metrics::Metrics),
-//!   and traces are byte-identical (pinned by
-//!   `crates/congest/tests/async_equivalence.rs`).
+//!   the write a pushed lockstep send makes (see the
+//!   [`network`](crate::network#inbox-regions) module docs); the event
+//!   policy never posts a broadcast. A receiver that a tick hands more
+//!   than its region holds — a duplicate, or latencies that bunch — grows
+//!   its region, keeping that order. At **unit latency with zero faults**
+//!   this reproduces the lockstep policy's inbox order exactly (lockstep
+//!   reads its [posted broadcasts](crate::network#posted-broadcasts) back
+//!   in the same sender order), which is what makes
+//!   [`Network`](crate::network::Network) the equivalence oracle for this
+//!   one: outputs, [`Metrics`](crate::metrics::Metrics), and traces are
+//!   byte-identical (pinned by `crates/congest/tests/async_equivalence.rs`).
 //! * Virtual time only moves forward: a tick runs every active node,
 //!   appends each send to the slot of its arrival tick (strictly in the
 //!   future), drains the slot due next tick into next tick's inboxes, and

@@ -15,7 +15,8 @@
 //!   for every policy (see the [`process`] module docs for the `Outbox` →
 //!   `OutCtx` migration).
 //! * [`Driver`] — the one engine driver: wires processes to a graph and
-//!   drives rounds on zero-allocation per-receiver inbox regions, generic
+//!   drives rounds on zero-allocation per-receiver inbox regions (and,
+//!   under lockstep, broadcasts posted once per dense round), generic
 //!   over a sealed [`Delivery`] policy (see the [`network`] module docs
 //!   for the compute → send → commit pipeline and the engine
 //!   invariants). It has two names:

@@ -199,6 +199,7 @@ mod tests {
             oversize: 0,
             dropped: 3,
             duplicated: 2,
+            broadcasters: 0,
         };
         m.record_round(&stats);
         assert_eq!(m.messages, 10);

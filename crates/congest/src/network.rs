@@ -19,14 +19,19 @@
 //! metering, the inbox arenas, traces and the `run_*` family — exists
 //! once, here, for both policies.
 //!
-//! # Engine design: one copy per message, zero allocation per round
+//! # Engine design: one store per message, zero allocation per round
 //!
-//! A round has three stages — compute, send, commit — all running on
-//! buffers owned by the driver whose capacity persists across rounds:
+//! A pushed message is written once, into its receiver's region; a posted
+//! broadcast once, into its sender's board slot, and each neighbor copies
+//! it when it runs. A round has three stages — compute, send, commit — all
+//! running on buffers owned by the driver whose capacity persists across
+//! rounds:
 //!
 //! 1. **compute** — every *active* (non-halted) process runs
-//!    [`Process::round`] against its inbox: its region of this round's
-//!    inbox arena (see below);
+//!    [`Process::round`] against its inbox from this round's inbox arena:
+//!    its region (see below), or, when the previous round posted
+//!    broadcasts, an inbox gathered from its neighbors' posts and its
+//!    region (see [posted broadcasts](#posted-broadcasts));
 //! 2. **send** — each [`OutCtx::send`] validates the port, stamps the
 //!    port-use mark (multi-send detection without a per-node `Vec<bool>`),
 //!    accumulates [`bit_size`](crate::message::Payload::bit_size) into a
@@ -36,8 +41,9 @@
 //!    gathered at send time and folded into the metrics *once per round*
 //!    at commit, so commit never rescans messages and the hot path never
 //!    touches the `Metrics` struct. [`Lockstep`] writes the message
-//!    straight into its target's region of next round's arena; the event
-//!    policy decides its fate and latency and queues it;
+//!    straight into its target's region of next round's arena, or, for a
+//!    broadcast in a dense round, posts it once; the event policy decides
+//!    its fate and latency and queues it;
 //! 3. **commit** — the policy writes every message due next round into
 //!    next round's arena the same way (under [`Lockstep`] they are already
 //!    there), and the two arenas swap: next round's inboxes are where the
@@ -45,15 +51,15 @@
 //!
 //! ## Inbox regions
 //!
-//! Each arena is one buffer of slots. A node's first message of a round
-//! takes a region for its inbox at the end of what the round has taken so
-//! far, and its messages fill that region from the front. Nodes run in
-//! ascending id, so a region fills in sending-node order, then send order.
-//! A region is sized by traffic, not by the graph: it takes as many slots
-//! as the most messages its node has been handed in one round, or, before
-//! its first message, its degree capped at a small constant. In the
+//! Each arena is one buffer of slots. A node's first pushed message of a
+//! round takes a region for its inbox at the end of what the round has
+//! taken so far, and its messages fill that region from the front. Nodes
+//! run in ascending id, so a region fills in sending-node order, then send
+//! order. A region is sized by traffic, not by the graph: it takes as many
+//! slots as the most messages its node has been handed in one round, or,
+//! before its first message, its degree capped at a small constant. In the
 //! CONGEST model a node sends at most one message per port per round, so a
-//! steady load fits its region and each message is copied once, and
+//! steady load fits its region and each pushed message is copied once, and
 //! storage follows the messages in flight: a protocol that sends a few
 //! messages on a dense graph takes a few small regions, not one slot per
 //! port.
@@ -70,8 +76,36 @@
 //! grows when a round takes more slots than any before (new slots hold
 //! clones of a staged message: the crate forbids `unsafe`, so a slot is
 //! never uninitialized); it is kept for the driver's life, so resident
-//! delivery memory is each arena's busiest round. Only receivers that got messages are reset, so a quiet round
-//! costs `O(active + messages)`, not `O(n)`.
+//! delivery memory is each arena's busiest round. Only receivers that got
+//! messages are reset, so a quiet round costs `O(active + messages)`, not
+//! `O(n)`.
+//!
+//! ## Posted broadcasts
+//!
+//! A broadcast carries one message, so under [`Lockstep`] a dense round
+//! stores it once. A round is **dense** when at least half of the nodes
+//! that ran in the previous round made a broadcast their first send (the
+//! first round counts as dense; a skipped quiet round does not). In a
+//! dense round, a node whose first send is [`OutCtx::broadcast`] **posts**
+//! it: the message goes into the node's slot on next round's arena's
+//! board, metered once and with every port marked, instead of a copy into
+//! each neighbor's region. Its later sends that round are pushed into
+//! regions as usual.
+//!
+//! A posting round that turns out sparse and pushed nothing — typically a
+//! first round in which a few nodes broadcast — turns its posts into pushes
+//! at commit, posters in ascending id, which fills every region in sender
+//! order. Otherwise, next round, if the arena holds any post, the round
+//! **pulls**: each active node's inbox is gathered into a driver-owned
+//! buffer from its neighbors' board slots, read in neighbor-id order
+//! through a table of every node's ports sorted by neighbor (built the
+//! first time a round pulls), merged with its region, a sender's post
+//! before its pushes. A round without posts reads regions directly, in a
+//! loop with no gather in it. Posting versus pushing is decided from the
+//! previous round's traffic alone, so sparse broadcasts keep the push and
+//! no receiver scans its ports for them; either way every inbox holds the
+//! same messages in the same order. Halted nodes never read the board, so
+//! a post costs `O(1)` however many of its neighbors have halted.
 //!
 //! Halted processes leave the **active set** permanently (see the
 //! [`Process::is_halted`] invariant), making [`Driver::all_halted`] O(1)
@@ -111,25 +145,28 @@
 //!   outputs, metrics, and per-round traces are identical for identical
 //!   seeds. `crates/congest/tests/equivalence.rs` pins this.
 //! * **Within-inbox order.** Messages arrive ordered by sending node id,
-//!   then by send order within the node (regions fill in that order, and
-//!   a region that grows keeps it). Processes must not rely on this — it
-//!   is an artifact, not part of the model — but it is deterministic and
-//!   preserved.
+//!   then by send order within the node. Regions fill in that order, and a
+//!   region that grows keeps it; a gathered inbox reads posts in neighbor
+//!   order and merges the region into them, and a post, being its sender's
+//!   first send of the round, precedes that sender's pushes. Processes must
+//!   not rely on this — it is an artifact, not part of the model — but it
+//!   is deterministic and preserved.
 //! * **Failed rounds deliver nothing.** An invalid port aborts the round:
-//!   no messages are delivered or metered, the round counter does not
-//!   advance, and inboxes are preserved for inspection. Multi-send
-//!   violations recorded before the failure stick (they already happened).
+//!   no messages are delivered or metered (its posts are dropped with its
+//!   pushes), the round counter does not advance, and inboxes are
+//!   preserved for inspection. Multi-send violations recorded before the
+//!   failure stick (they already happened).
 //! * **Halting is permanent** (see [`Process::is_halted`]).
 
 use crate::error::CongestError;
 use crate::message::Payload;
 use crate::metrics::{Metrics, RoundInfo, RoundTrace};
-use crate::process::{EngineSink, NodeCtx, OutCtx, Process, RoundStats, Sink};
+use crate::process::{EngineSink, Incoming, NodeCtx, OutCtx, Process, RoundStats, Sink};
 use crate::trace::{TraceSink, TraceSlot};
 use ale_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sealed::{Arena, Policy, Staging};
+use sealed::{Arena, NeighborOrder, Policy, Staging};
 
 /// Why a multi-round run returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,12 +190,33 @@ pub trait Delivery<M: Payload>: Policy<M> {}
 /// The synchronous delivery policy: every message sent in round `r` is in
 /// its target's inbox in round `r + 1`, in sending-node order.
 #[derive(Debug)]
-pub struct Lockstep;
+pub struct Lockstep {
+    /// Whether this round posts first-send broadcasts: the previous round
+    /// was dense (see the [module docs](crate::network#posted-broadcasts)).
+    dense: bool,
+}
 
 impl<M: Payload> Policy<M> for Lockstep {
     #[inline]
     fn staging<'a>(&'a mut self, arena: &'a mut Arena<M>) -> Staging<'a, M> {
-        Staging::Lockstep(arena)
+        if self.dense {
+            Staging::Posting(arena)
+        } else {
+            Staging::Lockstep(arena)
+        }
+    }
+
+    fn tally(&mut self, broadcasters: u64, ran: usize) {
+        self.dense = 2 * broadcasters >= ran as u64;
+    }
+
+    /// A round that posted but turned out sparse, and pushed nothing,
+    /// leaves next round its posts as pushes, so that next round reads
+    /// regions and no receiver scans its ports for a few posts.
+    fn commit(&mut self, graph: &Graph, arena: &mut Arena<M>) {
+        if !self.dense && arena.has_posts() && !arena.has_pushes() {
+            arena.unpost(graph);
+        }
     }
 
     fn fast_forwards(&self) -> bool {
@@ -197,6 +255,58 @@ pub(crate) mod sealed {
     /// handed: its first guess, or a region that grew this round.
     const PROVISIONAL: u32 = 1 << 31;
 
+    /// A port seen from its node: the neighbor it leads to.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) struct Link {
+        node: u32,
+        port: u32,
+    }
+
+    /// Every node's ports ordered by the neighbor they lead to: the order
+    /// in which a node reads its neighbors' posts (see the
+    /// [module docs](super#posted-broadcasts)). Empty until the first
+    /// round that pulls.
+    #[derive(Debug, Default)]
+    pub(crate) struct NeighborOrder {
+        /// Node `v`'s row is `links[starts[v]..starts[v + 1]]`.
+        starts: Vec<u32>,
+        links: Vec<Link>,
+    }
+
+    impl NeighborOrder {
+        /// Builds the table for `graph`, unless it is built.
+        pub(crate) fn build(&mut self, graph: &Graph) {
+            if self.is_built() {
+                return;
+            }
+            self.starts.reserve_exact(graph.n() + 1);
+            self.links.reserve_exact(2 * graph.m());
+            self.starts.push(0);
+            for v in 0..graph.n() {
+                let from = self.links.len();
+                graph.for_each_port(v, |port, node, _| {
+                    self.links.push(Link {
+                        node: node as u32,
+                        port: port as u32,
+                    });
+                });
+                self.links[from..].sort_unstable_by_key(|link| link.node);
+                self.starts.push(to_u32(self.links.len()));
+            }
+        }
+
+        /// Whether a round has pulled.
+        pub(crate) fn is_built(&self) -> bool {
+            !self.starts.is_empty()
+        }
+
+        /// Node `v`'s ports, by neighbor id.
+        #[inline]
+        pub(crate) fn row(&self, v: usize) -> &[Link] {
+            &self.links[self.starts[v] as usize..self.starts[v + 1] as usize]
+        }
+    }
+
     /// The per-round hooks the driver calls on its delivery policy.
     pub trait Policy<M: Payload> {
         /// Start of `round`, before any node computes: removes the nodes
@@ -215,6 +325,12 @@ pub(crate) mod sealed {
         /// `arena`, in delivery order.
         fn commit(&mut self, graph: &Graph, arena: &mut Arena<M>) {
             let _ = (graph, arena);
+        }
+
+        /// A round ended in which `ran` nodes executed and `broadcasters`
+        /// of them made a broadcast their first send.
+        fn tally(&mut self, broadcasters: u64, ran: usize) {
+            let _ = (broadcasters, ran);
         }
 
         /// The delivery-buffer capacity reported to trace sinks, given the
@@ -236,6 +352,9 @@ pub(crate) mod sealed {
     pub enum Staging<'a, M> {
         /// Straight into next round's inbox arena.
         Lockstep(&'a mut Arena<M>),
+        /// The same, except that a broadcast that is its node's first
+        /// send is posted: a dense lockstep round.
+        Posting(&'a mut Arena<M>),
         /// Through the adversary into the event queue.
         Events(&'a mut Events<M>),
     }
@@ -263,8 +382,10 @@ pub(crate) mod sealed {
         u32::try_from(slots).expect("a round's inboxes fit in u32 slots")
     }
 
-    /// One round's inboxes, each a region of one buffer (see the
-    /// [module docs](super#inbox-regions)).
+    /// One round's inboxes: each node's pushed messages in a region of
+    /// one buffer (see the [module docs](super#inbox-regions)), and its
+    /// neighbors' posted broadcasts on a board (see
+    /// [posted broadcasts](super#posted-broadcasts)).
     #[derive(Debug)]
     pub struct Arena<M> {
         /// Every region, in the order they were taken this round; its
@@ -274,9 +395,14 @@ pub(crate) mod sealed {
         top: usize,
         /// One region per node.
         regions: Vec<Region>,
-        /// Nodes holding messages.
+        /// Nodes holding pushed messages.
         touched: Vec<u32>,
-        /// Messages held.
+        /// One slot per node for the broadcast it posted; empty until the
+        /// arena's first post.
+        board: Vec<Option<M>>,
+        /// Nodes that posted, ascending.
+        posters: Vec<u32>,
+        /// Messages held, a post counting once.
         len: usize,
     }
 
@@ -294,20 +420,114 @@ pub(crate) mod sealed {
                 top: 0,
                 regions: vec![Region::default(); graph.n()],
                 touched: Vec::new(),
+                board: Vec::new(),
+                posters: Vec::new(),
                 len: 0,
             }
         }
 
-        /// Messages held.
+        /// Messages held, a post counting once.
         pub(crate) fn len(&self) -> usize {
             self.len
         }
 
-        /// Node `v`'s inbox.
+        /// Node `v`'s pushed messages: its whole inbox unless the arena
+        /// holds posts.
         #[inline]
         pub(crate) fn inbox(&self, v: usize) -> &[Incoming<M>] {
             let Region { start, fill, .. } = self.regions[v];
             &self.slots[start as usize..(start + fill) as usize]
+        }
+
+        /// Whether any node posted into this arena, so that its inboxes
+        /// are gathered.
+        #[inline]
+        pub(crate) fn has_posts(&self) -> bool {
+            !self.posters.is_empty()
+        }
+
+        /// Whether any node was pushed a message.
+        pub(crate) fn has_pushes(&self) -> bool {
+            !self.touched.is_empty()
+        }
+
+        /// Turns every post into one push per port of its node, posters in
+        /// ascending id. In an arena holding no pushes, that fills every
+        /// region in sender order, exactly as pushing the broadcasts would
+        /// have.
+        pub(crate) fn unpost(&mut self, graph: &Graph) {
+            debug_assert!(!self.has_pushes());
+            let posters = std::mem::take(&mut self.posters);
+            for &w in &posters {
+                let msg = self.board[w as usize]
+                    .take()
+                    .expect("a poster holds a post");
+                self.len -= 1;
+                graph.for_each_port(w as usize, |_, target, arrival| {
+                    self.push(graph, target, arrival, msg.clone());
+                });
+            }
+            self.posters = posters;
+            self.posters.clear();
+        }
+
+        /// Stores `msg`, which `node` broadcast as its first send of the
+        /// round, once for all its neighbors.
+        #[inline]
+        pub(crate) fn post(&mut self, node: usize, msg: M) {
+            if self.board.is_empty() {
+                self.board.resize_with(self.regions.len(), || None);
+            }
+            debug_assert!(self.board[node].is_none(), "one post per node");
+            self.board[node] = Some(msg);
+            self.posters.push(node as u32);
+            self.len += 1;
+        }
+
+        /// Node `v`'s inbox when the arena holds posts, built in `buf`:
+        /// its neighbors' posts in neighbor-id order (`row`, from
+        /// [`NeighborOrder`]), merged with its pushed messages, a sender's
+        /// post before its pushes.
+        #[inline(never)]
+        pub(crate) fn gather<'b>(
+            &self,
+            graph: &Graph,
+            v: usize,
+            row: &[Link],
+            buf: &'b mut Vec<Incoming<M>>,
+        ) -> &'b [Incoming<M>] {
+            buf.clear();
+            let pushed = self.inbox(v);
+            if pushed.is_empty() {
+                for &Link { node, port } in row {
+                    if let Some(msg) = &self.board[node as usize] {
+                        buf.push(Incoming {
+                            port: port as usize,
+                            msg: msg.clone(),
+                        });
+                    }
+                }
+                return buf;
+            }
+            let mut next = 0;
+            for &Link { node, port } in row {
+                let Some(msg) = &self.board[node as usize] else {
+                    continue;
+                };
+                while let Some(m) = pushed.get(next) {
+                    if graph.port_target(v, m.port) >= node as usize {
+                        break;
+                    }
+                    buf.push(m.clone());
+                    next += 1;
+                }
+                buf.push(Incoming {
+                    port: port as usize,
+                    msg: msg.clone(),
+                });
+            }
+            buf.extend_from_slice(&pushed[next..]);
+            buf
         }
 
         /// Stages `msg` for `target`, arriving through its port `port`, at
@@ -386,8 +606,9 @@ pub(crate) mod sealed {
             self.slots[at] = incoming;
         }
 
-        /// Forgets every message, keeping the buffer's capacity. A node
-        /// whose region was provisional is sized by what it was handed.
+        /// Forgets every message, keeping the buffer's and the board's
+        /// capacity. A node whose region was provisional is sized by what
+        /// it was handed.
         pub(crate) fn clear(&mut self) {
             for &t in &self.touched {
                 let region = &mut self.regions[t as usize];
@@ -397,14 +618,69 @@ pub(crate) mod sealed {
                 region.fill = 0;
             }
             self.touched.clear();
+            for &p in &self.posters {
+                self.board[p as usize] = None;
+            }
+            self.posters.clear();
             self.top = 0;
             self.len = 0;
         }
 
-        /// Buffer capacity, in messages.
+        /// Buffer plus board capacity, in messages.
         pub(crate) fn capacity(&self) -> usize {
-            self.slots.capacity()
+            self.slots.capacity() + self.board.capacity()
         }
+
+        /// Region slots the busiest round has taken.
+        #[cfg(test)]
+        pub(crate) fn slots_taken(&self) -> usize {
+            self.slots.len()
+        }
+    }
+}
+
+/// How a round's compute pass reads a node's inbox: [`Push`] when this
+/// round's arena holds no posts, else [`Pull`]. A type parameter, so that
+/// a push-only round runs a loop with no gather in it.
+trait ReadInbox {
+    fn read<'b, M: Clone>(
+        arena: &'b Arena<M>,
+        graph: &Graph,
+        order: &NeighborOrder,
+        buf: &'b mut Vec<Incoming<M>>,
+        v: usize,
+    ) -> &'b [Incoming<M>];
+}
+
+/// Each inbox is its node's region.
+struct Push;
+
+impl ReadInbox for Push {
+    #[inline]
+    fn read<'b, M: Clone>(
+        arena: &'b Arena<M>,
+        _: &Graph,
+        _: &NeighborOrder,
+        _: &'b mut Vec<Incoming<M>>,
+        v: usize,
+    ) -> &'b [Incoming<M>] {
+        arena.inbox(v)
+    }
+}
+
+/// Each inbox is gathered from the board and the node's region.
+struct Pull;
+
+impl ReadInbox for Pull {
+    #[inline]
+    fn read<'b, M: Clone>(
+        arena: &'b Arena<M>,
+        graph: &Graph,
+        order: &NeighborOrder,
+        buf: &'b mut Vec<Incoming<M>>,
+        v: usize,
+    ) -> &'b [Incoming<M>] {
+        arena.gather(graph, v, order.row(v), buf)
     }
 }
 
@@ -424,6 +700,11 @@ pub struct Driver<'g, P: Process, D> {
     pub(crate) inbox: Arena<P::Msg>,
     /// Next round's inboxes; swapped with `inbox` at commit.
     staged: Arena<P::Msg>,
+    /// Ports by neighbor id, for gathering posts; built by the first round
+    /// that pulls.
+    order: NeighborOrder,
+    /// The inbox a node in a pulling round reads, rebuilt per node.
+    gathered: Vec<Incoming<P::Msg>>,
     /// Port-use marks for multi-send detection, indexed by port and epoch-
     /// stamped per node visit — never cleared, `max_degree` entries total.
     port_marks: Vec<u64>,
@@ -507,7 +788,7 @@ impl<'g, P: Process> Network<'g, P> {
         seed: u64,
         budget_bits: usize,
     ) -> Result<Self, CongestError> {
-        Self::wire(graph, procs, seed, budget_bits, Lockstep)
+        Self::wire(graph, procs, seed, budget_bits, Lockstep { dense: true })
     }
 
     /// Builds one process per node with the factory `f`, which receives the
@@ -517,7 +798,7 @@ impl<'g, P: Process> Network<'g, P> {
     where
         F: FnMut(usize, &mut StdRng) -> P,
     {
-        Self::spawn(graph, seed, budget_bits, Lockstep, f)
+        Self::spawn(graph, seed, budget_bits, Lockstep { dense: true }, f)
     }
 }
 
@@ -544,6 +825,8 @@ impl<'g, P: Process, D: Delivery<P::Msg>> Driver<'g, P, D> {
             trace: None,
             inbox: Arena::new(graph),
             staged: Arena::new(graph),
+            order: NeighborOrder::default(),
+            gathered: Vec::new(),
             port_marks: vec![0; graph.max_degree()],
             mark: 0,
             active,
@@ -624,59 +907,12 @@ impl<'g, P: Process, D: Delivery<P::Msg>> Driver<'g, P, D> {
     pub fn step(&mut self) -> Result<(), CongestError> {
         debug_assert_eq!(self.staged.len(), 0);
         self.policy.begin(self.round, &mut self.active);
-        let mut stats = RoundStats::default();
-        let mut failure: Option<CongestError> = None;
-        let mut any_halted = false;
-
-        // Compute + send: drive every active process; sends stream into
-        // the policy's staging through the node's `OutCtx`.
-        {
-            let Driver {
-                graph,
-                procs,
-                rngs,
-                round,
-                metrics,
-                inbox,
-                staged,
-                port_marks,
-                mark,
-                active,
-                policy,
-                ..
-            } = self;
-            for &v in active.iter() {
-                let v = v as usize;
-                let degree = graph.degree(v);
-                let inbox = inbox.inbox(v);
-                let mut ctx = NodeCtx {
-                    degree,
-                    round: *round,
-                    rng: &mut rngs[v],
-                };
-                *mark += 1;
-                let mut out = OutCtx {
-                    degree,
-                    sink: Sink::Engine(EngineSink {
-                        node: v,
-                        graph,
-                        marks: &mut port_marks[..degree],
-                        mark: *mark,
-                        metrics,
-                        stats: &mut stats,
-                        failure: &mut failure,
-                        staging: policy.staging(staged),
-                    }),
-                };
-                procs[v].round(&mut ctx, inbox, &mut out);
-                if failure.is_some() {
-                    break;
-                }
-                if procs[v].is_halted() {
-                    any_halted = true;
-                }
-            }
-        }
+        let (stats, failure, any_halted) = if self.inbox.has_posts() {
+            self.order.build(self.graph);
+            self.compute::<Pull>()
+        } else {
+            self.compute::<Push>()
+        };
 
         if let Some(e) = failure {
             // A protocol bug surfaced mid-round: drop the partial round so
@@ -694,6 +930,7 @@ impl<'g, P: Process, D: Delivery<P::Msg>> Driver<'g, P, D> {
             return Err(e);
         }
 
+        self.policy.tally(stats.broadcasters, self.active.len());
         if any_halted {
             let procs = &self.procs;
             self.active.retain(|&v| !procs[v as usize].is_halted());
@@ -725,6 +962,64 @@ impl<'g, P: Process, D: Delivery<P::Msg>> Driver<'g, P, D> {
         });
         self.round += 1;
         Ok(())
+    }
+
+    /// Compute + send: drives every active process against the inbox `R`
+    /// reads; sends stream into the policy's staging through the node's
+    /// `OutCtx`. Returns the round's counters, its failure, and whether a
+    /// process halted.
+    fn compute<R: ReadInbox>(&mut self) -> (RoundStats, Option<CongestError>, bool) {
+        let mut stats = RoundStats::default();
+        let mut failure: Option<CongestError> = None;
+        let mut any_halted = false;
+        let Driver {
+            graph,
+            procs,
+            rngs,
+            round,
+            metrics,
+            inbox,
+            staged,
+            order,
+            gathered,
+            port_marks,
+            mark,
+            active,
+            policy,
+            ..
+        } = self;
+        for &v in active.iter() {
+            let v = v as usize;
+            let degree = graph.degree(v);
+            let inbox = R::read(inbox, graph, order, gathered, v);
+            let mut ctx = NodeCtx {
+                degree,
+                round: *round,
+                rng: &mut rngs[v],
+            };
+            *mark += 1;
+            let mut out = OutCtx {
+                degree,
+                sink: Sink::Engine(EngineSink {
+                    node: v,
+                    graph,
+                    marks: &mut port_marks[..degree],
+                    mark: *mark,
+                    metrics,
+                    stats: &mut stats,
+                    failure: &mut failure,
+                    staging: policy.staging(staged),
+                }),
+            };
+            procs[v].round(&mut ctx, inbox, &mut out);
+            if failure.is_some() {
+                break;
+            }
+            if procs[v].is_halted() {
+                any_halted = true;
+            }
+        }
+        (stats, failure, any_halted)
     }
 
     /// The delivery-buffer capacity reported to trace sinks: both inbox
@@ -803,6 +1098,8 @@ impl<'g, P: Process, D: Delivery<P::Msg>> Driver<'g, P, D> {
         if (until - round) % 2 == 1 {
             std::mem::swap(&mut self.inbox, &mut self.staged);
         }
+        // An empty round, in which nobody broadcast.
+        self.policy.tally(0, self.active.len());
         while self.round < until {
             self.metrics.record_round(&RoundStats::default());
             if let Some(trace) = self.trace.as_mut() {
@@ -1382,6 +1679,70 @@ mod tests {
         net.run_for(500).unwrap();
         assert_eq!(net.metrics().messages, 500);
         assert!(net.buffer_cap() < g.m(), "{}", net.buffer_cap());
+    }
+
+    #[test]
+    fn a_broadcast_only_run_takes_no_region_slots() {
+        // Every node broadcasts every round, so every round (the first
+        // counts as dense) posts each broadcast once and takes no region
+        // slot in either arena; the run still matches the reference.
+        let g = generators::grid2d(6, 7, true).unwrap();
+        let mut net = flood_network(&g, 4, 20);
+        let mut reference = ReferenceNetwork::from_fn(&g, 4, 64, |_deg, rng| FloodMax {
+            value: rng.gen::<u64>() >> 20,
+            rounds_left: 20,
+        });
+        while !net.all_halted() {
+            net.step().unwrap();
+            assert_eq!(net.inbox.slots_taken() + net.staged.slots_taken(), 0);
+        }
+        reference.run_to_halt(100).unwrap();
+        assert_eq!(net.metrics().messages, 20 * 4 * 42);
+        assert_eq!(net.metrics(), reference.metrics());
+        assert_eq!(net.outputs(), reference.outputs());
+    }
+
+    #[test]
+    fn sparse_broadcasts_are_pushed_from_the_first_round_on() {
+        // Four nodes in forty broadcast each round. The first round posts
+        // (it counts as dense) but is sparse and pushes nothing, so its
+        // posts become pushes at commit; no later round posts, so no round
+        // pulls and the neighbor table is never built.
+        #[derive(Debug)]
+        struct Few(u64);
+        impl Process for Few {
+            type Msg = u64;
+            type Output = u64;
+            fn round(
+                &mut self,
+                ctx: &mut NodeCtx<'_>,
+                inbox: &[Incoming<u64>],
+                out: &mut OutCtx<'_, u64>,
+            ) {
+                for m in inbox {
+                    self.0 = self.0.rotate_left(3) ^ m.msg ^ m.port as u64;
+                }
+                if self.0.wrapping_add(ctx.round).is_multiple_of(10) {
+                    out.broadcast(self.0.wrapping_add(1));
+                }
+            }
+            fn output(&self) -> u64 {
+                self.0
+            }
+        }
+        let g = generators::complete(40).unwrap();
+        let procs = || (0..40).map(Few).collect::<Vec<_>>();
+        let mut net = Network::new(&g, procs(), 1, 64).unwrap();
+        let mut reference = ReferenceNetwork::new(&g, procs(), 1, 64).unwrap();
+        for _ in 0..30 {
+            net.step().unwrap();
+            reference.step().unwrap();
+            assert!(!net.inbox.has_posts());
+        }
+        assert!(net.metrics().messages > 0);
+        assert_eq!(net.metrics(), reference.metrics());
+        assert_eq!(net.outputs(), reference.outputs());
+        assert!(!net.order.is_built());
     }
 
     #[test]

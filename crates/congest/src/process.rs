@@ -110,6 +110,11 @@ pub(crate) struct RoundStats {
     /// Extra copies the adversary injected this round (event policy only;
     /// always 0 under lockstep delivery and on the reference engine).
     pub(crate) duplicated: u64,
+    /// Nodes whose first send this round was a broadcast: the lockstep
+    /// driver posts next round's broadcasts when they are at least half
+    /// of the nodes that ran (see the
+    /// [`network`](crate::network#posted-broadcasts) module docs).
+    pub(crate) broadcasters: u64,
 }
 
 /// The engine driver's send path: borrowed slices of driver-owned state,
@@ -164,8 +169,12 @@ pub(crate) enum Sink<'a, M> {
 ///    [`network`](crate::network#inbox-regions) module docs), the event
 ///    policy decides its fate and latency and queues it.
 ///
-/// [`OutCtx::broadcast`] takes the same path for every port, with one
-/// failure check and one metering for all `degree` copies.
+/// [`OutCtx::broadcast`] checks for a failure and meters its `degree`
+/// copies once, and every port is marked as in step 2. In a dense lockstep
+/// round, a broadcast that is the node's first send of the round is
+/// posted: stored once, for each neighbor to read next round (see the
+/// [`network`](crate::network#posted-broadcasts) module docs). Any other
+/// broadcast hands each port's copy on as in step 4.
 pub struct OutCtx<'a, M: Payload> {
     pub(crate) degree: usize,
     pub(crate) sink: Sink<'a, M>,
@@ -220,9 +229,16 @@ impl<'a, M: Payload> OutCtx<'a, M> {
     /// broadcast most protocols use. Equivalent to
     /// `for p in 0..degree { send(p, msg.clone()) }`, but metered once:
     /// one [`bit_size`](crate::message::Payload::bit_size) call raises the
-    /// round's counters by `degree` messages, and the node's port row is
-    /// resolved once. Every port is still marked, so a port already used
-    /// this round records a multi-send.
+    /// round's counters by `degree` messages. Every port is still marked,
+    /// so a port already used this round records a multi-send.
+    ///
+    /// Under lockstep delivery, in a dense round (see the
+    /// [`network`](crate::network#posted-broadcasts) module docs), a
+    /// broadcast that is the node's first send of the round is **posted**:
+    /// `msg` is stored once, in the node's board slot of next round's
+    /// inbox arena, and each neighbor copies it from there when it runs.
+    /// Otherwise the node's port row is resolved once and each port's copy
+    /// is handed to the delivery policy as [`OutCtx::send`] hands it.
     pub fn broadcast(&mut self, msg: M) {
         let degree = self.degree;
         if degree == 0 {
@@ -238,6 +254,16 @@ impl<'a, M: Payload> OutCtx<'a, M> {
                     return;
                 }
                 e.meter(msg.bit_size(), degree as u64);
+                // Every send marks its port, so no marked port means this
+                // is the node's first send of the round.
+                if !e.marks.contains(&e.mark) {
+                    e.stats.broadcasters += 1;
+                    if let Staging::Posting(arena) = &mut e.staging {
+                        e.marks.fill(e.mark);
+                        arena.post(e.node, msg);
+                        return;
+                    }
+                }
                 let graph = e.graph;
                 graph.for_each_port(e.node, |port, target, arrival| {
                     e.claim(port);
@@ -280,7 +306,7 @@ impl<M: Payload> EngineSink<'_, M> {
     #[inline]
     fn deliver(&mut self, target: usize, arrival: usize, msg: M) {
         match &mut self.staging {
-            Staging::Lockstep(arena) => {
+            Staging::Lockstep(arena) | Staging::Posting(arena) => {
                 arena.push(self.graph, target, arrival, msg);
             }
             Staging::Events(events) => events.stage(target, arrival, msg, self.stats),

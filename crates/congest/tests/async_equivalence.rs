@@ -421,3 +421,131 @@ fn broadcasts_are_equivalent_on_random_regular_graphs_and_an_implicit_torus() {
         }
     }
 }
+
+/// Rounds in which only about one node in eight speaks. Before them every
+/// node speaks, most by broadcasting first, so the lockstep driver posts
+/// its broadcasts; the fall to a few speakers switches it to pushing, and
+/// the climb back switches it to posting again.
+const QUIET_ROUNDS: std::ops::Range<u64> = 6..12;
+
+/// The posted-broadcast path's test process. In round 0 about one node in
+/// eight broadcasts and nobody else sends: the lockstep driver posts that
+/// round (the first counts as dense) and, finding it sparse, turns its
+/// posts into pushes. Later, in a round it broadcasts and then sends again
+/// on port 0 (a sender's post before its own push), sends once on a
+/// random port (a push beside its neighbors' posts), or just broadcasts;
+/// it falls quiet in [`QUIET_ROUNDS`] and halts after them. A node with a
+/// `trip` round broadcasts and then addresses a port it does not have in
+/// that round, once, so the round fails after its posts.
+#[derive(Debug, Clone)]
+struct Mixer {
+    acc: u64,
+    trip: Option<u64>,
+    halt_round: u64,
+    done: bool,
+}
+
+impl Process for Mixer {
+    type Msg = u64;
+    type Output = u64;
+
+    fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Incoming<u64>], out: &mut OutCtx<'_, u64>) {
+        for m in inbox {
+            self.acc = self
+                .acc
+                .wrapping_mul(31)
+                .wrapping_add(m.msg)
+                .wrapping_add(m.port as u64);
+        }
+        if ctx.round >= self.halt_round {
+            self.done = true;
+            return;
+        }
+        let msg = self.acc & 0xFFFF;
+        if self.trip == Some(ctx.round) {
+            self.trip = None;
+            out.broadcast(msg);
+            out.send(ctx.degree + 1, msg);
+            return;
+        }
+        let speaks = ctx.rng.gen_range(0..8u32) == 0;
+        if ctx.round == 0 {
+            if speaks {
+                out.broadcast(msg);
+            }
+            return;
+        }
+        if QUIET_ROUNDS.contains(&ctx.round) && !speaks {
+            return;
+        }
+        match ctx.rng.gen_range(0..4u8) {
+            0 => {
+                out.broadcast(msg);
+                out.send(0, msg ^ 1);
+            }
+            1 => out.send(ctx.rng.gen_range(0..ctx.degree), msg ^ 2),
+            _ => out.broadcast(msg),
+        }
+    }
+
+    fn is_halted(&self) -> bool {
+        self.done
+    }
+
+    fn output(&self) -> u64 {
+        self.acc
+    }
+}
+
+fn mixer_factory() -> impl FnMut(usize, &mut rand::rngs::StdRng) -> Mixer {
+    |_deg, rng| Mixer {
+        acc: rng.gen(),
+        trip: (rng.gen_range(0..12u32) == 0).then(|| rng.gen_range(1..18u64)),
+        halt_round: QUIET_ROUNDS.end + 4 + rng.gen_range(0..6u64),
+        done: false,
+    }
+}
+
+/// Steps a [`Mixer`] run on the arena (which posts dense rounds'
+/// broadcasts) and on the event queue at unit latency (which pushes every
+/// message) in lockstep: every step must succeed or fail alike, and the
+/// metrics must agree after each. Returns the failed steps.
+fn assert_equivalent_mix(graph: &Graph, seed: u64) -> usize {
+    let mut arena = Network::from_fn(graph, seed, 64, mixer_factory());
+    let mut evented = AsyncNetwork::from_fn(graph, seed, 64, mixer_factory());
+    arena.enable_trace();
+    evented.enable_trace();
+    let mut failures = 0;
+    while !arena.all_halted() {
+        let step = arena.step();
+        assert_eq!(step, evented.step(), "round {}", arena.round());
+        failures += usize::from(step.is_err());
+        assert_eq!(
+            arena.metrics_snapshot(),
+            evented.metrics_snapshot(),
+            "metrics diverged at round {}",
+            arena.round()
+        );
+    }
+    assert!(evented.all_halted());
+    assert!(arena.metrics().multi_send_violations > 0);
+    assert_eq!(arena.outputs(), evented.outputs(), "outputs diverged");
+    assert_eq!(arena.trace(), evented.trace(), "traces diverged");
+    failures
+}
+
+#[test]
+fn posted_broadcasts_are_equivalent_on_regular_complete_and_implicit_graphs() {
+    // On rregular:40 most port rows are not in neighbor-id order, so the
+    // inboxes' order comes from the driver's neighbor table.
+    let regular = Topology::RandomRegular { n: 40, d: 4 }.build(2).unwrap();
+    let complete = ale_graph::generators::complete(40).unwrap();
+    let implicit = Graph::from_implicit(ImplicitTopology::Torus { rows: 5, cols: 7 }).unwrap();
+    let mut failures = 0;
+    for seed in 0..8 {
+        for graph in [&regular, &complete, &implicit] {
+            failures += assert_equivalent_mix(graph, seed);
+        }
+    }
+    assert!(failures > 0, "some round failed after its posts");
+}

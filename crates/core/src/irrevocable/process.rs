@@ -63,6 +63,9 @@ pub struct IrrevocableProcess {
     // Random walks (phase 3).
     tokens: u64,
     walk_id_max: Option<u64>,
+    /// The port each token leaving this round takes, in draw order; kept
+    /// between walk rounds so that a round allocates nothing.
+    moving: Vec<Port>,
     // Convergecast (phase 4).
     parent_ports: BTreeSet<Port>,
     last_converged: Option<u64>,
@@ -93,6 +96,7 @@ impl IrrevocableProcess {
             buffers: BTreeMap::new(),
             tokens: 0,
             walk_id_max: if candidate { Some(id) } else { None },
+            moving: Vec::new(),
             parent_ports: BTreeSet::new(),
             last_converged: None,
             leader: false,
@@ -225,7 +229,8 @@ impl IrrevocableProcess {
             return;
         }
         let degree = self.params.degree;
-        let mut moving: Vec<u64> = vec![0; degree];
+        let moving = &mut self.moving;
+        moving.clear();
         if first {
             if !self.candidate {
                 return;
@@ -233,7 +238,7 @@ impl IrrevocableProcess {
             // Algorithm 5 lines 4–6: the candidate launches x tokens to
             // uniformly random neighbors.
             for _ in 0..self.params.x {
-                moving[rng.gen_range(0..degree)] += 1;
+                moving.push(rng.gen_range(0..degree));
             }
         } else {
             // Lazy step: each resident token stays with probability 1/2.
@@ -243,7 +248,7 @@ impl IrrevocableProcess {
                 if rng.gen_bool(0.5) {
                     stayed += 1;
                 } else {
-                    moving[rng.gen_range(0..degree)] += 1;
+                    moving.push(rng.gen_range(0..degree));
                 }
             }
             self.tokens = stayed;
@@ -252,10 +257,11 @@ impl IrrevocableProcess {
             Some(id) => id,
             None => return, // no tokens can be here without an ID
         };
-        for (port, count) in moving.into_iter().enumerate() {
-            if count > 0 {
-                out.send(port, IrrMsg::Walk { id_max, count });
-            }
+        // One message per port, in port order, carrying that port's count.
+        moving.sort_unstable();
+        for run in moving.chunk_by(|a, b| a == b) {
+            let count = run.len() as u64;
+            out.send(run[0], IrrMsg::Walk { id_max, count });
         }
     }
 

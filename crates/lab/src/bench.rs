@@ -20,8 +20,9 @@
 //!   uniform 1–4 latency and under geometric latency with drops and
 //!   duplicates, the revocable protocol's own 40-byte message on arena
 //!   vs event queue, one `table1` trial each of Gilbert et al.'s
-//!   baseline and this work's protocol on a cycle, plus the
-//!   mostly-halted beacon tail on arena vs reference;
+//!   baseline and this work's protocol on a cycle, the mostly-halted
+//!   beacon tail on arena vs reference, plus a few broadcasters per round
+//!   on the complete graph (the push side of the arena's posting rule);
 //! * `BENCH_diffusion.json` — `Avg` diffusion steps, dense matrix vs
 //!   sparse CSR backend on tori, plus the sparse `λ₂` power iteration
 //!   that prices bind on `diffusion --n` ladders (`lambda2/sparse/…`).
@@ -242,6 +243,33 @@ impl Process for Beacon {
     }
 }
 
+/// Every node stays active, but each round only about one in
+/// [`BROADCAST_SPREAD`] broadcasts.
+#[derive(Debug, Clone)]
+struct Chatter(u64);
+
+/// One node in this many broadcasts in a round of [`Chatter`].
+const BROADCAST_SPREAD: u32 = 128;
+
+impl Process for Chatter {
+    type Msg = u64;
+    type Output = u64;
+
+    fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Incoming<u64>], out: &mut OutCtx<'_, u64>) {
+        use rand::Rng;
+        for m in inbox {
+            self.0 = self.0.wrapping_add(m.msg);
+        }
+        if ctx.rng.gen_range(0..BROADCAST_SPREAD) == 0 {
+            out.broadcast(self.0);
+        }
+    }
+
+    fn output(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Token walks: a node holding tokens forwards each on a random port.
 /// About one node in [`WALK_SPREAD`] starts with one, so the traffic is
 /// sparse on any graph.
@@ -377,6 +405,22 @@ fn simulator_cases(quick: bool, budget: Duration) -> Result<Vec<Case>, LabError>
             || ctx.run(alg, 1).expect("table1 trial").metrics.messages,
         ));
     }
+
+    // A few broadcasters per round among nodes that all stay active: the
+    // push side of the arena's posting rule. Only the first round (which
+    // counts as dense) posts; from then on each round's broadcasts are
+    // pushed, and no receiver scans its ports for posts.
+    let n = if quick { 256 } else { 1024 };
+    let graph = Topology::Complete { n }.build(1)?;
+    cases.push(Case::engine(
+        format!("sparse-broadcast-100-rounds/arena/complete:{n}"),
+        budget,
+        || {
+            let mut net = Network::from_fn(&graph, 1, 64, |_d, _r| Chatter(1));
+            net.run_for(100).expect("chatter run");
+            net.metrics().messages
+        },
+    ));
 
     let (n, keep, rounds) = if quick {
         (2_000usize, 100u64, 200u64)
