@@ -36,10 +36,11 @@
 //!   its region, keeping that order. At **unit latency with zero faults**
 //!   this reproduces the lockstep policy's inbox order exactly (lockstep
 //!   reads its [posted broadcasts](crate::network#posted-broadcasts) back
-//!   in the same sender order), which is what makes
-//!   [`Network`](crate::network::Network) the equivalence oracle for this
-//!   one: outputs, [`Metrics`](crate::metrics::Metrics), and traces are
-//!   byte-identical (pinned by `crates/congest/tests/async_equivalence.rs`).
+//!   in the same sender order), so both policies match the
+//!   [`ReferenceNetwork`](crate::reference::ReferenceNetwork) oracle: step
+//!   results, outputs, [`Metrics`](crate::metrics::Metrics), and traces are
+//!   byte-identical (pinned by `crates/congest/tests/equivalence.rs`, which
+//!   steps both against the oracle in lockstep).
 //! * Virtual time only moves forward: a tick runs every active node,
 //!   appends each send to the slot of its arrival tick (strictly in the
 //!   future), drains the slot due next tick into next tick's inboxes, and
@@ -428,25 +429,9 @@ impl<M: Payload> Delivery<M> for Events<M> {}
 pub type AsyncNetwork<'g, P> = Driver<'g, P, Events<<P as Process>::Msg>>;
 
 impl<'g, P: Process> AsyncNetwork<'g, P> {
-    /// Wires explicit process instances to the graph's nodes with the
-    /// default (unit latency, fault-free) configuration — the async twin
-    /// of [`Network::new`](crate::network::Network::new), identical
-    /// seeding.
-    ///
-    /// # Errors
-    ///
-    /// [`CongestError::ProcessCountMismatch`] when
-    /// `procs.len() != graph.n()`.
-    pub fn new(
-        graph: &'g Graph,
-        procs: Vec<P>,
-        seed: u64,
-        budget_bits: usize,
-    ) -> Result<Self, CongestError> {
-        Self::new_with(graph, procs, seed, budget_bits, ExecConfig::default())
-    }
-
-    /// [`AsyncNetwork::new`] with an explicit execution configuration.
+    /// Wires explicit process instances to the graph's nodes under an
+    /// execution configuration — the async twin of
+    /// [`Network::new`](crate::network::Network::new), identical seeding.
     ///
     /// # Errors
     ///
@@ -734,15 +719,5 @@ mod tests {
                 "{latency:?}: ring capacity {peak_cap} for {peak_in_flight} in flight"
             );
         }
-    }
-
-    #[test]
-    fn process_count_mismatch_is_detected() {
-        let g = generators::complete(4).unwrap();
-        let procs = (0..3).map(|_| Pulse { left: 1, heard: 0 }).collect();
-        assert!(matches!(
-            AsyncNetwork::new(&g, procs, 0, 8),
-            Err(CongestError::ProcessCountMismatch { .. })
-        ));
     }
 }

@@ -10,15 +10,18 @@
 //! It exists for two reasons:
 //!
 //! * **equivalence testing** — `crates/congest/tests/equivalence.rs` pins
-//!   that the arena engine is observationally identical (outputs, metrics,
-//!   per-round traces) on seeded graphs, including mid-run halts and the
-//!   invalid-port drop-the-round path. It never skips a round: its
-//!   `run_*` methods call every process in every round and ignore
-//!   [`Process::quiet_until`], which is what lets `tests/quiet_rounds.rs`
-//!   check the arena's
+//!   that both delivery policies, the lockstep arena and the event queue
+//!   at unit latency with zero faults, are observationally identical to
+//!   it (step results, outputs, metrics, per-round traces) on seeded
+//!   graphs, including mid-run halts and the invalid-port drop-the-round
+//!   path. It never skips a round: its `run_*` methods call every process
+//!   in every round and ignore [`Process::quiet_until`], which is what
+//!   lets `tests/quiet_rounds.rs` check the arena's
 //!   [quiet-round fast-forward](crate::network#quiet-round-fast-forward);
-//! * **benchmarking** — `benches/simulator.rs` measures the arena engine's
-//!   speedup against this baseline.
+//! * **benchmarking** — `ale-lab bench`'s simulator suite times the arena
+//!   and the event queue against this baseline
+//!   (`dense-gossip-100-rounds/reference/N` and the `mostly-halted-*`
+//!   cases in `BENCH_simulator.json`).
 //!
 //! Do not use it for experiments: it allocates per node per round and
 //! scans all `n` nodes even when almost everything has halted. It is kept
@@ -69,19 +72,8 @@ impl<'g, P: Process> ReferenceNetwork<'g, P> {
                 processes: procs.len(),
             });
         }
-        let n = graph.n();
-        Ok(ReferenceNetwork {
-            graph,
-            procs,
-            rngs: node_rngs(n, seed),
-            round: 0,
-            metrics: Metrics::new(budget_bits),
-            inboxes: (0..n).map(|_| Vec::new()).collect(),
-            staging: (0..n).map(|_| Vec::new()).collect(),
-            outbox: Vec::new(),
-            trace: None,
-            sink: TraceSlot::attach(),
-        })
+        let rngs = node_rngs(graph.n(), seed);
+        Ok(Self::build(graph, procs, rngs, budget_bits))
     }
 
     /// Builds one process per node with the factory `f` (the reference
@@ -93,6 +85,11 @@ impl<'g, P: Process> ReferenceNetwork<'g, P> {
         let n = graph.n();
         let mut rngs = node_rngs(n, seed);
         let procs = (0..n).map(|v| f(graph.degree(v), &mut rngs[v])).collect();
+        Self::build(graph, procs, rngs, budget_bits)
+    }
+
+    fn build(graph: &'g Graph, procs: Vec<P>, rngs: Vec<StdRng>, budget_bits: usize) -> Self {
+        let n = graph.n();
         ReferenceNetwork {
             graph,
             procs,

@@ -281,7 +281,10 @@ mod tests {
             assert!(
                 matches!(
                     AnyNetwork::new(kind, &g, procs, 0, 8),
-                    Err(CongestError::ProcessCountMismatch { .. })
+                    Err(CongestError::ProcessCountMismatch {
+                        nodes: 4,
+                        processes: 2
+                    })
                 ),
                 "{kind}"
             );

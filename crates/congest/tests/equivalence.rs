@@ -1,18 +1,110 @@
-//! Arena engine ↔ reference engine equivalence.
+//! Engine ↔ reference-oracle equivalence: the one suite that guards the
+//! engines.
 //!
-//! The flat-arena engine (`Network`) must be observationally identical to
-//! the pre-arena reference engine (`ReferenceNetwork`): for the same graph
-//! and seed, outputs, metrics, and per-round traces match byte for byte —
-//! no process can tell which engine is driving it. These tests pin that on
-//! seeded random-regular and torus graphs, through mid-run halts,
-//! multi-sends, congest-oversized payloads, and the invalid-port
-//! drop-the-round path.
+//! Every engine must be observationally identical to the naive oracle,
+//! `ReferenceNetwork`: for the same graph and seed, each step's result,
+//! the outputs, the metrics and the per-round traces match byte for byte,
+//! so no process can tell which engine is driving it. Each case steps the
+//! oracle and every engine under test ([`SUBJECTS`]: the lockstep arena,
+//! and the event queue at unit latency with zero faults) in lockstep, so
+//! every latency or fault feature of the event queue deviates from a
+//! pinned baseline rather than from hope. The cases cover seeded
+//! random-regular, complete and torus graphs, the implicit-topology
+//! backend against its explicit twin, staggered mid-run halts,
+//! multi-sends, congest-oversized payloads, broadcasts (posted once per
+//! dense lockstep round) and the invalid-port drop-the-round path. Each
+//! test process below is written once and runs on every engine.
 
 use ale_congest::{
-    CongestError, Incoming, Metrics, Network, NodeCtx, OutCtx, Process, ReferenceNetwork, RunStatus,
+    AnyNetwork, CongestError, EngineKind, Incoming, Metrics, NodeCtx, OutCtx, Process,
+    ReferenceNetwork, RunStatus,
 };
 use ale_graph::{Graph, ImplicitTopology, Topology};
+use rand::rngs::StdRng;
 use rand::Rng;
+
+/// The engines checked against the oracle: the driver under lockstep
+/// delivery, and under the event queue in its synchronous configuration.
+const SUBJECTS: [EngineKind; 2] = [EngineKind::Arena, EngineKind::Async];
+
+/// What the oracle did in a compared run.
+struct OracleRun {
+    /// Every failed step's error, in order.
+    errors: Vec<CongestError>,
+    /// The final metrics.
+    metrics: Metrics,
+}
+
+/// Steps a fresh oracle run on `oracle_graph` and a run of every
+/// [`SUBJECTS`] engine on `graph` (the same graph, or its implicit twin)
+/// in lockstep, for `rounds` steps or until the oracle halts. After each
+/// step every subject must have the oracle's step result, metrics and
+/// round, so a divergence names the step where it starts; at the end the
+/// halt flags, outputs and traces must match. An event queue whose nodes
+/// all halted must hold nothing after one more tick: at unit latency
+/// every message is due one tick after its send.
+fn assert_equivalent<P, F>(
+    graph: &Graph,
+    oracle_graph: &Graph,
+    seed: u64,
+    budget: usize,
+    rounds: u64,
+    make: impl Fn() -> F,
+) -> OracleRun
+where
+    P: Process<Output = u64>,
+    F: FnMut(usize, &mut StdRng) -> P,
+{
+    let mut oracle = ReferenceNetwork::from_fn(oracle_graph, seed, budget, make());
+    oracle.enable_trace();
+    let mut subjects = SUBJECTS.map(|kind| {
+        let mut net = AnyNetwork::from_fn(kind, graph, seed, budget, make());
+        net.enable_trace();
+        (kind, net)
+    });
+    let mut errors = Vec::new();
+    for step in 0..rounds {
+        if oracle.all_halted() {
+            break;
+        }
+        let result = oracle.step();
+        for (kind, net) in &mut subjects {
+            assert_eq!(net.step(), result, "{kind}: step {step}");
+            assert_eq!(
+                net.metrics_snapshot(),
+                oracle.metrics_snapshot(),
+                "{kind}: metrics diverged at step {step}"
+            );
+            assert_eq!(net.round(), oracle.round(), "{kind}: step {step}");
+        }
+        errors.extend(result.err());
+    }
+    for (kind, net) in &mut subjects {
+        assert_eq!(net.all_halted(), oracle.all_halted(), "{kind}");
+        assert_eq!(net.outputs(), oracle.outputs(), "{kind}: outputs diverged");
+        assert_eq!(net.trace(), oracle.trace(), "{kind}: traces diverged");
+        if let AnyNetwork::Async(events) = net {
+            if events.all_halted() {
+                events.step().expect("drain tick");
+                assert_eq!(events.in_flight(), 0, "stale events in the queue");
+            }
+        }
+    }
+    OracleRun {
+        errors,
+        metrics: oracle.metrics_snapshot(),
+    }
+}
+
+/// A 5×7 torus on the O(1)-memory computed-neighbor backend, and its
+/// explicit twin for the oracle: the backend must be invisible to the
+/// engines, trace for trace.
+fn torus_twins() -> (Graph, Graph) {
+    let implicit = Graph::from_implicit(ImplicitTopology::Torus { rows: 5, cols: 7 }).unwrap();
+    assert!(implicit.is_implicit());
+    let explicit = ale_graph::generators::grid2d(5, 7, true).unwrap();
+    (implicit, explicit)
+}
 
 /// A deliberately messy protocol that exercises every metering path:
 ///
@@ -78,7 +170,7 @@ impl Process for Chaos {
     }
 }
 
-fn chaos_factory(seed_mix: u64) -> impl FnMut(usize, &mut rand::rngs::StdRng) -> Chaos {
+fn chaos_factory(seed_mix: u64) -> impl FnMut(usize, &mut StdRng) -> Chaos {
     move |_deg, rng| Chaos {
         acc: rng.gen(),
         halt_round: 2 + (rng.gen::<u64>() ^ seed_mix) % 14, // staggered halts
@@ -86,29 +178,18 @@ fn chaos_factory(seed_mix: u64) -> impl FnMut(usize, &mut rand::rngs::StdRng) ->
     }
 }
 
-fn assert_equivalent_run(graph: &Graph, seed: u64, budget: usize, rounds: u64) {
-    let mut arena = Network::from_fn(graph, seed, budget, chaos_factory(seed));
-    let mut reference = ReferenceNetwork::from_fn(graph, seed, budget, chaos_factory(seed));
-    arena.enable_trace();
-    reference.enable_trace();
-
-    // Step in lockstep, comparing metrics snapshots after every round so a
-    // divergence is pinned to the exact round it first appears in.
-    let mut r = 0u64;
-    while !arena.all_halted() && r < rounds {
-        arena.step().expect("arena step");
-        reference.step().expect("reference step");
-        assert_eq!(
-            arena.metrics_snapshot(),
-            reference.metrics_snapshot(),
-            "metrics diverged at round {r}"
-        );
-        r += 1;
-    }
-    assert_eq!(arena.all_halted(), reference.all_halted());
-    assert_eq!(arena.round(), reference.round());
-    assert_eq!(arena.outputs(), reference.outputs(), "outputs diverged");
-    assert_eq!(arena.trace(), reference.trace(), "traces diverged");
+/// [`assert_equivalent`] on a [`Chaos`] run, in which no step may fail.
+fn assert_chaos_equivalent(
+    graph: &Graph,
+    oracle_graph: &Graph,
+    seed: u64,
+    budget: usize,
+    rounds: u64,
+) {
+    let run = assert_equivalent(graph, oracle_graph, seed, budget, rounds, || {
+        chaos_factory(seed)
+    });
+    assert!(run.errors.is_empty(), "{:?}", run.errors);
 }
 
 #[test]
@@ -116,7 +197,7 @@ fn equivalent_on_random_regular_graphs() {
     for (n, d, gseed) in [(20usize, 3usize, 5u64), (40, 4, 2), (64, 4, 3)] {
         let g = Topology::RandomRegular { n, d }.build(gseed).unwrap();
         for seed in 0..8 {
-            assert_equivalent_run(&g, seed, 8, 64);
+            assert_chaos_equivalent(&g, &g, seed, 8, 64);
         }
     }
 }
@@ -132,43 +213,26 @@ fn equivalent_on_torus_graphs() {
         .build(0)
         .unwrap();
         for seed in 0..8 {
-            assert_equivalent_run(&g, seed, 8, 64);
+            assert_chaos_equivalent(&g, &g, seed, 8, 64);
         }
     }
 }
 
 #[test]
 fn equivalent_on_an_implicit_torus() {
-    // The O(1)-memory computed-neighbor backend must be invisible to the
-    // engines: an arena run on an implicit torus matches a reference run
-    // on the *explicit* twin of the same torus, trace for trace — so the
-    // engines can tell neither the backends nor each other apart.
-    let implicit = Graph::from_implicit(ImplicitTopology::Torus { rows: 5, cols: 7 }).unwrap();
-    assert!(implicit.is_implicit());
-    let explicit = ale_graph::generators::grid2d(5, 7, true).unwrap();
+    let (implicit, explicit) = torus_twins();
     for seed in 0..8 {
-        let mut arena = Network::from_fn(&implicit, seed, 8, chaos_factory(seed));
-        let mut reference = ReferenceNetwork::from_fn(&explicit, seed, 8, chaos_factory(seed));
-        arena.enable_trace();
-        reference.enable_trace();
-        while !arena.all_halted() {
-            arena.step().expect("arena step");
-            reference.step().expect("reference step");
-        }
-        assert!(reference.all_halted());
-        assert_eq!(arena.outputs(), reference.outputs(), "outputs diverged");
-        assert_eq!(arena.metrics_snapshot(), reference.metrics_snapshot());
-        assert_eq!(arena.trace(), reference.trace(), "traces diverged");
+        assert_chaos_equivalent(&implicit, &explicit, seed, 8, u64::MAX);
     }
 }
 
 #[test]
 fn equivalent_with_tight_congest_budget() {
-    // Budget 2 forces heavy oversize charging; both engines must charge
+    // Budget 2 forces heavy oversize charging; every engine must charge
     // identical serialized CONGEST rounds.
     let g = Topology::RandomRegular { n: 24, d: 3 }.build(7).unwrap();
     for seed in 0..6 {
-        assert_equivalent_run(&g, seed, 2, 48);
+        assert_chaos_equivalent(&g, &g, seed, 2, 48);
     }
 }
 
@@ -207,7 +271,7 @@ fn invalid_port_drop_the_round_is_equivalent() {
     let g = Topology::RandomRegular { n: 12, d: 3 }.build(4).unwrap();
     let make = |trigger_node: usize| {
         let mut v = 0usize;
-        move |_deg: usize, _rng: &mut rand::rngs::StdRng| {
+        move |_deg: usize, _rng: &mut StdRng| {
             let p = Saboteur {
                 trigger: v == trigger_node,
                 when: 3,
@@ -218,32 +282,20 @@ fn invalid_port_drop_the_round_is_equivalent() {
         }
     };
     for trigger_node in [0usize, 5, 11] {
-        let mut arena = Network::from_fn(&g, 9, 8, make(trigger_node));
-        let mut reference = ReferenceNetwork::from_fn(&g, 9, 8, make(trigger_node));
-        arena.enable_trace();
-        reference.enable_trace();
-        for _ in 0..3 {
-            arena.step().unwrap();
-            reference.step().unwrap();
-        }
-        let ae = arena.step().unwrap_err();
-        let re = reference.step().unwrap_err();
-        assert_eq!(ae, re, "same InvalidPort error");
-        assert!(matches!(ae, CongestError::InvalidPort { .. }));
-        // The failed round delivered and metered nothing; multi-send
-        // violations recorded before the failure stick in both engines.
-        assert_eq!(arena.metrics_snapshot(), reference.metrics_snapshot());
-        assert_eq!(arena.round(), reference.round());
-        assert_eq!(arena.round(), 3, "failed round must not advance the clock");
-        // Inboxes were preserved: the next step re-runs the same round and
-        // fails identically (processes re-observe their inboxes but RNGs
-        // advanced — equivalently in both engines).
-        let ae2 = arena.step().unwrap_err();
-        let re2 = reference.step().unwrap_err();
-        assert_eq!(ae2, re2);
-        assert_eq!(arena.metrics_snapshot(), reference.metrics_snapshot());
-        assert_eq!(arena.outputs(), reference.outputs());
-        assert_eq!(arena.trace(), reference.trace());
+        let run = assert_equivalent(&g, &g, 9, 8, 5, || make(trigger_node));
+        // Round 3 fails twice alike. The failed round delivered and
+        // metered nothing and kept its inboxes, so the next step re-runs
+        // it (processes re-observe their inboxes; the RNGs advanced, alike
+        // on every engine) and fails the same way.
+        assert_eq!(run.errors.len(), 2, "{:?}", run.errors);
+        assert_eq!(run.errors[0], run.errors[1]);
+        assert!(matches!(run.errors[0], CongestError::InvalidPort { .. }));
+        assert_eq!(
+            run.metrics.rounds, 3,
+            "failed rounds must not advance the clock"
+        );
+        // The multi-send recorded before each failure sticks.
+        assert_eq!(run.metrics.multi_send_violations, 2);
     }
 }
 
@@ -281,17 +333,17 @@ fn equivalent_dense_never_halting() {
     }
     .build(0)
     .unwrap();
-    let mut arena = Network::from_fn(&g, 5, 64, |_d, rng| Dense(rng.gen()));
-    let mut reference = ReferenceNetwork::from_fn(&g, 5, 64, |_d, rng| Dense(rng.gen()));
-    arena.enable_trace();
-    reference.enable_trace();
-    let sa = arena.run_for(40).unwrap();
-    let sr = reference.run_for(40).unwrap();
-    assert_eq!(sa, RunStatus::RoundLimit);
-    assert_eq!(sr, RunStatus::RoundLimit);
-    assert_eq!(arena.outputs(), reference.outputs());
-    assert_eq!(arena.metrics_snapshot(), reference.metrics_snapshot());
-    assert_eq!(arena.trace(), reference.trace());
+    // Through `run_for`, so it stays covered on every engine.
+    let run = |kind: EngineKind| {
+        let mut net = AnyNetwork::from_fn(kind, &g, 5, 64, |_d, rng| Dense(rng.gen()));
+        net.enable_trace();
+        assert_eq!(net.run_for(40), Ok(RunStatus::RoundLimit), "{kind}");
+        (net.outputs(), net.metrics_snapshot(), net.trace().to_vec())
+    };
+    let oracle = run(EngineKind::Reference);
+    for kind in EngineKind::ALL {
+        assert_eq!(run(kind), oracle, "{kind}");
+    }
 }
 
 #[test]
@@ -301,28 +353,30 @@ fn metrics_are_value_identical_not_just_equal() {
     // without equivalence coverage shows up here as a compile or test
     // failure).
     let g = Topology::RandomRegular { n: 30, d: 4 }.build(11).unwrap();
-    let mut arena = Network::from_fn(&g, 13, 6, chaos_factory(13));
-    let mut reference = ReferenceNetwork::from_fn(&g, 13, 6, chaos_factory(13));
-    while !arena.all_halted() {
-        arena.step().unwrap();
-        reference.step().unwrap();
+    for kind in SUBJECTS {
+        let mut subject = AnyNetwork::from_fn(kind, &g, 13, 6, chaos_factory(13));
+        let mut reference = ReferenceNetwork::from_fn(&g, 13, 6, chaos_factory(13));
+        while !reference.all_halted() {
+            subject.step().unwrap();
+            reference.step().unwrap();
+        }
+        let s: Metrics = subject.metrics_snapshot();
+        let r: Metrics = reference.metrics_snapshot();
+        assert_eq!(s.rounds, r.rounds, "{kind}");
+        assert_eq!(s.congest_rounds, r.congest_rounds, "{kind}");
+        assert_eq!(s.messages, r.messages, "{kind}");
+        assert_eq!(s.bits, r.bits, "{kind}");
+        assert_eq!(s.budget_bits, r.budget_bits, "{kind}");
+        assert_eq!(s.oversize_messages, r.oversize_messages, "{kind}");
+        assert_eq!(s.max_message_bits, r.max_message_bits, "{kind}");
+        assert_eq!(s.multi_send_violations, r.multi_send_violations, "{kind}");
+        assert_eq!(s.delivered, r.delivered, "{kind}");
+        assert_eq!(s.dropped, r.dropped, "{kind}");
+        assert_eq!(s.duplicated, r.duplicated, "{kind}");
+        // Fault-free engines deliver exactly what they send.
+        assert_eq!(s.delivered, s.messages, "{kind}");
+        assert_eq!((s.dropped, s.duplicated), (0, 0), "{kind}");
     }
-    let a: Metrics = arena.metrics_snapshot();
-    let r: Metrics = reference.metrics_snapshot();
-    assert_eq!(a.rounds, r.rounds);
-    assert_eq!(a.congest_rounds, r.congest_rounds);
-    assert_eq!(a.messages, r.messages);
-    assert_eq!(a.bits, r.bits);
-    assert_eq!(a.budget_bits, r.budget_bits);
-    assert_eq!(a.oversize_messages, r.oversize_messages);
-    assert_eq!(a.max_message_bits, r.max_message_bits);
-    assert_eq!(a.multi_send_violations, r.multi_send_violations);
-    assert_eq!(a.delivered, r.delivered);
-    assert_eq!(a.dropped, r.dropped);
-    assert_eq!(a.duplicated, r.duplicated);
-    // Fault-free engines deliver exactly what they send.
-    assert_eq!(a.delivered, a.messages);
-    assert_eq!((a.dropped, a.duplicated), (0, 0));
 }
 
 /// [`Chaos`]'s twin for the broadcast path: in a round it may stay
@@ -377,7 +431,7 @@ impl Process for Shouter {
     }
 }
 
-fn shouter_factory(seed_mix: u64) -> impl FnMut(usize, &mut rand::rngs::StdRng) -> Shouter {
+fn shouter_factory(seed_mix: u64) -> impl FnMut(usize, &mut StdRng) -> Shouter {
     move |_deg, rng| Shouter {
         acc: rng.gen(),
         halt_round: 2 + (rng.gen::<u64>() ^ seed_mix) % 14,
@@ -385,39 +439,19 @@ fn shouter_factory(seed_mix: u64) -> impl FnMut(usize, &mut rand::rngs::StdRng) 
     }
 }
 
-/// Steps a [`Shouter`] run on `arena_graph` and on the reference engine
-/// over `reference_graph` (the same graph, or its explicit twin) in
-/// lockstep, comparing metrics after every round.
-fn assert_equivalent_broadcasts(arena_graph: &Graph, reference_graph: &Graph, seed: u64) {
-    let mut arena = Network::from_fn(arena_graph, seed, 8, shouter_factory(seed));
-    let mut reference = ReferenceNetwork::from_fn(reference_graph, seed, 8, shouter_factory(seed));
-    arena.enable_trace();
-    reference.enable_trace();
-    while !arena.all_halted() {
-        arena.step().expect("arena step");
-        reference.step().expect("reference step");
-        assert_eq!(
-            arena.metrics_snapshot(),
-            reference.metrics_snapshot(),
-            "metrics diverged at round {}",
-            arena.round()
-        );
-    }
-    assert!(reference.all_halted());
-    assert!(arena.metrics().multi_send_violations > 0);
-    assert!(arena.metrics().oversize_messages > 0);
-    assert_eq!(arena.outputs(), reference.outputs(), "outputs diverged");
-    assert_eq!(arena.trace(), reference.trace(), "traces diverged");
-}
-
 #[test]
 fn broadcasts_are_equivalent_on_random_regular_graphs_and_an_implicit_torus() {
     let regular = Topology::RandomRegular { n: 40, d: 4 }.build(2).unwrap();
-    let implicit = Graph::from_implicit(ImplicitTopology::Torus { rows: 5, cols: 7 }).unwrap();
-    let explicit = ale_graph::generators::grid2d(5, 7, true).unwrap();
+    let (implicit, explicit) = torus_twins();
     for seed in 0..8 {
-        assert_equivalent_broadcasts(&regular, &regular, seed);
-        assert_equivalent_broadcasts(&implicit, &explicit, seed);
+        for (graph, oracle_graph) in [(&regular, &regular), (&implicit, &explicit)] {
+            let run = assert_equivalent(graph, oracle_graph, seed, 8, u64::MAX, || {
+                shouter_factory(seed)
+            });
+            assert!(run.errors.is_empty(), "{:?}", run.errors);
+            assert!(run.metrics.multi_send_violations > 0);
+            assert!(run.metrics.oversize_messages > 0);
+        }
     }
 }
 
@@ -496,7 +530,7 @@ impl Process for Mixer {
     }
 }
 
-fn mixer_factory() -> impl FnMut(usize, &mut rand::rngs::StdRng) -> Mixer {
+fn mixer_factory() -> impl FnMut(usize, &mut StdRng) -> Mixer {
     |_deg, rng| Mixer {
         acc: rng.gen(),
         trip: (rng.gen_range(0..12u32) == 0).then(|| rng.gen_range(1..18u64)),
@@ -505,46 +539,25 @@ fn mixer_factory() -> impl FnMut(usize, &mut rand::rngs::StdRng) -> Mixer {
     }
 }
 
-/// Steps a [`Mixer`] run on `arena_graph` and on the reference engine over
-/// `reference_graph` in lockstep: every step must succeed or fail alike,
-/// and the metrics must agree after each. Returns the failed steps.
-fn assert_equivalent_mix(arena_graph: &Graph, reference_graph: &Graph, seed: u64) -> usize {
-    let mut arena = Network::from_fn(arena_graph, seed, 64, mixer_factory());
-    let mut reference = ReferenceNetwork::from_fn(reference_graph, seed, 64, mixer_factory());
-    arena.enable_trace();
-    reference.enable_trace();
-    let mut failures = 0;
-    while !arena.all_halted() {
-        let step = arena.step();
-        assert_eq!(step, reference.step(), "round {}", arena.round());
-        failures += usize::from(step.is_err());
-        assert_eq!(
-            arena.metrics_snapshot(),
-            reference.metrics_snapshot(),
-            "metrics diverged at round {}",
-            arena.round()
-        );
-    }
-    assert!(reference.all_halted());
-    assert!(arena.metrics().multi_send_violations > 0);
-    assert_eq!(arena.outputs(), reference.outputs(), "outputs diverged");
-    assert_eq!(arena.trace(), reference.trace(), "traces diverged");
-    failures
-}
-
 #[test]
 fn posted_broadcasts_are_equivalent_on_regular_complete_and_implicit_graphs() {
     // On rregular:40 most port rows are not in neighbor-id order, so the
-    // inboxes' order comes from the driver's neighbor table.
+    // inboxes' order comes from the lockstep driver's neighbor table; the
+    // event queue pushes every message and must read alike.
     let regular = Topology::RandomRegular { n: 40, d: 4 }.build(2).unwrap();
     let complete = ale_graph::generators::complete(40).unwrap();
-    let implicit = Graph::from_implicit(ImplicitTopology::Torus { rows: 5, cols: 7 }).unwrap();
-    let explicit = ale_graph::generators::grid2d(5, 7, true).unwrap();
+    let (implicit, explicit) = torus_twins();
     let mut failures = 0;
     for seed in 0..8 {
-        failures += assert_equivalent_mix(&regular, &regular, seed);
-        failures += assert_equivalent_mix(&complete, &complete, seed);
-        failures += assert_equivalent_mix(&implicit, &explicit, seed);
+        for (graph, oracle_graph) in [
+            (&regular, &regular),
+            (&complete, &complete),
+            (&implicit, &explicit),
+        ] {
+            let run = assert_equivalent(graph, oracle_graph, seed, 64, u64::MAX, mixer_factory);
+            assert!(run.metrics.multi_send_violations > 0);
+            failures += run.errors.len();
+        }
     }
     assert!(failures > 0, "some round failed after its posts");
 }

@@ -30,7 +30,7 @@
 //! let g = generators::complete(4)?;
 //! // Scaled parameters keep the demo fast; the `params` module docs
 //! // describe the modes.
-//! let params = RevocableParams::paper_blind(1.0, 0.2).with_scales(0.02, 0.05, 1.0);
+//! let params = RevocableParams::paper_blind(1.0, 0.2).with_scales(0.02, 0.05);
 //! let result = run_revocable(&g, &params, 1, 32)?;
 //! assert!(result.stabilized);
 //! assert_eq!(result.outcome.leader_count(), 1);
@@ -198,7 +198,7 @@ mod tests {
     use ale_graph::generators;
 
     fn fast_params() -> RevocableParams {
-        RevocableParams::paper_blind(1.0, 0.2).with_scales(0.02, 0.05, 1.0)
+        RevocableParams::paper_blind(1.0, 0.2).with_scales(0.02, 0.05)
     }
 
     #[test]
@@ -277,7 +277,7 @@ mod tests {
             Err(CoreError::InvalidConfig { .. })
         ));
         // The scaled ladder's params and horizon pass and run.
-        let ladder = RevocableParams::paper_blind(1.0, 0.2).with_scales(0.002, 0.05, 1.0);
+        let ladder = RevocableParams::paper_blind(1.0, 0.2).with_scales(0.002, 0.05);
         assert!(run_revocable(&g, &ladder, 1, 4).is_ok());
     }
 

@@ -15,9 +15,9 @@
 //!
 //! Paper-exact parameters are astronomically expensive (`Õ(n^{8+4ε})`
 //! rounds for the blind variant), so [`RevocableParams`] also exposes
-//! **documented scale knobs** (`r_scale`, `f_scale`, `diss_scale`) that
-//! shrink the constants while preserving every functional form in `k` —
-//! the mode the shape experiments use.
+//! **documented scale knobs** (`r_scale`, `f_scale`) that shrink the
+//! constants while preserving every functional form in `k` — the mode the
+//! shape experiments use. The dissemination length is not scaled.
 
 use crate::error::CoreError;
 
@@ -41,8 +41,6 @@ pub struct RevocableParams {
     pub r_scale: f64,
     /// Multiplier on `f(k)` (1.0 = paper-exact).
     pub f_scale: f64,
-    /// Multiplier on the dissemination length (1.0 = paper-exact).
-    pub diss_scale: f64,
 }
 
 impl RevocableParams {
@@ -55,7 +53,6 @@ impl RevocableParams {
             ig: None,
             r_scale: 1.0,
             f_scale: 1.0,
-            diss_scale: 1.0,
         }
     }
 
@@ -69,10 +66,9 @@ impl RevocableParams {
 
     /// Applies scale knobs (shape-experiment mode). Scales must be in
     /// `(0, 1]`; functional forms in `k` are unchanged.
-    pub fn with_scales(mut self, r_scale: f64, f_scale: f64, diss_scale: f64) -> Self {
+    pub fn with_scales(mut self, r_scale: f64, f_scale: f64) -> Self {
         self.r_scale = r_scale;
         self.f_scale = f_scale;
-        self.diss_scale = diss_scale;
         self
     }
 
@@ -99,11 +95,7 @@ impl RevocableParams {
                 });
             }
         }
-        for (name, v) in [
-            ("r_scale", self.r_scale),
-            ("f_scale", self.f_scale),
-            ("diss_scale", self.diss_scale),
-        ] {
+        for (name, v) in [("r_scale", self.r_scale), ("f_scale", self.f_scale)] {
             if !(v > 0.0 && v <= 1.0) {
                 return Err(CoreError::InvalidConfig {
                     reason: format!("{name} must be in (0, 1], got {v}"),
@@ -152,9 +144,9 @@ impl RevocableParams {
         ((self.r_scale * (spectral_term + reach_term)).ceil() as u64).max(1)
     }
 
-    /// Dissemination rounds (scaled `k^{1+ε}`, at least 1).
+    /// Dissemination rounds (`⌈k^{1+ε}⌉`, at least 1).
     pub fn dissemination(&self, k: u64) -> u64 {
-        ((self.diss_scale * self.k_pow(k)).ceil() as u64).max(1)
+        (self.k_pow(k).ceil() as u64).max(1)
     }
 
     /// ID range upper bound `k^{4(1+ε)}·log₂⁴(4k)`.
@@ -273,7 +265,7 @@ mod tests {
 
     #[test]
     fn scales_shrink_but_preserve_monotonicity() {
-        let p = blind().with_scales(0.01, 0.05, 0.5);
+        let p = blind().with_scales(0.01, 0.05);
         assert!(p.validate().is_ok());
         assert!(p.r(8) < blind().r(8));
         assert!(p.f(8) < blind().f(8));
@@ -290,8 +282,8 @@ mod tests {
         assert!(RevocableParams::paper_with_ig(0.5, 0.1, -1.0)
             .validate()
             .is_err());
-        assert!(blind().with_scales(0.0, 1.0, 1.0).validate().is_err());
-        assert!(blind().with_scales(1.0, 2.0, 1.0).validate().is_err());
+        assert!(blind().with_scales(0.0, 1.0).validate().is_err());
+        assert!(blind().with_scales(1.0, 2.0).validate().is_err());
         assert!(blind().validate().is_ok());
     }
 
@@ -307,7 +299,7 @@ mod tests {
 
     #[test]
     fn rounds_budget_is_dominated_by_last_estimate() {
-        let p = blind().with_scales(0.001, 0.1, 1.0);
+        let p = blind().with_scales(0.001, 0.1);
         let through8 = p.rounds_through(8);
         let through16 = p.rounds_through(16);
         assert!(through16 > through8);
@@ -328,7 +320,7 @@ mod tests {
         ));
         assert!(exact.check_horizon(1).is_err());
         // The large-n ladder's scaled schedule and horizon.
-        let ladder = RevocableParams::paper_blind(1.0, 0.2).with_scales(0.002, 0.05, 1.0);
+        let ladder = RevocableParams::paper_blind(1.0, 0.2).with_scales(0.002, 0.05);
         assert!(ladder.check_horizon(4).is_ok());
         // A horizon past every u64 schedule saturates instead of wrapping.
         assert!(exact.check_horizon(u64::MAX).is_err());

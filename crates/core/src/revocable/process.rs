@@ -424,7 +424,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn small_params() -> RevocableParams {
-        RevocableParams::paper_blind(0.5, 0.2).with_scales(0.001, 0.05, 1.0)
+        RevocableParams::paper_blind(0.5, 0.2).with_scales(0.001, 0.05)
     }
 
     fn ctx<'a>(rng: &'a mut StdRng, degree: usize, round: u64) -> NodeCtx<'a> {

@@ -132,23 +132,7 @@ impl GraphProps {
         };
 
         let min_degree = (0..n).map(|v| g.degree(v)).min().unwrap_or(0);
-        let isoperimetric = if let Ok(v) = cuts::isoperimetric_exact(g) {
-            Estimate {
-                value: v,
-                method: Method::Exact,
-            }
-        } else if let Some(v) = hints.isoperimetric {
-            Estimate {
-                value: v,
-                method: Method::Analytic,
-            }
-        } else {
-            // i(G) ≥ Φ·d_min; use the spectral Φ lower bound.
-            Estimate {
-                value: (gap * min_degree as f64).max(f64::MIN_POSITIVE),
-                method: Method::Spectral,
-            }
-        };
+        let isoperimetric = isoperimetric_estimate(g, hints.isoperimetric, || Ok(gap))?;
 
         let (tmix, tmix_method) = if n <= EXACT_MIXING_LIMIT {
             let chain = MarkovChain::lazy_random_walk(&g.adjacency())?;
@@ -185,6 +169,40 @@ impl GraphProps {
             tmix_method,
         })
     }
+}
+
+/// The isoperimetric number `i(G)` from the first oracle that answers: the
+/// exact cut oracle up to its brute-force limit, the family's closed form
+/// `hint`, then the spectral lower bound `i(G) ≥ Φ·d_min ≥ gap·d_min`.
+/// `gap` yields the lazy walk's spectral gap `1 − λ₂` and is called only
+/// on that last rung, so a caller without the gap in hand pays for the
+/// power iteration only when it is needed.
+///
+/// # Errors
+///
+/// Whatever `gap` returns.
+pub fn isoperimetric_estimate(
+    g: &Graph,
+    hint: Option<f64>,
+    gap: impl FnOnce() -> Result<f64, GraphError>,
+) -> Result<Estimate, GraphError> {
+    if let Ok(value) = cuts::isoperimetric_exact(g) {
+        return Ok(Estimate {
+            value,
+            method: Method::Exact,
+        });
+    }
+    if let Some(value) = hint {
+        return Ok(Estimate {
+            value,
+            method: Method::Analytic,
+        });
+    }
+    let min_degree = (0..g.n()).map(|v| g.degree(v)).min().unwrap_or(0);
+    Ok(Estimate {
+        value: (gap()? * min_degree as f64).max(f64::MIN_POSITIVE),
+        method: Method::Spectral,
+    })
 }
 
 /// The knowledge bundle the paper's **irrevocable** protocol assumes

@@ -115,7 +115,7 @@ impl Scenario for Certification {
             let topo = view.topology()?;
             let n = point.n;
             let g = topo.build(view.graph_seed(0))?;
-            let run_params = RevocableParams::paper_blind(EPS, XI).with_scales(0.02, 0.5, 1.0);
+            let run_params = RevocableParams::paper_blind(EPS, XI).with_scales(0.02, 0.5);
             let mut bound_k = 2u64;
             while params.k_pow(bound_k) * (4.0 * bound_k as f64).log2() < n as f64 {
                 bound_k *= 2;

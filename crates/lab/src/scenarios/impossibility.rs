@@ -84,7 +84,7 @@ impl Scenario for Impossibility {
             }))
         } else {
             let g = Topology::Cycle { n: CONTRAST_N }.build(0)?;
-            let params = RevocableParams::paper_blind(1.0, 0.2).with_scales(0.02, 0.25, 1.0);
+            let params = RevocableParams::paper_blind(1.0, 0.2).with_scales(0.02, 0.25);
             let max_k = 8u64; // first k with k² > 4·12
             Ok(Box::new(move |seed| {
                 let run = run_revocable(&g, &params, seed, max_k)?;

@@ -4,7 +4,7 @@
 
 use crate::scenario::LabError;
 use ale_graph::spectral_sparse::{self, POWER_ITERS, POWER_TOL};
-use ale_graph::{analytic, cuts, Graph, Topology, IMPLICIT_THRESHOLD};
+use ale_graph::{analytic, props, Graph, Topology, IMPLICIT_THRESHOLD};
 
 mod ablation;
 mod cautious;
@@ -30,33 +30,27 @@ pub use table1::Table1;
 pub use thresholds::Thresholds;
 pub use walks::Walks;
 
-/// Isoperimetric-number estimate that works at any scale: the exact
-/// exponential cut oracle up to its brute-force limit, the family's closed
-/// form when the topology has one, and the spectral lower bound
-/// `i(G) ≥ gap·d_min` otherwise. This is what lets the diffusion-family
+/// Isoperimetric-number estimate that works at any scale:
+/// [`props::isoperimetric_estimate`] with the topology family's closed
+/// form, whose spectral fallback runs its power iteration in a
+/// `graph-props` telemetry span. This is what lets the diffusion-family
 /// scenarios price their Lemma 4/5 bounds on 20 000-node graphs where the
-/// exact oracle is unreachable. The spectral fallback runs in a
-/// `graph-props` telemetry span.
+/// exact oracle is unreachable.
 ///
 /// # Errors
 ///
 /// [`LabError::Graph`] when the spectral fallback's power iteration does
 /// not converge.
 pub(crate) fn isoperimetric_estimate(graph: &Graph, topo: &Topology) -> Result<f64, LabError> {
-    if let Ok(v) = cuts::isoperimetric_exact(graph) {
-        return Ok(v);
-    }
-    if let Some(v) = analytic::hints(topo).isoperimetric {
-        return Ok(v);
-    }
-    let span = ale_telemetry::Span::begin("graph-props")
-        .attr("topology", topo.to_string())
-        .attr("n", graph.n())
-        .attr("isoperimetric_method", "spectral");
-    let gap = spectral_sparse::lazy_spectral_gap(graph, POWER_TOL, POWER_ITERS)?;
-    drop(span);
-    let d_min = (0..graph.n()).map(|v| graph.degree(v)).min().unwrap_or(1);
-    Ok((gap * d_min as f64).max(f64::MIN_POSITIVE))
+    let hint = analytic::hints(topo).isoperimetric;
+    let estimate = props::isoperimetric_estimate(graph, hint, || {
+        let _span = ale_telemetry::Span::begin("graph-props")
+            .attr("topology", topo.to_string())
+            .attr("n", graph.n())
+            .attr("isoperimetric_method", "spectral");
+        spectral_sparse::lazy_spectral_gap(graph, POWER_TOL, POWER_ITERS)
+    })?;
+    Ok(estimate.value)
 }
 
 /// The large-n sparse-topology ladder the diffusion-family scenarios share:

@@ -36,7 +36,7 @@ pub(crate) const LADDER_MAX_K: u64 = 4;
 /// the mode-3 scales: a ladder trial is n broadcasts per round for
 /// thousands of rounds, and the object under test is the simulator.
 pub(crate) fn ladder_params() -> RevocableParams {
-    RevocableParams::paper_blind(EPS, XI).with_scales(0.002, 0.05, 1.0)
+    RevocableParams::paper_blind(EPS, XI).with_scales(0.002, 0.05)
 }
 
 /// The revocable-growth scenario.
@@ -98,8 +98,7 @@ impl Scenario for Revocable {
                     let n = ctx.int("thm3-n")? as usize;
                     let ig = (n as f64 / 2.0).ceil();
                     let ks = k_star(n, EPS);
-                    let params =
-                        RevocableParams::paper_with_ig(EPS, XI, ig).with_scales(1.0, 0.25, 1.0);
+                    let params = RevocableParams::paper_with_ig(EPS, XI, ig).with_scales(1.0, 0.25);
                     let formula = params.rounds_through(ks) as f64;
                     Ok(Some(
                         GridPoint::new(format!("thm3/n={n}"))
@@ -241,11 +240,11 @@ impl Scenario for Revocable {
         let params = match mode {
             1 => {
                 let ig = view.require_knob("ig")?;
-                RevocableParams::paper_with_ig(EPS, XI, ig).with_scales(1.0, 0.25, 1.0)
+                RevocableParams::paper_with_ig(EPS, XI, ig).with_scales(1.0, 0.25)
             }
             2 => RevocableParams::paper_blind(EPS, XI),
             4 => ladder_params(),
-            _ => RevocableParams::paper_blind(EPS, XI).with_scales(0.002, 0.1, 1.0),
+            _ => RevocableParams::paper_blind(EPS, XI).with_scales(0.002, 0.1),
         };
         let max_k = if mode == 4 {
             view.knob("max_k").map_or(LADDER_MAX_K, |k| k as u64)
@@ -472,7 +471,7 @@ impl Scenario for Revocable {
                  delivery metric (rounds, messages, delivered/dropped/duplicated —\n\
                  bit counts are seed-dependent and the two points draw different\n\
                  positional seeds; byte-identity at equal seeds is pinned by\n\
-                 crates/congest/tests/async_equivalence.rs). Nonzero rates measure\n\
+                 crates/congest/tests/equivalence.rs). Nonzero rates measure\n\
                  how far the paper's round/bit bounds degrade off the synchronous\n\
                  fault-free model.\n",
             );

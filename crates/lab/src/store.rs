@@ -573,50 +573,14 @@ fn positions_by_label(manifest: &RunManifest) -> HashMap<&str, u64> {
         .collect()
 }
 
-/// Assigns every record its [`TrialKey`] from the manifest's grid:
-/// position from `positions` (parallel to `grid`), seed index by
-/// occurrence order within the point.
-fn keyed_records<'a>(
-    manifest: &RunManifest,
-    records: &'a [TrialRecord],
-) -> Result<Vec<(TrialKey, &'a TrialRecord)>, LabError> {
-    let pos_of = positions_by_label(manifest);
-    let mut next_seed: HashMap<&str, u64> = HashMap::new();
-    records
-        .iter()
-        .map(|r| {
-            let &position = pos_of.get(r.point.as_str()).ok_or_else(|| {
-                LabError::BadRecord(format!(
-                    "record for '{}', which the manifest grid does not list",
-                    r.point
-                ))
-            })?;
-            let seed_index = next_seed.entry(r.point.as_str()).or_insert(0);
-            let key = TrialKey {
-                scenario: manifest.scenario.clone(),
-                space_hash: manifest.space_hash,
-                position,
-                seed_index: *seed_index,
-            };
-            *seed_index += 1;
-            Ok((key, r))
-        })
-        .collect()
-}
-
-/// Upserts every trial and summary row into `db` and compacts it to the
-/// canonical sorted form. Idempotent: values are pure functions of the
-/// records, so re-putting over a journal that already holds them (the
-/// [`RunWriter::finish`] path) changes nothing but the layout.
+/// Upserts every summary row into `db` (the trials are already there,
+/// one [`RunWriter::put`] each) and compacts it to the canonical sorted
+/// form.
 fn populate_db(
     db: &mut AofDb,
     manifest: &RunManifest,
-    records: &[TrialRecord],
     summary: &RunSummary,
 ) -> Result<(), LabError> {
-    for (key, r) in keyed_records(manifest, records)? {
-        db.put(&key.encode(), r.to_json().render().as_bytes())?;
-    }
     let pos_of = positions_by_label(manifest);
     for (label, metric, row) in summary.summary_rows() {
         let &position = pos_of.get(label.as_str()).ok_or_else(|| {
@@ -723,7 +687,8 @@ impl RunWriter {
     /// summary rows, compacts the journal, and rewrites the manifest
     /// with `complete: true` — in that order, so the completion marker
     /// is the last thing to land. `records` must be the full record set
-    /// in task order.
+    /// in task order, each already journaled by [`RunWriter::put`] under
+    /// its [`TrialKey`].
     ///
     /// # Errors
     ///
@@ -741,7 +706,7 @@ impl RunWriter {
         write_atomic(&dir.join("trials.jsonl"), &jsonl_bytes(records))?;
         write_atomic(&dir.join("trials.csv"), records_csv(records).as_bytes())?;
         write_atomic(&dir.join("summary.csv"), summary.summary_csv().as_bytes())?;
-        populate_db(&mut db, &manifest, records, summary)?;
+        populate_db(&mut db, &manifest, summary)?;
         manifest.complete = true;
         write_atomic(
             &dir.join("manifest.json"),
@@ -1098,6 +1063,31 @@ mod tests {
         summary
     }
 
+    /// Assigns every record its [`TrialKey`] from the manifest's grid:
+    /// position from `positions` (parallel to `grid`), seed index by
+    /// occurrence order within the point.
+    fn keyed_records<'a>(
+        manifest: &RunManifest,
+        records: &'a [TrialRecord],
+    ) -> Vec<(TrialKey, &'a TrialRecord)> {
+        let pos_of = positions_by_label(manifest);
+        let mut next_seed: HashMap<&str, u64> = HashMap::new();
+        records
+            .iter()
+            .map(|r| {
+                let seed_index = next_seed.entry(r.point.as_str()).or_insert(0);
+                let key = TrialKey {
+                    scenario: manifest.scenario.clone(),
+                    space_hash: manifest.space_hash,
+                    position: pos_of[r.point.as_str()],
+                    seed_index: *seed_index,
+                };
+                *seed_index += 1;
+                (key, r)
+            })
+            .collect()
+    }
+
     /// Writes a finished store the way the engine does: create, one put
     /// per trial, finish.
     fn write_store(
@@ -1107,7 +1097,7 @@ mod tests {
         summary: &RunSummary,
     ) {
         let writer = RunWriter::create(dir, manifest).unwrap();
-        for (key, r) in keyed_records(manifest, records).unwrap() {
+        for (key, r) in keyed_records(manifest, records) {
             writer.put(&key, r).unwrap();
         }
         writer.finish(records, summary).unwrap();
@@ -1175,7 +1165,7 @@ mod tests {
             let writer = RunWriter::create(&dir, &manifest).unwrap();
             // Mid-run, the manifest says incomplete.
             assert!(!load_manifest(&dir.join("manifest.json")).unwrap().complete);
-            let mut keyed = keyed_records(&manifest, &records).unwrap();
+            let mut keyed = keyed_records(&manifest, &records);
             if reverse {
                 keyed.reverse();
             }

@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let contrast_n = 12usize;
     println!("running the revocable protocol on a {contrast_n}-node ring (no knowledge of n)...");
     let ring = generators::cycle(contrast_n)?;
-    let params = RevocableParams::paper_blind(1.0, 0.2).with_scales(0.02, 0.25, 1.0);
+    let params = RevocableParams::paper_blind(1.0, 0.2).with_scales(0.02, 0.25);
     // Horizon: the first estimate with k² > 4·12.
     let result = run_revocable(&ring, &params, 99, 8)?;
     println!(

@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Scaled parameters (same functional forms as the paper; see
     // `ale_core::revocable::params` for the modes) keep the demo interactive.
-    let params = RevocableParams::paper_blind(1.0, 0.2).with_scales(0.02, 0.25, 1.0);
+    let params = RevocableParams::paper_blind(1.0, 0.2).with_scales(0.02, 0.25);
     let budget = congest_budget(overlay.n());
     let horizon = 16u64;
 

@@ -70,7 +70,7 @@ fn revocable_potentials_are_charged_not_smuggled() {
     // charging is an engine obligation, so the fault-free asynchronous
     // engine must account identically.
     let g = Topology::Complete { n: 4 }.build(0).expect("graph");
-    let params = RevocableParams::paper_blind(1.0, 0.2).with_scales(0.02, 0.25, 1.0);
+    let params = RevocableParams::paper_blind(1.0, 0.2).with_scales(0.02, 0.25);
     let r = run_revocable(&g, &params, 1, 8).expect("run");
     assert!(r.outcome.metrics.oversize_messages > 0);
     assert!(r.outcome.metrics.congest_rounds > r.outcome.metrics.rounds);

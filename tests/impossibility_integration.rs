@@ -54,7 +54,7 @@ fn revocable_protocol_fixes_rings_without_knowledge() {
     // (~6M rounds) before the horizon drain stabilizes them — correct but
     // too slow for the default suite (validated in release calibration).
     let ring = generators::cycle(12).expect("cycle");
-    let params = RevocableParams::paper_blind(1.0, 0.2).with_scales(0.02, 0.25, 1.0);
+    let params = RevocableParams::paper_blind(1.0, 0.2).with_scales(0.02, 0.25);
     let r = run_revocable(&ring, &params, 0, 8).expect("run");
     assert!(r.stabilized, "revocable run must stabilize on C12");
     assert_eq!(
