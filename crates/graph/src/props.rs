@@ -180,7 +180,8 @@ impl GraphProps {
 ///
 /// # Errors
 ///
-/// Whatever `gap` returns.
+/// Whatever `gap` returns, and [`GraphError::Numeric`] when the gap it
+/// yields is NaN or infinite.
 pub fn isoperimetric_estimate(
     g: &Graph,
     hint: Option<f64>,
@@ -200,7 +201,7 @@ pub fn isoperimetric_estimate(
     }
     let min_degree = (0..g.n()).map(|v| g.degree(v)).min().unwrap_or(0);
     Ok(Estimate {
-        value: (gap()? * min_degree as f64).max(f64::MIN_POSITIVE),
+        value: (spectral_sparse::finite_gap(gap()?)? * min_degree as f64).max(f64::MIN_POSITIVE),
         method: Method::Spectral,
     })
 }
@@ -253,6 +254,23 @@ mod tests {
         assert_eq!(p.tmix_method, Method::Exact);
         assert!((p.conductance.value - 0.2).abs() < 1e-12);
         assert!(p.spectral_gap > 0.0);
+    }
+
+    #[test]
+    fn spectral_rung_refuses_a_non_finite_gap() {
+        // Past the exact cut oracle and without a hint, the gap answers.
+        let g = generators::cycle(30).unwrap();
+        for gap in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(
+                    isoperimetric_estimate(&g, None, || Ok(gap)),
+                    Err(GraphError::Numeric { .. })
+                ),
+                "gap {gap}"
+            );
+        }
+        let estimate = isoperimetric_estimate(&g, None, || Ok(0.25)).unwrap();
+        assert_eq!((estimate.value, estimate.method), (0.5, Method::Spectral));
     }
 
     #[test]

@@ -16,6 +16,16 @@
 //! [`crate::transition::normalized_lazy_csr`] — the same sparse kernel the
 //! chain-level code uses — applied through `mul_vec_into` so the iteration
 //! allocates nothing per step.
+//!
+//! On a regular graph every row of `N` stores `degree + 1` entries, so the
+//! matrix records a uniform row width and `mul_vec_into` runs its
+//! fixed-width row kernel: widths 2–9 cover `K₂`, cycles, cube-connected
+//! cycles, tori, 4-regular graphs and hypercubes up to dimension 8. The
+//! rows then unroll and consecutive rows overlap, instead of each running
+//! as a short loop around its chain of dependent adds. The same products
+//! are summed in the same order, so `λ₂` keeps its bits while the
+//! iteration on `rregular:5000x4` takes about half the time. Irregular
+//! and complete graphs keep the per-row loop.
 
 use crate::error::GraphError;
 use crate::graph::Graph;
@@ -133,14 +143,14 @@ pub fn lazy_spectral_gap(g: &Graph, tol: f64, max_iters: usize) -> Result<f64, G
 ///
 /// # Errors
 ///
-/// [`GraphError::Numeric`] if `gap` is not positive (on a graph with more
-/// than one node).
+/// [`GraphError::Numeric`] if `gap` is not positive or not finite (on a
+/// graph with more than one node).
 pub fn mixing_time_upper(g: &Graph, gap: f64) -> Result<u64, GraphError> {
     let n = g.n();
     if n == 1 {
         return Ok(0);
     }
-    if gap <= 0.0 {
+    if finite_gap(gap)? <= 0.0 {
         return Err(GraphError::Numeric {
             reason: "non-positive spectral gap".into(),
         });
@@ -149,6 +159,23 @@ pub fn mixing_time_upper(g: &Graph, gap: f64) -> Result<u64, GraphError> {
     let d_min = (0..n).map(|v| g.degree(v)).min().unwrap_or(1) as f64;
     let t = ((2.0 * n as f64).ln() + 0.5 * (d_max / d_min).ln()) / gap;
     Ok(t.ceil().max(1.0) as u64)
+}
+
+/// `gap` itself when it is finite.
+///
+/// # Errors
+///
+/// [`GraphError::Numeric`] for a NaN or infinite gap, which no bound
+/// derived from it can use: a NaN fails every comparison and would pass
+/// for a positive gap.
+pub(crate) fn finite_gap(gap: f64) -> Result<f64, GraphError> {
+    if gap.is_finite() {
+        Ok(gap)
+    } else {
+        Err(GraphError::Numeric {
+            reason: format!("non-finite spectral gap {gap}"),
+        })
+    }
 }
 
 fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -299,6 +326,8 @@ mod tests {
             ),
             (Topology::Cycle { n: 300 }, 0, 0x3fefff19ff83b4b5),
             (Topology::Complete { n: 16 }, 0, 0x3fdddddddddddddc),
+            (Topology::Hypercube { dim: 6 }, 1, 0x3feaaaaaaaa9177d),
+            (Topology::Ccc { dim: 4 }, 1, 0x3fee73105f77b9a7),
         ] {
             let g = topology.build(graph_seed).unwrap();
             let l2 = lambda2_lazy(&g, POWER_TOL, POWER_ITERS).unwrap();
@@ -325,6 +354,18 @@ mod tests {
         }
         assert_eq!(fused, plain);
         assert_eq!(norm_sq.to_bits(), dot(&plain, &plain).to_bits());
+    }
+
+    #[test]
+    fn non_finite_gaps_are_refused() {
+        let g = generators::cycle(10).unwrap();
+        for gap in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.5] {
+            assert!(
+                matches!(mixing_time_upper(&g, gap), Err(GraphError::Numeric { .. })),
+                "gap {gap}"
+            );
+        }
+        assert!(mixing_time_upper(&g, 0.5).unwrap() >= 1);
     }
 
     #[test]

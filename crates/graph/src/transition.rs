@@ -172,6 +172,37 @@ mod tests {
         assert_eq!(diff.transition().transpose(), *diff.transition());
     }
 
+    /// FNV-1a over the bits of every iterate of 64 `step_into` steps of
+    /// `chain` from `mu`.
+    fn step_digest(chain: &MarkovChain, mut mu: Vec<f64>) -> u64 {
+        let mut next = vec![0.0; mu.len()];
+        let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+        for _ in 0..64 {
+            chain.step_into(&mu, &mut next).unwrap();
+            std::mem::swap(&mut mu, &mut next);
+            for x in &mu {
+                digest = (digest ^ x.to_bits()).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        digest
+    }
+
+    #[test]
+    fn step_bits_are_pinned() {
+        // Stored diffusion and walk runs carry these bits, so a change to
+        // the order of a chain step's sums shows up here first. The start
+        // vectors hold zeros (the skipped inputs) and non-dyadic values.
+        let torus = generators::grid2d(8, 8, true).unwrap();
+        let diffusion = diffusion_chain(&torus, 0.1).unwrap();
+        let potential = (0..64)
+            .map(|i| if i % 7 == 0 { 0.0 } else { 1.0 })
+            .collect();
+        assert_eq!(step_digest(&diffusion, potential), 0x8dc6_7623_3866_e9a8);
+        let walk = lazy_walk_chain(&generators::cycle(9).unwrap()).unwrap();
+        let mu = (0..9).map(|i| i as f64 / 36.0).collect();
+        assert_eq!(step_digest(&walk, mu), 0x5aba_29d1_3d31_4de8);
+    }
+
     #[test]
     fn normalized_operator_is_symmetric_with_sqrt_deg_principal() {
         let g = generators::star(9).unwrap();

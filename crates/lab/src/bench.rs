@@ -25,7 +25,8 @@
 //!   on the complete graph (the push side of the arena's posting rule);
 //! * `BENCH_diffusion.json` — `Avg` diffusion steps, dense matrix vs
 //!   sparse CSR backend on tori, plus the sparse `λ₂` power iteration
-//!   that prices bind on `diffusion --n` ladders (`lambda2/sparse/…`).
+//!   that prices bind on `diffusion --n` ladders and on a `table1` cycle
+//!   (`lambda2/sparse/…`).
 //!
 //! Timing schema: `{"suite", "git", "quick", "cases": [{"id", "iters",
 //! "wall_ms_per_iter"}]}`; engine cases add `"messages"` (metered sends
@@ -652,16 +653,23 @@ fn diffusion_cases(quick: bool, budget: Duration) -> Result<Vec<Case>, LabError>
     }
 
     // One whole `λ₂` iteration under the harness budget, on the 4-regular
-    // graph `diffusion --n` binds (graph seed 0).
-    let n = if quick { 1000 } else { 5000 };
-    let graph = Topology::RandomRegular { n, d: 4 }.build(0)?;
-    cases.push(Case::kernel(
-        format!("lambda2/sparse/rregular:{n}"),
-        budget,
-        || {
+    // graph `diffusion --n` binds (graph seed 0, width-5 rows) and on the
+    // cycle `table1` binds at graph seed 1 (width-3 rows, and the smallest
+    // gap, so the most steps per node).
+    let (n, ring) = if quick { (1000, 500) } else { (5000, 2000) };
+    for (id, topology, graph_seed) in [
+        (
+            format!("rregular:{n}"),
+            Topology::RandomRegular { n, d: 4 },
+            0,
+        ),
+        (format!("cycle:{ring}"), Topology::Cycle { n: ring }, 1),
+    ] {
+        let graph = topology.build(graph_seed)?;
+        cases.push(Case::kernel(format!("lambda2/sparse/{id}"), budget, || {
             spectral_sparse::lambda2_lazy(&graph, POWER_TOL, POWER_ITERS).expect("λ₂ converges");
-        },
-    ));
+        }));
+    }
     Ok(cases)
 }
 

@@ -12,8 +12,8 @@ pub fn all() -> Vec<Box<dyn Scenario>> {
         Box::new(scenarios::Impossibility),
         Box::new(scenarios::Cautious::default()),
         Box::new(scenarios::Walks::default()),
-        Box::new(scenarios::Diffusion),
-        Box::new(scenarios::Thresholds),
+        Box::new(scenarios::Diffusion::default()),
+        Box::new(scenarios::Thresholds::default()),
         Box::new(scenarios::Certification),
         Box::new(scenarios::Phases),
         Box::new(scenarios::AblationCautious::default()),

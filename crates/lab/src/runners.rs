@@ -130,12 +130,14 @@ impl GraphContext {
 
 /// One slot of [`GraphContexts`]: empty until its key's first build
 /// succeeds.
-type ContextSlot = Arc<Mutex<Option<Arc<GraphContext>>>>;
+type Slot<T> = Arc<Mutex<Option<Arc<T>>>>;
 
-/// A run's [`GraphContext`]s, memoized by (topology, graph seed): every
-/// grid point of the run that names the same graph binds one shared
-/// context, so each graph is built and its properties computed once per
-/// run rather than once per point.
+/// A run's per-graph values, memoized by (topology, graph seed): every
+/// grid point of the run that names the same graph shares one value, so
+/// each is computed once per run rather than once per point. By default
+/// the value is the whole [`GraphContext`] (graph, properties and
+/// knowledge, see [`GraphContexts::get`]); the diffusion family keeps
+/// only its isoperimetric [`ale_graph::props::Estimate`] per graph.
 ///
 /// Scenarios hold one as a field, and [`crate::registry::find`] builds a
 /// fresh scenario value for every run, so the memo never outlives a run.
@@ -143,9 +145,46 @@ type ContextSlot = Arc<Mutex<Option<Arc<GraphContext>>>>;
 /// callers wait on the key's slot) while distinct keys build
 /// concurrently. A failed build returns its error and leaves the slot
 /// empty, so nothing failed is cached.
-#[derive(Debug, Default)]
-pub struct GraphContexts {
-    slots: Mutex<BTreeMap<(Topology, u64), ContextSlot>>,
+#[derive(Debug)]
+pub struct GraphContexts<T = GraphContext> {
+    slots: Mutex<BTreeMap<(Topology, u64), Slot<T>>>,
+}
+
+impl<T> Default for GraphContexts<T> {
+    fn default() -> Self {
+        GraphContexts {
+            slots: Mutex::default(),
+        }
+    }
+}
+
+impl<T> GraphContexts<T> {
+    /// The value of `topology` built at `graph_seed`, from `build` on the
+    /// key's first request.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `build` returns.
+    pub(crate) fn get_or_build<E>(
+        &self,
+        topology: Topology,
+        graph_seed: u64,
+        build: impl FnOnce() -> Result<T, E>,
+    ) -> Result<Arc<T>, E> {
+        // Every update under either lock is one insert or assignment, so a
+        // lock poisoned by a panicking build still guards valid data.
+        let slot = {
+            let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+            Arc::clone(slots.entry((topology, graph_seed)).or_default())
+        };
+        let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(value) = slot.as_ref() {
+            return Ok(Arc::clone(value));
+        }
+        let value = Arc::new(build()?);
+        *slot = Some(Arc::clone(&value));
+        Ok(value)
+    }
 }
 
 impl GraphContexts {
@@ -156,19 +195,9 @@ impl GraphContexts {
     ///
     /// Propagates [`GraphContext::build`] failures.
     pub fn get(&self, topology: Topology, graph_seed: u64) -> Result<Arc<GraphContext>, CoreError> {
-        // Every update under either lock is one insert or assignment, so a
-        // lock poisoned by a panicking build still guards valid data.
-        let slot = {
-            let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
-            Arc::clone(slots.entry((topology, graph_seed)).or_default())
-        };
-        let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(ctx) = slot.as_ref() {
-            return Ok(Arc::clone(ctx));
-        }
-        let ctx = Arc::new(GraphContext::build(topology, graph_seed)?);
-        *slot = Some(Arc::clone(&ctx));
-        Ok(ctx)
+        self.get_or_build(topology, graph_seed, || {
+            GraphContext::build(topology, graph_seed)
+        })
     }
 }
 

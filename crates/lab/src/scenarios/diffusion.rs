@@ -21,8 +21,10 @@
 
 use crate::agg::RunSummary;
 use crate::params::{Axis, AxisValue, Block, ParamSpace, Range};
+use crate::runners::GraphContexts;
 use crate::scenario::{GridPoint, Knowledge, LabError, Scenario, TrialFn, TrialRecord};
 use crate::table::Table;
+use ale_graph::props::Estimate;
 use ale_graph::{transition, Topology};
 use ale_markov::conductance;
 use rand::rngs::StdRng;
@@ -38,8 +40,12 @@ const LARGE_CAP_QUICK: u64 = 20_000;
 /// natural-`α` regime (the exact chain-conductance oracle stops at 22).
 const LARGE_N: usize = 2048;
 
-/// The diffusion-convergence scenario.
-pub struct Diffusion;
+/// The diffusion-convergence scenario. Its `γ` points on one graph share
+/// that graph's isoperimetric estimate through the run's memo.
+#[derive(Default)]
+pub struct Diffusion {
+    isoperimetric: GraphContexts<Estimate>,
+}
 
 /// The legacy small-family suite — the `topo` axis default.
 fn default_topologies() -> Vec<Topology> {
@@ -116,7 +122,8 @@ impl Scenario for Diffusion {
         let view = point.view();
         let topo = view.topology()?;
         let gamma = view.float("gamma")?;
-        let graph = topo.build(view.graph_seed(0))?;
+        let graph_seed = view.graph_seed(0);
+        let graph = topo.build(graph_seed)?;
         let n = graph.n();
         // The cap knob marks the natural-alpha large/ladder regime.
         let large = view.knob("cap").is_some();
@@ -138,7 +145,10 @@ impl Scenario for Diffusion {
             Ok(v) => v,
             // Beyond the exact oracle: phi(chain) = alpha * i(G), since
             // every cut edge carries exactly alpha crossing mass.
-            Err(_) => alpha * super::isoperimetric_estimate(&graph, &topo)?,
+            Err(_) => {
+                alpha
+                    * super::isoperimetric_estimate(&self.isoperimetric, &graph, topo, graph_seed)?
+            }
         };
         let cap = view.knob("cap").map_or(MAX_ROUNDS, |c| c as u64);
         let point = point.clone();
@@ -226,9 +236,9 @@ mod tests {
 
     #[test]
     fn grid_crosses_families_and_gammas() {
-        let full = Diffusion.grid(&GridConfig::default()).unwrap();
+        let full = Diffusion::default().grid(&GridConfig::default()).unwrap();
         assert_eq!(full.len(), 5 * 3);
-        let quick = Diffusion
+        let quick = Diffusion::default()
             .grid(&GridConfig {
                 quick: true,
                 ..GridConfig::default()
@@ -239,7 +249,7 @@ mod tests {
 
     #[test]
     fn ns_override_builds_the_large_ladder() {
-        let grid = Diffusion
+        let grid = Diffusion::default()
             .grid(&GridConfig {
                 ns: vec![20_000],
                 quick: true,
@@ -256,7 +266,7 @@ mod tests {
 
     #[test]
     fn large_points_get_single_gamma() {
-        let grid = Diffusion
+        let grid = Diffusion::default()
             .grid(&GridConfig {
                 ns: vec![20_000],
                 ..GridConfig::default()
@@ -271,7 +281,7 @@ mod tests {
         // The acceptance sweep: gammas nobody hard-coded, at a ladder
         // size below the large-N cutoff — every point still carries the
         // capped natural-alpha regime because the ladder built it.
-        let grid = Diffusion
+        let grid = Diffusion::default()
             .grid(&GridConfig {
                 quick: true,
                 params: vec![

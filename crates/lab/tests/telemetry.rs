@@ -8,7 +8,8 @@
 //! 3. the store output is byte-identical with telemetry on and off —
 //!    telemetry is a pure side-channel;
 //! 4. a run builds one graph context per (topology, graph seed), at any
-//!    worker count, and the next run builds its own.
+//!    worker count, and the next run builds its own; the diffusion
+//!    family likewise runs one spectral estimate per graph.
 //!
 //! Telemetry has process-global state (one installed sink), so every
 //! test serializes on one mutex.
@@ -321,4 +322,38 @@ fn a_run_builds_one_context_per_graph() {
         records[0], records[1],
         "records differ across worker counts"
     );
+}
+
+#[test]
+fn a_diffusion_run_estimates_each_graph_once() {
+    let _guard = SERIAL.lock().unwrap();
+    // Two γ points on one graph that is past the exact cut oracle and has
+    // no closed form, so each point's bind needs the spectral `i(G)`.
+    let topology = Topology::RandomRegular { n: 64, d: 4 };
+    let path = tmp("estimates.jsonl");
+    let diffusion = registry::find("diffusion").expect("diffusion is registered");
+    let spec = RunSpec {
+        workers: 2,
+        telemetry: Some(path.clone()),
+        grid: GridConfig {
+            topologies: vec![topology],
+            params: vec![("gamma".into(), vec!["0.1".into(), "0.3".into()])],
+            ..GridConfig::default()
+        },
+        ..RunSpec::default()
+    };
+    let out = execute(diffusion.as_ref(), &spec).unwrap();
+    assert_eq!(out.records.len(), 2);
+    let props: Vec<Value> = parse_lines(&path)
+        .into_iter()
+        .filter(|e| str_of(e, "ev") == Some("span") && str_of(e, "name") == Some("graph-props"))
+        .collect();
+    assert_eq!(props.len(), 1, "one spectral estimate for the shared graph");
+    let attrs = props[0].get("attrs").expect("attrs");
+    assert_eq!(
+        str_of(attrs, "topology"),
+        Some(topology.to_string().as_str())
+    );
+    assert_eq!(str_of(attrs, "isoperimetric_method"), Some("spectral"));
+    std::fs::remove_file(&path).ok();
 }

@@ -204,6 +204,19 @@ impl IndexMut<(usize, usize)> for Matrix {
 /// `O(nnz)` — for transition matrices built from bounded-degree graphs that
 /// is `O(n)` per step instead of the dense `O(n²)`.
 ///
+/// Both constructors also record the **uniform width**: the number of
+/// entries every row stores, or 0 when rows differ. A regular graph's
+/// matrices have one (degree + 1: 3 on a cycle, 5 on a torus or a
+/// 4-regular graph, 9 on a hypercube of dimension 8). For widths 2–9
+/// both products run a row kernel whose trip count is that width at
+/// compile time, so the short rows unroll and consecutive rows overlap;
+/// every other matrix runs the plain per-row loop. The arithmetic is the
+/// same either way: one multiply per entry, rows in order, and in
+/// [`CsrMatrix::mul_vec_into`] each row summed left to right in one
+/// accumulator that starts from the row's first product. That equals
+/// starting from `-0.0`, the start `Iterator::sum` uses for `f64`,
+/// because `-0.0 + y == y` bit for bit for every `y`.
+///
 /// # Examples
 ///
 /// ```
@@ -228,6 +241,18 @@ pub struct CsrMatrix {
     row_ptr: Vec<usize>,
     col_idx: Vec<usize>,
     values: Vec<f64>,
+    /// Entries per row when every row stores the same number, else 0.
+    width: usize,
+}
+
+/// The number of entries every row stores, or 0 when rows differ.
+fn uniform_width(row_ptr: &[usize]) -> usize {
+    let width = row_ptr[1] - row_ptr[0];
+    if row_ptr.windows(2).all(|w| w[1] - w[0] == width) {
+        width
+    } else {
+        0
+    }
 }
 
 impl CsrMatrix {
@@ -279,6 +304,7 @@ impl CsrMatrix {
         Ok(CsrMatrix {
             rows: nrows,
             cols,
+            width: uniform_width(&row_ptr),
             row_ptr,
             col_idx,
             values,
@@ -366,11 +392,37 @@ impl CsrMatrix {
                 found: out.len(),
             });
         }
-        for (i, out_i) in out.iter_mut().enumerate() {
-            let (cols, vals) = self.row(i);
-            *out_i = cols.iter().zip(vals).map(|(&j, &a)| a * v[j]).sum();
+        match self.width {
+            2 => self.mul_vec_fixed::<2>(v, out),
+            3 => self.mul_vec_fixed::<3>(v, out),
+            4 => self.mul_vec_fixed::<4>(v, out),
+            5 => self.mul_vec_fixed::<5>(v, out),
+            6 => self.mul_vec_fixed::<6>(v, out),
+            7 => self.mul_vec_fixed::<7>(v, out),
+            8 => self.mul_vec_fixed::<8>(v, out),
+            9 => self.mul_vec_fixed::<9>(v, out),
+            _ => {
+                for (i, out_i) in out.iter_mut().enumerate() {
+                    let (cols, vals) = self.row(i);
+                    *out_i = cols.iter().zip(vals).map(|(&j, &a)| a * v[j]).sum();
+                }
+            }
         }
         Ok(())
+    }
+
+    /// [`CsrMatrix::mul_vec_into`] on a matrix whose rows all store `W`
+    /// entries (`W ≥ 1`), after the length checks.
+    fn mul_vec_fixed<const W: usize>(&self, v: &[f64], out: &mut [f64]) {
+        let (cols, _) = self.col_idx.as_chunks::<W>();
+        let (vals, _) = self.values.as_chunks::<W>();
+        for (out_i, (cols, vals)) in out.iter_mut().zip(cols.iter().zip(vals)) {
+            let mut sum = vals[0] * v[cols[0]];
+            for (&j, &a) in cols[1..].iter().zip(&vals[1..]) {
+                sum += a * v[j];
+            }
+            *out_i = sum;
+        }
     }
 
     /// Row-vector-matrix product `v * self` (distribution evolution) in
@@ -394,16 +446,43 @@ impl CsrMatrix {
             });
         }
         out.fill(0.0);
-        for (i, &vi) in v.iter().enumerate() {
+        match self.width {
+            2 => self.vec_mul_fixed::<2>(v, out),
+            3 => self.vec_mul_fixed::<3>(v, out),
+            4 => self.vec_mul_fixed::<4>(v, out),
+            5 => self.vec_mul_fixed::<5>(v, out),
+            6 => self.vec_mul_fixed::<6>(v, out),
+            7 => self.vec_mul_fixed::<7>(v, out),
+            8 => self.vec_mul_fixed::<8>(v, out),
+            9 => self.vec_mul_fixed::<9>(v, out),
+            _ => {
+                for (i, &vi) in v.iter().enumerate() {
+                    if vi == 0.0 {
+                        continue;
+                    }
+                    let (cols, vals) = self.row(i);
+                    for (&j, &a) in cols.iter().zip(vals) {
+                        out[j] += vi * a;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// [`CsrMatrix::vec_mul_into`] on a matrix whose rows all store `W`
+    /// entries, after the length checks and the zero fill.
+    fn vec_mul_fixed<const W: usize>(&self, v: &[f64], out: &mut [f64]) {
+        let (cols, _) = self.col_idx.as_chunks::<W>();
+        let (vals, _) = self.values.as_chunks::<W>();
+        for ((&vi, cols), vals) in v.iter().zip(cols).zip(vals) {
             if vi == 0.0 {
                 continue;
             }
-            let (cols, vals) = self.row(i);
             for (&j, &a) in cols.iter().zip(vals) {
                 out[j] += vi * a;
             }
         }
-        Ok(())
     }
 
     /// Returns the transpose in `O(nnz)`.
@@ -433,6 +512,7 @@ impl CsrMatrix {
         CsrMatrix {
             rows: self.cols,
             cols: self.rows,
+            width: uniform_width(&row_ptr),
             row_ptr,
             col_idx,
             values,
@@ -523,6 +603,8 @@ pub(crate) fn test_dense(rows: &[Vec<f64>]) -> Matrix {
 mod tests {
     use super::vecops::*;
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn zeros_and_identity() {
@@ -647,6 +729,140 @@ mod tests {
             }
         }
         assert_eq!(t.transpose(), s);
+    }
+
+    /// `m · v` entry by entry: each row summed left to right from `-0.0`.
+    fn reference_mul_vec(m: &CsrMatrix, v: &[f64]) -> Vec<f64> {
+        (0..m.rows())
+            .map(|i| {
+                let (cols, vals) = m.row(i);
+                let mut sum = -0.0;
+                for (&j, &a) in cols.iter().zip(vals) {
+                    sum += a * v[j];
+                }
+                sum
+            })
+            .collect()
+    }
+
+    /// `v · m` entry by entry: rows in order, zero inputs skipped.
+    fn reference_vec_mul(m: &CsrMatrix, v: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; m.cols()];
+        for (i, &vi) in v.iter().enumerate() {
+            if vi == 0.0 {
+                continue;
+            }
+            let (cols, vals) = m.row(i);
+            for (&j, &a) in cols.iter().zip(vals) {
+                out[j] += vi * a;
+            }
+        }
+        out
+    }
+
+    /// A value whose magnitude spans 2^±60, so sums depend on their order;
+    /// one in six is `±0.0` or a subnormal.
+    fn awkward(rng: &mut StdRng) -> f64 {
+        let x = match rng.gen_range(0..12u32) {
+            0 => -0.0,
+            1 => 0.0,
+            2 => f64::from_bits(rng.gen_range(1..1u64 << 52)),
+            _ => (1.0 + rng.gen::<f64>()) * 2f64.powi(rng.gen_range(0..120u32) as i32 - 60),
+        };
+        if rng.gen_bool(0.5) {
+            -x
+        } else {
+            x
+        }
+    }
+
+    /// Both products of `m` equal the per-entry references bit for bit,
+    /// on vectors of awkward values and on all-`-0.0` vectors.
+    fn assert_products_match(m: &CsrMatrix, rng: &mut StdRng) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for round in 0..4 {
+            let fill = |len: usize, rng: &mut StdRng| -> Vec<f64> {
+                if round == 0 {
+                    vec![-0.0; len]
+                } else {
+                    (0..len).map(|_| awkward(rng)).collect()
+                }
+            };
+            let v = fill(m.cols(), rng);
+            let mut out = vec![1.0; m.rows()];
+            m.mul_vec_into(&v, &mut out).unwrap();
+            assert_eq!(bits(&out), bits(&reference_mul_vec(m, &v)), "m·v");
+            let v = fill(m.rows(), rng);
+            let mut out = vec![1.0; m.cols()];
+            m.vec_mul_into(&v, &mut out).unwrap();
+            assert_eq!(bits(&out), bits(&reference_vec_mul(m, &v)), "v·m");
+        }
+    }
+
+    /// Rows of the given widths over `cols` columns at random distinct
+    /// positions, with awkward non-zero values; every third row's values
+    /// are positive, so an all-`-0.0` input makes its products all `-0.0`.
+    fn random_rows(cols: usize, widths: &[usize], rng: &mut StdRng) -> CsrMatrix {
+        use rand::seq::SliceRandom;
+        let rows = widths
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| {
+                let mut picked: Vec<usize> = (0..cols).collect();
+                picked.shuffle(rng);
+                picked.truncate(w);
+                picked
+                    .into_iter()
+                    .map(|j| {
+                        let mut a = awkward(rng);
+                        while a == 0.0 {
+                            a = awkward(rng);
+                        }
+                        (j, if i % 3 == 0 { a.abs() } else { a })
+                    })
+                    .collect()
+            })
+            .collect();
+        CsrMatrix::from_row_entries(cols, rows).unwrap()
+    }
+
+    #[test]
+    fn products_match_a_per_entry_reference_at_every_width() {
+        let mut rng = StdRng::seed_from_u64(29);
+        for w in 1..=10 {
+            // Random columns: uniform rows, usually uneven columns.
+            let m = random_rows(13, &[w; 40], &mut rng);
+            assert_eq!(m.width, w);
+            assert_products_match(&m, &mut rng);
+            let t = m.transpose();
+            assert_eq!(t.width, uniform_width(&t.row_ptr));
+            assert_products_match(&t, &mut rng);
+            // A circulant band: its transpose is uniform too.
+            let rows = (0..13)
+                .map(|i| {
+                    (0..w)
+                        .map(|k| ((i + k) % 13, 1.0 / (k + 1) as f64))
+                        .collect()
+                })
+                .collect();
+            let band = CsrMatrix::from_row_entries(13, rows).unwrap();
+            assert_eq!((band.width, band.transpose().width), (w, w));
+            assert_products_match(&band, &mut rng);
+            assert_products_match(&band.transpose(), &mut rng);
+        }
+        // Rows of differing widths, some empty, and a transpose whose
+        // columns are uneven.
+        let widths: Vec<usize> = (0..60).map(|i| i % 7).collect();
+        let mixed = random_rows(11, &widths, &mut rng);
+        assert_eq!(mixed.width, 0);
+        assert_products_match(&mixed, &mut rng);
+        let uneven = random_rows(9, &[4; 30], &mut rng).transpose();
+        assert_eq!(uneven.width, 0);
+        assert_products_match(&uneven, &mut rng);
+        // Every row empty: `m·v` is `-0.0`, `v·m` is `+0.0`.
+        let empty = CsrMatrix::from_row_entries(5, vec![Vec::new(); 4]).unwrap();
+        assert_eq!(empty.width, 0);
+        assert_products_match(&empty, &mut rng);
     }
 
     #[test]
