@@ -232,7 +232,60 @@ impl Scenario for Diffusion {
 mod tests {
     use super::*;
 
+    use crate::engine::{execute, RunSpec};
     use crate::scenario::GridConfig;
+
+    /// `phi_chain` of every point of a one-seed diffusion run.
+    fn phi_chain_bits(grid: GridConfig) -> Vec<(String, u64)> {
+        let diffusion = crate::registry::find("diffusion").expect("diffusion is registered");
+        let spec = RunSpec {
+            workers: 1,
+            grid,
+            ..RunSpec::default()
+        };
+        execute(diffusion.as_ref(), &spec)
+            .unwrap()
+            .records
+            .iter()
+            .map(|r| {
+                let phi = r.extra.iter().find(|(k, _)| k == "phi_chain").unwrap().1;
+                (r.point.clone(), phi.to_bits())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn phi_chain_bits_are_pinned() {
+        // Stored runs carry these exact bits: the default families at the
+        // k-ladder alpha 1/(2k^2), and the `--n 9` rungs at 1/(2·d_max).
+        let quick = phi_chain_bits(GridConfig {
+            quick: true,
+            ..GridConfig::default()
+        });
+        let ladder = phi_chain_bits(GridConfig {
+            quick: true,
+            ns: vec![9],
+            ..GridConfig::default()
+        });
+        let got: Vec<(&str, u64)> = quick
+            .iter()
+            .chain(&ladder)
+            .map(|(label, bits)| (label.as_str(), *bits))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("complete(n=12)/gamma=0.1", 0x3fa8000000000000),
+                ("cycle(n=12)/gamma=0.1", 0x3f65555555555555),
+                ("hypercube(d=3)/gamma=0.1", 0x3f80000000000000),
+                ("star(n=10)/gamma=0.1", 0x3f80000000000000),
+                ("barbell(k=5)/gamma=0.1", 0x3f5999999999999a),
+                ("torus(3x3)/gamma=0.1", 0x3fd0000000000000),
+                ("cycle(n=9)/gamma=0.1", 0x3fc0000000000000),
+                ("rregular(n=9,d=4)/gamma=0.1", 0x3fd0000000000000),
+            ]
+        );
+    }
 
     #[test]
     fn grid_crosses_families_and_gammas() {
