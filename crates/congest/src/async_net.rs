@@ -75,7 +75,7 @@
 use crate::error::CongestError;
 use crate::message::Payload;
 use crate::network::sealed::{Arena, Policy, Staging};
-use crate::network::{splitmix64, Delivery, Driver};
+use crate::network::{splitmix64, Delivery, Driver, GOLDEN_GAMMA};
 use crate::process::{Process, RoundStats};
 use ale_graph::Graph;
 use rand::rngs::StdRng;
@@ -235,7 +235,7 @@ impl SplitMix {
 
     fn next_u64(&mut self) -> u64 {
         let out = splitmix64(self.state);
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
         out
     }
 

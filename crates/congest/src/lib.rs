@@ -78,7 +78,7 @@ pub use async_net::{AsyncNetwork, ExecConfig, FaultSpec, LatencyDist, MAX_LATENC
 pub use error::CongestError;
 pub use message::{congest_budget, Payload};
 pub use metrics::{Metrics, RoundInfo, RoundTrace};
-pub use network::{Delivery, Driver, Network, RunStatus};
+pub use network::{splitmix64, Delivery, Driver, Network, RunStatus};
 pub use process::{Incoming, NodeCtx, OutCtx, Process};
 pub use reference::ReferenceNetwork;
 pub use testkit::{AnyNetwork, EngineKind};

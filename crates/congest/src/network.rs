@@ -758,11 +758,16 @@ pub struct Driver<'g, P: Process, D> {
 /// ```
 pub type Network<'g, P> = Driver<'g, P, Lockstep>;
 
-/// SplitMix64 step, used to derive independent per-node seeds from the
-/// experiment seed without exposing node ids to protocols (and, in the
-/// asynchronous engine, to derive its positional adversary streams).
-pub(crate) fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+/// SplitMix64's state increment: `2⁶⁴/φ`, rounded to odd.
+pub(crate) const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 step: the output of a generator in state `state`, whose
+/// next state is `state + GOLDEN_GAMMA`. The workspace's one seed
+/// expander: it derives independent per-node seeds from the experiment
+/// seed without exposing node ids to protocols, the asynchronous
+/// engine's positional adversary streams, and `ale-lab`'s trial seeds.
+pub fn splitmix64(state: u64) -> u64 {
+    let mut z = state.wrapping_add(GOLDEN_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

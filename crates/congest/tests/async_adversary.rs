@@ -16,8 +16,8 @@
 //!    duplicated` holds for *any* configuration, graph, and seed.
 
 use ale_congest::{
-    AsyncNetwork, ExecConfig, FaultSpec, Incoming, LatencyDist, Metrics, NodeCtx, OutCtx, Process,
-    RoundTrace,
+    splitmix64, AsyncNetwork, ExecConfig, FaultSpec, Incoming, LatencyDist, Metrics, NodeCtx,
+    OutCtx, Process, RoundTrace,
 };
 use ale_graph::Topology;
 use rand::Rng;
@@ -58,15 +58,8 @@ impl Process for Gossip {
     }
 }
 
-/// The same positional mix `ale-lab`'s `derive_seed` uses (splitmix64),
-/// reimplemented here because the dependency points the other way.
-fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
+/// The same positional mix `ale-lab`'s `derive_seed` uses, restated here
+/// because the dependency points the other way.
 fn derive_seed(master: u64, stream: u64, index: u64) -> u64 {
     splitmix64(splitmix64(master ^ splitmix64(stream.wrapping_add(0x5851_F42D_4C95_7F2D))) ^ index)
 }

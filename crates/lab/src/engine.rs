@@ -15,7 +15,7 @@
 
 use crate::agg::RunSummary;
 use crate::fleet;
-use crate::runners::Algorithm;
+use crate::runners::{Algorithm, GraphContexts};
 use crate::scenario::{GridConfig, LabError, Scenario, TrialRecord};
 use crate::store::{validated_trials, RunConfig, RunManifest, RunWriter, TrialKey};
 use std::collections::BTreeMap;
@@ -246,9 +246,12 @@ fn execute_inner(
     sweep.set_attr("points", grid.len());
 
     // One-time per-point preparation, itself fleet-parallel (property
-    // computation dominates for large grids).
+    // computation dominates for large grids). The points share one graph
+    // memo, dropped once bound: the trials keep only what they hold.
     let bind_span = ale_telemetry::Span::begin("bind").attr("points", grid.len());
-    let bound = fleet::run_indexed(grid.len(), workers, |i| scenario.bind(&grid[i]));
+    let graphs = GraphContexts::default();
+    let bound = fleet::run_indexed(grid.len(), workers, |i| scenario.bind(&grid[i], &graphs));
+    drop(graphs);
     let mut binders = Vec::with_capacity(bound.len());
     for b in bound {
         binders.push(b?);
@@ -410,7 +413,7 @@ fn execute_inner(
     // count (wall-clock attribute values still vary, sequences do not).
     let mut summary = RunSummary::new(scenario_name, &grid, master, seeds_global, workers);
     let mut records = Vec::with_capacity(total);
-    let mut wall_hist = ale_telemetry::Histogram::new("trial_wall_us");
+    let wall_hist = ale_telemetry::Histogram::new("trial_wall_us");
     // (point index, wall_ms, messages, rounds, trials) of the point
     // currently being merged.
     let mut open_point: Option<(usize, f64, u64, u64, u64)> = None;
@@ -623,7 +626,7 @@ mod tests {
                 }),
             ])
         }
-        fn bind(&self, point: &GridPoint) -> Result<TrialFn, LabError> {
+        fn bind(&self, point: &GridPoint, _: &GraphContexts) -> Result<TrialFn, LabError> {
             let point = point.clone();
             Ok(Box::new(move |seed| {
                 let mut r = TrialRecord::new("synthetic", &point, seed);
@@ -715,7 +718,7 @@ mod tests {
                 },
             )])
         }
-        fn bind(&self, point: &GridPoint) -> Result<TrialFn, LabError> {
+        fn bind(&self, point: &GridPoint, _: &GraphContexts) -> Result<TrialFn, LabError> {
             let point = point.clone();
             Ok(Box::new(move |seed| {
                 let mut r = TrialRecord::new("algo-grid", &point, seed);

@@ -16,14 +16,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
-/// SplitMix64 mixing step — the workspace-standard seed expander (the
-/// same stream the CONGEST simulator uses for per-node seeds).
-pub fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// The workspace's one SplitMix64 step, the seed expander
+/// [`derive_seed`] is built from.
+pub use ale_congest::splitmix64;
 
 /// Derives the trial seed for `(stream, index)` under `master`.
 ///

@@ -363,7 +363,7 @@ mod tests {
     use super::*;
     use crate::engine::{execute, RunSpec};
     use crate::params::{Axis, Block, ParamSpace};
-    use crate::runners::Algorithm;
+    use crate::runners::{Algorithm, GraphContexts};
     use crate::scenario::{GridPoint, Scenario, TrialFn};
     use ale_graph::Topology;
 
@@ -398,7 +398,7 @@ mod tests {
                 },
             )])
         }
-        fn bind(&self, point: &GridPoint) -> Result<TrialFn, LabError> {
+        fn bind(&self, point: &GridPoint, _: &GraphContexts) -> Result<TrialFn, LabError> {
             let point = point.clone();
             Ok(Box::new(move |seed| {
                 let mut r = TrialRecord::new("sharded", &point, seed);

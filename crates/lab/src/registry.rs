@@ -6,17 +6,17 @@ use crate::scenarios;
 /// Every built-in scenario, in presentation order.
 pub fn all() -> Vec<Box<dyn Scenario>> {
     vec![
-        Box::new(scenarios::Table1::default()),
-        Box::new(scenarios::Scaling::default()),
+        Box::new(scenarios::Table1),
+        Box::new(scenarios::Scaling),
         Box::new(scenarios::Revocable),
         Box::new(scenarios::Impossibility),
-        Box::new(scenarios::Cautious::default()),
-        Box::new(scenarios::Walks::default()),
-        Box::new(scenarios::Diffusion::default()),
-        Box::new(scenarios::Thresholds::default()),
+        Box::new(scenarios::Cautious),
+        Box::new(scenarios::Walks),
+        Box::new(scenarios::Diffusion),
+        Box::new(scenarios::Thresholds),
         Box::new(scenarios::Certification),
         Box::new(scenarios::Phases),
-        Box::new(scenarios::AblationCautious::default()),
+        Box::new(scenarios::AblationCautious),
     ]
 }
 

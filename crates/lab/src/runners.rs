@@ -5,7 +5,8 @@ use ale_baselines::flood_max::{run_flood_max, FloodDiscipline, FloodMaxConfig};
 use ale_baselines::gilbert::{run_gilbert, GilbertConfig};
 use ale_core::irrevocable::{run_irrevocable, IrrevocableConfig};
 use ale_core::{CoreError, ElectionOutcome};
-use ale_graph::{Graph, GraphProps, NetworkKnowledge, Topology};
+use ale_graph::spectral_sparse::{self, POWER_ITERS, POWER_TOL};
+use ale_graph::{analytic, props, Graph, GraphError, GraphProps, NetworkKnowledge, Topology};
 use ale_telemetry::Span;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -67,7 +68,7 @@ pub struct GraphContext {
     /// The topology that generated the graph.
     pub topology: Topology,
     /// The concrete graph.
-    pub graph: Graph,
+    pub graph: Arc<Graph>,
     /// Its computed properties.
     pub props: GraphProps,
     /// The knowledge bundle for knowledge-taking algorithms.
@@ -81,9 +82,12 @@ impl GraphContext {
     ///
     /// Propagates generation/property failures.
     pub fn build(topology: Topology, graph_seed: u64) -> Result<Self, CoreError> {
-        let span = Span::begin("graph-build").attr("topology", topology.to_string());
-        let graph = topology.build(graph_seed)?;
-        drop(span.attr("n", graph.n()));
+        Self::of(topology, Arc::new(build_graph(topology, graph_seed)?))
+    }
+
+    /// Computes the properties of `graph`, which `topology` generated, in
+    /// a `graph-props` telemetry span.
+    fn of(topology: Topology, graph: Arc<Graph>) -> Result<Self, CoreError> {
         let mut span = Span::begin("graph-props")
             .attr("topology", topology.to_string())
             .attr("n", graph.n());
@@ -128,75 +132,121 @@ impl GraphContext {
     }
 }
 
-/// One slot of [`GraphContexts`]: empty until its key's first build
-/// succeeds.
-type Slot<T> = Arc<Mutex<Option<Arc<T>>>>;
+/// `topology` built at `graph_seed`, in a `graph-build` telemetry span.
+fn build_graph(topology: Topology, graph_seed: u64) -> Result<Graph, GraphError> {
+    let span = Span::begin("graph-build").attr("topology", topology.to_string());
+    let graph = topology.build(graph_seed)?;
+    drop(span.attr("n", graph.n()));
+    Ok(graph)
+}
 
-/// A run's per-graph values, memoized by (topology, graph seed): every
-/// grid point of the run that names the same graph shares one value, so
-/// each is computed once per run rather than once per point. By default
-/// the value is the whole [`GraphContext`] (graph, properties and
-/// knowledge, see [`GraphContexts::get`]); the diffusion family keeps
-/// only its isoperimetric [`ale_graph::props::Estimate`] per graph.
+/// The value in `cell`, from `build` on the first request that succeeds.
+/// The lock is held while `build` runs, so concurrent callers wait for
+/// it instead of building twice; a failure leaves the cell empty.
+fn once<T: Clone, E>(
+    cell: &Mutex<Option<T>>,
+    build: impl FnOnce() -> Result<T, E>,
+) -> Result<T, E> {
+    // Every update is one assignment, so a lock poisoned by a panicking
+    // build still guards valid data.
+    let mut cell = cell.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(value) = cell.as_ref() {
+        return Ok(value.clone());
+    }
+    let value = build()?;
+    *cell = Some(value.clone());
+    Ok(value)
+}
+
+/// One graph of a run and the facts derived from it, each empty until
+/// its first build succeeds.
+#[derive(Debug, Default)]
+struct Entry {
+    graph: Mutex<Option<Arc<Graph>>>,
+    context: Mutex<Option<Arc<GraphContext>>>,
+    isoperimetric: Mutex<Option<f64>>,
+}
+
+/// A run's graphs, memoized by (topology, graph seed): every grid point
+/// of the run that names the same graph shares one build, and the facts
+/// derived from it — its [`GraphContext`] and its isoperimetric number —
+/// are each computed at most once.
 ///
-/// Scenarios hold one as a field, and [`crate::registry::find`] builds a
-/// fresh scenario value for every run, so the memo never outlives a run.
-/// Under the engine's parallel bind each key builds at most once (later
-/// callers wait on the key's slot) while distinct keys build
-/// concurrently. A failed build returns its error and leaves the slot
-/// empty, so nothing failed is cached.
-#[derive(Debug)]
-pub struct GraphContexts<T = GraphContext> {
-    slots: Mutex<BTreeMap<(Topology, u64), Slot<T>>>,
-}
-
-impl<T> Default for GraphContexts<T> {
-    fn default() -> Self {
-        GraphContexts {
-            slots: Mutex::default(),
-        }
-    }
-}
-
-impl<T> GraphContexts<T> {
-    /// The value of `topology` built at `graph_seed`, from `build` on the
-    /// key's first request.
-    ///
-    /// # Errors
-    ///
-    /// Whatever `build` returns.
-    pub(crate) fn get_or_build<E>(
-        &self,
-        topology: Topology,
-        graph_seed: u64,
-        build: impl FnOnce() -> Result<T, E>,
-    ) -> Result<Arc<T>, E> {
-        // Every update under either lock is one insert or assignment, so a
-        // lock poisoned by a panicking build still guards valid data.
-        let slot = {
-            let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
-            Arc::clone(slots.entry((topology, graph_seed)).or_default())
-        };
-        let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(value) = slot.as_ref() {
-            return Ok(Arc::clone(value));
-        }
-        let value = Arc::new(build()?);
-        *slot = Some(Arc::clone(&value));
-        Ok(value)
-    }
+/// The engine creates one per run and hands it to every
+/// [`Scenario::bind`](crate::scenario::Scenario::bind); it is dropped when
+/// binding ends, so only what the bound trials hold outlives it. Under
+/// the engine's parallel bind each value builds at most once (later
+/// callers wait on it) while distinct graphs build concurrently. A failed
+/// build returns its error and caches nothing.
+#[derive(Debug, Default)]
+pub struct GraphContexts {
+    entries: Mutex<BTreeMap<(Topology, u64), Arc<Entry>>>,
 }
 
 impl GraphContexts {
-    /// The context of `topology` built at `graph_seed`, built on first
+    fn entry(&self, topology: Topology, graph_seed: u64) -> Arc<Entry> {
+        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(entries.entry((topology, graph_seed)).or_default())
+    }
+
+    fn graph_of(
+        entry: &Entry,
+        topology: Topology,
+        graph_seed: u64,
+    ) -> Result<Arc<Graph>, GraphError> {
+        once(&entry.graph, || {
+            build_graph(topology, graph_seed).map(Arc::new)
+        })
+    }
+
+    /// `topology` built at `graph_seed`, built on first request.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`Topology::build`] failures.
+    pub fn graph(&self, topology: Topology, graph_seed: u64) -> Result<Arc<Graph>, GraphError> {
+        Self::graph_of(&self.entry(topology, graph_seed), topology, graph_seed)
+    }
+
+    /// The context of `topology` built at `graph_seed`, computed on first
     /// request.
     ///
     /// # Errors
     ///
-    /// Propagates [`GraphContext::build`] failures.
+    /// Propagates generation and property failures.
     pub fn get(&self, topology: Topology, graph_seed: u64) -> Result<Arc<GraphContext>, CoreError> {
-        self.get_or_build(topology, graph_seed, || {
-            GraphContext::build(topology, graph_seed)
+        let entry = self.entry(topology, graph_seed);
+        once(&entry.context, || {
+            let graph = Self::graph_of(&entry, topology, graph_seed)?;
+            GraphContext::of(topology, graph).map(Arc::new)
+        })
+    }
+
+    /// The isoperimetric number `i(G)` of `topology` built at
+    /// `graph_seed`, estimated on first request at any scale:
+    /// [`props::isoperimetric_estimate`] with the family's closed form,
+    /// whose spectral rung runs its power iteration in a `graph-props`
+    /// telemetry span. This is what lets the diffusion-family scenarios
+    /// price their Lemma 4/5 bounds on 20 000-node graphs where the exact
+    /// oracle is unreachable.
+    ///
+    /// # Errors
+    ///
+    /// Generation failures, and [`GraphError::Numeric`] when the spectral
+    /// rung's power iteration does not converge.
+    pub fn isoperimetric(&self, topology: Topology, graph_seed: u64) -> Result<f64, GraphError> {
+        let entry = self.entry(topology, graph_seed);
+        once(&entry.isoperimetric, || {
+            let graph = Self::graph_of(&entry, topology, graph_seed)?;
+            let hint = analytic::hints(&topology).isoperimetric;
+            let estimate = props::isoperimetric_estimate(&graph, hint, || {
+                let _span = Span::begin("graph-props")
+                    .attr("topology", topology.to_string())
+                    .attr("n", graph.n())
+                    .attr("isoperimetric_method", "spectral");
+                spectral_sparse::lazy_spectral_gap(&graph, POWER_TOL, POWER_ITERS)
+            })?;
+            Ok(estimate.value)
         })
     }
 }
@@ -225,6 +275,7 @@ mod tests {
         let cycle = Topology::Cycle { n: 12 };
         let a = contexts.get(cycle, 1).unwrap();
         assert!(Arc::ptr_eq(&a, &contexts.get(cycle, 1).unwrap()));
+        assert!(Arc::ptr_eq(&a.graph, &contexts.graph(cycle, 1).unwrap()));
         assert!(!Arc::ptr_eq(&a, &contexts.get(cycle, 2).unwrap()));
         let again = GraphContext::build(cycle, 1).unwrap();
         assert_eq!(a.props, again.props);
@@ -242,11 +293,43 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         assert!(racing.iter().all(|c| Arc::ptr_eq(c, &racing[0])));
-        // Failures are returned, not cached: the slot stays empty.
+        // Failures are returned, not cached: the entry stays empty.
         let bad = Topology::RandomRegular { n: 5, d: 5 };
         assert!(contexts.get(bad, 0).is_err());
-        assert!(contexts.get(bad, 0).is_err());
-        assert!(contexts.slots.lock().unwrap()[&(bad, 0)]
+        assert!(contexts.isoperimetric(bad, 0).is_err());
+        let entry = contexts.entry(bad, 0);
+        assert!(entry.graph.lock().unwrap().is_none());
+        assert!(entry.context.lock().unwrap().is_none());
+    }
+
+    #[test]
+    fn isoperimetric_estimates_pick_the_right_oracle() {
+        let contexts = GraphContexts::default();
+        // Small graph: exact.
+        let exact = contexts.isoperimetric(Topology::Cycle { n: 8 }, 0).unwrap();
+        assert!((exact - 0.5).abs() < 1e-12, "C8 i(G) = 2/4, got {exact}");
+        // Large known family: analytic closed form.
+        let hinted = contexts
+            .isoperimetric(Topology::Cycle { n: 4000 }, 0)
+            .unwrap();
+        assert!((hinted - 2.0 / 2000.0).abs() < 1e-12, "got {hinted}");
+        // Large family without a closed form: the spectral bound, computed
+        // once per graph.
+        let topo = Topology::RandomRegular { n: 256, d: 4 };
+        let spectral = contexts.isoperimetric(topo, 3).unwrap();
+        let g = topo.build(3).unwrap();
+        let expected = props::isoperimetric_estimate(&g, None, || {
+            spectral_sparse::lazy_spectral_gap(&g, POWER_TOL, POWER_ITERS)
+        })
+        .unwrap();
+        assert_eq!(spectral.to_bits(), expected.value.to_bits());
+        assert_eq!(
+            *contexts.entry(topo, 3).isoperimetric.lock().unwrap(),
+            Some(spectral)
+        );
+        assert!(contexts
+            .entry(topo, 4)
+            .isoperimetric
             .lock()
             .unwrap()
             .is_none());

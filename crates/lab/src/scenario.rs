@@ -8,9 +8,9 @@
 //!   [`ParamSpace`], which the engine expands
 //!   generically into [`GridPoint`]s (and which `--param key=v1,v2`
 //!   overrides from the CLI, no code required);
-//! * a **binder** — per grid point, a one-time preparation step (build the
-//!   graph, compute its properties) returning the per-seed trial closure;
-//!   axis values arrive typed through [`GridPoint::view`];
+//! * a **binder** — per grid point, a one-time preparation step (take the
+//!   graph and its properties from the run's memo) returning the per-seed
+//!   trial closure; axis values arrive typed through [`GridPoint::view`];
 //! * a **summary** — the human-facing report built from the streamed
 //!   aggregates: the scenario's table or figure series.
 //!
@@ -23,7 +23,7 @@ use ale_core::CoreError;
 use ale_graph::{GraphError, Topology};
 use std::fmt;
 
-use crate::runners::Algorithm;
+use crate::runners::{Algorithm, GraphContexts};
 
 /// Lab-level errors.
 #[derive(Debug)]
@@ -542,12 +542,14 @@ pub trait Scenario: Sync {
     }
 
     /// Performs the one-time per-point preparation (graph build, property
-    /// computation) and returns the per-seed trial closure.
+    /// computation) and returns the per-seed trial closure. `graphs` is the
+    /// run's memo, shared by every point: a point takes its graph and the
+    /// facts derived from it there, so each is computed once per run.
     ///
     /// # Errors
     ///
     /// Propagates preparation failures.
-    fn bind(&self, point: &GridPoint) -> Result<TrialFn, LabError>;
+    fn bind(&self, point: &GridPoint, graphs: &GraphContexts) -> Result<TrialFn, LabError>;
 
     /// Renders the scenario's report from the aggregated run. The default
     /// is the generic cost table; scenarios override it to render their

@@ -19,10 +19,7 @@ const ELECTION_GRAPH_SEED: u64 = 1;
 
 /// The report-discipline ablation scenario. Both disciplines on a graph
 /// share one graph context through the run's memo.
-#[derive(Default)]
-pub struct AblationCautious {
-    contexts: GraphContexts,
-}
+pub struct AblationCautious;
 
 const DISCIPLINES: [(ReportDiscipline, &str); 2] = [
     (ReportDiscipline::OnCrossing, "OnCrossing"),
@@ -113,13 +110,13 @@ impl Scenario for AblationCautious {
         ])
     }
 
-    fn bind(&self, point: &GridPoint) -> Result<TrialFn, LabError> {
+    fn bind(&self, point: &GridPoint, graphs: &GraphContexts) -> Result<TrialFn, LabError> {
         let view = point.view();
         let topo = view.topology()?;
         let discipline = discipline_from(view.knob("discipline").unwrap_or(0.0));
         let part = view.knob("part").unwrap_or(1.0);
         if part == 1.0 {
-            let ctx = self.contexts.get(topo, view.graph_seed(GRAPH_SEED))?;
+            let ctx = graphs.get(topo, view.graph_seed(GRAPH_SEED))?;
             let mut cfg = IrrevocableConfig::from_knowledge(ctx.knowledge);
             cfg.report_discipline = discipline;
             let target = cfg.final_threshold() as f64;
@@ -135,9 +132,7 @@ impl Scenario for AblationCautious {
                 Ok(r)
             }))
         } else {
-            let ctx = self
-                .contexts
-                .get(topo, view.graph_seed(ELECTION_GRAPH_SEED))?;
+            let ctx = graphs.get(topo, view.graph_seed(ELECTION_GRAPH_SEED))?;
             let mut cfg = IrrevocableConfig::from_knowledge(ctx.knowledge);
             cfg.report_discipline = discipline;
             let point = point.clone();
@@ -215,9 +210,7 @@ mod tests {
 
     #[test]
     fn grid_covers_both_parts_and_disciplines() {
-        let grid = AblationCautious::default()
-            .grid(&GridConfig::default())
-            .unwrap();
+        let grid = AblationCautious.grid(&GridConfig::default()).unwrap();
         assert_eq!(grid.len(), 8);
         assert_eq!(
             grid.iter()

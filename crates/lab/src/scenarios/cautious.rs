@@ -48,10 +48,7 @@ pub(crate) fn planted_broadcast(
 
 /// The cautious-broadcast scenario. Every `x` of a topology shares one
 /// graph context through the run's memo.
-#[derive(Default)]
-pub struct Cautious {
-    contexts: GraphContexts,
-}
+pub struct Cautious;
 
 impl Scenario for Cautious {
     fn name(&self) -> &'static str {
@@ -103,11 +100,11 @@ impl Scenario for Cautious {
         )])
     }
 
-    fn bind(&self, point: &GridPoint) -> Result<TrialFn, LabError> {
+    fn bind(&self, point: &GridPoint, graphs: &GraphContexts) -> Result<TrialFn, LabError> {
         let view = point.view();
         let topo = view.topology()?;
         let x = view.int("x")?;
-        let ctx = self.contexts.get(topo, view.graph_seed(GRAPH_SEED))?;
+        let ctx = graphs.get(topo, view.graph_seed(GRAPH_SEED))?;
         let knowledge = ctx.knowledge;
         let cfg = IrrevocableConfig::from_knowledge(knowledge);
         let target = (x as f64 * knowledge.tmix as f64 * knowledge.phi)
@@ -199,7 +196,7 @@ mod tests {
 
     #[test]
     fn grid_sweeps_x_per_topology() {
-        let grid = Cautious::default()
+        let grid = Cautious
             .grid(&crate::scenario::GridConfig {
                 quick: true,
                 ..Default::default()

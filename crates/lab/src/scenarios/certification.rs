@@ -8,6 +8,7 @@
 
 use crate::agg::RunSummary;
 use crate::params::{Axis, Block, ParamSpace, Range};
+use crate::runners::GraphContexts;
 use crate::scenario::{GridPoint, Knowledge, LabError, Scenario, TrialFn, TrialRecord};
 use crate::table::Table;
 use ale_core::revocable::{run_revocable, RevocableParams};
@@ -81,7 +82,7 @@ impl Scenario for Certification {
         ])
     }
 
-    fn bind(&self, point: &GridPoint) -> Result<TrialFn, LabError> {
+    fn bind(&self, point: &GridPoint, graphs: &GraphContexts) -> Result<TrialFn, LabError> {
         let params = RevocableParams::paper_blind(EPS, XI);
         let view = point.view();
         let point_owned = point.clone();
@@ -114,7 +115,7 @@ impl Scenario for Certification {
         } else {
             let topo = view.topology()?;
             let n = point.n;
-            let g = topo.build(view.graph_seed(0))?;
+            let g = graphs.graph(topo, view.graph_seed(0))?;
             let run_params = RevocableParams::paper_blind(EPS, XI).with_scales(0.02, 0.5);
             let mut bound_k = 2u64;
             while params.k_pow(bound_k) * (4.0 * bound_k as f64).log2() < n as f64 {

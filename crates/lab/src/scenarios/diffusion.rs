@@ -10,23 +10,25 @@
 //! Two regimes share the scenario:
 //!
 //! * the legacy small families (default grid) keep the paper's blind-`k`
-//!   ladder `α = 1/(2k^{1+ε})` and the exact chain conductance; and
+//!   ladder `α = 1/(2k^{1+ε})`; and
 //! * `--n` builds a **large-n ladder** (torus / ring / 4-regular expander
 //!   at each requested size, tens of thousands of nodes) where `α` is the
 //!   chain's natural `1/(2·d_max)` — the protocol-ladder `α = Θ(1/n)`
-//!   would push convergence past any simulable horizon — and
-//!   `φ = α·i(G)` is priced from the analytic/spectral isoperimetric
-//!   estimate. Rounds are capped; capped trials report `converged = 0`
-//!   and stay non-failing (the bound is not contradicted).
+//!   would push convergence past any simulable horizon. Rounds are capped;
+//!   capped trials report `converged = 0` and stay non-failing (the bound
+//!   is not contradicted).
+//!
+//! Both price the chain conductance as `φ = α·i(G)` (proof of Theorem 3):
+//! every cut edge carries exactly `α` crossing mass. `i(G)` comes from the
+//! run's memo — exact up to the cut oracle's limit, then the family's
+//! closed form or the spectral bound.
 
 use crate::agg::RunSummary;
 use crate::params::{Axis, AxisValue, Block, ParamSpace, Range};
 use crate::runners::GraphContexts;
 use crate::scenario::{GridPoint, Knowledge, LabError, Scenario, TrialFn, TrialRecord};
 use crate::table::Table;
-use ale_graph::props::Estimate;
 use ale_graph::{transition, Topology};
-use ale_markov::conductance;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -36,16 +38,12 @@ const MAX_ROUNDS: u64 = 4_000_000;
 const LARGE_CAP: u64 = 200_000;
 /// Round cap for the large-n ladder under `--quick`.
 const LARGE_CAP_QUICK: u64 = 20_000;
-/// Above this size the bind switches to estimated conductance and the
-/// natural-`α` regime (the exact chain-conductance oracle stops at 22).
+/// Above this size points run the capped natural-`α` regime.
 const LARGE_N: usize = 2048;
 
 /// The diffusion-convergence scenario. Its `γ` points on one graph share
 /// that graph's isoperimetric estimate through the run's memo.
-#[derive(Default)]
-pub struct Diffusion {
-    isoperimetric: GraphContexts<Estimate>,
-}
+pub struct Diffusion;
 
 /// The legacy small-family suite — the `topo` axis default.
 fn default_topologies() -> Vec<Topology> {
@@ -118,12 +116,12 @@ impl Scenario for Diffusion {
         )
     }
 
-    fn bind(&self, point: &GridPoint) -> Result<TrialFn, LabError> {
+    fn bind(&self, point: &GridPoint, graphs: &GraphContexts) -> Result<TrialFn, LabError> {
         let view = point.view();
         let topo = view.topology()?;
         let gamma = view.float("gamma")?;
         let graph_seed = view.graph_seed(0);
-        let graph = topo.build(graph_seed)?;
+        let graph = graphs.graph(topo, graph_seed)?;
         let n = graph.n();
         // The cap knob marks the natural-alpha large/ladder regime.
         let large = view.knob("cap").is_some();
@@ -139,17 +137,11 @@ impl Scenario for Diffusion {
             }
             (1.0 / (2.0 * (k as f64).powf(1.0 + EPS)), k)
         };
+        // Priced before the chain is built, so a spectral estimate's
+        // operator is freed before the chain's storage is allocated.
+        let phi = alpha * graphs.isoperimetric(topo, graph_seed)?;
         let chain = transition::diffusion_chain(&graph, alpha)
             .map_err(|e| LabError::BadArgs(format!("diffusion chain: {e}")))?;
-        let phi = match conductance::chain_conductance_exact(chain.transition()) {
-            Ok(v) => v,
-            // Beyond the exact oracle: phi(chain) = alpha * i(G), since
-            // every cut edge carries exactly alpha crossing mass.
-            Err(_) => {
-                alpha
-                    * super::isoperimetric_estimate(&self.isoperimetric, &graph, topo, graph_seed)?
-            }
-        };
         let cap = view.knob("cap").map_or(MAX_ROUNDS, |c| c as u64);
         let point = point.clone();
         Ok(Box::new(move |seed| {
@@ -289,9 +281,9 @@ mod tests {
 
     #[test]
     fn grid_crosses_families_and_gammas() {
-        let full = Diffusion::default().grid(&GridConfig::default()).unwrap();
+        let full = Diffusion.grid(&GridConfig::default()).unwrap();
         assert_eq!(full.len(), 5 * 3);
-        let quick = Diffusion::default()
+        let quick = Diffusion
             .grid(&GridConfig {
                 quick: true,
                 ..GridConfig::default()
@@ -302,7 +294,7 @@ mod tests {
 
     #[test]
     fn ns_override_builds_the_large_ladder() {
-        let grid = Diffusion::default()
+        let grid = Diffusion
             .grid(&GridConfig {
                 ns: vec![20_000],
                 quick: true,
@@ -319,7 +311,7 @@ mod tests {
 
     #[test]
     fn large_points_get_single_gamma() {
-        let grid = Diffusion::default()
+        let grid = Diffusion
             .grid(&GridConfig {
                 ns: vec![20_000],
                 ..GridConfig::default()
@@ -334,7 +326,7 @@ mod tests {
         // The acceptance sweep: gammas nobody hard-coded, at a ladder
         // size below the large-N cutoff — every point still carries the
         // capped natural-alpha regime because the ladder built it.
-        let grid = Diffusion::default()
+        let grid = Diffusion
             .grid(&GridConfig {
                 quick: true,
                 params: vec![

@@ -7,6 +7,7 @@
 
 use crate::agg::RunSummary;
 use crate::params::{Axis, Block, ParamSpace, Range};
+use crate::runners::GraphContexts;
 use crate::scenario::{GridPoint, Knowledge, LabError, Scenario, TrialFn, TrialRecord};
 use crate::table::Table;
 use ale_core::revocable::{run_revocable, RevocableParams};
@@ -64,7 +65,7 @@ impl Scenario for Impossibility {
         ])
     }
 
-    fn bind(&self, point: &GridPoint) -> Result<TrialFn, LabError> {
+    fn bind(&self, point: &GridPoint, graphs: &GraphContexts) -> Result<TrialFn, LabError> {
         let point = point.clone();
         if point.label.starts_with("split/") {
             let big_n = point.n;
@@ -83,7 +84,7 @@ impl Scenario for Impossibility {
                 Ok(r)
             }))
         } else {
-            let g = Topology::Cycle { n: CONTRAST_N }.build(0)?;
+            let g = graphs.graph(Topology::Cycle { n: CONTRAST_N }, 0)?;
             let params = RevocableParams::paper_blind(1.0, 0.2).with_scales(0.02, 0.25);
             let max_k = 8u64; // first k with k² > 4·12
             Ok(Box::new(move |seed| {

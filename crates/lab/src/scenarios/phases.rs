@@ -7,6 +7,7 @@
 
 use crate::agg::RunSummary;
 use crate::params::{Axis, Block, ParamSpace};
+use crate::runners::GraphContexts;
 use crate::scenario::{GridPoint, Knowledge, LabError, Scenario, TrialFn, TrialRecord};
 use crate::table::Table;
 use ale_congest::{congest_budget, Network};
@@ -49,16 +50,16 @@ impl Scenario for Phases {
         )])
     }
 
-    fn bind(&self, point: &GridPoint) -> Result<TrialFn, LabError> {
+    fn bind(&self, point: &GridPoint, graphs: &GraphContexts) -> Result<TrialFn, LabError> {
         let view = point.view();
         let topo = view.topology()?;
-        let graph = topo.build(view.graph_seed(1))?;
-        let cfg = IrrevocableConfig::derive_for(&graph, &topo)?;
+        let ctx = graphs.get(topo, view.graph_seed(1))?;
+        let cfg = IrrevocableConfig::from_knowledge(ctx.knowledge);
         let budget = congest_budget(cfg.knowledge.n);
         let point = point.clone();
         Ok(Box::new(move |seed| {
             let cfg_copy = cfg;
-            let mut net = Network::from_fn(&graph, seed, budget, |deg, rng| {
+            let mut net = Network::from_fn(&ctx.graph, seed, budget, |deg, rng| {
                 let params = cfg_copy
                     .protocol_params(deg)
                     .expect("derived config yields valid params");

@@ -19,6 +19,7 @@
 use crate::agg::RunSummary;
 use crate::fit::power_fit;
 use crate::params::{Axis, Block, ParamSpace, Range, When};
+use crate::runners::GraphContexts;
 use crate::scenario::{GridPoint, Knowledge, LabError, Scenario, TrialFn, TrialRecord};
 use crate::table::Table;
 use ale_congest::{ExecConfig, FaultSpec, LatencyDist, MAX_LATENCY};
@@ -231,11 +232,11 @@ impl Scenario for Revocable {
         )
     }
 
-    fn bind(&self, point: &GridPoint) -> Result<TrialFn, LabError> {
+    fn bind(&self, point: &GridPoint, graphs: &GraphContexts) -> Result<TrialFn, LabError> {
         let view = point.view();
         let topo = view.topology()?;
         let mode = view.knob("mode").unwrap_or(1.0) as u64;
-        let graph = topo.build(view.graph_seed(0))?;
+        let graph = graphs.graph(topo, view.graph_seed(0))?;
         let n = graph.n();
         let params = match mode {
             1 => {

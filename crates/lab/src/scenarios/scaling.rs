@@ -17,10 +17,7 @@ const ALGS: [Algorithm; 2] = [Algorithm::ThisWork, Algorithm::Gilbert];
 
 /// The scaling scenario. Both algorithms of a size share one graph
 /// context through the run's memo.
-#[derive(Default)]
-pub struct Scaling {
-    contexts: GraphContexts,
-}
+pub struct Scaling;
 
 /// Theorem 1's explicit message quantity (see the module docs).
 fn theory_q(n: f64, tmix: f64, phi: f64) -> f64 {
@@ -100,11 +97,11 @@ impl Scenario for Scaling {
         )
     }
 
-    fn bind(&self, point: &GridPoint) -> Result<TrialFn, LabError> {
+    fn bind(&self, point: &GridPoint, graphs: &GraphContexts) -> Result<TrialFn, LabError> {
         let view = point.view();
         let topo = view.topology()?;
         let alg = view.algorithm()?;
-        let ctx = self.contexts.get(topo, view.graph_seed(GRAPH_SEED))?;
+        let ctx = graphs.get(topo, view.graph_seed(GRAPH_SEED))?;
         let q = theory_q(
             ctx.props.n as f64,
             ctx.knowledge.tmix as f64,
@@ -227,7 +224,7 @@ mod tests {
 
     #[test]
     fn grid_pairs_algorithms_per_size() {
-        let grid = Scaling::default()
+        let grid = Scaling
             .grid(&crate::scenario::GridConfig {
                 quick: true,
                 ..Default::default()

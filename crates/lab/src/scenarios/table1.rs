@@ -16,10 +16,7 @@ const GRAPH_SEED: u64 = 1;
 
 /// The Table 1 scenario. Its five algorithms share one graph context per
 /// topology through the run's memo.
-#[derive(Default)]
-pub struct Table1 {
-    contexts: GraphContexts,
-}
+pub struct Table1;
 
 /// The standard comparison suite at size `n`: every family from the
 /// paper's Table 1 whose shape constraints admit `n`.
@@ -113,11 +110,11 @@ impl Scenario for Table1 {
         })
     }
 
-    fn bind(&self, point: &GridPoint) -> Result<TrialFn, LabError> {
+    fn bind(&self, point: &GridPoint, graphs: &GraphContexts) -> Result<TrialFn, LabError> {
         let view = point.view();
         let topo = view.topology()?;
         let alg = view.algorithm()?;
-        let ctx = self.contexts.get(topo, view.graph_seed(GRAPH_SEED))?;
+        let ctx = graphs.get(topo, view.graph_seed(GRAPH_SEED))?;
         let point = point.clone();
         Ok(Box::new(move |seed| {
             let outcome = ctx.run(alg, seed)?;
@@ -190,7 +187,7 @@ mod tests {
 
     #[test]
     fn grid_covers_every_algorithm_per_topology() {
-        let grid = Table1::default()
+        let grid = Table1
             .grid(&crate::scenario::GridConfig {
                 quick: true,
                 ..Default::default()
@@ -204,7 +201,7 @@ mod tests {
 
     #[test]
     fn n_override_builds_the_suite() {
-        let grid = Table1::default()
+        let grid = Table1
             .grid(&crate::scenario::GridConfig {
                 ns: vec![16],
                 ..Default::default()
@@ -216,7 +213,7 @@ mod tests {
 
     #[test]
     fn algo_param_narrows_the_grid_with_validation() {
-        let grid = Table1::default()
+        let grid = Table1
             .grid(&crate::scenario::GridConfig {
                 quick: true,
                 params: vec![("algo".into(), vec!["this-work".into()])],
@@ -228,7 +225,7 @@ mod tests {
             .iter()
             .all(|p| p.algorithm == Some(Algorithm::ThisWork)));
         assert!(matches!(
-            Table1::default().grid(&crate::scenario::GridConfig {
+            Table1.grid(&crate::scenario::GridConfig {
                 params: vec![("algo".into(), vec!["nonesuch".into()])],
                 ..Default::default()
             }),

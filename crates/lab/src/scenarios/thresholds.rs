@@ -20,7 +20,6 @@ use crate::runners::GraphContexts;
 use crate::scenario::{GridPoint, Knowledge, LabError, Scenario, TrialFn, TrialRecord};
 use crate::table::Table;
 use ale_core::revocable::RevocableParams;
-use ale_graph::props::Estimate;
 use ale_graph::{transition, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,10 +35,7 @@ const LARGE_N: usize = 2048;
 
 /// The threshold-detection scenario. Its `k` rungs on one graph share
 /// that graph's isoperimetric estimate through the run's memo.
-#[derive(Default)]
-pub struct Thresholds {
-    isoperimetric: GraphContexts<Estimate>,
-}
+pub struct Thresholds;
 
 /// The `k` ladder for one topology: the legacy `[2, 4, 8, 16]` for small
 /// graphs, and powers of two bracketing the first high-regime estimate
@@ -124,14 +120,14 @@ impl Scenario for Thresholds {
         )
     }
 
-    fn bind(&self, point: &GridPoint) -> Result<TrialFn, LabError> {
+    fn bind(&self, point: &GridPoint, graphs: &GraphContexts) -> Result<TrialFn, LabError> {
         let view = point.view();
         let topo = view.topology()?;
         let k = view.int("k")?;
         let graph_seed = view.graph_seed(0);
-        let graph = topo.build(graph_seed)?;
+        let graph = graphs.graph(topo, graph_seed)?;
         let n = graph.n();
-        let ig = super::isoperimetric_estimate(&self.isoperimetric, &graph, topo, graph_seed)?;
+        let ig = graphs.isoperimetric(topo, graph_seed)?;
         let params = RevocableParams::paper_with_ig(EPS, XI, ig);
         let k_pow = params.k_pow(k);
         let tau = params.tau(k);
@@ -263,7 +259,7 @@ mod tests {
 
     #[test]
     fn grid_sweeps_the_estimate_ladder() {
-        let grid = Thresholds::default()
+        let grid = Thresholds
             .grid(&GridConfig {
                 quick: true,
                 ..GridConfig::default()
@@ -279,7 +275,7 @@ mod tests {
         assert_eq!(ks.len(), 4);
         // eps = 1: first high k has k^2 >= 40001, i.e. k = 256.
         assert_eq!(ks, vec![64, 128, 256, 512]);
-        let grid = Thresholds::default()
+        let grid = Thresholds
             .grid(&GridConfig {
                 ns: vec![20_000],
                 ..GridConfig::default()

@@ -31,10 +31,7 @@ const LARGE_N: usize = 2048;
 
 /// The walk-hitting scenario. Both regimes' points on a topology share one
 /// graph context through the run's memo.
-#[derive(Default)]
-pub struct Walks {
-    contexts: GraphContexts,
-}
+pub struct Walks;
 
 impl Scenario for Walks {
     fn name(&self) -> &'static str {
@@ -118,10 +115,10 @@ impl Scenario for Walks {
         })
     }
 
-    fn bind(&self, point: &GridPoint) -> Result<TrialFn, LabError> {
+    fn bind(&self, point: &GridPoint, graphs: &GraphContexts) -> Result<TrialFn, LabError> {
         let view = point.view();
         let topo = view.topology()?;
-        let ctx = self.contexts.get(topo, view.graph_seed(GRAPH_SEED))?;
+        let ctx = graphs.get(topo, view.graph_seed(GRAPH_SEED))?;
         let (graph, knowledge) = (&ctx.graph, ctx.knowledge);
         let cfg = IrrevocableConfig::from_knowledge(knowledge);
         let budget = congest_budget(knowledge.n);
@@ -274,7 +271,7 @@ mod tests {
 
     #[test]
     fn grid_has_both_regimes() {
-        let grid = Walks::default().grid(&GridConfig::default()).unwrap();
+        let grid = Walks.grid(&GridConfig::default()).unwrap();
         assert_eq!(grid.len(), 2 * (4 + 5));
         assert!(grid.iter().any(|p| p.label.contains("/paper/")));
         assert!(grid.iter().any(|p| p.label.contains("/stress/")));
@@ -282,7 +279,7 @@ mod tests {
 
     #[test]
     fn ns_override_is_paper_regime_expanders_only() {
-        let grid = Walks::default()
+        let grid = Walks
             .grid(&GridConfig {
                 ns: vec![20_000],
                 ..GridConfig::default()

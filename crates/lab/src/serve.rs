@@ -67,9 +67,7 @@ use crate::registry;
 use crate::scenario::{LabError, Scenario};
 use crate::store::{missing_among, RunManifest};
 use ale_serve::{Body, Request, Response};
-use ale_telemetry::{
-    register_counter, register_histogram, Counter, MetricSnapshot, SharedHistogram,
-};
+use ale_telemetry::{register_counter, register_histogram, Counter, Histogram, MetricSnapshot};
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::ops::Range;
@@ -87,7 +85,7 @@ static SNAPSHOT_LOADS: Counter = Counter::new("serve_snapshot_loads_total");
 static SNAPSHOT_HITS: Counter = Counter::new("serve_snapshot_hits_total");
 /// Snapshot load latency (manifest and journal read and parsed), in
 /// microseconds.
-static SCAN_MICROS: SharedHistogram = SharedHistogram::new("serve_store_scan_micros");
+static SCAN_MICROS: Histogram = Histogram::new("serve_store_scan_micros");
 
 /// Longest `wait=` a tail request may long-poll, seconds.
 const MAX_TAIL_WAIT_SECS: u64 = 25;

@@ -7,9 +7,9 @@
 //!    (after stripping wall-clock attributes);
 //! 3. the store output is byte-identical with telemetry on and off —
 //!    telemetry is a pure side-channel;
-//! 4. a run builds one graph context per (topology, graph seed), at any
-//!    worker count, and the next run builds its own; the diffusion
-//!    family likewise runs one spectral estimate per graph.
+//! 4. a run builds each (topology, graph seed) once, in one
+//!    `graph-build` span, and derives each of its facts at most once, at
+//!    any worker count.
 //!
 //! Telemetry has process-global state (one installed sink), so every
 //! test serializes on one mutex.
@@ -20,6 +20,7 @@ use ale_lab::engine::{execute, RunSpec};
 use ale_lab::json::{self, ToJson, Value};
 use ale_lab::params::{Axis, Block, ParamSpace};
 use ale_lab::registry;
+use ale_lab::runners::GraphContexts;
 use ale_lab::scenario::{GridConfig, GridPoint, LabError, Scenario, TrialFn, TrialRecord};
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -87,7 +88,7 @@ impl Scenario for Tiny {
             },
         )])
     }
-    fn bind(&self, point: &GridPoint) -> Result<TrialFn, LabError> {
+    fn bind(&self, point: &GridPoint, _: &GraphContexts) -> Result<TrialFn, LabError> {
         let point = point.clone();
         let n = point.n;
         Ok(Box::new(move |seed| {
@@ -271,89 +272,132 @@ fn telemetry_never_perturbs_the_store() {
     std::fs::remove_dir_all(&base).ok();
 }
 
-#[test]
-fn a_run_builds_one_context_per_graph() {
-    let _guard = SERIAL.lock().unwrap();
-    let mut records: Vec<Vec<TrialRecord>> = Vec::new();
-    // Each run looks table1 up afresh, as the CLI does, so the second run
-    // shows the memo does not outlive its run.
-    for workers in [1, 4] {
-        let path = tmp(&format!("contexts-{workers}.jsonl"));
-        let table1 = registry::find("table1").expect("table1 is registered");
-        let spec = RunSpec {
-            workers,
-            telemetry: Some(path.clone()),
+/// A run that the graph-memo test replays at 1 and 4 workers.
+struct MemoCase {
+    scenario: &'static str,
+    grid: GridConfig,
+    master_seed: u64,
+    /// The `topology` of every distinct graph the run binds, sorted.
+    graphs: &'static [&'static str],
+}
+
+fn memo_cases() -> Vec<MemoCase> {
+    let params = |pairs: &[(&str, &str)]| -> Vec<(String, Vec<String>)> {
+        pairs
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.split(',').map(str::to_string).collect()))
+            .collect()
+    };
+    vec![
+        // 3 quick topologies x 5 algorithms.
+        MemoCase {
+            scenario: "table1",
             grid: GridConfig {
                 quick: true,
                 ..GridConfig::default()
             },
-            ..RunSpec::default()
-        };
-        let out = execute(table1.as_ref(), &spec).unwrap();
-        let events = parse_lines(&path);
-        let spans = |name: &str| -> Vec<String> {
-            events
-                .iter()
-                .filter(|e| str_of(e, "ev") == Some("span") && str_of(e, "name") == Some(name))
-                .map(|e| {
-                    let attrs = e.get("attrs").expect("attrs");
-                    str_of(attrs, "topology")
-                        .expect("topology attr")
-                        .to_string()
-                })
-                .collect()
-        };
-        // 3 quick topologies x 5 algorithms: one build per topology.
-        let mut builds = spans("graph-build");
-        builds.sort_unstable();
-        assert_eq!(
-            builds,
-            ["complete(n=32)", "cycle(n=16)", "hypercube(d=5)"],
-            "workers = {workers}"
-        );
-        let mut props = spans("graph-props");
-        props.sort_unstable();
-        assert_eq!(props, builds, "workers = {workers}");
-        assert_eq!(out.records.len(), 15 * 10);
-        records.push(out.records);
-        std::fs::remove_file(&path).ok();
-    }
-    assert_eq!(
-        records[0], records[1],
-        "records differ across worker counts"
-    );
+            master_seed: 1,
+            graphs: &["complete(n=32)", "cycle(n=16)", "hypercube(d=5)"],
+        },
+        // Two γ points on one graph past the exact cut oracle and without
+        // a closed form: one spectral estimate.
+        MemoCase {
+            scenario: "diffusion",
+            grid: GridConfig {
+                topologies: vec![Topology::RandomRegular { n: 64, d: 4 }],
+                params: params(&[("gamma", "0.1,0.3")]),
+                ..GridConfig::default()
+            },
+            master_seed: 1,
+            graphs: &["rregular(n=64,d=4)"],
+        },
+        // Four k rungs on each of the three ladder graphs.
+        MemoCase {
+            scenario: "thresholds",
+            grid: GridConfig {
+                quick: true,
+                ns: vec![64],
+                ..GridConfig::default()
+            },
+            master_seed: 1,
+            graphs: &["cycle(n=64)", "rregular(n=64,d=4)", "torus(8x8)"],
+        },
+        // The fault-rate x latency grid: 28 points on two graphs, under a
+        // master seed whose trials never climb the size ladder.
+        MemoCase {
+            scenario: "revocable",
+            grid: GridConfig {
+                quick: true,
+                params: params(&[
+                    ("thm3-n", "8"),
+                    ("tiny", "complete:2"),
+                    ("scaled-n", "8"),
+                    ("fault-rate", "0,0.04,0.08,0.12,0.16,0.2"),
+                    ("latency", "1,2,4,8"),
+                ]),
+                ..GridConfig::default()
+            },
+            master_seed: 3,
+            graphs: &["complete(n=2)", "complete(n=8)"],
+        },
+        MemoCase {
+            scenario: "phases",
+            grid: GridConfig {
+                quick: true,
+                ..GridConfig::default()
+            },
+            master_seed: 1,
+            graphs: &["complete(n=32)"],
+        },
+    ]
 }
 
 #[test]
-fn a_diffusion_run_estimates_each_graph_once() {
+fn a_run_builds_each_graph_once() {
     let _guard = SERIAL.lock().unwrap();
-    // Two γ points on one graph that is past the exact cut oracle and has
-    // no closed form, so each point's bind needs the spectral `i(G)`.
-    let topology = Topology::RandomRegular { n: 64, d: 4 };
-    let path = tmp("estimates.jsonl");
-    let diffusion = registry::find("diffusion").expect("diffusion is registered");
-    let spec = RunSpec {
-        workers: 2,
-        telemetry: Some(path.clone()),
-        grid: GridConfig {
-            topologies: vec![topology],
-            params: vec![("gamma".into(), vec!["0.1".into(), "0.3".into()])],
-            ..GridConfig::default()
-        },
-        ..RunSpec::default()
-    };
-    let out = execute(diffusion.as_ref(), &spec).unwrap();
-    assert_eq!(out.records.len(), 2);
-    let props: Vec<Value> = parse_lines(&path)
-        .into_iter()
-        .filter(|e| str_of(e, "ev") == Some("span") && str_of(e, "name") == Some("graph-props"))
-        .collect();
-    assert_eq!(props.len(), 1, "one spectral estimate for the shared graph");
-    let attrs = props[0].get("attrs").expect("attrs");
-    assert_eq!(
-        str_of(attrs, "topology"),
-        Some(topology.to_string().as_str())
-    );
-    assert_eq!(str_of(attrs, "isoperimetric_method"), Some("spectral"));
-    std::fs::remove_file(&path).ok();
+    for case in memo_cases() {
+        let name = case.scenario;
+        let mut records: Vec<Vec<TrialRecord>> = Vec::new();
+        for workers in [1, 4] {
+            let path = tmp(&format!("memo-{name}-{workers}.jsonl"));
+            let scenario = registry::find(name).expect("registered");
+            let spec = RunSpec {
+                workers,
+                master_seed: case.master_seed,
+                seeds: Some(1),
+                telemetry: Some(path.clone()),
+                grid: case.grid.clone(),
+                ..RunSpec::default()
+            };
+            let out = execute(scenario.as_ref(), &spec).unwrap();
+            let events = parse_lines(&path);
+            let spans = |span: &str| -> Vec<String> {
+                let mut topologies: Vec<String> = events
+                    .iter()
+                    .filter(|e| str_of(e, "ev") == Some("span") && str_of(e, "name") == Some(span))
+                    .map(|e| {
+                        let attrs = e.get("attrs").expect("attrs");
+                        str_of(attrs, "topology")
+                            .expect("topology attr")
+                            .to_string()
+                    })
+                    .collect();
+                topologies.sort_unstable();
+                topologies
+            };
+            let builds = spans("graph-build");
+            assert_eq!(builds, case.graphs, "{name}, workers = {workers}");
+            let props = spans("graph-props");
+            assert!(
+                props.len() <= builds.len() && props.iter().all(|t| builds.contains(t)),
+                "{name}, workers = {workers}: graph-props {props:?}"
+            );
+            records.push(out.records);
+            std::fs::remove_file(&path).ok();
+        }
+        assert_eq!(
+            records[0], records[1],
+            "{name}: records differ across worker counts"
+        );
+    }
 }

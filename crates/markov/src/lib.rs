@@ -1,7 +1,7 @@
 //! # ale-markov — Markov-chain and linear-algebra substrate
 //!
-//! Finite Markov chains on CSR sparse matrices, mixing times, chain
-//! conductance, and the dense linear algebra of the exact oracles —
+//! Finite Markov chains on CSR sparse matrices, mixing times, and the
+//! dense linear algebra of the exact oracles —
 //! the mathematical substrate behind the graph properties (`ale-graph`) and
 //! protocol analyses (`ale-core`) of this workspace's reproduction of
 //! Kowalski & Mosteiro, *Time and Communication Complexity of Leader
@@ -10,13 +10,14 @@
 //! The paper's algorithms take the network's mixing time `t_mix` and
 //! conductance `Φ` as inputs (Theorem 1) and its analysis reasons about the
 //! diffusion matrix of the `Avg` procedure (Lemmas 3–4). This crate provides
-//! exact and iterative implementations of those quantities.
+//! those chains and their mixing times; the cut oracles for `Φ` and `i(G)`
+//! live in `ale_graph::cuts`.
 //!
 //! Every [`MarkovChain`] stores its transition matrix as a [`CsrMatrix`]:
-//! chain steps and conductance scans cost `O(nnz)` — `O(m)` on an `m`-edge
-//! graph — which is what lets the scenario sweeps reach tens of thousands
-//! of nodes. The dense [`Matrix`] is the arithmetic of the two algorithms
-//! whose work is a dense product: exact mixing
+//! a chain step costs `O(nnz)` — `O(m)` on an `m`-edge graph — which is
+//! what lets the scenario sweeps reach tens of thousands of nodes. The
+//! dense [`Matrix`] is the arithmetic of the two algorithms whose work is
+//! a dense product: exact mixing
 //! ([`mixing::mixing_time_exact`] raises the chain to powers) and Jacobi
 //! eigendecomposition ([`spectral::jacobi_eigen`], the test oracle for the
 //! sparse `λ₂`). The harness's `λ₂`, spectral gap and spectral `t_mix`
@@ -47,7 +48,6 @@
 #![warn(missing_docs)]
 
 pub mod chain;
-pub mod conductance;
 pub mod error;
 pub mod matrix;
 pub mod mixing;

@@ -395,77 +395,22 @@ impl Counter {
 
 /// A power-of-two-bucketed histogram of `u64` samples: bucket `k ≥ 1`
 /// counts values in `[2^(k-1), 2^k)`, bucket 0 counts zeros. Cheap to
-/// record (a shift and an increment) and compact to serialize.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    name: String,
-    buckets: [u64; 65],
-    count: u64,
-}
-
-impl Histogram {
-    /// A new, empty histogram.
-    pub fn new(name: impl Into<String>) -> Histogram {
-        Histogram {
-            name: name.into(),
-            buckets: [0; 65],
-            count: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, v: u64) {
-        let idx = (64 - v.leading_zeros()) as usize;
-        self.buckets[idx] += 1;
-        self.count += 1;
-    }
-
-    /// Non-empty buckets as `(upper_bound, count)` pairs, in increasing
-    /// bound order. Bucket `k`'s upper bound is `2^k - 1` (inclusive).
-    pub fn buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(k, &c)| {
-                let bound = if k >= 64 { u64::MAX } else { (1u64 << k) - 1 };
-                (bound, c)
-            })
-            .collect()
-    }
-
-    /// Emits a histogram snapshot event (no-op when disabled or empty).
-    pub fn sample(&self, attrs: Vec<(String, AttrValue)>) {
-        if !enabled() || self.count == 0 {
-            return;
-        }
-        emit(Event {
-            name: self.name.clone(),
-            ts_us: ts_us(),
-            kind: EventKind::Hist {
-                buckets: self.buckets(),
-            },
-            attrs,
-        });
-    }
-}
-
-/// A thread-shareable [`Histogram`]: same power-of-two buckets, but
-/// every slot is an atomic so concurrent recorders need no lock, and
-/// construction is `const` so histograms can live in statics (the
-/// serve-path latency metrics do). Counts are `Relaxed` — snapshots may
-/// lag in-flight records by a few samples, which is fine for metrics.
+/// record (a shift and two relaxed atomic increments, so concurrent
+/// recorders need no lock) and compact to serialize. Construction is
+/// `const`, so histograms can live in statics and be registered for
+/// [`snapshot`] export (the serve-path latency metrics are); counts are
+/// `Relaxed`, so a snapshot may lag in-flight records by a few samples.
 #[derive(Debug)]
-pub struct SharedHistogram {
+pub struct Histogram {
     name: &'static str,
     buckets: [AtomicU64; 65],
     count: AtomicU64,
 }
 
-impl SharedHistogram {
-    /// A new, empty histogram. `const` so histograms can be statics.
-    pub const fn new(name: &'static str) -> SharedHistogram {
-        SharedHistogram {
+impl Histogram {
+    /// A new, empty histogram.
+    pub const fn new(name: &'static str) -> Histogram {
+        Histogram {
             name,
             buckets: [const { AtomicU64::new(0) }; 65],
             count: AtomicU64::new(0),
@@ -477,7 +422,7 @@ impl SharedHistogram {
         self.name
     }
 
-    /// Records one sample (two relaxed atomic increments).
+    /// Records one sample.
     pub fn record(&self, v: u64) {
         let idx = (64 - v.leading_zeros()) as usize;
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
@@ -490,7 +435,7 @@ impl SharedHistogram {
     }
 
     /// Non-empty buckets as `(upper_bound, count)` pairs, in increasing
-    /// bound order — the same encoding as [`Histogram::buckets`].
+    /// bound order. Bucket `k`'s upper bound is `2^k - 1` (inclusive).
     pub fn buckets(&self) -> Vec<(u64, u64)> {
         self.buckets
             .iter()
@@ -505,6 +450,21 @@ impl SharedHistogram {
             })
             .collect()
     }
+
+    /// Emits a histogram snapshot event (no-op when disabled or empty).
+    pub fn sample(&self, attrs: Vec<(String, AttrValue)>) {
+        if !enabled() || self.count() == 0 {
+            return;
+        }
+        emit(Event {
+            name: self.name.to_string(),
+            ts_us: ts_us(),
+            kind: EventKind::Hist {
+                buckets: self.buckets(),
+            },
+            attrs,
+        });
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -512,7 +472,7 @@ impl SharedHistogram {
 // ---------------------------------------------------------------------------
 
 static COUNTERS: Mutex<Vec<&'static Counter>> = Mutex::new(Vec::new());
-static HISTOGRAMS: Mutex<Vec<&'static SharedHistogram>> = Mutex::new(Vec::new());
+static HISTOGRAMS: Mutex<Vec<&'static Histogram>> = Mutex::new(Vec::new());
 
 /// Registers a static counter for [`snapshot`] export. Registering the
 /// same counter again is a no-op, so registration can sit on any
@@ -524,9 +484,9 @@ pub fn register_counter(counter: &'static Counter) {
     }
 }
 
-/// Registers a static shared histogram for [`snapshot`] export.
-/// Idempotent, like [`register_counter`].
-pub fn register_histogram(hist: &'static SharedHistogram) {
+/// Registers a static histogram for [`snapshot`] export. Idempotent,
+/// like [`register_counter`].
+pub fn register_histogram(hist: &'static Histogram) {
     let mut reg = HISTOGRAMS.lock().unwrap();
     if !reg.iter().any(|h| std::ptr::eq(*h, hist)) {
         reg.push(hist);
@@ -543,7 +503,7 @@ pub enum MetricSnapshot {
         /// Cumulative value at snapshot time.
         value: u64,
     },
-    /// A registered [`SharedHistogram`]'s buckets.
+    /// A registered [`Histogram`]'s buckets.
     Histogram {
         /// The histogram's name.
         name: &'static str,
@@ -688,28 +648,35 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_log2() {
-        let mut h = Histogram::new("h");
-        h.record(0);
-        h.record(1);
-        h.record(2);
-        h.record(3);
-        h.record(1024);
-        assert_eq!(h.count, 5);
+        let h = Histogram::new("h");
+        for v in [0, 1, 2, 3, 1024] {
+            h.record(v);
+        }
+        assert_eq!(h.count(), 5);
+        assert_eq!(h.name(), "h");
         // 0 → bucket 0 (bound 0); 1 → bucket 1 (bound 1);
         // 2,3 → bucket 2 (bound 3); 1024 → bucket 11 (bound 2047).
         assert_eq!(h.buckets(), vec![(0, 1), (1, 1), (3, 2), (2047, 1)]);
+        h.record(u64::MAX);
+        assert_eq!(h.buckets().last(), Some(&(u64::MAX, 1)));
     }
 
     #[test]
     fn histogram_sample_emits_snapshot() {
         let events = with_memory_sink(|| {
-            let mut h = Histogram::new("wall");
+            let h = Histogram::new("wall");
             h.record(5);
             h.sample(vec![("phase".to_string(), AttrValue::Str("x".into()))]);
             Histogram::new("empty").sample(Vec::new());
         });
         assert_eq!(events.len(), 1, "empty histogram must not emit");
-        assert!(matches!(events[0].kind, EventKind::Hist { .. }));
+        assert_eq!(events[0].name, "wall");
+        assert_eq!(
+            events[0].kind,
+            EventKind::Hist {
+                buckets: vec![(7, 1)]
+            }
+        );
     }
 
     #[test]
@@ -728,22 +695,9 @@ mod tests {
     }
 
     #[test]
-    fn shared_histogram_matches_owned_buckets() {
-        static SHARED: SharedHistogram = SharedHistogram::new("shared");
-        let mut owned = Histogram::new("owned");
-        for v in [0, 1, 2, 3, 7, 8, 1024, u64::MAX] {
-            SHARED.record(v);
-            owned.record(v);
-        }
-        assert_eq!(SHARED.count(), owned.count);
-        assert_eq!(SHARED.buckets(), owned.buckets());
-        assert_eq!(SHARED.name(), "shared");
-    }
-
-    #[test]
     fn registry_snapshots_in_registration_order_and_dedupes() {
         static REQS: Counter = Counter::new("reg_requests");
-        static LAT: SharedHistogram = SharedHistogram::new("reg_latency");
+        static LAT: Histogram = Histogram::new("reg_latency");
         register_counter(&REQS);
         register_counter(&REQS);
         register_histogram(&LAT);
