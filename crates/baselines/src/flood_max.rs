@@ -33,7 +33,7 @@
 //! Every variant runs `D + 1` rounds (`D` flooding rounds and the decision
 //! round; at least 2).
 
-use ale_congest::{Incoming, NodeCtx, OutCtx, Process};
+use ale_congest::{Inbox, NodeCtx, OutCtx, Process};
 use ale_core::irrevocable::{candidate_probability, id_space};
 use ale_core::{run_lockstep, CoreError, ElectionOutcome};
 use ale_graph::Graph;
@@ -138,7 +138,7 @@ impl Process for FloodMaxProcess {
     type Msg = u64;
     type Output = (bool, bool); // (candidate, leader)
 
-    fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Incoming<u64>], out: &mut OutCtx<'_, u64>) {
+    fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, u64>, out: &mut OutCtx<'_, u64>) {
         for m in inbox {
             if m.msg > self.best {
                 self.best = m.msg;

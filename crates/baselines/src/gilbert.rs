@@ -41,7 +41,7 @@
 //! every retrace round but the first.
 
 use ale_congest::message::{bits_for_u64, ceil_log2, Payload};
-use ale_congest::{Incoming, NodeCtx, OutCtx, Process};
+use ale_congest::{Inbox, NodeCtx, OutCtx, Process};
 use ale_core::irrevocable::{candidate_probability, id_space};
 use ale_core::{run_lockstep, CoreError, ElectionOutcome};
 use ale_graph::{Graph, Port};
@@ -94,7 +94,7 @@ impl GilbertConfig {
 }
 
 /// Messages of the GRS-style baseline.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GrsMsg {
     /// `count` tokens of candidate `id` moving through this port.
     Tokens {
@@ -232,7 +232,7 @@ impl Process for GilbertProcess {
     fn round(
         &mut self,
         ctx: &mut NodeCtx<'_>,
-        inbox: &[Incoming<GrsMsg>],
+        inbox: Inbox<'_, GrsMsg>,
         out: &mut OutCtx<'_, GrsMsg>,
     ) {
         for m in inbox {

@@ -336,7 +336,7 @@ impl<M: Payload> Events<M> {
         }
         if faults.duplicate > 0.0 && self.fate.chance(faults.duplicate) {
             stats.duplicated += 1;
-            self.schedule(target, port, msg.clone());
+            self.schedule(target, port, msg);
         }
         self.schedule(target, port, msg);
     }
@@ -492,7 +492,7 @@ impl<'g, P: Process> AsyncNetwork<'g, P> {
 mod tests {
     use super::*;
     use crate::network::RunStatus;
-    use crate::process::{Incoming, NodeCtx, OutCtx};
+    use crate::process::{Inbox, NodeCtx, OutCtx};
     use ale_graph::generators;
 
     /// Broadcasts a counter for `left` ticks, summing everything heard.
@@ -507,7 +507,7 @@ mod tests {
         fn round(
             &mut self,
             _ctx: &mut NodeCtx<'_>,
-            inbox: &[Incoming<u64>],
+            inbox: Inbox<'_, u64>,
             out: &mut OutCtx<'_, u64>,
         ) {
             self.heard += inbox.iter().map(|m| m.msg).sum::<u64>();

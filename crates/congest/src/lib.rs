@@ -35,7 +35,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use ale_congest::{Network, Process, NodeCtx, Incoming, OutCtx};
+//! use ale_congest::{Network, Process, NodeCtx, Inbox, OutCtx};
 //! use ale_graph::generators;
 //!
 //! /// Every node forwards the maximum value it has seen for 3 rounds.
@@ -44,7 +44,7 @@
 //! impl Process for Max {
 //!     type Msg = u64;
 //!     type Output = u64;
-//!     fn round(&mut self, _ctx: &mut NodeCtx<'_>, inbox: &[Incoming<u64>], out: &mut OutCtx<'_, u64>) {
+//!     fn round(&mut self, _ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, u64>, out: &mut OutCtx<'_, u64>) {
 //!         for m in inbox { self.0 = self.0.max(m.msg); }
 //!         if self.1 == 0 { return; }
 //!         self.1 -= 1;
@@ -79,7 +79,7 @@ pub use error::CongestError;
 pub use message::{congest_budget, Payload};
 pub use metrics::{Metrics, RoundInfo, RoundTrace};
 pub use network::{splitmix64, Delivery, Driver, Network, RunStatus};
-pub use process::{Incoming, NodeCtx, OutCtx, Process};
+pub use process::{Inbox, Incoming, NodeCtx, OutCtx, Process};
 pub use reference::ReferenceNetwork;
 pub use testkit::{AnyNetwork, EngineKind};
 pub use trace::{clear_trace_factory, install_trace_factory, TraceSink};

@@ -14,7 +14,11 @@
 /// encoding of the value would occupy — this is what the message/bit
 /// complexity counters aggregate and what the CONGEST budget is enforced
 /// against.
-pub trait Payload: Clone + std::fmt::Debug {
+///
+/// A CONGEST message is an `O(log n)`-bit word, so a payload is a plain
+/// fixed-size value: `Copy`. The engines copy it where they store it and
+/// hand it to receivers by value (see [`Inbox`](crate::process::Inbox)).
+pub trait Payload: Copy + std::fmt::Debug {
     /// Serialized size in bits.
     fn bit_size(&self) -> usize;
 }

@@ -22,16 +22,16 @@
 //! # Engine design: one store per message, zero allocation per round
 //!
 //! A pushed message is written once, into its receiver's region; a posted
-//! broadcast once, into its sender's board slot, and each neighbor copies
-//! it when it runs. A round has three stages — compute, send, commit — all
+//! broadcast once, into its sender's board slot, where each neighbor reads
+//! it in place. A round has three stages — compute, send, commit — all
 //! running on buffers owned by the driver whose capacity persists across
 //! rounds:
 //!
 //! 1. **compute** — every *active* (non-halted) process runs
-//!    [`Process::round`] against its inbox from this round's inbox arena:
-//!    its region (see below), or, when the previous round posted
-//!    broadcasts, an inbox gathered from its neighbors' posts and its
-//!    region (see [posted broadcasts](#posted-broadcasts));
+//!    [`Process::round`] against an [`Inbox`] view of this round's inbox
+//!    arena: its region (see below), or, when the previous round posted
+//!    broadcasts, its neighbors' posts merged with its region as it reads
+//!    them (see [posted broadcasts](#posted-broadcasts));
 //! 2. **send** — each [`OutCtx::send`] validates the port, stamps the
 //!    port-use mark (multi-send detection without a per-node `Vec<bool>`),
 //!    accumulates [`bit_size`](crate::message::Payload::bit_size) into a
@@ -74,7 +74,7 @@
 //!
 //! The buffer starts with capacity for every node's first region and
 //! grows when a round takes more slots than any before (new slots hold
-//! clones of a staged message: the crate forbids `unsafe`, so a slot is
+//! copies of a staged message: the crate forbids `unsafe`, so a slot is
 //! never uninitialized); it is kept for the driver's life, so resident
 //! delivery memory is each arena's busiest round. Only receivers that got
 //! messages are reset, so a quiet round costs `O(active + messages)`, not
@@ -96,16 +96,18 @@
 //! first round in which a few nodes broadcast — turns its posts into pushes
 //! at commit, posters in ascending id, which fills every region in sender
 //! order. Otherwise, next round, if the arena holds any post, the round
-//! **pulls**: each active node's inbox is gathered into a driver-owned
-//! buffer from its neighbors' board slots, read in neighbor-id order
-//! through a table of every node's ports sorted by neighbor (built the
-//! first time a round pulls), merged with its region, a sender's post
-//! before its pushes. A round without posts reads regions directly, in a
-//! loop with no gather in it. Posting versus pushing is decided from the
-//! previous round's traffic alone, so sparse broadcasts keep the push and
-//! no receiver scans its ports for them; either way every inbox holds the
-//! same messages in the same order. Halted nodes never read the board, so
-//! a post costs `O(1)` however many of its neighbors have halted.
+//! **pulls**: each active node's [`Inbox`] walks its row of a table of
+//! every node's ports sorted by neighbor (built the first time a round
+//! pulls) over the board, reading its neighbors' posts in place in
+//! neighbor-id order, and merges its region in, a sender's post before its
+//! pushes. Nothing is copied into a per-node buffer: a dense round writes
+//! each broadcast once and its neighbors read it where it lies. A round
+//! without posts hands each node its region. Posting versus pushing is
+//! decided from the previous round's traffic alone, so sparse broadcasts
+//! keep the push and no receiver scans its ports for them; either way every
+//! inbox yields the same messages in the same order. Halted nodes never
+//! read the board, so a post costs `O(1)` however many of its neighbors
+//! have halted.
 //!
 //! Halted processes leave the **active set** permanently (see the
 //! [`Process::is_halted`] invariant), making [`Driver::all_halted`] O(1)
@@ -149,7 +151,7 @@
 //!   for both policies.
 //! * **Within-inbox order.** Messages arrive ordered by sending node id,
 //!   then by send order within the node. Regions fill in that order, and a
-//!   region that grows keeps it; a gathered inbox reads posts in neighbor
+//!   region that grows keeps it; a pulled [`Inbox`] reads posts in neighbor
 //!   order and merges the region into them, and a post, being its sender's
 //!   first send of the round, precedes that sender's pushes. Processes must
 //!   not rely on this — it is an artifact, not part of the model — but it
@@ -160,11 +162,13 @@
 //!   preserved for inspection. Multi-send violations recorded before the
 //!   failure stick (they already happened).
 //! * **Halting is permanent** (see [`Process::is_halted`]).
+//!
+//! [`Inbox`]: crate::process::Inbox
 
 use crate::error::CongestError;
 use crate::message::Payload;
 use crate::metrics::{Metrics, RoundInfo, RoundTrace};
-use crate::process::{EngineSink, Incoming, NodeCtx, OutCtx, Process, RoundStats, Sink};
+use crate::process::{EngineSink, NodeCtx, OutCtx, Process, RoundStats, Sink};
 use crate::trace::{TraceSink, TraceSlot};
 use ale_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
@@ -235,7 +239,7 @@ impl<M: Payload> Delivery<M> for Lockstep {}
 pub(crate) mod sealed {
     use crate::async_net::Events;
     use crate::message::Payload;
-    use crate::process::Incoming;
+    use crate::process::{Inbox, Incoming};
     use ale_graph::Graph;
 
     /// The slots a node's region takes on its first message, or its
@@ -261,8 +265,8 @@ pub(crate) mod sealed {
     /// A port seen from its node: the neighbor it leads to.
     #[derive(Debug, Clone, Copy)]
     pub(crate) struct Link {
-        node: u32,
-        port: u32,
+        pub(crate) node: u32,
+        pub(crate) port: u32,
     }
 
     /// Every node's ports ordered by the neighbor they lead to: the order
@@ -409,7 +413,7 @@ pub(crate) mod sealed {
         len: usize,
     }
 
-    impl<M: Clone> Arena<M> {
+    impl<M: Copy> Arena<M> {
         /// An empty arena for `graph`'s nodes, with room for a round in
         /// which every node gets its first region, so a first dense round
         /// on a bounded-degree graph lays out without regrowing the
@@ -443,7 +447,7 @@ pub(crate) mod sealed {
         }
 
         /// Whether any node posted into this arena, so that its inboxes
-        /// are gathered.
+        /// are pulled.
         #[inline]
         pub(crate) fn has_posts(&self) -> bool {
             !self.posters.is_empty()
@@ -467,7 +471,7 @@ pub(crate) mod sealed {
                     .expect("a poster holds a post");
                 self.len -= 1;
                 graph.for_each_port(w as usize, |_, target, arrival| {
-                    self.push(graph, target, arrival, msg.clone());
+                    self.push(graph, target, arrival, msg);
                 });
             }
             self.posters = posters;
@@ -487,50 +491,18 @@ pub(crate) mod sealed {
             self.len += 1;
         }
 
-        /// Node `v`'s inbox when the arena holds posts, built in `buf`:
-        /// its neighbors' posts in neighbor-id order (`row`, from
+        /// Node `v`'s inbox when the arena holds posts: its neighbors'
+        /// posts, read in place in neighbor-id order (`row`, from
         /// [`NeighborOrder`]), merged with its pushed messages, a sender's
         /// post before its pushes.
-        #[inline(never)]
-        pub(crate) fn gather<'b>(
-            &self,
-            graph: &Graph,
+        #[inline]
+        pub(crate) fn pulled<'a>(
+            &'a self,
+            graph: &'a Graph,
             v: usize,
-            row: &[Link],
-            buf: &'b mut Vec<Incoming<M>>,
-        ) -> &'b [Incoming<M>] {
-            buf.clear();
-            let pushed = self.inbox(v);
-            if pushed.is_empty() {
-                for &Link { node, port } in row {
-                    if let Some(msg) = &self.board[node as usize] {
-                        buf.push(Incoming {
-                            port: port as usize,
-                            msg: msg.clone(),
-                        });
-                    }
-                }
-                return buf;
-            }
-            let mut next = 0;
-            for &Link { node, port } in row {
-                let Some(msg) = &self.board[node as usize] else {
-                    continue;
-                };
-                while let Some(m) = pushed.get(next) {
-                    if graph.port_target(v, m.port) >= node as usize {
-                        break;
-                    }
-                    buf.push(m.clone());
-                    next += 1;
-                }
-                buf.push(Incoming {
-                    port: port as usize,
-                    msg: msg.clone(),
-                });
-            }
-            buf.extend_from_slice(&pushed[next..]);
-            buf
+            row: &'a [Link],
+        ) -> Inbox<'a, M> {
+            Inbox::pulled(graph, v, row, &self.board, self.inbox(v))
         }
 
         /// Stages `msg` for `target`, arriving through its port `port`, at
@@ -550,7 +522,7 @@ pub(crate) mod sealed {
             let incoming = Incoming { port, msg };
             match self.slots.get_mut(at) {
                 Some(slot) => *slot = incoming,
-                None => self.extend(at, incoming),
+                None => self.extend(incoming),
             }
         }
 
@@ -589,24 +561,22 @@ pub(crate) mod sealed {
             self.top = to + grown;
             if to != start {
                 if self.top > self.slots.len() {
-                    let filler = self.slots[start].clone();
+                    let filler = self.slots[start];
                     self.slots.resize(self.top, filler);
                 }
-                let (kept, moved) = self.slots.split_at_mut(to);
-                moved[..room].clone_from_slice(&kept[start..start + room]);
+                self.slots.copy_within(start..start + room, to);
             }
             let region = &mut self.regions[target];
             region.start = to_u32(to);
             region.room = to_u32(grown) | PROVISIONAL;
         }
 
-        /// Grows the buffer to the slots taken, for `incoming` at slot `at`
-        /// past its end; the slots between hold clones of it.
+        /// Grows the buffer to the slots taken, for `incoming` at a slot
+        /// past its end; every new slot holds a copy of it.
         #[cold]
         #[inline(never)]
-        fn extend(&mut self, at: usize, incoming: Incoming<M>) {
-            self.slots.resize(self.top, incoming.clone());
-            self.slots[at] = incoming;
+        fn extend(&mut self, incoming: Incoming<M>) {
+            self.slots.resize(self.top, incoming);
         }
 
         /// Forgets every message, keeping the buffer's and the board's
@@ -642,51 +612,6 @@ pub(crate) mod sealed {
     }
 }
 
-/// How a round's compute pass reads a node's inbox: [`Push`] when this
-/// round's arena holds no posts, else [`Pull`]. A type parameter, so that
-/// a push-only round runs a loop with no gather in it.
-trait ReadInbox {
-    fn read<'b, M: Clone>(
-        arena: &'b Arena<M>,
-        graph: &Graph,
-        order: &NeighborOrder,
-        buf: &'b mut Vec<Incoming<M>>,
-        v: usize,
-    ) -> &'b [Incoming<M>];
-}
-
-/// Each inbox is its node's region.
-struct Push;
-
-impl ReadInbox for Push {
-    #[inline]
-    fn read<'b, M: Clone>(
-        arena: &'b Arena<M>,
-        _: &Graph,
-        _: &NeighborOrder,
-        _: &'b mut Vec<Incoming<M>>,
-        v: usize,
-    ) -> &'b [Incoming<M>] {
-        arena.inbox(v)
-    }
-}
-
-/// Each inbox is gathered from the board and the node's region.
-struct Pull;
-
-impl ReadInbox for Pull {
-    #[inline]
-    fn read<'b, M: Clone>(
-        arena: &'b Arena<M>,
-        graph: &Graph,
-        order: &NeighborOrder,
-        buf: &'b mut Vec<Incoming<M>>,
-        v: usize,
-    ) -> &'b [Incoming<M>] {
-        arena.gather(graph, v, order.row(v), buf)
-    }
-}
-
 /// An anonymous network: a graph plus one process per node, driven under
 /// the delivery policy `D`. Use it through its two names, [`Network`]
 /// (lockstep rounds) and [`AsyncNetwork`](crate::async_net::AsyncNetwork)
@@ -703,11 +628,9 @@ pub struct Driver<'g, P: Process, D> {
     pub(crate) inbox: Arena<P::Msg>,
     /// Next round's inboxes; swapped with `inbox` at commit.
     staged: Arena<P::Msg>,
-    /// Ports by neighbor id, for gathering posts; built by the first round
+    /// Ports by neighbor id, for reading posts; built by the first round
     /// that pulls.
     order: NeighborOrder,
-    /// The inbox a node in a pulling round reads, rebuilt per node.
-    gathered: Vec<Incoming<P::Msg>>,
     /// Port-use marks for multi-send detection, indexed by port and epoch-
     /// stamped per node visit — never cleared, `max_degree` entries total.
     port_marks: Vec<u64>,
@@ -728,7 +651,7 @@ pub struct Driver<'g, P: Process, D> {
 /// # Examples
 ///
 /// ```
-/// use ale_congest::{Network, Process, NodeCtx, Incoming, OutCtx};
+/// use ale_congest::{Network, Process, NodeCtx, Inbox, OutCtx};
 /// use ale_graph::generators;
 ///
 /// // A one-shot flood: every node broadcasts its degree once, then halts.
@@ -737,7 +660,7 @@ pub struct Driver<'g, P: Process, D> {
 /// impl Process for Shout {
 ///     type Msg = u64;
 ///     type Output = u64;
-///     fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Incoming<u64>], out: &mut OutCtx<'_, u64>) {
+///     fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, u64>, out: &mut OutCtx<'_, u64>) {
 ///         self.heard += inbox.iter().map(|m| m.msg).sum::<u64>();
 ///         if ctx.round == 0 {
 ///             out.broadcast(ctx.degree as u64);
@@ -834,7 +757,6 @@ impl<'g, P: Process, D: Delivery<P::Msg>> Driver<'g, P, D> {
             inbox: Arena::new(graph),
             staged: Arena::new(graph),
             order: NeighborOrder::default(),
-            gathered: Vec::new(),
             port_marks: vec![0; graph.max_degree()],
             mark: 0,
             active,
@@ -915,12 +837,10 @@ impl<'g, P: Process, D: Delivery<P::Msg>> Driver<'g, P, D> {
     pub fn step(&mut self) -> Result<(), CongestError> {
         debug_assert_eq!(self.staged.len(), 0);
         self.policy.begin(self.round, &mut self.active);
-        let (stats, failure, any_halted) = if self.inbox.has_posts() {
+        if self.inbox.has_posts() {
             self.order.build(self.graph);
-            self.compute::<Pull>()
-        } else {
-            self.compute::<Push>()
-        };
+        }
+        let (stats, failure, any_halted) = self.compute();
 
         if let Some(e) = failure {
             // A protocol bug surfaced mid-round: drop the partial round so
@@ -972,11 +892,12 @@ impl<'g, P: Process, D: Delivery<P::Msg>> Driver<'g, P, D> {
         Ok(())
     }
 
-    /// Compute + send: drives every active process against the inbox `R`
-    /// reads; sends stream into the policy's staging through the node's
-    /// `OutCtx`. Returns the round's counters, its failure, and whether a
-    /// process halted.
-    fn compute<R: ReadInbox>(&mut self) -> (RoundStats, Option<CongestError>, bool) {
+    /// Compute + send: drives every active process against its inbox —
+    /// its region, or, when this round's arena holds posts, its pulled
+    /// view — and sends stream into the policy's staging through the
+    /// node's `OutCtx`. Returns the round's counters, its failure, and
+    /// whether a process halted.
+    fn compute(&mut self) -> (RoundStats, Option<CongestError>, bool) {
         let mut stats = RoundStats::default();
         let mut failure: Option<CongestError> = None;
         let mut any_halted = false;
@@ -989,17 +910,21 @@ impl<'g, P: Process, D: Delivery<P::Msg>> Driver<'g, P, D> {
             inbox,
             staged,
             order,
-            gathered,
             port_marks,
             mark,
             active,
             policy,
             ..
         } = self;
+        let pulls = inbox.has_posts();
         for &v in active.iter() {
             let v = v as usize;
             let degree = graph.degree(v);
-            let inbox = R::read(inbox, graph, order, gathered, v);
+            let inbox = if pulls {
+                inbox.pulled(graph, v, order.row(v))
+            } else {
+                inbox.inbox(v).into()
+            };
             let mut ctx = NodeCtx {
                 degree,
                 round: *round,
@@ -1211,7 +1136,7 @@ impl<P: Process, D> Drop for Driver<'_, P, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::Incoming;
+    use crate::process::Inbox;
     use crate::reference::ReferenceNetwork;
     use ale_graph::generators;
     use rand::Rng;
@@ -1231,7 +1156,7 @@ mod tests {
         fn round(
             &mut self,
             _ctx: &mut NodeCtx<'_>,
-            inbox: &[Incoming<u64>],
+            inbox: Inbox<'_, u64>,
             out: &mut OutCtx<'_, u64>,
         ) {
             for m in inbox {
@@ -1329,7 +1254,7 @@ mod tests {
         fn round(
             &mut self,
             ctx: &mut NodeCtx<'_>,
-            _inbox: &[Incoming<u64>],
+            _inbox: Inbox<'_, u64>,
             out: &mut OutCtx<'_, u64>,
         ) {
             out.send(ctx.degree + 5, 1);
@@ -1360,7 +1285,7 @@ mod tests {
         fn round(
             &mut self,
             ctx: &mut NodeCtx<'_>,
-            _inbox: &[Incoming<u64>],
+            _inbox: Inbox<'_, u64>,
             out: &mut OutCtx<'_, u64>,
         ) {
             if ctx.round == 0 {
@@ -1489,7 +1414,7 @@ mod tests {
         fn round(
             &mut self,
             ctx: &mut NodeCtx<'_>,
-            inbox: &[Incoming<u64>],
+            inbox: Inbox<'_, u64>,
             out: &mut OutCtx<'_, u64>,
         ) {
             for m in inbox {
@@ -1637,7 +1562,7 @@ mod tests {
         fn round(
             &mut self,
             ctx: &mut NodeCtx<'_>,
-            inbox: &[Incoming<u64>],
+            inbox: Inbox<'_, u64>,
             out: &mut OutCtx<'_, u64>,
         ) {
             if std::mem::take(&mut self.holds) || !inbox.is_empty() {
@@ -1696,7 +1621,7 @@ mod tests {
             fn round(
                 &mut self,
                 ctx: &mut NodeCtx<'_>,
-                inbox: &[Incoming<u64>],
+                inbox: Inbox<'_, u64>,
                 out: &mut OutCtx<'_, u64>,
             ) {
                 for m in inbox {
@@ -1763,7 +1688,7 @@ mod tests {
         type Msg = u64;
         type Output = u64;
 
-        fn round(&mut self, _: &mut NodeCtx<'_>, _: &[Incoming<u64>], _: &mut OutCtx<'_, u64>) {
+        fn round(&mut self, _: &mut NodeCtx<'_>, _: Inbox<'_, u64>, _: &mut OutCtx<'_, u64>) {
             self.calls += 1;
         }
 
@@ -1838,7 +1763,7 @@ mod tests {
             fn round(
                 &mut self,
                 ctx: &mut NodeCtx<'_>,
-                inbox: &[Incoming<u64>],
+                inbox: Inbox<'_, u64>,
                 out: &mut OutCtx<'_, u64>,
             ) {
                 if ctx.round == 1 {
@@ -1885,7 +1810,7 @@ mod tests {
             fn round(
                 &mut self,
                 ctx: &mut NodeCtx<'_>,
-                inbox: &[Incoming<u64>],
+                inbox: Inbox<'_, u64>,
                 out: &mut OutCtx<'_, u64>,
             ) {
                 self.seen.extend(inbox.iter().map(|m| m.msg));

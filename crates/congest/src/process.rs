@@ -27,16 +27,19 @@
 //! Migrating an implementation is mechanical. Before:
 //!
 //! ```text
-//! fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Incoming<u64>]) -> Outbox<u64> {
+//! fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, u64>) -> Outbox<u64> {
 //!     for m in inbox { self.best = self.best.max(m.msg); }
 //!     (0..ctx.degree).map(|p| (p, self.best)).collect()
 //! }
 //! ```
 //!
-//! After — same observable behavior, zero per-round allocation:
+//! After — same observable behavior, zero per-round allocation. The inbox
+//! is an [`Inbox`] view that yields each message by value (payloads are
+//! `Copy`), so `for m in inbox`, `inbox.iter()`, `len` and `is_empty` read
+//! as they did on the slice:
 //!
 //! ```
-//! use ale_congest::{Incoming, NodeCtx, OutCtx, Process};
+//! use ale_congest::{Inbox, NodeCtx, OutCtx, Process};
 //!
 //! #[derive(Debug, Default)]
 //! struct Max { best: u64 }
@@ -46,7 +49,7 @@
 //!     fn round(
 //!         &mut self,
 //!         ctx: &mut NodeCtx<'_>,
-//!         inbox: &[Incoming<u64>],
+//!         inbox: Inbox<'_, u64>,
 //!         out: &mut OutCtx<'_, u64>,
 //!     ) {
 //!         for m in inbox { self.best = self.best.max(m.msg); }
@@ -55,18 +58,23 @@
 //!     fn output(&self) -> u64 { self.best }
 //! }
 //!
-//! // Unit tests (and the reference engine) capture sends with a collector:
+//! // Unit tests (and the reference engine) capture sends with a collector
+//! // and hand in a slice of messages as the inbox:
 //! let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
 //! let mut ctx = NodeCtx { degree: 2, round: 0, rng: &mut rng };
 //! let mut sent = Vec::new();
-//! Max { best: 7 }.round(&mut ctx, &[], &mut OutCtx::collector(2, &mut sent));
+//! let mut max = Max { best: 7 };
+//! max.round(&mut ctx, [][..].into(), &mut OutCtx::collector(2, &mut sent));
 //! assert_eq!(sent, vec![(0, 7), (1, 7)]);
+//! let heard = [ale_congest::Incoming { port: 1, msg: 9 }];
+//! max.round(&mut ctx, heard[..].into(), &mut OutCtx::collector(2, &mut sent));
+//! assert_eq!(max.output(), 9);
 //! ```
 
 use crate::error::CongestError;
 use crate::message::Payload;
 use crate::metrics::Metrics;
-use crate::network::sealed::Staging;
+use crate::network::sealed::{Link, Staging};
 use ale_graph::Graph;
 use rand::rngs::StdRng;
 
@@ -83,12 +91,168 @@ pub struct NodeCtx<'a> {
 }
 
 /// A message delivered to a process, tagged with the arrival port.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Incoming<M> {
     /// The local port the message arrived through.
     pub port: usize,
     /// The payload.
     pub msg: M,
+}
+
+/// The messages a node received this round, as [`Process::round`] reads
+/// them: a view of the engine's inbox storage, yielding each [`Incoming`]
+/// by value, ordered by sending node id, then by send order within the
+/// sender (see the [engine invariants](crate::network#engine-invariants)).
+///
+/// Under the engine driver it is the node's inbox region, or, in a round
+/// after one that posted broadcasts, its neighbors' posts read in place
+/// and merged with its region (see the
+/// [`network`](crate::network#posted-broadcasts) module docs), so no
+/// message is copied into a per-node buffer before the process reads it.
+/// Any slice of messages converts into one, which is how the reference
+/// engine and unit tests hand a process its inbox.
+#[derive(Clone, Copy)]
+pub struct Inbox<'a, M> {
+    /// The node's ports by neighbor id, whose neighbors' posts on `board`
+    /// it reads: empty unless the round pulls.
+    row: &'a [Link],
+    board: &'a [Option<M>],
+    /// The messages pushed to the node, in order.
+    pushed: &'a [Incoming<M>],
+    /// The graph and the node, which name a pushed message's sender; set
+    /// when the round pulls.
+    graph: Option<&'a Graph>,
+    node: usize,
+}
+
+impl<'a, M: Copy> Inbox<'a, M> {
+    /// `node`'s inbox in a pulling round (`row` is its
+    /// [`NeighborOrder`](crate::network::sealed::NeighborOrder) row).
+    pub(crate) fn pulled(
+        graph: &'a Graph,
+        node: usize,
+        row: &'a [Link],
+        board: &'a [Option<M>],
+        pushed: &'a [Incoming<M>],
+    ) -> Self {
+        Inbox {
+            row,
+            board,
+            pushed,
+            graph: Some(graph),
+            node,
+        }
+    }
+
+    /// Messages received. On a pulled inbox this walks the node's ports.
+    pub fn len(&self) -> usize {
+        let posts = self
+            .row
+            .iter()
+            .filter(|link| self.board[link.node as usize].is_some());
+        self.pushed.len() + posts.count()
+    }
+
+    /// Whether nothing was received.
+    pub fn is_empty(&self) -> bool {
+        self.pushed.is_empty()
+            && self
+                .row
+                .iter()
+                .all(|link| self.board[link.node as usize].is_none())
+    }
+
+    /// The messages, in arrival order.
+    pub fn iter(&self) -> Iter<'a, M> {
+        let mut iter = Iter {
+            inbox: *self,
+            head: usize::MAX,
+        };
+        iter.head = iter.first_sender();
+        iter
+    }
+}
+
+impl<'a, M> From<&'a [Incoming<M>]> for Inbox<'a, M> {
+    fn from(pushed: &'a [Incoming<M>]) -> Self {
+        Inbox {
+            row: &[],
+            board: &[],
+            pushed,
+            graph: None,
+            node: 0,
+        }
+    }
+}
+
+impl<'a, M: Copy> IntoIterator for Inbox<'a, M> {
+    type Item = Incoming<M>;
+    type IntoIter = Iter<'a, M>;
+
+    fn into_iter(self) -> Iter<'a, M> {
+        self.iter()
+    }
+}
+
+/// The iterator over an [`Inbox`]: one merge of the posts, in the row's
+/// neighbor order, with the pushed messages, in sender order. One loop
+/// serves every inbox — a region has an empty row, and a pulled inbox in a
+/// broadcast-only round nothing pushed — so a process's loop over its
+/// inbox holds no per-message dispatch.
+pub struct Iter<'a, M> {
+    /// What is left to read.
+    inbox: Inbox<'a, M>,
+    /// The sender of the next pushed message while posts are left to
+    /// merge it with, else `usize::MAX`.
+    head: usize,
+}
+
+impl<M: Copy> Iter<'_, M> {
+    /// The sender of the next pushed message, if a post may precede it,
+    /// else `usize::MAX`.
+    #[inline]
+    fn first_sender(&self) -> usize {
+        let inbox = &self.inbox;
+        match (inbox.graph, inbox.pushed.first()) {
+            (Some(graph), Some(m)) if !inbox.row.is_empty() => sender(graph, inbox.node, m.port),
+            _ => usize::MAX,
+        }
+    }
+}
+
+/// The neighbor of `node` at `port`. Cold and out of line: a call in a
+/// process's loop over its inbox would otherwise make the loop keep its
+/// accumulators in memory, even where nothing is merged.
+#[cold]
+#[inline(never)]
+fn sender(graph: &Graph, node: usize, port: usize) -> usize {
+    graph.port_target(node, port)
+}
+
+impl<M: Copy> Iterator for Iter<'_, M> {
+    type Item = Incoming<M>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Incoming<M>> {
+        let inbox = &mut self.inbox;
+        while let Some((&Link { node, port }, rest)) = inbox.row.split_first() {
+            // A sender's post goes before its pushes.
+            if self.head < node as usize {
+                break;
+            }
+            inbox.row = rest;
+            if let Some(msg) = inbox.board[node as usize] {
+                let port = port as usize;
+                return Some(Incoming { port, msg });
+            }
+        }
+        let (&m, rest) = inbox.pushed.split_first()?;
+        inbox.pushed = rest;
+        if self.head != usize::MAX {
+            self.head = self.first_sender();
+        }
+        Some(m)
+    }
 }
 
 /// Per-round delivery counters accumulated at send time. Commit folds the
@@ -225,9 +389,9 @@ impl<'a, M: Payload> OutCtx<'a, M> {
         }
     }
 
-    /// Sends a clone of `msg` through every port — the all-neighbors
-    /// broadcast most protocols use. Equivalent to
-    /// `for p in 0..degree { send(p, msg.clone()) }`, but metered once:
+    /// Sends `msg` through every port — the all-neighbors broadcast most
+    /// protocols use. Equivalent to `for p in 0..degree { send(p, msg) }`,
+    /// but metered once:
     /// one [`bit_size`](crate::message::Payload::bit_size) call raises the
     /// round's counters by `degree` messages. Every port is still marked,
     /// so a port already used this round records a multi-send.
@@ -236,7 +400,7 @@ impl<'a, M: Payload> OutCtx<'a, M> {
     /// [`network`](crate::network#posted-broadcasts) module docs), a
     /// broadcast that is the node's first send of the round is **posted**:
     /// `msg` is stored once, in the node's board slot of next round's
-    /// inbox arena, and each neighbor copies it from there when it runs.
+    /// inbox arena, and each neighbor's [`Inbox`] reads it there in place.
     /// Otherwise the node's port row is resolved once and each port's copy
     /// is handed to the delivery policy as [`OutCtx::send`] hands it.
     pub fn broadcast(&mut self, msg: M) {
@@ -245,10 +409,7 @@ impl<'a, M: Payload> OutCtx<'a, M> {
             return;
         }
         match &mut self.sink {
-            Sink::Collect(buf) => {
-                buf.extend((0..degree - 1).map(|p| (p, msg.clone())));
-                buf.push((degree - 1, msg));
-            }
+            Sink::Collect(buf) => buf.extend((0..degree).map(|p| (p, msg))),
             Sink::Engine(e) => {
                 if e.failure.is_some() {
                     return;
@@ -267,7 +428,7 @@ impl<'a, M: Payload> OutCtx<'a, M> {
                 let graph = e.graph;
                 graph.for_each_port(e.node, |port, target, arrival| {
                     e.claim(port);
-                    e.deliver(target, arrival, msg.clone());
+                    e.deliver(target, arrival, msg);
                 });
             }
         }
@@ -327,11 +488,12 @@ pub trait Process {
     /// Final output extracted by the harness (e.g. a leader flag).
     type Output: Clone;
 
-    /// Executes one synchronous round, sending through `out`.
+    /// Executes one synchronous round on the messages in `inbox`, sending
+    /// through `out`.
     fn round(
         &mut self,
         ctx: &mut NodeCtx<'_>,
-        inbox: &[Incoming<Self::Msg>],
+        inbox: Inbox<'_, Self::Msg>,
         out: &mut OutCtx<'_, Self::Msg>,
     );
 
@@ -395,7 +557,7 @@ mod tests {
         fn round(
             &mut self,
             ctx: &mut NodeCtx<'_>,
-            inbox: &[Incoming<u64>],
+            inbox: Inbox<'_, u64>,
             out: &mut OutCtx<'_, u64>,
         ) {
             self.seen += inbox.len() as u64;
@@ -425,7 +587,11 @@ mod tests {
             rng: &mut rng,
         };
         let mut sent = Vec::new();
-        p.round(&mut ctx, &[], &mut OutCtx::collector(1, &mut sent));
+        p.round(
+            &mut ctx,
+            [][..].into(),
+            &mut OutCtx::collector(1, &mut sent),
+        );
         assert_eq!(sent, vec![(0, 0)]);
         assert!(!p.is_halted());
         let mut ctx3 = NodeCtx {
@@ -436,7 +602,7 @@ mod tests {
         let mut sent = Vec::new();
         p.round(
             &mut ctx3,
-            &[Incoming { port: 0, msg: 9 }, Incoming { port: 0, msg: 8 }],
+            [Incoming { port: 0, msg: 9 }, Incoming { port: 0, msg: 8 }][..].into(),
             &mut OutCtx::collector(1, &mut sent),
         );
         assert!(sent.is_empty());

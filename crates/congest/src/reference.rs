@@ -30,7 +30,7 @@
 use crate::error::CongestError;
 use crate::metrics::{Metrics, RoundInfo, RoundTrace};
 use crate::network::{node_rngs, RunStatus};
-use crate::process::{Incoming, NodeCtx, OutCtx, Process};
+use crate::process::{Inbox, Incoming, NodeCtx, OutCtx, Process};
 use crate::trace::{TraceSink, TraceSlot};
 use ale_graph::Graph;
 use rand::rngs::StdRng;
@@ -149,7 +149,8 @@ impl<'g, P: Process> ReferenceNetwork<'g, P> {
             };
             self.outbox.clear();
             let mut out = OutCtx::collector(degree, &mut self.outbox);
-            self.procs[v].round(&mut ctx, &self.inboxes[v], &mut out);
+            let inbox = Inbox::from(self.inboxes[v].as_slice());
+            self.procs[v].round(&mut ctx, inbox, &mut out);
             let mut used_ports = vec![false; degree];
             for (port, msg) in self.outbox.drain(..) {
                 if port >= degree {
@@ -305,7 +306,7 @@ mod tests {
         fn round(
             &mut self,
             _ctx: &mut NodeCtx<'_>,
-            inbox: &[Incoming<u64>],
+            inbox: Inbox<'_, u64>,
             out: &mut OutCtx<'_, u64>,
         ) {
             self.heard += inbox.len() as u64;

@@ -207,7 +207,7 @@ impl<'g, P: Process> AnyNetwork<'g, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::{Incoming, NodeCtx, OutCtx};
+    use crate::process::{Inbox, NodeCtx, OutCtx};
     use ale_graph::generators;
 
     /// Broadcasts its degree once, sums everything heard, halts.
@@ -222,7 +222,7 @@ mod tests {
         fn round(
             &mut self,
             ctx: &mut NodeCtx<'_>,
-            inbox: &[Incoming<u64>],
+            inbox: Inbox<'_, u64>,
             out: &mut OutCtx<'_, u64>,
         ) {
             self.heard += inbox.iter().map(|m| m.msg).sum::<u64>();

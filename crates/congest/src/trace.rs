@@ -121,7 +121,7 @@ impl fmt::Debug for TraceSlot {
 mod tests {
     use super::*;
     use crate::network::Network;
-    use crate::process::{Incoming, NodeCtx, OutCtx, Process};
+    use crate::process::{Inbox, NodeCtx, OutCtx, Process};
     use crate::testkit::{AnyNetwork, EngineKind};
     use ale_graph::generators;
     use std::sync::{Arc, Mutex};
@@ -134,7 +134,7 @@ mod tests {
         fn round(
             &mut self,
             _ctx: &mut NodeCtx<'_>,
-            inbox: &[Incoming<u64>],
+            inbox: Inbox<'_, u64>,
             out: &mut OutCtx<'_, u64>,
         ) {
             let _ = inbox;
@@ -244,7 +244,7 @@ mod tests {
             fn round(
                 &mut self,
                 ctx: &mut NodeCtx<'_>,
-                _inbox: &[Incoming<u64>],
+                _inbox: Inbox<'_, u64>,
                 out: &mut OutCtx<'_, u64>,
             ) {
                 out.send(ctx.degree + 1, 0);

@@ -16,8 +16,8 @@
 //!    duplicated` holds for *any* configuration, graph, and seed.
 
 use ale_congest::{
-    splitmix64, AsyncNetwork, ExecConfig, FaultSpec, Incoming, LatencyDist, Metrics, NodeCtx,
-    OutCtx, Process, RoundTrace,
+    splitmix64, AsyncNetwork, ExecConfig, FaultSpec, Inbox, LatencyDist, Metrics, NodeCtx, OutCtx,
+    Process, RoundTrace,
 };
 use ale_graph::Topology;
 use rand::Rng;
@@ -35,7 +35,7 @@ impl Process for Gossip {
     type Msg = u64;
     type Output = u64;
 
-    fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Incoming<u64>], out: &mut OutCtx<'_, u64>) {
+    fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, u64>, out: &mut OutCtx<'_, u64>) {
         for m in inbox {
             self.acc = self.acc.rotate_left(3) ^ m.msg ^ (m.port as u64);
         }

@@ -12,7 +12,7 @@
 //! [`Metrics`] plus FNV-1a digests of its per-round trace and its outputs.
 
 use ale_congest::{
-    AsyncNetwork, CongestError, ExecConfig, FaultSpec, Incoming, LatencyDist, Metrics, NodeCtx,
+    AsyncNetwork, CongestError, ExecConfig, FaultSpec, Inbox, LatencyDist, Metrics, NodeCtx,
     OutCtx, Process, RoundTrace,
 };
 use ale_graph::{generators, Graph};
@@ -33,7 +33,7 @@ impl Process for Gossip {
     type Msg = u64;
     type Output = u64;
 
-    fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Incoming<u64>], out: &mut OutCtx<'_, u64>) {
+    fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, u64>, out: &mut OutCtx<'_, u64>) {
         for m in inbox {
             self.acc = self.acc.rotate_left(5) ^ m.msg ^ ((m.port as u64) << 7) ^ ctx.round;
         }

@@ -16,7 +16,7 @@
 //! test process below is written once and runs on every engine.
 
 use ale_congest::{
-    AnyNetwork, CongestError, EngineKind, Incoming, Metrics, NodeCtx, OutCtx, Process,
+    AnyNetwork, CongestError, EngineKind, Inbox, Metrics, NodeCtx, OutCtx, Process,
     ReferenceNetwork, RunStatus,
 };
 use ale_graph::{Graph, ImplicitTopology, Topology};
@@ -125,7 +125,7 @@ impl Process for Chaos {
     type Msg = u64;
     type Output = u64;
 
-    fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Incoming<u64>], out: &mut OutCtx<'_, u64>) {
+    fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, u64>, out: &mut OutCtx<'_, u64>) {
         for m in inbox {
             // Arrival order and port tags feed the accumulator, so the
             // engines must agree on both.
@@ -249,7 +249,7 @@ impl Process for Saboteur {
     type Msg = u64;
     type Output = u64;
 
-    fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Incoming<u64>], out: &mut OutCtx<'_, u64>) {
+    fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, u64>, out: &mut OutCtx<'_, u64>) {
         self.sum += inbox.iter().map(|m| m.msg).sum::<u64>();
         if self.trigger && ctx.round == self.when {
             out.send(0, 1); // legal send before the bug: dropped with the round
@@ -307,12 +307,7 @@ impl Process for Dense {
     type Msg = u64;
     type Output = u64;
 
-    fn round(
-        &mut self,
-        _ctx: &mut NodeCtx<'_>,
-        inbox: &[Incoming<u64>],
-        out: &mut OutCtx<'_, u64>,
-    ) {
+    fn round(&mut self, _ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, u64>, out: &mut OutCtx<'_, u64>) {
         for m in inbox {
             self.0 = self.0.rotate_left(1) ^ m.msg;
         }
@@ -395,7 +390,7 @@ impl Process for Shouter {
     type Msg = u64;
     type Output = u64;
 
-    fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Incoming<u64>], out: &mut OutCtx<'_, u64>) {
+    fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, u64>, out: &mut OutCtx<'_, u64>) {
         for m in inbox {
             self.acc = self
                 .acc
@@ -467,9 +462,10 @@ const QUIET_ROUNDS: std::ops::Range<u64> = 6..12;
 /// posts into pushes. Later, in a round it broadcasts and then sends again
 /// on port 0 (a sender's post before its own push), sends once on a
 /// random port (a push beside its neighbors' posts), or just broadcasts;
-/// it falls quiet in [`QUIET_ROUNDS`] and halts after them. A node with a
-/// `trip` round broadcasts and then addresses a port it does not have in
-/// that round, once, so the round fails after its posts.
+/// it falls quiet in [`QUIET_ROUNDS`] and halts after them. It folds each
+/// message, and its inbox's `len` and `is_empty`, into its state. A node
+/// with a `trip` round broadcasts and then addresses a port it does not
+/// have in that round, once, so the round fails after its posts.
 #[derive(Debug, Clone)]
 struct Mixer {
     acc: u64,
@@ -482,7 +478,7 @@ impl Process for Mixer {
     type Msg = u64;
     type Output = u64;
 
-    fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Incoming<u64>], out: &mut OutCtx<'_, u64>) {
+    fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, u64>, out: &mut OutCtx<'_, u64>) {
         for m in inbox {
             self.acc = self
                 .acc
@@ -490,6 +486,10 @@ impl Process for Mixer {
                 .wrapping_add(m.msg)
                 .wrapping_add(m.port as u64);
         }
+        // The count of a pulled inbox is taken over posts and pushes
+        // alike, so a mixed round checks it against the oracle's slice.
+        self.acc = (self.acc.rotate_left(7) ^ u64::from(inbox.is_empty()))
+            .wrapping_add(inbox.len() as u64);
         if ctx.round >= self.halt_round {
             self.done = true;
             return;

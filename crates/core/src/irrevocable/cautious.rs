@@ -28,7 +28,7 @@ use rand::seq::IteratorRandom;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-execution control messages of cautious broadcast.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CbBody {
     /// `⟨source⟩`: invitation to join this execution's tree.
     Invite,

@@ -5,7 +5,7 @@ use ale_congest::message::{bits_for_u64, Payload};
 
 /// All messages exchanged by
 /// [`IrrevocableProcess`](super::process::IrrevocableProcess).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IrrMsg {
     /// Cautious-broadcast control message for the execution rooted at the
     /// candidate with random ID `src`.

@@ -21,7 +21,7 @@
 use super::cautious::{CbBody, ExecState};
 use super::msg::IrrMsg;
 use super::ProtocolParams;
-use ale_congest::{Incoming, NodeCtx, OutCtx, Process};
+use ale_congest::{Inbox, NodeCtx, OutCtx, Process};
 use ale_graph::Port;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -136,16 +136,13 @@ impl IrrevocableProcess {
         }
     }
 
-    fn absorb_inbox(&mut self, inbox: &[Incoming<IrrMsg>]) {
+    fn absorb_inbox(&mut self, inbox: Inbox<'_, IrrMsg>) {
         for m in inbox {
-            match &m.msg {
+            match m.msg {
                 IrrMsg::Cb { src, body } => {
-                    if let Some(state) = self.execs.get_mut(src) {
+                    if let Some(state) = self.execs.get_mut(&src) {
                         let _ = state; // buffered for slot-time processing
-                        self.buffers
-                            .entry(*src)
-                            .or_default()
-                            .push((m.port, body.clone()));
+                        self.buffers.entry(src).or_default().push((m.port, body));
                     } else if matches!(body, CbBody::Invite) {
                         // First invitation for an unknown execution: adopt
                         // the sender as parent (paper: the first inviter
@@ -156,18 +153,18 @@ impl IrrevocableProcess {
                             self.params.final_threshold,
                         );
                         state.set_discipline(self.params.report_discipline);
-                        self.execs.insert(*src, state);
-                        self.exec_order.push(*src);
+                        self.execs.insert(src, state);
+                        self.exec_order.push(src);
                     }
                     // Non-invite messages for unknown executions cannot
                     // occur (only tree members are addressed); ignore.
                 }
                 IrrMsg::Walk { id_max, count } => {
                     self.tokens += count;
-                    self.observe_walk_id(*id_max);
+                    self.observe_walk_id(id_max);
                 }
                 IrrMsg::Converge { id_max } => {
-                    self.observe_walk_id(*id_max);
+                    self.observe_walk_id(id_max);
                 }
             }
         }
@@ -289,7 +286,7 @@ impl Process for IrrevocableProcess {
     fn round(
         &mut self,
         ctx: &mut NodeCtx<'_>,
-        inbox: &[Incoming<IrrMsg>],
+        inbox: Inbox<'_, IrrMsg>,
         out: &mut OutCtx<'_, IrrMsg>,
     ) {
         debug_assert_eq!(ctx.degree, self.params.degree, "degree mismatch");
@@ -355,6 +352,7 @@ impl Process for IrrevocableProcess {
 mod tests {
     use super::*;
     use crate::irrevocable::IrrevocableConfig;
+    use ale_congest::Incoming;
     use ale_graph::NetworkKnowledge;
     use rand::SeedableRng;
 
@@ -375,7 +373,11 @@ mod tests {
         inbox: &[Incoming<IrrMsg>],
     ) -> Vec<(usize, IrrMsg)> {
         let mut sent = Vec::new();
-        proc.round(ctx, inbox, &mut OutCtx::collector(ctx.degree, &mut sent));
+        proc.round(
+            ctx,
+            inbox.into(),
+            &mut OutCtx::collector(ctx.degree, &mut sent),
+        );
         sent
     }
 

@@ -4,7 +4,7 @@ use super::record::LeaderRecord;
 use ale_congest::message::Payload;
 
 /// Messages of the `Avg` procedure.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RevMsg {
     /// Diffusion-phase broadcast: `⟨Φ, q, c, id_ldr, K_ldr⟩`.
     ///

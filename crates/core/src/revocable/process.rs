@@ -27,7 +27,7 @@
 use super::msg::RevMsg;
 use super::params::RevocableParams;
 use super::record::{merge_view, LeaderRecord};
-use ale_congest::{Incoming, NodeCtx, OutCtx, Process};
+use ale_congest::{Inbox, NodeCtx, OutCtx, Process};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -226,7 +226,7 @@ impl RevocableProcess {
         self.probing_count = 0;
     }
 
-    fn absorb(&mut self, inbox: &[Incoming<RevMsg>]) {
+    fn absorb(&mut self, inbox: Inbox<'_, RevMsg>) {
         if !self.flag(FLAG_STARTED) || self.phase_round == 0 {
             return;
         }
@@ -317,7 +317,7 @@ impl Process for RevocableProcess {
     fn round(
         &mut self,
         ctx: &mut NodeCtx<'_>,
-        inbox: &[Incoming<RevMsg>],
+        inbox: Inbox<'_, RevMsg>,
         out: &mut OutCtx<'_, RevMsg>,
     ) {
         debug_assert_eq!(ctx.degree, self.degree as usize);
@@ -421,6 +421,7 @@ impl Process for RevocableProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ale_congest::Incoming;
     use rand::SeedableRng;
 
     fn small_params() -> RevocableParams {
@@ -439,7 +440,11 @@ mod tests {
         inbox: &[Incoming<RevMsg>],
     ) -> Vec<(usize, RevMsg)> {
         let mut sent = Vec::new();
-        p.round(ctx, inbox, &mut OutCtx::collector(ctx.degree, &mut sent));
+        p.round(
+            ctx,
+            inbox.into(),
+            &mut OutCtx::collector(ctx.degree, &mut sent),
+        );
         sent
     }
 
@@ -613,7 +618,7 @@ mod tests {
             let inbox: Vec<Incoming<RevMsg>> = if p.phase_round <= p.r_k && p.phase_round >= 1 {
                 vec![quiet(p.potential)]
             } else {
-                vec![diss.clone()]
+                vec![diss]
             };
             drive(&mut p, &mut ctx(&mut rng, 1, round), &inbox);
             round += 1;

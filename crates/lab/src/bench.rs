@@ -43,7 +43,7 @@ use crate::runners::{Algorithm, GraphContext};
 use crate::scenario::LabError;
 use crate::scenarios::revocable::{ladder_params, LADDER_MAX_K};
 use ale_congest::{
-    congest_budget, AsyncNetwork, ExecConfig, FaultSpec, Incoming, LatencyDist, Network, NodeCtx,
+    congest_budget, AsyncNetwork, ExecConfig, FaultSpec, Inbox, LatencyDist, Network, NodeCtx,
     OutCtx, Process, ReferenceNetwork,
 };
 use ale_core::revocable::RevocableProcess;
@@ -195,12 +195,7 @@ impl Process for Gossip {
     type Msg = u64;
     type Output = u64;
 
-    fn round(
-        &mut self,
-        _ctx: &mut NodeCtx<'_>,
-        inbox: &[Incoming<u64>],
-        out: &mut OutCtx<'_, u64>,
-    ) {
+    fn round(&mut self, _ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, u64>, out: &mut OutCtx<'_, u64>) {
         for m in inbox {
             self.0 = self.0.wrapping_add(m.msg);
         }
@@ -225,7 +220,7 @@ impl Process for Beacon {
     type Msg = u64;
     type Output = u64;
 
-    fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Incoming<u64>], out: &mut OutCtx<'_, u64>) {
+    fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, u64>, out: &mut OutCtx<'_, u64>) {
         for m in inbox {
             self.value = self.value.wrapping_add(m.msg);
         }
@@ -256,7 +251,7 @@ impl Process for Chatter {
     type Msg = u64;
     type Output = u64;
 
-    fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Incoming<u64>], out: &mut OutCtx<'_, u64>) {
+    fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, u64>, out: &mut OutCtx<'_, u64>) {
         use rand::Rng;
         for m in inbox {
             self.0 = self.0.wrapping_add(m.msg);
@@ -286,7 +281,7 @@ impl Process for Walks {
     type Msg = u64;
     type Output = ();
 
-    fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Incoming<u64>], out: &mut OutCtx<'_, u64>) {
+    fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, u64>, out: &mut OutCtx<'_, u64>) {
         use rand::Rng;
         self.tokens += inbox.len() as u32;
         for _ in 0..std::mem::take(&mut self.tokens) {

@@ -65,8 +65,6 @@ impl fmt::Display for Algorithm {
 /// [`GraphContexts`] for the per-run memo).
 #[derive(Debug, Clone)]
 pub struct GraphContext {
-    /// The topology that generated the graph.
-    pub topology: Topology,
     /// The concrete graph.
     pub graph: Arc<Graph>,
     /// Its computed properties.
@@ -96,7 +94,6 @@ impl GraphContext {
         drop(span);
         let knowledge = NetworkKnowledge::from_props(&props);
         Ok(GraphContext {
-            topology,
             graph,
             props,
             knowledge,

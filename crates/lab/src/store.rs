@@ -491,22 +491,19 @@ pub fn summary_key(scenario: &str, space_hash: u64, position: u64, metric: &str)
     format!("s/{scenario}/{space_hash:016x}/{position:08x}/{metric}").into_bytes()
 }
 
-/// `git describe --always --dirty`, or "unknown" outside a repo.
+/// `git describe --always --dirty --tags` of the tree this binary was
+/// built from, or "unknown" when it was built without git or outside a
+/// repository. Computed once, at build time (`build.rs`).
 pub fn git_describe() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty", "--tags"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    env!("ALE_GIT_DESCRIBE").to_string()
 }
 
-/// The exact short sha of `HEAD`, suffixed `-dirty` when the work tree
-/// has uncommitted changes (`git status --porcelain` non-empty);
-/// "unknown" outside a repo.
+/// The exact short sha of the `HEAD` this binary was built from, suffixed
+/// `-dirty` when the work tree had uncommitted changes (`git status
+/// --porcelain` non-empty); "unknown" when it was built without git or
+/// outside a repository. Computed once, at build time (`build.rs`), so it
+/// names the binary's sources, not the directory it runs in, and a run
+/// spawns no `git`.
 ///
 /// Unlike [`git_describe`], the stamp never moves when tags do, and the
 /// dirtiness test sees untracked files — `describe --dirty` only reports
@@ -514,26 +511,7 @@ pub fn git_describe() -> String {
 /// sources would previously stamp itself as clean. Run manifests and
 /// bench JSON both stamp with this, so artifacts of one run agree.
 pub fn git_stamp() -> String {
-    let git = |args: &[&str]| {
-        std::process::Command::new("git")
-            .args(args)
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-    };
-    let Some(sha) = git(&["rev-parse", "--short", "HEAD"])
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-    else {
-        return "unknown".to_string();
-    };
-    let dirty = git(&["status", "--porcelain"]).is_some_and(|s| !s.trim().is_empty());
-    if dirty {
-        format!("{sha}-dirty")
-    } else {
-        sha
-    }
+    env!("ALE_GIT_STAMP").to_string()
 }
 
 fn io_err(path: &Path, e: std::io::Error) -> LabError {

@@ -14,7 +14,7 @@
 //! Telemetry has process-global state (one installed sink), so every
 //! test serializes on one mutex.
 
-use ale_congest::{Incoming, Network, NodeCtx, OutCtx, Process};
+use ale_congest::{Inbox, Network, NodeCtx, OutCtx, Process};
 use ale_graph::Topology;
 use ale_lab::engine::{execute, RunSpec};
 use ale_lab::json::{self, ToJson, Value};
@@ -39,12 +39,7 @@ impl Process for Pulse {
     type Msg = u64;
     type Output = u64;
 
-    fn round(
-        &mut self,
-        _ctx: &mut NodeCtx<'_>,
-        inbox: &[Incoming<u64>],
-        out: &mut OutCtx<'_, u64>,
-    ) {
+    fn round(&mut self, _ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, u64>, out: &mut OutCtx<'_, u64>) {
         for m in inbox {
             self.value = self.value.wrapping_add(m.msg);
         }

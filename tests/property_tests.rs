@@ -6,7 +6,7 @@
 //! offline, so the same properties run over a seeded random sweep of the
 //! topology space (deterministic, so failures reproduce exactly).
 
-use ale::congest::{congest_budget, AnyNetwork, EngineKind, Incoming, NodeCtx, OutCtx, Process};
+use ale::congest::{congest_budget, AnyNetwork, EngineKind, Inbox, NodeCtx, OutCtx, Process};
 use ale::core::irrevocable::{IrrevocableConfig, IrrevocableProcess};
 use ale::graph::{GraphProps, NetworkKnowledge, Topology};
 use rand::rngs::StdRng;
@@ -143,7 +143,7 @@ impl Process for TokenForward {
     type Msg = u64;
     type Output = (u64, u64, u64); // (held, sent, received)
 
-    fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Incoming<u64>], out: &mut OutCtx<'_, u64>) {
+    fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: Inbox<'_, u64>, out: &mut OutCtx<'_, u64>) {
         for m in inbox {
             self.held += m.msg;
             self.received_total += m.msg;
